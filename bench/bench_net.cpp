@@ -25,11 +25,10 @@
 // The cluster rows sweep `--pipelines` (closed-loop pipeline depth D:
 // each of the `--concurrency` slots keeps D ops outstanding). D=1 is
 // the classic one-op-per-slot closed loop; D>1 amortises the
-// per-wakeup syscall cost across a deeper in-flight window — the lever
-// the v2 reactor/threading work targets. Every depth is still verified
-// as an exact permutation. p50/p99 latency is per-op as stamped at the
-// controller, so at D>1 it includes queueing behind the same slot's
-// earlier ops.
+// per-wakeup syscall cost across a deeper in-flight window. Every
+// depth is still verified as an exact permutation. p50/p99 latency is
+// per-op as stamped at the controller, so at D>1 it includes queueing
+// behind the same slot's earlier ops.
 //
 // With --inflight_list set (default 1,8,64,256), each counter also runs
 // "tcp-conc" rows: the concurrency plane's closed-loop window sweep on
@@ -52,8 +51,7 @@
 //   $ bench_net [--counters=tree,central] [--n=16] [--nodes=4]
 //               [--ops_factor=16] [--concurrency=16] [--drop=0.05]
 //               [--pipelines=1,8] [--inflight_list=1,8,64,256]
-//               [--loops=1] [--shards_per_node=0]
-//               [--backend=] [--warmup=64] [--seed=7]
+//               [--warmup=64] [--seed=7]
 //               [--rates=] [--shape=constant] [--period=1]
 //               [--amplitude=0.5] [--duty=0.5] [--duration=0]
 //               [--slo_us=0] [--exact_cap=65536]
@@ -178,10 +176,9 @@ int main(int argc, char** argv) {
       argc, argv,
       "NET: socket cluster runtime vs in-process runtime at matched "
       "protocol/n/parallelism",
-      {"amplitude", "backend", "concurrency", "counters", "drop", "duration",
-       "duty", "exact_cap", "inflight_list", "loops", "n", "nodes",
-       "ops_factor", "out", "period", "pipelines", "rates", "seed", "shape",
-       "shards_per_node", "slo_us", "warmup"});
+      {"amplitude", "concurrency", "counters", "drop", "duration", "duty",
+       "exact_cap", "inflight_list", "n", "nodes", "ops_factor", "out",
+       "period", "pipelines", "rates", "seed", "shape", "slo_us", "warmup"});
   const auto counters =
       parse_string_list(flags.get_string("counters", "tree,central"));
   const std::int64_t n = flags.get_int("n", 16);
@@ -195,13 +192,6 @@ int main(int argc, char** argv) {
   // linearizability checked over the real socket history.
   const auto inflight_list =
       parse_int_list(flags.get_string("inflight_list", "1,8,64,256"));
-  const auto loops = static_cast<std::uint32_t>(flags.get_int("loops", 1));
-  // Default 0 = inline drive (the event-loop thread runs the protocol
-  // shard itself): the fastest topology wherever nodes outnumber cores,
-  // and the configuration the checked-in BENCH_net.json is measured at.
-  const auto shards_per_node =
-      static_cast<std::uint32_t>(flags.get_int("shards_per_node", 0));
-  const std::string backend = flags.get_string("backend", "");
   const auto warmup = static_cast<std::size_t>(flags.get_int("warmup", 64));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const std::string out = flags.get_string("out", "BENCH_net.json");
@@ -254,9 +244,6 @@ int main(int argc, char** argv) {
       copt.ops = static_cast<std::int64_t>(ops);
       copt.concurrency = concurrency;
       copt.pipeline = d;
-      copt.loops = loops;
-      copt.shards_per_node = shards_per_node;
-      copt.backend = backend;
       copt.warmup = warmup;
       copt.seed = seed;
       rows.push_back(from_cluster(net::run_cluster(copt), "tcp", d));
@@ -291,9 +278,6 @@ int main(int argc, char** argv) {
       copt.ops = static_cast<std::int64_t>(std::max(ops, 4 * window));
       copt.concurrency = concurrency;
       copt.inflight = inflight;
-      copt.loops = loops;
-      copt.shards_per_node = shards_per_node;
-      copt.backend = backend;
       copt.warmup = warmup;
       copt.seed = seed;
       NetRow row = from_cluster(net::run_cluster(copt), "tcp-conc", inflight);
@@ -313,9 +297,6 @@ int main(int argc, char** argv) {
       copt.min_processors = n;
       copt.nodes = nodes;
       copt.ops = static_cast<std::int64_t>(ops);
-      copt.loops = loops;
-      copt.shards_per_node = shards_per_node;
-      copt.backend = backend;
       copt.warmup = warmup;
       copt.seed = seed;
       copt.open_rate = rate;
@@ -362,9 +343,6 @@ int main(int argc, char** argv) {
   json.field("ops_factor", ops_factor);
   json.field("concurrency", concurrency);
   json.field("drop", drop, 3);
-  json.field("loops", loops);
-  json.field("shards_per_node", shards_per_node);
-  json.field("backend", backend.empty() ? "default" : backend);
   json.field("warmup", warmup);
   json.field("seed", seed);
   json.begin_array("runs");

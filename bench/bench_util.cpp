@@ -1,7 +1,5 @@
 #include "bench_util.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -9,40 +7,14 @@
 
 namespace dcnt {
 
-namespace {
-
-void print_usage(std::FILE* out, const char* binary,
-                 const std::string& description,
-                 const std::vector<std::string>& known) {
-  std::fprintf(out, "%s\n\nusage: %s [--flag=value ...]\nflags:\n",
-               description.c_str(), binary);
-  for (const std::string& key : known) {
-    std::fprintf(out, "  --%s\n", key.c_str());
-  }
-  std::fprintf(out, "  --help\n");
-}
-
-}  // namespace
-
 Flags parse_bench_flags(int argc, char** argv, const std::string& description,
                         const std::vector<std::string>& known) {
   const char* binary = argc > 0 ? argv[0] : "bench";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg == "--help" || arg == "-h") {
-      print_usage(stdout, binary, description, known);
-      std::exit(0);
-    }
-  }
-  Flags flags(argc, argv);
-  for (const auto& [key, value] : flags.all()) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      std::fprintf(stderr, "unknown flag --%s\n\n", key.c_str());
-      print_usage(stderr, binary, description, known);
-      std::exit(2);
-    }
-  }
-  return flags;
+  std::string usage =
+      description + "\n\nusage: " + binary + " [--flag=value ...]\nflags:\n";
+  for (const std::string& key : known) usage += "  --" + key + "\n";
+  usage += "  --help\n";
+  return parse_known_flags(argc, argv, known, usage);
 }
 
 std::vector<std::int64_t> parse_int_list(const std::string& text) {

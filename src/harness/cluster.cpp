@@ -27,11 +27,6 @@
 
 namespace dcnt::net {
 
-namespace {
-
-using WallClock = std::chrono::steady_clock;
-using traffic::TailRecorder;
-
 std::string find_node_binary(const std::string& override_path) {
   if (!override_path.empty()) return override_path;
   if (const char* env = std::getenv("DCNT_NODE_BIN")) return env;
@@ -56,6 +51,11 @@ std::string find_node_binary(const std::string& override_path) {
                  "ClusterOptions::node_binary)");
   return "";
 }
+
+namespace {
+
+using WallClock = std::chrono::steady_clock;
+using traffic::TailRecorder;
 
 pid_t spawn(const std::vector<std::string>& args) {
   std::vector<char*> argv;
@@ -88,7 +88,7 @@ struct ChildReaper {
 class Controller {
  public:
   explicit Controller(const ClusterOptions& opt)
-      : opt_(opt), loop_(backend_from_string(opt.backend)) {}
+      : opt_(opt) {}
   ClusterResult run();
 
  private:
@@ -623,6 +623,9 @@ int Controller::poll_timeout_ms() const {
 
 ClusterResult Controller::run() {
   DCNT_CHECK(opt_.nodes >= 1);
+  DCNT_CHECK_MSG(opt_.loops == 1 && opt_.shards_per_node == 0,
+                 "a node is one thread driving one shard: loops must be 1 "
+                 "and shards_per_node 0");
   deadline_ = WallClock::now() +
               std::chrono::microseconds(
                   static_cast<std::int64_t>(opt_.timeout_seconds * 1e6));
@@ -696,10 +699,6 @@ ClusterResult Controller::run() {
         "--ack_timeout=" + std::to_string(opt_.retry.ack_timeout),
         "--max_timeout=" + std::to_string(opt_.retry.max_timeout),
         "--max_attempts=" + std::to_string(opt_.retry.max_attempts),
-        "--loops=" + std::to_string(opt_.loops > 0 ? opt_.loops : 1),
-        // 0 passes through: the node reads it as inline drive.
-        "--shards=" + std::to_string(opt_.shards_per_node),
-        "--backend=" + opt_.backend,
         // Exact op-table capacity: the controller knows the op count.
         "--max_ops=" + std::to_string(total_),
     };

@@ -115,15 +115,12 @@ struct ClusterOptions {
   double timeout_seconds{120.0};
   /// Override the dcnt_node binary path (tests, cross-directory runs).
   std::string node_binary;
-  /// Event-loop threads per node (peer links sharded by id % loops).
+  /// Frozen: a node is one thread driving one shard inline, so these
+  /// accept only the values that describe that layout (loops 1,
+  /// shards_per_node 0; run_cluster rejects anything else). They stay
+  /// as fields only because perfbench/trial.cpp assigns them.
   std::uint32_t loops{1};
-  /// Protocol worker shards per node's ThreadedRuntime. 0 = inline
-  /// drive: the node spawns no worker threads and its event loop runs
-  /// the single shard itself (requires loops == 1; see NodeConfig).
-  std::uint32_t shards_per_node{1};
-  /// Reactor backend for the nodes AND the controller: "" = platform
-  /// default, "epoll" or "poll" (the parity tests pin both).
-  std::string backend;
+  std::uint32_t shards_per_node{0};
   /// > 0: multi-key mode — every node wraps its counter in a
   /// service/MultiCounter fabric and each op addresses one of this many
   /// keys (StartFrame args = {key}); the per-key contract (each key's
@@ -246,5 +243,10 @@ struct ClusterResult {
 };
 
 ClusterResult run_cluster(const ClusterOptions& options);
+
+/// The dcnt_node binary run_cluster spawns: `override_path` when set,
+/// else $DCNT_NODE_BIN, else found next to /proc/self/exe (see the
+/// header comment). Aborts when none exists.
+std::string find_node_binary(const std::string& override_path = "");
 
 }  // namespace dcnt::net

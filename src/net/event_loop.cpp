@@ -1,246 +1,42 @@
 #include "net/event_loop.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#endif
-
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
 
 #include "support/check.hpp"
 
 namespace dcnt::net {
 
-namespace {
-
-// Normalized readiness bits, backend-independent.
-constexpr std::uint32_t kReadable = 1u;
-constexpr std::uint32_t kWritable = 2u;
-constexpr std::uint32_t kBroken = 4u;  ///< HUP/ERR — read path surfaces it
-
-void make_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  DCNT_CHECK(flags >= 0);
-  DCNT_CHECK(::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0);
+EventLoop::EventLoop() {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  DCNT_CHECK(epoll_fd_ >= 0);
 }
 
-}  // namespace
+EventLoop::~EventLoop() { ::close(epoll_fd_); }
 
-Backend default_backend() {
-  if (const char* env = std::getenv("DCNT_NET_BACKEND")) {
-    if (env[0] != '\0') return backend_from_string(env);
-  }
-#ifdef __linux__
-  return Backend::kEpoll;
-#else
-  return Backend::kPoll;
-#endif
-}
-
-Backend backend_from_string(const std::string& name) {
-  if (name.empty()) return default_backend();
-  if (name == "poll") return Backend::kPoll;
-  if (name == "epoll") return Backend::kEpoll;
-  DCNT_CHECK_MSG(false, "unknown event-loop backend (poll|epoll)");
-  return Backend::kPoll;
-}
-
-const char* backend_name(Backend backend) {
-  return backend == Backend::kEpoll ? "epoll" : "poll";
-}
-
-EventLoop::EventLoop(Backend backend) : backend_(backend) {
-#ifndef __linux__
-  // epoll is Linux-only; degrade silently so a Backend::kEpoll request
-  // from shared config still runs (parity tests pin poll explicitly).
-  backend_ = Backend::kPoll;
-#endif
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    DCNT_CHECK(epoll_fd_ >= 0);
-  }
-  // eventfd: one fd serves both ends of the wakeup channel.
-  wake_read_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  DCNT_CHECK(wake_read_ >= 0);
-  wake_write_ = wake_read_;
-#else
-  int pipe_fds[2];
-  DCNT_CHECK(::pipe(pipe_fds) == 0);
-  wake_read_ = pipe_fds[0];
-  wake_write_ = pipe_fds[1];
-  make_nonblocking(wake_read_);
-  make_nonblocking(wake_write_);
-#endif
-  backend_add(wake_read_, kTagWakeup, false);
-}
-
-EventLoop::~EventLoop() {
-  if (wake_write_ >= 0 && wake_write_ != wake_read_) ::close(wake_write_);
-  if (wake_read_ >= 0) ::close(wake_read_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-}
-
-// --- backend plumbing -------------------------------------------------------
-
-void EventLoop::backend_add(int fd, int tag, bool want_out) {
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
-    ev.data.u64 = static_cast<std::uint64_t>(static_cast<std::int64_t>(tag));
-    DCNT_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0);
-    return;
-  }
-#endif
-  (void)fd;
-  (void)tag;
-  (void)want_out;  // poll: the interest set is rebuilt per round
-}
-
-void EventLoop::backend_mod(int fd, int tag, bool want_out) {
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
-    ev.data.u64 = static_cast<std::uint64_t>(static_cast<std::int64_t>(tag));
-    DCNT_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0);
-    return;
-  }
-#endif
-  (void)fd;
-  (void)tag;
-  (void)want_out;
-}
-
-void EventLoop::backend_del(int fd) {
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    // Ignore failure: the fd may already be gone (closed by the kernel
-    // after an error) — deregistration is then implicit.
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    return;
-  }
-#endif
-  (void)fd;
-}
-
-bool EventLoop::backend_wait(int timeout_ms) {
-  ready_tags_.clear();
-  ready_events_.clear();
-#ifdef __linux__
-  if (backend_ == Backend::kEpoll) {
-    epoll_event events[64];
-    int rc;
-    do {
-      rc = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-    } while (rc < 0 && errno == EINTR);
-    DCNT_CHECK(rc >= 0);
-    for (int i = 0; i < rc; ++i) {
-      std::uint32_t mask = 0;
-      if (events[i].events & EPOLLIN) mask |= kReadable;
-      if (events[i].events & EPOLLOUT) mask |= kWritable;
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) mask |= kBroken;
-      ready_tags_.push_back(
-          static_cast<int>(static_cast<std::int64_t>(events[i].data.u64)));
-      ready_events_.push_back(mask);
-    }
-    return rc > 0;
-  }
-#endif
-  // poll: rebuild the fd array each round. Scratch vectors keep their
-  // capacity, so steady state allocates nothing.
-  static thread_local std::vector<pollfd> fds;
-  fds.clear();
-  poll_tag_of_.clear();
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
-    Connection& c = *connections_[i];
-    if (!c.open) continue;
-    pollfd pfd{};
-    pfd.fd = c.sock.fd();
-    pfd.events = POLLIN;
-    if (c.out_head < c.outbound.size()) pfd.events |= POLLOUT;
-    fds.push_back(pfd);
-    poll_tag_of_.push_back(static_cast<int>(i));
-  }
-  if (listener_.valid()) {
-    fds.push_back({listener_.fd(), POLLIN, 0});
-    poll_tag_of_.push_back(kTagListener);
-  }
-  if (udp_.valid()) {
-    fds.push_back({udp_.fd(), POLLIN, 0});
-    poll_tag_of_.push_back(kTagUdp);
-  }
-  fds.push_back({wake_read_, POLLIN, 0});
-  poll_tag_of_.push_back(kTagWakeup);
-
-  int rc;
-  do {
-    rc = ::poll(fds.data(), fds.size(), timeout_ms);
-  } while (rc < 0 && errno == EINTR);
-  DCNT_CHECK(rc >= 0);
-  if (rc == 0) return false;
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (fds[i].revents == 0) continue;
-    std::uint32_t mask = 0;
-    if (fds[i].revents & POLLIN) mask |= kReadable;
-    if (fds[i].revents & POLLOUT) mask |= kWritable;
-    if (fds[i].revents & (POLLHUP | POLLERR | POLLNVAL)) mask |= kBroken;
-    ready_tags_.push_back(poll_tag_of_[i]);
-    ready_events_.push_back(mask);
-  }
-  return true;
-}
-
-void EventLoop::notify() {
-  const std::uint64_t one = 1;
-  for (;;) {
-    const ssize_t n = ::write(wake_write_, &one, sizeof(one));
-    if (n >= 0) return;
-    if (errno == EINTR) continue;
-    // EAGAIN: the counter/pipe is already saturated with wakes — the
-    // loop is guaranteed to wake, which is all a notify promises.
-    return;
-  }
-}
-
-void EventLoop::drain_wakeup() {
-  std::uint8_t buf[64];
-  for (;;) {
-    const ssize_t n = ::read(wake_read_, buf, sizeof(buf));
-    if (n > 0) continue;
-    if (n < 0 && errno == EINTR) continue;
-    return;  // EAGAIN: drained
-  }
+void EventLoop::watch(int op, int fd, int tag, bool want_out) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0u);
+  ev.data.u64 = static_cast<std::uint64_t>(static_cast<std::int64_t>(tag));
+  DCNT_CHECK(::epoll_ctl(epoll_fd_, op, fd, &ev) == 0);
 }
 
 // --- registration -----------------------------------------------------------
 
-int EventLoop::add_connection(Socket sock, FrameFn on_frame, CloseFn on_close,
-                              std::vector<std::uint8_t> residual) {
+int EventLoop::add_connection(Socket sock, FrameFn on_frame,
+                              CloseFn on_close) {
   DCNT_CHECK(sock.valid());
   auto conn = std::make_unique<Connection>();
   conn->sock = std::move(sock);
   conn->on_frame = std::move(on_frame);
   conn->on_close = std::move(on_close);
   conn->open = true;
-  if (!residual.empty()) {
-    conn->reader.feed(residual.data(), residual.size());
-    bytes_received_ += static_cast<std::int64_t>(residual.size());
-  }
   connections_.push_back(std::move(conn));
   const int id = static_cast<int>(connections_.size()) - 1;
-  backend_add(connections_.back()->sock.fd(), id, false);
-  // Frames completed by the residual were already consumed from the
-  // kernel — readiness will never re-announce them, so deliver now.
-  deliver_frames(id);
+  watch(EPOLL_CTL_ADD, connections_.back()->sock.fd(), id, false);
   return id;
 }
 
@@ -249,7 +45,7 @@ void EventLoop::add_listener(Socket sock, AcceptFn on_accept) {
   DCNT_CHECK_MSG(!listener_.valid(), "one listener per loop");
   listener_ = std::move(sock);
   on_accept_ = std::move(on_accept);
-  backend_add(listener_.fd(), kTagListener, false);
+  watch(EPOLL_CTL_ADD, listener_.fd(), kTagListener, false);
 }
 
 void EventLoop::add_udp(Socket sock, DatagramFn on_datagram) {
@@ -257,26 +53,7 @@ void EventLoop::add_udp(Socket sock, DatagramFn on_datagram) {
   DCNT_CHECK_MSG(!udp_.valid(), "one UDP socket per loop");
   udp_ = std::move(sock);
   on_datagram_ = std::move(on_datagram);
-  backend_add(udp_.fd(), kTagUdp, false);
-}
-
-DetachedConn EventLoop::detach_connection(int conn) {
-  DCNT_CHECK_MSG(connected(conn), "detach of a closed connection");
-  Connection& c = *connections_[static_cast<std::size_t>(conn)];
-  DCNT_CHECK_MSG(c.out_head >= c.outbound.size(),
-                 "detach with unflushed outbound bytes");
-  backend_del(c.sock.fd());
-  c.open = false;
-  c.outbound.clear();
-  c.out_head = 0;
-  DetachedConn out;
-  out.residual = c.reader.take_buffered();
-  // The residual was counted into bytes_received_ when read here; the
-  // adopting loop will count it again on feed. Undo so per-loop sums
-  // stay exact.
-  bytes_received_ -= static_cast<std::int64_t>(out.residual.size());
-  out.sock = std::move(c.sock);
-  return out;
+  watch(EPOLL_CTL_ADD, udp_.fd(), kTagUdp, false);
 }
 
 bool EventLoop::connected(int conn) const {
@@ -378,11 +155,10 @@ void EventLoop::flush(Connection& c, int conn) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Kernel pushback: arm write-readiness for the residue (epoll
-      // keeps it armed in the kernel; poll re-arms per round anyway).
+      // Kernel pushback: arm write-readiness for the residue.
       if (!c.want_out) {
         c.want_out = true;
-        backend_mod(c.sock.fd(), conn, true);
+        watch(EPOLL_CTL_MOD, c.sock.fd(), conn, true);
       }
       return;
     }
@@ -397,7 +173,7 @@ void EventLoop::flush(Connection& c, int conn) {
   c.out_head = 0;
   if (c.want_out) {
     c.want_out = false;
-    backend_mod(c.sock.fd(), conn, false);
+    watch(EPOLL_CTL_MOD, c.sock.fd(), conn, false);
   }
 }
 
@@ -416,7 +192,7 @@ std::size_t EventLoop::deliver_frames(int conn) {
   Connection& c = *connections_[static_cast<std::size_t>(conn)];
   std::size_t delivered = 0;
   std::vector<std::uint8_t> payload;
-  // A callback may close or detach the connection mid-batch; re-check.
+  // A callback may close the connection mid-batch; re-check.
   while (c.open && c.reader.pop(payload)) {
     ++frames_received_;
     ++delivered;
@@ -455,7 +231,9 @@ void EventLoop::close_connection(int conn) {
   Connection& c = *connections_[static_cast<std::size_t>(conn)];
   if (!c.open) return;
   c.open = false;
-  backend_del(c.sock.fd());
+  // Ignore failure: the fd may already be gone (closed by the kernel
+  // after an error) — deregistration is then implicit.
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.sock.fd(), nullptr);
   if (c.on_close) c.on_close(conn);
   c.sock.close();
 }
@@ -494,16 +272,18 @@ std::size_t EventLoop::run_once(int timeout_ms) {
   // one write() per peer (modulo kernel pushback, which arms
   // write-readiness for the residue).
   flush_all();
-  if (!backend_wait(timeout_ms)) return 0;
+  epoll_event events[64];
+  int ready;
+  do {
+    ready = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  } while (ready < 0 && errno == EINTR);
+  DCNT_CHECK(ready >= 0);
+  if (ready == 0) return 0;
 
   std::size_t delivered = 0;
-  for (std::size_t i = 0; i < ready_tags_.size(); ++i) {
-    const int tag = ready_tags_[i];
-    const std::uint32_t mask = ready_events_[i];
-    if (tag == kTagWakeup) {
-      drain_wakeup();
-      continue;
-    }
+  for (int i = 0; i < ready; ++i) {
+    const int tag =
+        static_cast<int>(static_cast<std::int64_t>(events[i].data.u64));
     if (tag == kTagListener) {
       accept_pending();
       continue;
@@ -514,8 +294,10 @@ std::size_t EventLoop::run_once(int timeout_ms) {
     }
     Connection& c = *connections_[static_cast<std::size_t>(tag)];
     if (!c.open) continue;
-    if (mask & kWritable) flush(c, tag);
-    if (mask & (kReadable | kBroken)) delivered += read_ready(tag);
+    const std::uint32_t mask = events[i].events;
+    if (mask & EPOLLOUT) flush(c, tag);
+    // HUP/ERR go down the read path, which surfaces them as a close.
+    if (mask & (EPOLLIN | EPOLLHUP | EPOLLERR)) delivered += read_ready(tag);
   }
   // Frames the callbacks queued this round (acks, forwards, replies)
   // leave before the caller decides whether to sleep.

@@ -1,5 +1,4 @@
-// Single-threaded reactor with per-peer outbound queues, selectable
-// readiness backend (epoll on Linux, poll anywhere).
+// Single-threaded epoll reactor with per-peer outbound queues.
 //
 // Both sides of the cluster — the dcnt_node processes and the
 // controller inside the cluster harness — drive all their sockets
@@ -19,60 +18,23 @@
 // scratch buffer. write_syscalls() counts actual kernel writes, so
 // bytes_sent()/write_syscalls() measures the coalescing.
 //
-// Backends. poll(2) rebuilds its fd array and rescans every entry each
-// round — O(fds) per wakeup even when one fd is ready. epoll keeps the
-// interest set in the kernel and returns only ready fds, so a node
-// whose loop hosts a full peer mesh plus control plane pays O(ready)
-// per wakeup. The sets here are small, so the win is not the classic
-// C10K scan cost but the per-round constant: no array rebuild, no
-// EINTR-looped rescan, and edge management folded into the send path
-// (EPOLLOUT is toggled only when kernel pushback appears/clears).
-// poll stays as the portable fallback and as the parity backend for
-// tests; the two are selectable per loop at runtime (Backend) so a
-// single test binary can run the same workload under both.
+// epoll keeps the interest set in the kernel and returns only ready
+// fds, so a wakeup costs O(ready), and EPOLLOUT is toggled only when
+// kernel pushback appears or clears.
 //
-// Threading. Each EventLoop is owned by exactly one thread: every
-// method except notify() must be called from that thread. notify() may
-// be called from anywhere; it wakes a run_once() blocked in the kernel
-// (eventfd on Linux, self-pipe otherwise) so producers can hand work to
-// the loop thread through an external queue and then kick it. The
-// multi-loop node (node.cpp) builds its lock-free handoff on exactly
-// this: Mailbox push_all + notify.
+// Threading. An EventLoop is owned by exactly one thread; every method
+// must be called from that thread.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 
 namespace dcnt::net {
-
-enum class Backend : std::uint8_t {
-  kPoll = 0,
-  kEpoll = 1,  ///< Linux only; falls back to poll elsewhere
-};
-
-/// Default readiness backend: epoll on Linux, poll elsewhere. The
-/// DCNT_NET_BACKEND environment variable ("poll" | "epoll") overrides —
-/// the hook CI uses to run the whole suite on the fallback path.
-Backend default_backend();
-/// "poll" | "epoll" | "" (empty = default_backend()). Aborts on other
-/// strings.
-Backend backend_from_string(const std::string& name);
-const char* backend_name(Backend backend);
-
-/// A connection detached from one loop for adoption by another: the
-/// socket plus any bytes already read from the kernel past the frames
-/// the old loop consumed (the adopting loop replays them through its
-/// own FrameReader). See EventLoop::detach_connection.
-struct DetachedConn {
-  Socket sock;
-  std::vector<std::uint8_t> residual;
-};
 
 class EventLoop {
  public:
@@ -87,32 +49,16 @@ class EventLoop {
   using AcceptFn = std::function<void(Socket accepted)>;
   using DatagramFn = std::function<void(const FrameView& frame)>;
 
-  explicit EventLoop(Backend backend = default_backend());
+  EventLoop();
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  Backend backend() const { return backend_; }
-
   /// Registers a connected TCP socket; returns its connection id.
-  /// `residual` (bytes already read from this socket by a previous
-  /// owner) is fed to the connection's FrameReader, and any complete
-  /// frames it holds are delivered to `on_frame` before this returns —
-  /// they were consumed from the kernel, so readiness will never
-  /// re-announce them.
-  int add_connection(Socket sock, FrameFn on_frame, CloseFn on_close,
-                     std::vector<std::uint8_t> residual = {});
+  int add_connection(Socket sock, FrameFn on_frame, CloseFn on_close);
   void add_listener(Socket sock, AcceptFn on_accept);
   /// At most one UDP socket; datagrams must each hold one whole frame.
   void add_udp(Socket sock, DatagramFn on_datagram);
-
-  /// Removes a connection from this loop without closing it, returning
-  /// the socket and any buffered unparsed bytes for adoption by another
-  /// loop (the multi-loop node accepts every peer on loop 0, reads the
-  /// Hello to learn who it is, then hands the socket to the owning
-  /// loop). Requires an open connection with an empty outbound queue;
-  /// on_close is NOT called.
-  DetachedConn detach_connection(int conn);
 
   /// Queues one encoded frame (length prefix included). The bytes leave
   /// at the next run_once() boundary, coalesced with everything else
@@ -134,20 +80,15 @@ class EventLoop {
   /// the queue.
   bool backlog() const;
   /// Flushes every open connection holding queued bytes (also done at
-  /// both edges of run_once). Exposed so a loop thread can push queued
-  /// frames to the kernel before reporting a counter snapshot.
+  /// both edges of run_once). Exposed so the node can push queued
+  /// frames to the kernel before reporting its counters.
   void flush_all();
 
   /// One reactor round: waits up to `timeout_ms` (0 = just poll, -1 =
-  /// indefinitely) for readiness — or a notify() — then performs all
-  /// pending reads, accepts, datagram deliveries and queued writes.
-  /// Returns the number of frames delivered to callbacks.
+  /// indefinitely) for readiness, then performs all pending reads,
+  /// accepts, datagram deliveries and queued writes. Returns the number
+  /// of frames delivered to callbacks.
   std::size_t run_once(int timeout_ms);
-
-  /// Wakes a run_once() blocked in the kernel. The ONLY method safe to
-  /// call from other threads. Wakes are sticky: a notify() while the
-  /// loop is busy makes its next wait return immediately.
-  void notify();
 
   const Socket& udp_socket() const { return udp_; }
 
@@ -187,8 +128,8 @@ class EventLoop {
     std::vector<std::uint8_t> outbound;
     std::size_t out_head{0};
     bool open{false};
-    /// epoll backend: is EPOLLOUT currently armed in the kernel set?
-    /// Tracked so flush() issues EPOLL_CTL_MOD only on transitions.
+    /// Is EPOLLOUT currently armed in the kernel set? Tracked so
+    /// flush() issues EPOLL_CTL_MOD only on transitions.
     bool want_out{false};
   };
 
@@ -200,37 +141,22 @@ class EventLoop {
   void close_connection(int conn);
   std::size_t drain_udp();
   void accept_pending();
-  void drain_wakeup();
 
-  // Backend plumbing. Tags identify what an fd is in readiness results.
+  // Tags identify what an fd is in epoll results: a connection id, or
+  // one of these.
   static constexpr int kTagListener = -1;
   static constexpr int kTagUdp = -2;
-  static constexpr int kTagWakeup = -3;
-  void backend_add(int fd, int tag, bool want_out);
-  void backend_mod(int fd, int tag, bool want_out);
-  void backend_del(int fd);
-  /// Fills ready_tags_/ready_events_ with (tag, poll-style revents)
-  /// pairs; handles EINTR. Returns false on timeout with nothing ready.
-  bool backend_wait(int timeout_ms);
+  /// EPOLL_CTL_ADD / EPOLL_CTL_MOD with EPOLLIN, plus EPOLLOUT when
+  /// `want_out`.
+  void watch(int op, int fd, int tag, bool want_out);
 
-  Backend backend_;
   int epoll_fd_{-1};
-  /// notify() endpoint: eventfd (one fd, wake_read_ == wake_write_) or
-  /// self-pipe ends.
-  int wake_read_{-1};
-  int wake_write_{-1};
 
   std::vector<std::unique_ptr<Connection>> connections_;
   Socket listener_;
   AcceptFn on_accept_;
   Socket udp_;
   DatagramFn on_datagram_;
-
-  /// Readiness results of the last backend_wait, parallel arrays.
-  std::vector<int> ready_tags_;
-  std::vector<std::uint32_t> ready_events_;
-  /// poll backend scratch (rebuilt per round; reused capacity).
-  std::vector<int> poll_tag_of_;
 
   std::int64_t frames_sent_{0};
   std::int64_t frames_received_{0};

@@ -1,10 +1,8 @@
 #include "net/node.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -12,7 +10,6 @@
 #include "net/event_loop.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
-#include "runtime/mailbox.hpp"
 #include "runtime/threaded_runtime.hpp"
 #include "service/multi_counter.hpp"
 #include "sim/metrics.hpp"
@@ -24,193 +21,85 @@ namespace dcnt::net {
 
 namespace {
 
-/// One unit of work for an event-loop thread. Commands are handed over
-/// through a MailboxT<LoopCmd> (batched push_all from the runtime's
-/// remote sink, single push elsewhere) and processed strictly in FIFO
-/// order — the snapshot protocol below leans on that ordering.
-struct LoopCmd {
-  enum class Kind : std::uint8_t {
-    /// Put one protocol message on the wire (TCP queue or datagram).
-    kSendData,
-    /// Write a pre-encoded control-plane frame to the controller
-    /// connection. Loop 0 only (it owns the control connection).
-    kCtrlBytes,
-    /// Stage one completed op (multi-key mode). Loop 0 accumulates
-    /// these and flushes one kCompleteBatch frame per drain round —
-    /// the reply half of the batched multi-key RPC.
-    kComplete,
-    /// Publish this loop's wire counters at `epoch` (see
-    /// NodeV2::stable_quiesce).
-    kSnapshot,
-    /// Adopt a peer connection accepted (and identified) by loop 0:
-    /// `sock` plus `bytes` of residual input read past the Hello.
-    kAdopt,
-    /// Dial peer `peer` at TCP port `port` and send our Hello.
-    kDial,
-    /// Install the cluster address table (UDP sends need peer ports).
-    kSetPeers,
-    /// Drain outbound backlog and exit the loop thread.
-    kStop,
-  };
-  Kind kind{Kind::kSendData};
-  Message msg;                      ///< kSendData
-  std::vector<std::uint8_t> bytes;  ///< kCtrlBytes frame / kAdopt residual
-  OpId op{kNoOp};                   ///< kComplete
-  Value value{0};                   ///< kComplete
-  std::uint64_t epoch{0};           ///< kSnapshot
-  std::uint32_t peer{0};            ///< kAdopt / kDial
-  std::uint16_t port{0};            ///< kDial
-  Socket sock;                      ///< kAdopt
-  std::vector<PeerAddr> peers;      ///< kSetPeers
-};
-
-/// A loop's wire counters at one snapshot epoch, composed by the owning
-/// loop thread and published release-ordered for the main thread.
-struct WireSnap {
-  std::int64_t wire_msgs_sent{0};
-  std::int64_t wire_msgs_received{0};
-  std::int64_t wire_bytes_sent{0};
-  std::int64_t wire_bytes_received{0};
+/// Data-plane counters. The reset baseline is a copy of them.
+struct WireCounters {
+  std::int64_t msgs_sent{0};
+  std::int64_t msgs_received{0};
+  std::int64_t bytes_sent{0};
+  std::int64_t bytes_received{0};
   std::int64_t injected_drops{0};
   std::int64_t write_syscalls{0};
-  /// Commands still unhandled at snapshot time plus unflushed outbound
-  /// backlog: nonzero means this loop had not yet drained everything it
-  /// was asked to do, so the snapshot round must be retried.
-  std::int64_t pending{0};
 };
 
-/// Events the loop threads raise for the coordinating main thread.
-struct MainEvent {
-  enum class Kind : std::uint8_t {
-    kPeersReceived,
-    kLinkUp,
-    kStatsRequest,
-    kKeyedStatsRequest,
-    kTimeJump,
-    kMetricsReset,
-    kShutdown,
-    kCtrlClosed,
-  };
-  Kind kind{Kind::kLinkUp};
-};
-
-/// The v2 node process: `loops` reactor threads feeding a ThreadedRuntime
-/// of `shards` protocol workers, coordinated by the main thread (see the
-/// header comment in node.hpp for the full threading model).
-class NodeV2 {
+/// The node process: one reactor thread that also drives the node's
+/// single protocol shard (see the header comment in node.hpp).
+class Node {
  public:
-  explicit NodeV2(const NodeConfig& cfg) : cfg_(cfg) {}
+  explicit Node(const NodeConfig& cfg) : cfg_(cfg) {}
   int run();
 
  private:
-  struct LoopThread {
-    LoopThread(std::size_t index_in, Backend backend)
-        : index(index_in), loop(backend) {}
-
-    const std::size_t index;
-    EventLoop loop;
-    MailboxT<LoopCmd> cmds;
-    /// True while the loop thread is inside (or committing to enter)
-    /// run_once's kernel wait; producers notify() only then. The
-    /// seq_cst fences on both sides make the classic sleep/wake race
-    /// impossible (see post_cmd / loop_main).
-    std::atomic<bool> in_wait{false};
-
-    /// Snapshot slot: written by the loop thread, sequenced by the
-    /// epoch store/load pair.
-    WireSnap snap;
-    std::atomic<std::uint64_t> snap_epoch{0};
-
-    // Everything below is touched only by the owning loop thread (or by
-    // the main thread before the thread starts / after it joins).
-    std::vector<int> peer_conn;   ///< node id -> connection id (TCP)
-    std::vector<PeerAddr> peers;  ///< cluster address table (UDP sends)
-    Rng drop_rng{1};
-    std::int64_t wire_msgs_sent{0};
-    std::int64_t wire_msgs_received{0};
-    std::int64_t wire_bytes_sent{0};
-    std::int64_t wire_bytes_received{0};
-    std::int64_t injected_drops{0};
-    /// Malformed kKeyedMsg frames dropped by the hardened decoder (the
-    /// fabric data plane rejects instead of aborting).
-    std::int64_t keyed_rejects{0};
-    /// Completions staged by kComplete commands (loop 0, multi-key
-    /// mode), flushed as one kCompleteBatch per drain round.
-    CompleteBatchFrame complete_buf;
-    std::vector<std::uint8_t> complete_scratch;
-    /// Wire-arrived runtime events staged per destination shard, handed
-    /// to the runtime with one inject() per dirty shard.
-    std::vector<std::vector<RuntimeEvent>> inject_buf;
-    std::vector<std::size_t> inject_dirty;
-
-    std::thread thread;
-  };
-
   void build_runtime();
-  void setup_loop0(std::uint16_t* tcp_port, std::uint16_t* udp_port);
+  void setup_sockets(std::uint16_t* tcp_port, std::uint16_t* udp_port);
 
-  // Loop-thread code:
-  void loop_main(LoopThread& lt);
-  void handle_cmd(LoopThread& lt, LoopCmd& cmd, std::size_t remaining,
-                  bool& stop);
-  void send_wire(LoopThread& lt, Message& msg);
-  void on_ctrl_frame(LoopThread& lt0, const FrameView& frame);
-  void on_peer_frame(LoopThread& lt, int conn, const FrameView& frame);
-  void on_datagram(LoopThread& lt, const FrameView& frame);
-  void stage_wire_message(LoopThread& lt, const FrameView& frame);
-  void stage_start(LoopThread& lt, StartFrame start);
-  void flush_inject(LoopThread& lt);
-  void flush_completes(LoopThread& lt);
-
-  // Cross-thread handoff:
-  void post_cmd(LoopThread& lt, LoopCmd cmd);
-  void post_cmds(LoopThread& lt, std::vector<LoopCmd>& batch);
-  void post_ctrl(std::vector<std::uint8_t> frame);
-  void post_main(MainEvent::Kind kind) { main_events_.push(MainEvent{kind}); }
-
-  // Main-thread code:
+  void send_wire(Message& msg);
+  void on_ctrl_frame(const FrameView& frame);
+  void on_peer_frame(int conn, const FrameView& frame);
+  void stage_wire_message(const FrameView& frame);
+  void stage_start(StartFrame start);
+  int add_peer_connection(Socket sock);
+  void link_up(std::uint32_t peer, int conn);
   void maybe_ready();
-  void stable_quiesce();
+
+  /// One drain round: hand staged events to the shard, run it until
+  /// dry, and queue the round's completions as one frame.
+  void drain();
+  /// A dry point: drain(), then push every queued byte to the kernel.
+  /// Afterwards nothing is in flight inside this node, so the counters
+  /// read next describe only fully processed messages.
+  void settle();
+  WireCounters wire_counters() const;
   void send_stats();
   void send_keyed_stats();
   void time_jump();
   void handle_reset();
+  /// Kernel wait for the next reactor round: until the earliest armed
+  /// wall timer is due, or indefinitely when none is armed.
+  int wait_ms() const;
 
   std::uint32_t owner_node(ProcessorId p) const {
     return static_cast<std::uint32_t>(p) % cfg_.num_nodes;
   }
-  std::size_t owner_loop(std::uint32_t node) const {
-    return node % loops_.size();
-  }
 
   NodeConfig cfg_;
+  EventLoop loop_;
   std::unique_ptr<ThreadedRuntime> runtime_;
-  ReliableTransport* transport_{nullptr};  ///< set in UDP mode
+  ReliableTransport* transport_{nullptr};   ///< set in UDP mode
   service::MultiCounter* fabric_{nullptr};  ///< set when cfg_.keys > 0
   bool keyed_{false};                       ///< cfg_.keys > 0
   std::int64_t n_{0};
-  std::size_t shards_{1};
-  /// --shards=0: loop 0 drives the runtime's single shard itself.
-  bool inline_{false};
 
-  std::vector<std::unique_ptr<LoopThread>> loops_;
   int ctrl_conn_{-1};
+  std::vector<int> peer_conn_;   ///< node id -> connection id (TCP)
+  std::vector<PeerAddr> peers_;  ///< cluster address table (UDP sends)
+  Rng drop_rng_{1};
+  WireCounters wire_;
+  /// Malformed kKeyedMsg frames dropped by the hardened decoder (the
+  /// fabric data plane rejects instead of aborting).
+  std::int64_t keyed_rejects_{0};
+  /// Completions of the current drain round (multi-key mode), flushed
+  /// as one kCompleteBatch frame.
+  CompleteBatchFrame complete_buf_;
+  std::vector<std::uint8_t> complete_scratch_;
+  /// Wire-arrived and controller-started events, handed to the shard
+  /// with one inject() per drain round.
+  std::vector<RuntimeEvent> inject_buf_;
 
-  MailboxT<MainEvent> main_events_;
-  std::atomic<bool> never_stop_{false};
-
-  // Main-thread state:
   bool peers_seen_{false};
   std::size_t links_{0};
   std::size_t expected_links_{0};
   bool ready_sent_{false};
-  std::uint64_t epoch_{0};
-  /// Values captured by the last stable_quiesce(), all from one
-  /// validated idle window.
-  std::int64_t events_cache_{0};
-  std::int64_t timers_cache_{0};
-  std::int64_t unacked_cache_{0};
-  Metrics metrics_cache_{1};
+  bool shutdown_{false};
 
   /// Counter values captured at the last kMetricsReset; send_stats
   /// reports deltas against these so warmup traffic never shows up in
@@ -220,14 +109,14 @@ class NodeV2 {
   /// zeroed in place at reset.
   struct Baseline {
     std::int64_t events{0};
-    std::vector<WireSnap> snaps;  ///< one per loop
+    WireCounters wire;
     std::int64_t retransmissions{0};
     std::int64_t duplicates_suppressed{0};
     std::int64_t messages_abandoned{0};
   } base_;
 };
 
-void NodeV2::build_runtime() {
+void Node::build_runtime() {
   auto counter =
       make_counter(counter_kind_from_string(cfg_.counter), cfg_.min_processors);
   n_ = static_cast<std::int64_t>(counter->num_processors());
@@ -264,25 +153,13 @@ void NodeV2::build_runtime() {
   }
 
   RuntimeConfig rc;
-  // --shards=0: inline drive. Loop 0's thread hosts the single protocol
-  // shard itself — no worker threads, so a message's receive->handle->
-  // send round trip never crosses a thread boundary. That is the right
-  // topology whenever the host cannot run loop and worker truly in
-  // parallel (one core, or more nodes than cores): every cross-thread
-  // hop there is a scheduler round trip added to per-op latency.
-  inline_ = cfg_.shards == 0;
-  if (inline_) {
-    DCNT_CHECK_MSG(cfg_.loops <= 1,
-                   "--shards=0 (inline drive) requires --loops=1");
-  }
-  rc.workers = inline_ ? 1 : cfg_.shards;
-  rc.inline_drive = inline_;
-  // Pinned, not adaptive: the cluster harness chose the shard count per
-  // node; silently collapsing to the core count would break the
-  // multi-shard smoke tests on small hosts.
-  rc.active_shards = rc.workers;
+  // Inline drive: this thread hosts the single protocol shard, so a
+  // message's receive->handle->send round trip never crosses a thread.
+  rc.workers = 1;
+  rc.active_shards = 1;
+  rc.inline_drive = true;
   // Distinct per-node base seed so shard rng streams never collide
-  // across nodes (each runtime forks per-worker streams from this).
+  // across nodes.
   rc.seed = mix64(cfg_.seed + 0x9e3779b97f4a7c15ull * (cfg_.node_id + 1));
   rc.max_ops = cfg_.max_ops > 0 ? static_cast<std::size_t>(cfg_.max_ops)
                                 : (std::size_t{1} << 16);
@@ -291,346 +168,128 @@ void NodeV2::build_runtime() {
   rc.wall_timers = true;
   rc.tick_us = cfg_.tick_us;
   runtime_ = std::make_unique<ThreadedRuntime>(std::move(protocol), rc);
-  shards_ = runtime_->active_shards();
 
+  // Handler output goes straight into the event loop: each remote
+  // message is encoded into its peer's outbound queue (or sent as a
+  // datagram), and completions are written to the controller connection
+  // or staged for this round's kCompleteBatch frame.
   runtime_->set_remote_sink([this](std::size_t, std::vector<Message>& out) {
-    // Worker thread: partition the batch by owning event loop, then one
-    // push_all (+ at most one wake) per loop touched.
-    thread_local std::vector<std::vector<LoopCmd>> stage;
-    stage.resize(loops_.size());
-    for (Message& msg : out) {
-      LoopCmd cmd;
-      cmd.kind = LoopCmd::Kind::kSendData;
-      cmd.msg = std::move(msg);
-      stage[owner_loop(owner_node(cmd.msg.dst))].push_back(std::move(cmd));
-    }
-    for (std::size_t li = 0; li < loops_.size(); ++li) {
-      if (!stage[li].empty()) post_cmds(*loops_[li], stage[li]);
-    }
+    for (Message& msg : out) send_wire(msg);
   });
   runtime_->set_completion([this](OpId op, Value value) {
-    // Worker thread: completions are control-plane frames, always via
-    // loop 0. Multi-key mode stages them instead: loop 0 coalesces all
-    // completions of a drain round into one kCompleteBatch frame.
-    LoopCmd cmd;
     if (keyed_) {
-      cmd.kind = LoopCmd::Kind::kComplete;
-      cmd.op = op;
-      cmd.value = value;
+      complete_buf_.completions.push_back(CompleteBatchEntry{op, value});
     } else {
-      cmd.kind = LoopCmd::Kind::kCtrlBytes;
-      cmd.bytes = encode_complete(CompleteFrame{op, value});
+      loop_.send(ctrl_conn_, encode_complete(CompleteFrame{op, value}));
     }
-    post_cmd(*loops_[0], std::move(cmd));
   });
 }
 
-// --- cross-thread handoff ---------------------------------------------------
-//
-// Producer side of the lost-wakeup defense: enqueue, seq_cst fence,
-// then notify only a loop observed in (or entering) its kernel wait.
-// The loop thread stores in_wait=true, fences, and re-checks pending()
-// before blocking, so either the producer sees in_wait and kicks the
-// eventfd, or the loop sees the new command and polls with timeout 0 —
-// the fences forbid the both-miss interleaving.
-
-void NodeV2::post_cmd(LoopThread& lt, LoopCmd cmd) {
-  lt.cmds.push(std::move(cmd));
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (lt.in_wait.load(std::memory_order_relaxed)) lt.loop.notify();
-}
-
-void NodeV2::post_cmds(LoopThread& lt, std::vector<LoopCmd>& batch) {
-  lt.cmds.push_all(batch);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (lt.in_wait.load(std::memory_order_relaxed)) lt.loop.notify();
-}
-
-void NodeV2::post_ctrl(std::vector<std::uint8_t> frame) {
-  LoopCmd cmd;
-  cmd.kind = LoopCmd::Kind::kCtrlBytes;
-  cmd.bytes = std::move(frame);
-  post_cmd(*loops_[0], std::move(cmd));
-}
-
-// --- loop-thread code -------------------------------------------------------
-
-void NodeV2::loop_main(LoopThread& lt) {
-  const bool drives = inline_ && lt.index == 0;
-  std::vector<LoopCmd> batch;
-  bool stop = false;
-  auto drain_cmds = [&] {
-    if (!lt.cmds.drain(batch)) return;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      handle_cmd(lt, batch[i], batch.size() - i - 1, stop);
-    }
-    // Events staged by command handlers (adopted-connection residual
-    // frames) must reach the runtime before this thread can block.
-    flush_inject(lt);
-    // Completions staged this round leave as one kCompleteBatch frame.
-    flush_completes(lt);
-  };
-  while (!stop) {
-    drain_cmds();
-    if (stop) break;
-    if (drives) {
-      // Inline drive: run the protocol shard on this very thread, then
-      // pick up what the handlers produced — their sends come back as
-      // kSendData commands on our own mailbox, and handling them now
-      // lets the frames join this round's coalesced kernel writes
-      // instead of waiting out a wakeup.
-      runtime_->drive();
-      drain_cmds();
-      if (stop) break;
-    }
-    int timeout_ms = 100;  // bounded: the ultimate lost-wakeup backstop
-    if (drives) {
-      // Due wall timers fire inside drive(), so clamp the kernel wait
-      // to the earliest armed deadline — the inline analogue of the
-      // threaded worker's mailbox.wait_until.
-      const std::int64_t wait_us = runtime_->inline_timer_wait_us();
-      if (wait_us >= 0 && wait_us < 1000 * timeout_ms) {
-        timeout_ms = static_cast<int>((wait_us + 999) / 1000);
-      }
-    }
-    lt.in_wait.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // in_flight covers the inline shard's mailbox: the main thread's
-    // injections (time-jump markers) bump it before pushing, and its
-    // post-fence in_wait check pairs with this pre-block re-check.
-    if (lt.cmds.pending() > 0 || (drives && runtime_->in_flight() > 0)) {
-      timeout_ms = 0;
-    }
-    lt.loop.run_once(timeout_ms);
-    lt.in_wait.store(false, std::memory_order_relaxed);
-    flush_inject(lt);
-  }
-  // Flush queued control/data bytes (the final Stats reply) before the
-  // destructors close the sockets.
-  while (lt.loop.backlog()) lt.loop.run_once(10);
-}
-
-void NodeV2::handle_cmd(LoopThread& lt, LoopCmd& cmd, std::size_t remaining,
-                        bool& stop) {
-  switch (cmd.kind) {
-    case LoopCmd::Kind::kSendData:
-      send_wire(lt, cmd.msg);
-      return;
-    case LoopCmd::Kind::kCtrlBytes:
-      DCNT_CHECK_MSG(lt.index == 0, "control frame routed to a data loop");
-      lt.loop.send(ctrl_conn_, std::move(cmd.bytes));
-      return;
-    case LoopCmd::Kind::kComplete:
-      DCNT_CHECK_MSG(lt.index == 0, "completion routed to a data loop");
-      lt.complete_buf.completions.push_back(
-          CompleteBatchEntry{cmd.op, cmd.value});
-      return;
-    case LoopCmd::Kind::kSnapshot: {
-      // Push everything this loop has been handed so far: staged
-      // injections into the runtime, queued outbound bytes into the
-      // kernel. Anything that cannot complete (kernel pushback, or the
-      // commands behind this one) is declared in `pending` so the main
-      // thread retries the round instead of trusting a short snapshot.
-      flush_inject(lt);
-      flush_completes(lt);
-      lt.loop.flush_all();
-      lt.snap.wire_msgs_sent = lt.wire_msgs_sent;
-      lt.snap.wire_msgs_received = lt.wire_msgs_received;
-      lt.snap.wire_bytes_sent = lt.wire_bytes_sent;
-      lt.snap.wire_bytes_received = lt.wire_bytes_received;
-      lt.snap.injected_drops = lt.injected_drops;
-      lt.snap.write_syscalls = lt.loop.write_syscalls();
-      lt.snap.pending = static_cast<std::int64_t>(remaining + lt.cmds.pending()) +
-                        (lt.loop.backlog() ? 1 : 0);
-      lt.snap_epoch.store(cmd.epoch, std::memory_order_release);
-      return;
-    }
-    case LoopCmd::Kind::kAdopt: {
-      const int conn = lt.loop.add_connection(
-          std::move(cmd.sock),
-          [this, &lt](int c, const FrameView& f) { on_peer_frame(lt, c, f); },
-          [](int) {}, std::move(cmd.bytes));
-      DCNT_CHECK(lt.peer_conn.at(cmd.peer) == -1);
-      lt.peer_conn[cmd.peer] = conn;
-      return;
-    }
-    case LoopCmd::Kind::kDial: {
-      Socket sock = tcp_connect(cmd.port, 15000);
-      const int conn = lt.loop.add_connection(
-          std::move(sock),
-          [this, &lt](int c, const FrameView& f) { on_peer_frame(lt, c, f); },
-          // Peers close their sockets as they shut down, possibly before
-          // our own Shutdown frame arrives; by then the quiescence
-          // barrier has certified no data in flight, so a close is never
-          // data loss.
-          [](int) {});
-      DCNT_CHECK(lt.peer_conn.at(cmd.peer) == -1);
-      lt.peer_conn[cmd.peer] = conn;
-      lt.loop.send(conn, encode_hello(HelloFrame{cfg_.node_id, 0, 0}));
-      post_main(MainEvent::Kind::kLinkUp);
-      return;
-    }
-    case LoopCmd::Kind::kSetPeers:
-      lt.peers = std::move(cmd.peers);
-      return;
-    case LoopCmd::Kind::kStop:
-      stop = true;
-      return;
-  }
-  DCNT_CHECK_MSG(false, "unhandled loop command");
-}
-
-void NodeV2::send_wire(LoopThread& lt, Message& msg) {
+void Node::send_wire(Message& msg) {
   const std::uint32_t owner = owner_node(msg.dst);
   if (cfg_.udp) {
     if (cfg_.drop_probability > 0.0 &&
-        lt.drop_rng.next_double() < cfg_.drop_probability) {
-      ++lt.injected_drops;
+        drop_rng_.next_double() < cfg_.drop_probability) {
+      ++wire_.injected_drops;
       return;
     }
     // A kernel refusal (full buffers) is just loss with extra steps; the
     // reliable transport's retransmission covers both.
-    const std::uint16_t port = lt.peers.at(owner).udp_port;
+    const std::uint16_t port = peers_.at(owner).udp_port;
     const std::size_t sent = msg.key != kNoKey
-                                 ? lt.loop.send_datagram_keyed_message(port, msg)
-                                 : lt.loop.send_datagram_message(port, msg);
+                                 ? loop_.send_datagram_keyed_message(port, msg)
+                                 : loop_.send_datagram_message(port, msg);
     if (sent != 0) {
-      ++lt.wire_msgs_sent;
-      lt.wire_bytes_sent += static_cast<std::int64_t>(sent);
+      ++wire_.msgs_sent;
+      wire_.bytes_sent += static_cast<std::int64_t>(sent);
     }
     return;
   }
-  const int conn = lt.peer_conn.at(owner);
+  const int conn = peer_conn_.at(owner);
   DCNT_CHECK_MSG(conn >= 0, "wire send before the peer link is up");
   // Encoded straight into the connection's outbound queue; the bytes
-  // leave coalesced with everything else queued this drain round. A
-  // message owned by a key travels as the fabric's kKeyedMsg envelope.
+  // leave coalesced with everything else queued this round. A message
+  // owned by a key travels as the fabric's kKeyedMsg envelope.
   const std::size_t queued = msg.key != kNoKey
-                                 ? lt.loop.send_keyed_message(conn, msg)
-                                 : lt.loop.send_message(conn, msg);
-  ++lt.wire_msgs_sent;
-  lt.wire_bytes_sent += static_cast<std::int64_t>(queued);
+                                 ? loop_.send_keyed_message(conn, msg)
+                                 : loop_.send_message(conn, msg);
+  ++wire_.msgs_sent;
+  wire_.bytes_sent += static_cast<std::int64_t>(queued);
 }
 
-void NodeV2::on_ctrl_frame(LoopThread& lt0, const FrameView& frame) {
+void Node::on_ctrl_frame(const FrameView& frame) {
   switch (frame.type()) {
     case FrameType::kPeers: {
       PeersFrame pf = decode_peers(frame);
       DCNT_CHECK(pf.peers.size() == cfg_.num_nodes);
-      lt0.peers = pf.peers;
-      for (std::size_t li = 1; li < loops_.size(); ++li) {
-        LoopCmd cmd;
-        cmd.kind = LoopCmd::Kind::kSetPeers;
-        cmd.peers = pf.peers;
-        post_cmd(*loops_[li], std::move(cmd));
-      }
+      peers_ = std::move(pf.peers);
       if (!cfg_.udp) {
         // Deterministic mesh construction: node i dials every peer with
-        // a smaller id (each from the loop that will own the link) and
-        // sends a Hello to identify itself; larger ids dial us and we
-        // learn who they are from their Hello.
+        // a smaller id and sends a Hello to identify itself; larger ids
+        // dial us and we learn who they are from their Hello.
         for (std::uint32_t id = 0; id < cfg_.node_id; ++id) {
-          const std::size_t owner = owner_loop(id);
-          if (owner == 0) {
-            Socket sock = tcp_connect(pf.peers[id].tcp_port, 15000);
-            const int conn = lt0.loop.add_connection(
-                std::move(sock),
-                [this, &lt0](int c, const FrameView& f) {
-                  on_peer_frame(lt0, c, f);
-                },
-                [](int) {});
-            DCNT_CHECK(lt0.peer_conn.at(id) == -1);
-            lt0.peer_conn[id] = conn;
-            lt0.loop.send(conn, encode_hello(HelloFrame{cfg_.node_id, 0, 0}));
-            post_main(MainEvent::Kind::kLinkUp);
-          } else {
-            LoopCmd cmd;
-            cmd.kind = LoopCmd::Kind::kDial;
-            cmd.peer = id;
-            cmd.port = pf.peers[id].tcp_port;
-            post_cmd(*loops_[owner], std::move(cmd));
-          }
+          const int conn =
+              add_peer_connection(tcp_connect(peers_[id].tcp_port, 15000));
+          loop_.send(conn, encode_hello(HelloFrame{cfg_.node_id, 0, 0}));
+          link_up(id, conn);
         }
       }
-      post_main(MainEvent::Kind::kPeersReceived);
+      peers_seen_ = true;
+      maybe_ready();
       return;
     }
     case FrameType::kStart:
-      stage_start(lt0, decode_start(frame));
+      stage_start(decode_start(frame));
       return;
     case FrameType::kStartBatch: {
-      // One frame, many keyed ops: split into individual Start events
-      // here (each entry may target a different owned origin/shard).
+      // One frame, many keyed ops: split into individual Start events.
       // The control channel is our own controller, so a malformed batch
       // is a bug, not wire corruption to survive.
       StartBatchFrame batch;
       DCNT_CHECK_MSG(decode_start_batch(frame, &batch),
                      "malformed StartBatch on the control channel");
       for (StartBatchEntry& e : batch.ops) {
-        stage_start(lt0, StartFrame{e.op, e.origin, {e.key}});
+        stage_start(StartFrame{e.op, e.origin, {e.key}});
       }
       return;
     }
     case FrameType::kStatsRequest:
-      post_main(MainEvent::Kind::kStatsRequest);
+      send_stats();
       return;
     case FrameType::kKeyedStatsRequest:
-      post_main(MainEvent::Kind::kKeyedStatsRequest);
+      send_keyed_stats();
       return;
     case FrameType::kTimeJump:
-      post_main(MainEvent::Kind::kTimeJump);
+      time_jump();
       return;
     case FrameType::kMetricsReset:
-      post_main(MainEvent::Kind::kMetricsReset);
+      handle_reset();
       return;
     case FrameType::kShutdown:
-      post_main(MainEvent::Kind::kShutdown);
+      shutdown_ = true;
       return;
     default:
       DCNT_CHECK_MSG(false, "unexpected frame type on the control channel");
   }
 }
 
-void NodeV2::on_peer_frame(LoopThread& lt, int conn, const FrameView& frame) {
+void Node::on_peer_frame(int conn, const FrameView& frame) {
   if (frame.type() == FrameType::kHello) {
-    // Accepted connections are identified on loop 0, then handed to the
-    // loop that owns the peer. Commands are FIFO per loop, so the
-    // adoption is always processed before any kSendData for that peer
-    // (sends only start after the controller has collected every Ready).
-    DCNT_CHECK_MSG(lt.index == 0, "peer Hello outside the accepting loop");
     const HelloFrame hello = decode_hello(frame);
     DCNT_CHECK(hello.node_id < cfg_.num_nodes);
-    const std::size_t owner = owner_loop(hello.node_id);
-    if (owner == 0) {
-      DCNT_CHECK(lt.peer_conn.at(hello.node_id) == -1);
-      lt.peer_conn[hello.node_id] = conn;
-    } else {
-      DetachedConn d = lt.loop.detach_connection(conn);
-      LoopCmd cmd;
-      cmd.kind = LoopCmd::Kind::kAdopt;
-      cmd.peer = hello.node_id;
-      cmd.sock = std::move(d.sock);
-      cmd.bytes = std::move(d.residual);
-      post_cmd(*loops_[owner], std::move(cmd));
-    }
-    post_main(MainEvent::Kind::kLinkUp);
+    link_up(hello.node_id, conn);
     return;
   }
-  DCNT_CHECK(frame.type() == FrameType::kMsg ||
-             frame.type() == FrameType::kKeyedMsg);
-  stage_wire_message(lt, frame);
+  stage_wire_message(frame);
 }
 
-void NodeV2::on_datagram(LoopThread& lt, const FrameView& frame) {
+void Node::stage_wire_message(const FrameView& frame) {
   DCNT_CHECK(frame.type() == FrameType::kMsg ||
              frame.type() == FrameType::kKeyedMsg);
-  stage_wire_message(lt, frame);
-}
-
-void NodeV2::stage_wire_message(LoopThread& lt, const FrameView& frame) {
-  ++lt.wire_msgs_received;
-  lt.wire_bytes_received += static_cast<std::int64_t>(frame.body_size()) + 6;
-  Message msg;
+  ++wire_.msgs_received;
+  wire_.bytes_received += static_cast<std::int64_t>(frame.body_size()) + 6;
+  RuntimeEvent ev;
+  ev.kind = RuntimeEvent::Kind::kMessage;
   if (frame.type() == FrameType::kKeyedMsg) {
     // The fabric data plane is decoded by the hardened non-aborting
     // path: a mangled frame is dropped and counted, never fatal. (Under
@@ -638,23 +297,18 @@ void NodeV2::stage_wire_message(LoopThread& lt, const FrameView& frame) {
     // short of memory corruption, and the quiescence barrier would
     // expose the loss as a sent/received mismatch rather than a hang
     // going unnoticed.)
-    if (!decode_keyed_message(frame, &msg)) {
-      ++lt.keyed_rejects;
+    if (!decode_keyed_message(frame, &ev.msg)) {
+      ++keyed_rejects_;
       return;
     }
   } else {
-    msg = decode_message(frame);
+    ev.msg = decode_message(frame);
   }
-  DCNT_CHECK(runtime_->owns(msg.dst));
-  RuntimeEvent ev;
-  ev.kind = RuntimeEvent::Kind::kMessage;
-  const std::size_t shard = runtime_->shard_of(msg.dst);
-  ev.msg = std::move(msg);
-  if (lt.inject_buf[shard].empty()) lt.inject_dirty.push_back(shard);
-  lt.inject_buf[shard].push_back(std::move(ev));
+  DCNT_CHECK(runtime_->owns(ev.msg.dst));
+  inject_buf_.push_back(std::move(ev));
 }
 
-void NodeV2::stage_start(LoopThread& lt, StartFrame start) {
+void Node::stage_start(StartFrame start) {
   DCNT_CHECK(start.origin >= 0 && start.origin < n_);
   DCNT_CHECK_MSG(runtime_->owns(start.origin),
                  "Start frame routed to the wrong node");
@@ -665,122 +319,78 @@ void NodeV2::stage_start(LoopThread& lt, StartFrame start) {
   ev.msg.dst = start.origin;
   ev.msg.op = start.op;
   ev.msg.args = std::move(start.args);  // empty = plain inc
-  const std::size_t shard = runtime_->shard_of(start.origin);
-  if (lt.inject_buf[shard].empty()) lt.inject_dirty.push_back(shard);
-  lt.inject_buf[shard].push_back(std::move(ev));
+  inject_buf_.push_back(std::move(ev));
 }
 
-void NodeV2::flush_inject(LoopThread& lt) {
-  for (std::size_t shard : lt.inject_dirty) {
-    runtime_->inject(shard, lt.inject_buf[shard]);
-  }
-  lt.inject_dirty.clear();
+int Node::add_peer_connection(Socket sock) {
+  return loop_.add_connection(
+      std::move(sock),
+      [this](int conn, const FrameView& f) { on_peer_frame(conn, f); },
+      // Peers close their sockets as they shut down, possibly before
+      // our own Shutdown frame arrives; by then the quiescence barrier
+      // has certified no data in flight, so a close is never data loss.
+      [](int) {});
 }
 
-void NodeV2::flush_completes(LoopThread& lt) {
-  if (lt.complete_buf.completions.empty()) return;
-  // Every completion a worker posted since the last flush leaves as one
-  // kCompleteBatch control frame, encoded into a reused scratch buffer.
-  lt.complete_scratch.clear();
-  append_complete_batch(lt.complete_scratch, lt.complete_buf);
-  lt.loop.send(ctrl_conn_, lt.complete_scratch);
-  lt.complete_buf.completions.clear();
+void Node::link_up(std::uint32_t peer, int conn) {
+  DCNT_CHECK(peer_conn_.at(peer) == -1);
+  peer_conn_[peer] = conn;
+  ++links_;
+  maybe_ready();
 }
 
-// --- main-thread code -------------------------------------------------------
-
-void NodeV2::maybe_ready() {
+void Node::maybe_ready() {
   if (ready_sent_ || !peers_seen_ || links_ < expected_links_) return;
   ready_sent_ = true;
-  post_ctrl(encode_ready(ReadyFrame{cfg_.node_id}));
+  loop_.send(ctrl_conn_, encode_ready(ReadyFrame{cfg_.node_id}));
 }
 
-/// The node-local half of the distributed quiescence barrier: spin until
-/// one validated window in which the runtime was idle AND every loop had
-/// drained its commands and outbound queues, capturing all stats-facing
-/// counters inside that window.
-///
-/// Validation order is the load-bearing part. Each round:
-///   1. wait for runtime quiescence, read events_processed (A);
-///   2. demand every loop's command queue empty (else new work is
-///      seconds away — yield and retry);
-///   3. post kSnapshot(epoch) to every loop; spin until all publish;
-///   4. read the armed-timer gauge, transport unacked, and the merged
-///      per-processor loads;
-///   5. re-verify: in_flight()==0, events_processed()==A, no loop has
-///      pending commands or declared a short snapshot. Any failure
-///      discards everything and retries.
-/// A window that passes step 5 provably overlapped no handler and no
-/// loop-side work: every handler holds in_flight>0 while running, and a
-/// timer that fired in between bumps in_flight before dropping the
-/// armed gauge, so either check 5 catches it or it never happened.
-/// Reported "received" counts therefore always refer to messages the
-/// runtime has fully processed — the property the controller's
-/// two-stable-rounds barrier leans on. Wire data still in the kernel
-/// (or a peer's queue) is caught by the controller's global
-/// sent==received check instead, never by a single node.
-void NodeV2::stable_quiesce() {
-  for (;;) {
-    runtime_->wait_quiescent();
-    const std::int64_t before = runtime_->events_processed();
-    bool busy = false;
-    for (auto& lt : loops_) busy = busy || lt->cmds.pending() > 0;
-    if (busy) {
-      std::this_thread::yield();
-      continue;
-    }
-    const std::uint64_t epoch = ++epoch_;
-    for (auto& lt : loops_) {
-      LoopCmd cmd;
-      cmd.kind = LoopCmd::Kind::kSnapshot;
-      cmd.epoch = epoch;
-      post_cmd(*lt, std::move(cmd));
-    }
-    for (auto& lt : loops_) {
-      while (lt->snap_epoch.load(std::memory_order_acquire) != epoch) {
-        std::this_thread::yield();
-      }
-    }
-    timers_cache_ = runtime_->timers_armed();
-    unacked_cache_ = transport_ != nullptr ? transport_->unacked_total() : 0;
-    metrics_cache_ = runtime_->merged_metrics_unchecked();
-    if (runtime_->in_flight() != 0) continue;
-    if (runtime_->events_processed() != before) continue;
-    busy = false;
-    for (auto& lt : loops_) {
-      busy = busy || lt->cmds.pending() > 0 || lt->snap.pending != 0;
-    }
-    if (busy) {
-      std::this_thread::yield();
-      continue;
-    }
-    events_cache_ = before;
-    return;
-  }
+void Node::drain() {
+  runtime_->inject(0, inject_buf_);
+  runtime_->drive();
+  if (complete_buf_.completions.empty()) return;
+  complete_scratch_.clear();
+  append_complete_batch(complete_scratch_, complete_buf_);
+  loop_.send(ctrl_conn_, complete_scratch_);
+  complete_buf_.completions.clear();
 }
 
-void NodeV2::send_stats() {
-  stable_quiesce();
+void Node::settle() {
+  drain();
+  loop_.flush_all();
+  DCNT_CHECK_MSG(runtime_->in_flight() == 0, "shard not dry after drive()");
+}
+
+WireCounters Node::wire_counters() const {
+  WireCounters w = wire_;
+  w.write_syscalls = loop_.write_syscalls();
+  return w;
+}
+
+// The stats reply is the node-local half of the distributed quiescence
+// barrier. It is built at a dry point, so every message counted as
+// received has been fully processed. Wire data still in the kernel (or
+// in a peer's queue) is caught by the controller's global
+// sent==received check instead, never by a single node.
+void Node::send_stats() {
+  settle();
+  const Metrics metrics = runtime_->merged_metrics();
+  const WireCounters w = wire_counters();
   StatsFrame s;
   s.node_id = cfg_.node_id;
   // events_processed keeps its full monotone value (minus a constant
   // baseline) so the controller's two-stable-rounds comparison works
   // across a reset; the traffic counters are reported as deltas.
-  s.events_processed = events_cache_ - base_.events;
-  for (std::size_t li = 0; li < loops_.size(); ++li) {
-    const WireSnap& snap = loops_[li]->snap;
-    const WireSnap& base = base_.snaps[li];
-    s.wire_msgs_sent += snap.wire_msgs_sent - base.wire_msgs_sent;
-    s.wire_msgs_received += snap.wire_msgs_received - base.wire_msgs_received;
-    s.wire_bytes_sent += snap.wire_bytes_sent - base.wire_bytes_sent;
-    s.wire_bytes_received +=
-        snap.wire_bytes_received - base.wire_bytes_received;
-    s.injected_drops += snap.injected_drops - base.injected_drops;
-    s.wire_write_syscalls += snap.write_syscalls - base.write_syscalls;
-  }
-  s.timers_armed = timers_cache_;
+  s.events_processed = runtime_->events_processed() - base_.events;
+  s.wire_msgs_sent = w.msgs_sent - base_.wire.msgs_sent;
+  s.wire_msgs_received = w.msgs_received - base_.wire.msgs_received;
+  s.wire_bytes_sent = w.bytes_sent - base_.wire.bytes_sent;
+  s.wire_bytes_received = w.bytes_received - base_.wire.bytes_received;
+  s.injected_drops = w.injected_drops - base_.wire.injected_drops;
+  s.wire_write_syscalls = w.write_syscalls - base_.wire.write_syscalls;
+  s.timers_armed = runtime_->timers_armed();
   if (transport_ != nullptr) {
-    s.unacked = unacked_cache_;
+    s.unacked = transport_->unacked_total();
     const RetryStats& rs = transport_->stats();
     s.retransmissions = rs.retransmissions - base_.retransmissions;
     s.duplicates_suppressed =
@@ -791,28 +401,29 @@ void NodeV2::send_stats() {
        p += static_cast<ProcessorId>(cfg_.num_nodes)) {
     ProcLoad load;
     load.pid = p;
-    load.sent = metrics_cache_.sent(p);
-    load.received = metrics_cache_.received(p);
-    load.words = metrics_cache_.word_load(p);
+    load.sent = metrics.sent(p);
+    load.received = metrics.received(p);
+    load.words = metrics.word_load(p);
     s.loads.push_back(load);
   }
-  post_ctrl(encode_stats(s));
+  loop_.send(ctrl_conn_, encode_stats(s));
 }
 
-/// End-of-run per-key report (multi-key mode): re-certify a stable idle
-/// window, then stream this node's (key, processor) load slices to the
-/// controller in kKeyedStats chunks, sorted by (key, pid) and capped at
+/// End-of-run per-key report (multi-key mode): at a dry point, stream
+/// this node's (key, processor) load slices to the controller in
+/// kKeyedStats chunks, sorted by (key, pid) and capped at
 /// kKeyedStatsChunk entries each so a 100k-key run never exceeds
 /// kMaxFramePayload. The LRU tier counters ride in every chunk (the
 /// controller reads them from the last). Per-key loads are reported as
 /// absolute post-reset values — reset_metrics zeroed the key maps in
 /// place, so no baseline subtraction is needed.
-void NodeV2::send_keyed_stats() {
+void Node::send_keyed_stats() {
   DCNT_CHECK_MSG(fabric_ != nullptr,
                  "keyed stats requested from a node without --keys");
-  stable_quiesce();
+  settle();
+  const Metrics metrics = runtime_->merged_metrics();
   std::vector<KeyProcLoad> flat;
-  for (const auto& [key, per_proc] : metrics_cache_.key_loads()) {
+  for (const auto& [key, per_proc] : metrics.key_loads()) {
     for (const auto& [pid, load] : per_proc) {
       flat.push_back(KeyProcLoad{key, pid, load.sent, load.received});
     }
@@ -835,52 +446,32 @@ void NodeV2::send_keyed_stats() {
                        flat.begin() + static_cast<std::ptrdiff_t>(sent + take));
     sent += take;
     chunk.last = sent == flat.size();
-    post_ctrl(encode_keyed_stats(chunk));
+    loop_.send(ctrl_conn_, encode_keyed_stats(chunk));
   } while (sent < flat.size());  // zero slices still sends one last-chunk
 }
 
-void NodeV2::time_jump() {
+void Node::time_jump() {
   // Fire the timers armed at this instant without waiting out their
   // wall deadlines — the controller has certified the cluster idle
   // (stable events, no unacked envelopes, no wire traffic in flight),
-  // which is exactly when the simulator would jump its clock. One
-  // marker per shard; each shard fires the timers armed when the marker
-  // arrives (timers re-armed by the cascades keep their wall deadlines;
+  // which is exactly when the simulator would jump its clock. The shard
+  // fires the timers armed when the marker is handled in the next drain
+  // round (timers re-armed by the cascades keep their wall deadlines;
   // the controller re-evaluates and jumps again if the cluster settles
   // with timers still pending).
-  std::vector<RuntimeEvent> evs;
-  for (std::size_t shard = 0; shard < shards_; ++shard) {
-    RuntimeEvent ev;
-    ev.kind = RuntimeEvent::Kind::kFireTimers;
-    evs.clear();
-    evs.push_back(std::move(ev));
-    runtime_->inject(shard, evs);
-  }
-  if (inline_) {
-    // The markers sit in the shard mailbox, but the only thread that
-    // will ever drive them — loop 0 — may be parked in its kernel wait
-    // with no socket traffic due. Same Dekker pairing as post_cmd: the
-    // inject above bumped in_flight before pushing, so either loop 0's
-    // pre-block re-check sees it, or we see in_wait and kick the
-    // eventfd.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (loops_[0]->in_wait.load(std::memory_order_relaxed)) {
-      loops_[0]->loop.notify();
-    }
-  }
+  RuntimeEvent ev;
+  ev.kind = RuntimeEvent::Kind::kFireTimers;
+  inject_buf_.push_back(std::move(ev));
 }
 
-void NodeV2::handle_reset() {
+void Node::handle_reset() {
   // The controller broadcasts a reset only when the whole cluster is
-  // certified idle, so nothing moves between the stable window captured
-  // here and the baseline stores below.
-  stable_quiesce();
+  // certified idle, so nothing moves between this dry point and the
+  // baseline stores below.
+  settle();
   runtime_->reset_metrics();
-  base_.events = events_cache_;
-  base_.snaps.resize(loops_.size());
-  for (std::size_t li = 0; li < loops_.size(); ++li) {
-    base_.snaps[li] = loops_[li]->snap;
-  }
+  base_.events = runtime_->events_processed();
+  base_.wire = wire_counters();
   if (transport_ != nullptr) {
     const RetryStats& rs = transport_->stats();
     base_.retransmissions = rs.retransmissions;
@@ -893,133 +484,67 @@ void NodeV2::handle_reset() {
   // per connection, not across them) and be absorbed into the baseline
   // — leaving the global sent/received counts permanently skewed and
   // the quiescence barrier unsatisfiable.
-  post_ctrl(encode_ready(ReadyFrame{cfg_.node_id}));
+  loop_.send(ctrl_conn_, encode_ready(ReadyFrame{cfg_.node_id}));
 }
 
-void NodeV2::setup_loop0(std::uint16_t* tcp_port, std::uint16_t* udp_port) {
-  LoopThread& lt0 = *loops_[0];
-  Socket ctrl = tcp_connect(cfg_.ctrl_port, 15000);
-  ctrl_conn_ = lt0.loop.add_connection(
-      std::move(ctrl),
-      [this, &lt0](int, const FrameView& f) { on_ctrl_frame(lt0, f); },
-      [this](int) { post_main(MainEvent::Kind::kCtrlClosed); });
+int Node::wait_ms() const {
+  // Due wall timers fire inside drive(), so the kernel wait ends at the
+  // earliest armed deadline.
+  const std::int64_t wait_us = runtime_->inline_timer_wait_us();
+  return wait_us < 0 ? -1 : static_cast<int>((wait_us + 999) / 1000);
+}
+
+void Node::setup_sockets(std::uint16_t* tcp_port, std::uint16_t* udp_port) {
+  ctrl_conn_ = loop_.add_connection(
+      tcp_connect(cfg_.ctrl_port, 15000),
+      [this](int, const FrameView& f) { on_ctrl_frame(f); },
+      [this](int) {
+        DCNT_CHECK_MSG(shutdown_, "controller connection lost");
+      });
   if (!cfg_.udp && cfg_.num_nodes > 1) {
-    Socket listener = tcp_listen(tcp_port);
-    lt0.loop.add_listener(std::move(listener), [this, &lt0](Socket s) {
-      // Identity unknown until the Hello arrives; until then the
-      // connection lives on loop 0.
-      lt0.loop.add_connection(
-          std::move(s),
-          [this, &lt0](int c, const FrameView& f) { on_peer_frame(lt0, c, f); },
-          [](int) {});
+    // Identity of an accepted peer is unknown until its Hello arrives.
+    loop_.add_listener(tcp_listen(tcp_port), [this](Socket s) {
+      add_peer_connection(std::move(s));
     });
   }
   if (cfg_.udp) {
-    // Every loop owns a send socket (datagram sends are loop-local);
-    // only loop 0's port is advertised, so all receives land there.
-    for (auto& lt : loops_) {
-      std::uint16_t port = 0;
-      Socket sock = udp_bind(&port);
-      LoopThread& ltr = *lt;
-      lt->loop.add_udp(std::move(sock), [this, &ltr](const FrameView& f) {
-        on_datagram(ltr, f);
-      });
-      if (lt->index == 0) *udp_port = port;
-    }
+    loop_.add_udp(udp_bind(udp_port), [this](const FrameView& f) {
+      stage_wire_message(f);
+    });
   }
 }
 
-int NodeV2::run() {
+int Node::run() {
   DCNT_CHECK_MSG(cfg_.ctrl_port != 0, "node needs --ctrl_port");
   build_runtime();
-
-  const std::size_t num_loops = cfg_.loops > 0 ? cfg_.loops : 1;
-  const Backend backend = backend_from_string(cfg_.backend);
-  base_.snaps.resize(num_loops);  // zero baselines until the first reset
-  loops_.reserve(num_loops);
-  for (std::size_t li = 0; li < num_loops; ++li) {
-    loops_.push_back(std::make_unique<LoopThread>(li, backend));
-    LoopThread& lt = *loops_.back();
-    lt.peer_conn.assign(cfg_.num_nodes, -1);
-    lt.inject_buf.resize(shards_);
-    // Distinct stream for the loss shim so dropping datagrams never
-    // perturbs the protocol's own randomness; forked per loop because
-    // each loop thread draws independently.
-    lt.drop_rng = Rng(mix64(cfg_.seed ^ 0x10551055ull))
-                      .fork(cfg_.node_id + 1)
-                      .fork(li + 1);
-  }
-
-  // All loop-0 plumbing happens before the threads start, so the
-  // single-owner-thread rule of EventLoop is never violated.
-  std::uint16_t tcp_port = 0;
-  std::uint16_t udp_port = 0;
-  setup_loop0(&tcp_port, &udp_port);
-  loops_[0]->loop.send(
-      ctrl_conn_, encode_hello(HelloFrame{cfg_.node_id, tcp_port, udp_port}));
-
-  for (auto& lt : loops_) {
-    LoopThread& ltr = *lt;
-    lt->thread = std::thread([this, &ltr] { loop_main(ltr); });
-  }
-
+  peer_conn_.assign(cfg_.num_nodes, -1);
+  // Distinct stream for the loss shim so dropping datagrams never
+  // perturbs the protocol's own randomness.
+  drop_rng_ = Rng(mix64(cfg_.seed ^ 0x10551055ull)).fork(cfg_.node_id + 1);
   expected_links_ = (!cfg_.udp && cfg_.num_nodes > 1)
                         ? static_cast<std::size_t>(cfg_.num_nodes) - 1
                         : 0;
 
-  bool shutdown = false;
-  std::vector<MainEvent> evs;
-  while (!shutdown) {
-    main_events_.wait(never_stop_);
-    if (!main_events_.drain(evs)) continue;
-    for (const MainEvent& ev : evs) {
-      switch (ev.kind) {
-        case MainEvent::Kind::kPeersReceived:
-          peers_seen_ = true;
-          maybe_ready();
-          break;
-        case MainEvent::Kind::kLinkUp:
-          ++links_;
-          maybe_ready();
-          break;
-        case MainEvent::Kind::kStatsRequest:
-          send_stats();
-          break;
-        case MainEvent::Kind::kKeyedStatsRequest:
-          send_keyed_stats();
-          break;
-        case MainEvent::Kind::kTimeJump:
-          time_jump();
-          break;
-        case MainEvent::Kind::kMetricsReset:
-          handle_reset();
-          break;
-        case MainEvent::Kind::kShutdown:
-          shutdown = true;
-          break;
-        case MainEvent::Kind::kCtrlClosed:
-          DCNT_CHECK_MSG(shutdown, "controller connection lost");
-          break;
-      }
-      if (shutdown) break;
-    }
+  std::uint16_t tcp_port = 0;
+  std::uint16_t udp_port = 0;
+  setup_sockets(&tcp_port, &udp_port);
+  loop_.send(ctrl_conn_,
+             encode_hello(HelloFrame{cfg_.node_id, tcp_port, udp_port}));
+
+  while (!shutdown_) {
+    drain();
+    loop_.run_once(wait_ms());
   }
-  // kStop rides behind any queued control bytes (the final Stats
-  // reply); each loop drains its outbound backlog before exiting.
-  for (auto& lt : loops_) {
-    LoopCmd cmd;
-    cmd.kind = LoopCmd::Kind::kStop;
-    post_cmd(*lt, std::move(cmd));
-  }
-  for (auto& lt : loops_) lt->thread.join();
-  runtime_->stop();
+  // Flush queued control/data bytes (the final Stats reply) before the
+  // destructors close the sockets.
+  while (loop_.backlog()) loop_.run_once(10);
   return 0;
 }
 
 }  // namespace
 
 int run_node(const NodeConfig& config) {
-  NodeV2 node(config);
+  Node node(config);
   return node.run();
 }
 

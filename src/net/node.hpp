@@ -36,23 +36,20 @@
 // timer's logical due time, preserving the deadline arithmetic
 // protocols do against now().
 //
-// Threading (v2): one node process runs
-//   - `loops` event-loop threads (epoll by default, poll selectable),
-//     each owning a disjoint set of peer connections (peer connections
-//     are sharded by peer_id % loops; the controller connection,
-//     listener, and — for UDP — the advertised receive socket live on
-//     loop 0);
-//   - `shards` protocol worker threads inside a ThreadedRuntime
-//     (runtime/threaded_runtime.hpp) hosting this node's processors,
-//     with wall-clock timers;
-//   - a main thread that coordinates membership, the distributed
-//     quiescence/stats barrier, metric baselines, and shutdown.
-// Loop threads hand wire-arrived events to the runtime via
-// ThreadedRuntime::inject (a lock-free mailbox push); workers hand
-// outbound messages back via the runtime's remote sink, which batches
-// them into per-loop command mailboxes. With loops=1 and shards=1 the
-// topology degenerates to PR-4's single-reactor node, at the cost of
-// two mailbox hops on the wire path.
+// Threading: one thread per node. It runs the epoll reactor and, in
+// the same loop, drives the node's single protocol shard inline
+// (ThreadedRuntime with inline_drive, runtime/threaded_runtime.hpp) —
+// the paper's model of a processor handling its messages one at a
+// time. Each round decodes what the sockets delivered, injects it into
+// the shard, and runs the shard until dry; handler output goes straight
+// into the reactor's per-peer outbound queues and leaves coalesced at
+// the next round boundary. Stats requests, metric resets and time
+// jumps are handled at a dry point of the same thread (staged events
+// injected, the shard driven until dry, outbound queues flushed), so a
+// stats reply counts only fully processed messages. Nothing is shared
+// between threads, so there are no atomics, fences or cross-thread
+// queues here. More shards or reactor threads per node were measured
+// and lost to this layout (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -79,18 +76,6 @@ struct NodeConfig {
   std::int64_t tick_us{200};
   /// Retransmission knobs (UDP mode).
   RetryParams retry{};
-  /// Event-loop threads (connections sharded by peer_id % loops).
-  std::uint32_t loops{1};
-  /// Protocol worker shards inside this node's ThreadedRuntime.
-  /// 0 = inline drive: no worker threads at all — loop 0's thread runs
-  /// the single protocol shard itself between reactor passes, so a
-  /// message's receive->handle->send round trip never crosses a thread
-  /// boundary. Requires loops == 1. The right topology when the host
-  /// cannot run loop and worker truly in parallel (one core, or more
-  /// nodes than cores).
-  std::uint32_t shards{1};
-  /// Reactor backend: "" = platform default, "epoll" or "poll".
-  std::string backend{};
   /// Upper bound on operation ids the controller will issue (capacity
   /// hint for the runtime's completion tables; 0 = default 1<<16).
   std::int64_t max_ops{0};

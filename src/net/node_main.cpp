@@ -5,8 +5,8 @@
 // hand for debugging a single shard. See README.md ("Running the
 // counter as a real cluster").
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "net/node.hpp"
 #include "support/flags.hpp"
@@ -29,28 +29,25 @@ Usage: dcnt_node --ctrl_port=P --node=I --nodes=N [options]
   --ack_timeout=T   reliable-transport first timeout  (default 16 ticks)
   --max_timeout=T   reliable-transport backoff cap    (default 256 ticks)
   --max_attempts=A  transmissions before giving up    (default 12)
-  --loops=L         event-loop threads                (default 1)
-  --shards=S        protocol worker shards; 0 = inline:
-                    loop 0 drives the shard itself,
-                    no worker threads (needs --loops=1) (default 1)
-  --backend=B       reactor backend: epoll | poll     (default: platform)
   --max_ops=M       operation-table capacity hint     (default 65536)
   --keys=K          multi-key mode: K-counter service fabric
                     over the shard (0 = single counter) (default 0)
   --key_capacity=C  LRU cap on live per-key instances;
                     0 = unbounded (multi-key mode)     (default 0)
+
+Any other flag is an error (exit 2).
 )";
+
+const std::vector<std::string> kKnownFlags = {
+    "ack_timeout", "counter", "ctrl_port", "drop", "key_capacity", "keys",
+    "max_attempts", "max_ops", "max_timeout", "n", "node", "nodes", "seed",
+    "tick_us", "transport"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--help") {
-      std::fputs(kUsage, stdout);
-      return 0;
-    }
-  }
-  dcnt::Flags flags(argc, argv);
+  const dcnt::Flags flags =
+      dcnt::parse_known_flags(argc, argv, kKnownFlags, kUsage);
   dcnt::net::NodeConfig cfg;
   cfg.node_id = static_cast<std::uint32_t>(flags.get_int("node", 0));
   cfg.num_nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 1));
@@ -72,9 +69,6 @@ int main(int argc, char** argv) {
   cfg.retry.max_timeout = flags.get_int("max_timeout", cfg.retry.max_timeout);
   cfg.retry.max_attempts =
       static_cast<int>(flags.get_int("max_attempts", cfg.retry.max_attempts));
-  cfg.loops = static_cast<std::uint32_t>(flags.get_int("loops", 1));
-  cfg.shards = static_cast<std::uint32_t>(flags.get_int("shards", 1));
-  cfg.backend = flags.get_string("backend", "");
   cfg.max_ops = flags.get_int("max_ops", 0);
   cfg.keys = flags.get_int("keys", 0);
   cfg.key_capacity = flags.get_int("key_capacity", 0);

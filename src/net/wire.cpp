@@ -375,21 +375,14 @@ std::vector<std::uint8_t> encode_keyed_stats_request() {
 FrameView::FrameView(const std::uint8_t* data, std::size_t size)
     : data_(data), size_(size) {
   DCNT_CHECK_MSG(size_ >= 2, "frame shorter than its header");
-  DCNT_CHECK_MSG(data_[0] == kWireVersion || data_[0] == kWireVersionV1,
-                 "wire version mismatch");
+  DCNT_CHECK_MSG(data_[0] == kWireVersion, "wire version mismatch");
 }
 
 FrameType FrameView::type() const {
   const std::uint8_t t = data_[1];
-  // A frame may only use types its own stamped version defines: v1
-  // stops at kMetricsReset, v2 adds the keyed envelope.
-  const std::uint8_t last = version() == kWireVersionV1
-                                ? static_cast<std::uint8_t>(
-                                      FrameType::kMetricsReset)
-                                : static_cast<std::uint8_t>(
-                                      FrameType::kKeyedStatsRequest);
   DCNT_CHECK_MSG(
-      t >= static_cast<std::uint8_t>(FrameType::kHello) && t <= last,
+      t >= static_cast<std::uint8_t>(FrameType::kHello) &&
+          t <= static_cast<std::uint8_t>(FrameType::kKeyedStatsRequest),
       "unknown frame type");
   return static_cast<FrameType>(t);
 }

@@ -27,11 +27,9 @@
 // false) instead of aborting, so a node can drop-and-count a mangled
 // keyed frame without taking the whole cluster down with it.
 //
-// Versioning: kWireVersion is 2 since the keyed envelope landed. v1
-// frames (types 1..11) still decode byte-identically — FrameView
-// accepts both versions and only rejects a type outside the sending
-// version's vocabulary, so a v1 peer's traffic stays readable (the
-// back-compat test in test_wire pins this).
+// Versioning: kWireVersion is 2 since the keyed envelope landed, and
+// FrameView accepts only that version — every node and controller is
+// built from one tree, so no peer ever speaks another.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +42,6 @@
 namespace dcnt::net {
 
 inline constexpr std::uint8_t kWireVersion = 2;
-/// The pre-keyed-envelope format; still decoded (types 1..11 only).
-inline constexpr std::uint8_t kWireVersionV1 = 1;
 /// Upper bound on one frame's payload; protects against a corrupt
 /// length word committing us to a gigabyte read.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -249,15 +245,13 @@ std::vector<std::uint8_t> encode_keyed_stats_request();
 // --- decoding -------------------------------------------------------------
 
 /// A complete frame's payload (version + type + body, the length word
-/// stripped). The constructor DCNT_CHECKs the version (v1 and v2 both
-/// accepted); `type()` additionally rejects types outside the frame's
-/// own version's vocabulary, so a v1-stamped keyed frame aborts.
+/// stripped). The constructor DCNT_CHECKs the version (kWireVersion
+/// only); `type()` additionally rejects unknown types.
 class FrameView {
  public:
   FrameView(const std::uint8_t* data, std::size_t size);
 
   FrameType type() const;
-  std::uint8_t version() const { return data_[0]; }
   /// Body bytes (after version + type).
   const std::uint8_t* body() const { return data_ + 2; }
   std::size_t body_size() const { return size_ - 2; }
@@ -297,18 +291,6 @@ class FrameReader {
   bool pop(std::vector<std::uint8_t>& out);
 
   std::size_t buffered_bytes() const { return buffer_.size() - head_; }
-
-  /// Moves out the unconsumed bytes (a partial frame, typically empty),
-  /// leaving the reader empty. Used when a connection migrates between
-  /// event loops: the old loop surrenders what it read past the last
-  /// complete frame so the adopting loop's reader can resume mid-stream.
-  std::vector<std::uint8_t> take_buffered() {
-    std::vector<std::uint8_t> out(buffer_.begin() + static_cast<long>(head_),
-                                  buffer_.end());
-    buffer_.clear();
-    head_ = 0;
-    return out;
-  }
 
  private:
   std::vector<std::uint8_t> buffer_;

@@ -28,16 +28,9 @@
 // whichever runnable worker has the mail), and only then the condvar.
 // Senders consult owner_waiting_ under the mutex and notify only a
 // parked owner, so the notify-per-push storm is gone entirely.
-//
-// The queue is a template (MailboxT<T>) because the socket node reuses
-// the same batched MPSC hand-off in the other direction: runtime shards
-// stage outbound wire messages and completions into per-event-loop
-// queues, flushed with one push_all per batch. `Mailbox` remains the
-// RuntimeEvent instantiation the runtime workers own.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -79,12 +72,11 @@ struct MailboxIdlePolicy {
   static const MailboxIdlePolicy& instance();
 };
 
-template <typename T>
-class MailboxT {
+class Mailbox {
  public:
   /// Multi-producer enqueue of a single item. Prefer push_all for
   /// anything that can batch — this is one lock per item.
-  void push(T ev) {
+  void push(RuntimeEvent ev) {
     bool wake_owner;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -99,7 +91,7 @@ class MailboxT {
   /// under one lock acquisition and with at most one wake, then clears
   /// `evs` retaining its capacity so callers can reuse the buffer
   /// allocation-free across cycles. No-op on an empty batch.
-  void push_all(std::vector<T>& evs) {
+  void push_all(std::vector<RuntimeEvent>& evs) {
     if (evs.empty()) return;
     bool wake_owner;
     {
@@ -122,7 +114,7 @@ class MailboxT {
 
   /// Single-consumer batch drain: swaps the backlog into `out` (cleared
   /// first). Returns false if there was nothing.
-  bool drain(std::vector<T>& out) {
+  bool drain(std::vector<RuntimeEvent>& out) {
     out.clear();
     if (pending_.load(std::memory_order_acquire) == 0) return false;
     std::lock_guard<std::mutex> lock(mu_);
@@ -166,21 +158,6 @@ class MailboxT {
     return !items_.empty();
   }
 
-  /// Deadline flavor for workers holding armed wall-clock timers: parks
-  /// immediately (no spin — the caller knows the next deadline is a real
-  /// duration away) until mail, stop, or the deadline. Returns true if
-  /// mail is present.
-  bool wait_until(const std::atomic<bool>& stop,
-                  std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    owner_waiting_ = true;
-    cv_.wait_until(lock, deadline, [&] {
-      return !items_.empty() || stop.load(std::memory_order_acquire);
-    });
-    owner_waiting_ = false;
-    return !items_.empty();
-  }
-
   /// Wakes a wait()-blocked owner so it can observe a stop flag. Takes
   /// the mutex so the wake cannot slip between the owner's predicate
   /// check and its sleep.
@@ -192,7 +169,7 @@ class MailboxT {
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<T> items_;
+  std::vector<RuntimeEvent> items_;
   /// items_.size(), maintained under mu_ but readable lock-free by the
   /// owner's spin loop and fast-path drain check.
   ///
@@ -207,10 +184,6 @@ class MailboxT {
   /// wait(); guarded by mu_. Senders notify only when it is set.
   bool owner_waiting_{false};
 };
-
-/// The runtime workers' instantiation — the name the rest of the
-/// codebase has always used.
-using Mailbox = MailboxT<RuntimeEvent>;
 
 inline const MailboxIdlePolicy& MailboxIdlePolicy::instance() {
   static const MailboxIdlePolicy policy = [] {

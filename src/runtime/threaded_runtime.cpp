@@ -48,20 +48,12 @@ struct ThreadedRuntime::Shard {
   ///
   /// alignas: bumped by the owner once per event, so it must not share
   /// a line with the tail of `mailbox` (whose pending_/owner_waiting_
-  /// producers hammer from other threads) — one line for the pair
-  /// owner-written gauges, separate from producer-written mailbox
-  /// state. timers_armed rides along deliberately: same writer (the
-  /// owner), so sharing ITS line costs nothing.
+  /// producers hammer from other threads).
   alignas(64) std::atomic<std::int64_t> events_processed{0};
-  /// Armed wall-clock timers on this shard (wall_timers mode). The fire
-  /// path bumps in_flight_ BEFORE decrementing this, so an observer
-  /// that reads it between two in_flight()==0 observations cannot miss
-  /// a concurrent fire.
-  std::atomic<std::int64_t> timers_armed{0};
 
   // Owner-thread-only state below. alignas: `batch` starts a fresh
   // line so the owner's hottest private state (drain target, ready
-  // queue) never shares a line with the observer-read gauges above.
+  // queue) never shares a line with the observer-read gauge above.
   alignas(64) std::vector<RuntimeEvent> batch;  ///< drain target, reused
   std::vector<RuntimeEvent> ready;  ///< runnable events, appended mid-run
   std::size_t ready_head{0};
@@ -84,6 +76,9 @@ struct ThreadedRuntime::Shard {
   std::size_t events_since_flush{0};
   std::vector<TimerEntry> timers;  ///< min-heap (TimerLater)
   std::uint64_t timer_seq{0};
+  /// Armed wall-clock timers (wall_timers mode, where the shard is
+  /// driven inline and this is read only by its owner).
+  std::int64_t timers_armed{0};
   /// Logical clock: advances by one per processed event, and jumps to
   /// the earliest timer deadline when the worker runs dry (the
   /// simulator's idle time-jump, per worker).
@@ -167,7 +162,7 @@ class ThreadedRuntime::WorkerCtx final : public Context {
         // timers" to trigger the distributed time jump, and a timer
         // pinning in_flight above zero would deadlock that very
         // observation. The armed count is published separately.
-        shard_->timers_armed.fetch_add(1, std::memory_order_relaxed);
+        ++shard_->timers_armed;
       } else {
         ++shard_->pending_sends;
       }
@@ -175,8 +170,8 @@ class ThreadedRuntime::WorkerCtx final : public Context {
       // Protocols only arm timers at the handling processor today, but
       // the Context contract allows any p: ship the relative delay and
       // let the owner anchor it to its own clock. The event holds
-      // in-flight during mailbox transit only; in wall mode the owner
-      // converts that hold into an armed-count on arrival.
+      // in-flight from here until the timer fires. (Wall mode hosts a
+      // single shard, so it never takes this branch.)
       ++shard_->pending_sends;
       RuntimeEvent ev;
       ev.kind = RuntimeEvent::Kind::kTimer;
@@ -240,6 +235,10 @@ ThreadedRuntime::ThreadedRuntime(std::unique_ptr<CounterProtocol> protocol,
   DCNT_CHECK(config_.cluster_nodes >= 1);
   DCNT_CHECK(config_.cluster_node_id < config_.cluster_nodes);
   DCNT_CHECK(config_.tick_us >= 1);
+  DCNT_CHECK_MSG(!config_.wall_timers || config_.inline_drive,
+                 "wall_timers requires inline_drive");
+  DCNT_CHECK_MSG(config_.cluster_nodes == 1 || config_.inline_drive,
+                 "cluster hosting (cluster_nodes > 1) requires inline_drive");
   t0_ = std::chrono::steady_clock::now();
   const std::size_t w = resolve_thread_count(config_.workers);
   DCNT_CHECK_MSG(w == 1 || protocol_->shard_safe(),
@@ -341,12 +340,6 @@ Metrics ThreadedRuntime::merged_metrics() const {
   return out;
 }
 
-Metrics ThreadedRuntime::merged_metrics_unchecked() const {
-  Metrics out(num_processors_);
-  for (const auto& shard : shards_) out.merge_from(shard->metrics);
-  return out;
-}
-
 void ThreadedRuntime::reset_metrics() {
   DCNT_CHECK_MSG(in_flight_.load(std::memory_order_acquire) == 0,
                  "reset_metrics requires quiescence");
@@ -370,9 +363,8 @@ void ThreadedRuntime::flush_shard(Shard& shard) {
     shards_[dst]->mailbox.push_all(shard.outbox[dst]);
   }
   // Remote messages leave strictly before the finished-subtraction
-  // below: an observer that sees in_flight hit zero is then guaranteed
-  // the sink already holds everything the handlers produced — the
-  // cluster node's quiescence report depends on exactly this ordering.
+  // below: once in_flight reads zero, the sink already holds
+  // everything the handlers produced.
   if (!shard.remote_out.empty()) {
     remote_sink_(shard.index, shard.remote_out);
     shard.remote_out.clear();
@@ -405,15 +397,12 @@ void ThreadedRuntime::process_event(Shard& shard, WorkerCtx& ctx,
 }
 
 void ThreadedRuntime::fire_timer(Shard& shard, WorkerCtx& ctx) {
-  // Order is load-bearing for the cluster stats barrier: the in-flight
-  // add precedes the armed-count decrement, so a reader that sees the
-  // armed count drop is guaranteed in_flight was already positive — a
-  // fire can never hide between "timers_armed stable" and "in_flight
-  // zero" observations. (Logical mode: armed timers already hold
+  // An armed wall timer holds no in-flight count, so firing it creates
+  // the event it becomes. (Logical mode: armed timers already hold
   // in-flight via pending_sends; the add would double-count.)
   if (config_.wall_timers) {
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    shard.timers_armed.fetch_sub(1, std::memory_order_relaxed);
+    --shard.timers_armed;
   }
   std::pop_heap(shard.timers.begin(), shard.timers.end(), TimerLater{});
   RuntimeEvent ev;
@@ -432,19 +421,13 @@ bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
   if (shard.mailbox.drain(shard.batch)) {
     for (auto& ev : shard.batch) {
       if (ev.kind == RuntimeEvent::Kind::kTimer) {
+        // Only cross-shard send_local ships timers, and wall mode
+        // hosts a single shard.
+        DCNT_CHECK(!wall);
         TimerEntry t;
         t.seq = shard.timer_seq++;
         t.msg = std::move(ev.msg);
-        if (wall) {
-          t.due = wall_now_us() + ev.delay * config_.tick_us;
-          // Convert the mailbox-transit in-flight hold into an
-          // armed-count: arm first, then release the hold, so the
-          // timer is never invisible to both gauges at once.
-          shard.timers_armed.fetch_add(1, std::memory_order_relaxed);
-          ++shard.finished;
-        } else {
-          t.due = shard.clock + ev.delay;
-        }
+        t.due = shard.clock + ev.delay;
         shard.timers.push_back(std::move(t));
         std::push_heap(shard.timers.begin(), shard.timers.end(),
                        TimerLater{});
@@ -516,22 +499,13 @@ void ThreadedRuntime::worker_main(std::size_t worker) {
   }
   Shard& shard = *shards_[worker];
   WorkerCtx ctx(this, &shard);
-  const bool wall = config_.wall_timers;
   while (!stop_.load(std::memory_order_acquire)) {
     // Recheck the mailbox after any productive pass before idling.
     if (run_shard_pass(shard, ctx)) continue;
     if (!shard.timers.empty()) {
-      if (wall) {
-        // 3a. Wall timers: a dry shard may still be owed wire traffic,
-        //     so the clock must not jump — park until the earliest real
-        //     deadline (or mail, or stop).
-        shard.mailbox.wait_until(
-            stop_, t0_ + std::chrono::microseconds(shard.timers.front().due));
-        continue;
-      }
-      // 3b. Logical timers: jump the clock (the simulator does the same
-      //     across its global queue) so windows/timeouts fire rather
-      //     than deadlock a drained system.
+      // 3. Logical timers: jump the clock (the simulator does the same
+      //    across its global queue) so windows/timeouts fire rather
+      //    than deadlock a drained system.
       shard.clock = shard.timers.front().due;
       continue;
     }
@@ -553,7 +527,7 @@ bool ThreadedRuntime::drive() {
   bool any = run_shard_pass(shard, *inline_ctx_);
   // Logical-clock mode has no kernel deadline to park on: a dry shard
   // jumps to the next timer due and keeps going, as the threaded
-  // worker's step 3b does. (The cluster node runs wall timers; its due
+  // worker's step 3 does. (The cluster node runs wall timers; its due
   // timers fire inside the pass because the driving loop clamps its
   // kernel wait to inline_timer_wait_us.)
   while (!config_.wall_timers && !shard.timers.empty()) {
@@ -606,9 +580,7 @@ std::int64_t ThreadedRuntime::events_processed() const {
 
 std::int64_t ThreadedRuntime::timers_armed() const {
   std::int64_t sum = 0;
-  for (const auto& shard : shards_) {
-    sum += shard->timers_armed.load(std::memory_order_relaxed);
-  }
+  for (const auto& shard : shards_) sum += shard->timers_armed;
   return sum;
 }
 

@@ -103,11 +103,11 @@ struct RuntimeConfig {
 
   // --- cluster hosting (socket runtime, src/net/node.cpp) ---
   /// Number of node processes sharing the processor space. 1 = the
-  /// whole protocol runs in this process (the historical behavior;
-  /// nothing below applies). N>1: this runtime owns only processors
-  /// with p % cluster_nodes == cluster_node_id; a handler's send() to a
-  /// non-owned processor is diverted to the remote sink instead of a
-  /// local mailbox.
+  /// whole protocol runs in this process (nothing below applies). N>1:
+  /// this runtime owns only processors with p % cluster_nodes ==
+  /// cluster_node_id; a handler's send() to a non-owned processor is
+  /// diverted to the remote sink instead of a local mailbox. Requires
+  /// inline_drive.
   std::size_t cluster_nodes{1};
   std::size_t cluster_node_id{0};
   /// Timers keyed to the wall clock instead of the per-shard logical
@@ -119,20 +119,19 @@ struct RuntimeConfig {
   /// timers do NOT hold the in-flight count (reported separately so the
   /// controller can distinguish "working" from "armed"), and the
   /// distributed idle-jump arrives as an injected kFireTimers event
-  /// when the controller has certified global idleness.
+  /// when the controller has certified global idleness. Requires
+  /// inline_drive: the owner thread clamps its kernel wait to the next
+  /// deadline (inline_timer_wait_us), so no worker ever parks on one.
   bool wall_timers{false};
   /// Wall microseconds per logical delay tick (wall_timers only).
   std::int64_t tick_us{200};
   /// Host the single shard on the CALLER's thread instead of spawning a
   /// worker: no threads are created, and the owner drives the shard by
-  /// calling drive() whenever events may be pending. All other
-  /// machinery — mailbox injection, remote sink, completion callbacks,
-  /// the in-flight ledger, wall timers, kFireTimers markers — behaves
-  /// identically, so the cluster node can flip between topologies
-  /// without touching protocol or barrier code. Requires workers == 1.
-  /// This is the degenerate topology for hosts where an extra thread
-  /// per node buys no parallelism, only scheduler latency on every
-  /// loop<->worker hand-off (a single-core box most of all).
+  /// calling drive() whenever events may be pending. Mailbox injection,
+  /// remote sink, completion callbacks and the in-flight ledger behave
+  /// as with a worker. Requires workers == 1. The cluster node runs
+  /// this way: its one reactor thread is also the protocol shard, so a
+  /// message's receive->handle->send round trip never crosses a thread.
   bool inline_drive{false};
   /// Core placement for the worker threads (runtime/placement.hpp):
   /// kNone leaves scheduling to the kernel; the other policies pin each
@@ -151,12 +150,11 @@ class ThreadedRuntime {
   /// closed-loop driver may start the next operation from inside it.
   using CompletionFn = std::function<void(OpId op, Value value)>;
   /// Receives a batch of messages addressed to processors this node
-  /// does not own (cluster mode). Called on the worker thread at flush
-  /// points, strictly before the worker's in-flight subtraction — so a
-  /// quiescence observer that later sees in_flight()==0 is guaranteed
-  /// the sink has already been handed every message the handlers
-  /// produced. The sink must move the messages out (the vector is
-  /// reused); it typically stages them into per-event-loop queues.
+  /// does not own (cluster mode). Called on the driving thread at flush
+  /// points, strictly before the in-flight subtraction — so once
+  /// drive() returns with in_flight()==0 the sink has been handed every
+  /// message the handlers produced. The vector is cleared (capacity
+  /// kept) after the call; the node puts each message on the wire.
   using RemoteSinkFn =
       std::function<void(std::size_t worker, std::vector<Message>& out)>;
 
@@ -210,7 +208,7 @@ class ThreadedRuntime {
   /// the in-flight counter orders every worker's bump before that
   /// observation); merely advisory while work is moving.
   std::int64_t events_processed() const;
-  /// Armed wall-clock timers across all shards (wall_timers mode).
+  /// Armed wall-clock timers (wall_timers mode, owner thread only).
   /// These do NOT hold the in-flight count.
   std::int64_t timers_armed() const;
   std::int64_t in_flight() const {
@@ -255,14 +253,6 @@ class ThreadedRuntime {
   /// Metrics. Requires quiescence.
   Metrics merged_metrics() const;
 
-  /// merged_metrics without the quiescence assertion, for the cluster
-  /// node's validated-snapshot barrier: the caller reads while it
-  /// BELIEVES the runtime is idle, then re-verifies (in_flight()==0 and
-  /// events_processed() unchanged) and discards the read on failure. A
-  /// read that survives the recheck provably overlapped no handler, so
-  /// it equals what merged_metrics would have returned.
-  Metrics merged_metrics_unchecked() const;
-
   /// Zeroes every shard's load counters. Requires quiescence (which is
   /// a full memory barrier in both directions: the workers' prior
   /// writes are visible here, and this write reaches each worker
@@ -283,8 +273,7 @@ class ThreadedRuntime {
   bool drive();
   /// Inline-drive mode only, owner thread only: microseconds until the
   /// earliest armed wall timer would fire, 0 if already due, -1 if no
-  /// timer is armed. The driving loop clamps its kernel wait to this —
-  /// the inline analogue of the threaded worker's mailbox.wait_until.
+  /// timer is armed. The driving loop clamps its kernel wait to this.
   std::int64_t inline_timer_wait_us() const;
 
   /// Which shard owns processor p. In cluster mode the owned processor
@@ -292,9 +281,7 @@ class ThreadedRuntime {
   /// division folds that sequence onto 0,1,2,... before the round-robin
   /// split, so owned processors spread evenly across shards (a plain
   /// p % active_shards would alias the node stride with the shard
-  /// stride and can pile every owned processor onto shard 0). Public
-  /// because the cluster node's event-loop threads stage wire-arrived
-  /// events per destination shard before inject().
+  /// stride and can pile every owned processor onto shard 0).
   std::size_t shard_of(ProcessorId p) const {
     return (static_cast<std::size_t>(p) / config_.cluster_nodes) %
            active_shards_;
@@ -320,9 +307,7 @@ class ThreadedRuntime {
   /// whether any event was processed.
   bool run_shard_pass(Shard& shard, WorkerCtx& ctx);
   void process_event(Shard& shard, WorkerCtx& ctx, RuntimeEvent& ev);
-  /// Pops and runs the earliest armed timer. Wall mode: bumps in-flight
-  /// BEFORE decrementing the armed gauge (fire-visibility ordering the
-  /// cluster stats barrier relies on).
+  /// Pops and runs the earliest armed timer.
   void fire_timer(Shard& shard, WorkerCtx& ctx);
   /// Applies a shard's deferred in-flight accounting: pending sends are
   /// added *before* outboxes flush (so counted events are never

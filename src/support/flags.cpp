@@ -1,5 +1,6 @@
 #include "support/flags.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -53,6 +54,27 @@ bool Flags::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+Flags parse_known_flags(int argc, char** argv,
+                        const std::vector<std::string>& known,
+                        const std::string& usage) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg(argv[i]);
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(usage.c_str(), stdout);
+      std::exit(0);
+    }
+  }
+  Flags flags(argc, argv);
+  for (const auto& [key, value] : flags.all()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "unknown flag --%s\n\n%s", key.c_str(),
+                   usage.c_str());
+      std::exit(2);
+    }
+  }
+  return flags;
 }
 
 std::size_t threads_from_flags(const Flags& flags, const std::string& key) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace dcnt {
 
@@ -28,6 +29,15 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Parses argv for a binary with a fixed flag vocabulary. `--help` or
+/// `-h` anywhere prints `usage` to stdout and exits 0; a key outside
+/// `known` prints "unknown flag --KEY" and `usage` to stderr and exits
+/// 2, so a typo'd or retired flag fails loudly instead of being
+/// ignored. Otherwise returns the parsed flags.
+Flags parse_known_flags(int argc, char** argv,
+                        const std::vector<std::string>& known,
+                        const std::string& usage);
 
 /// The process-wide thread-count knob, shared by every binary that
 /// spins up workers (thread pools, the threaded runtime, benches):

@@ -6,9 +6,12 @@
 // (seed, schedule), and the lossy UDP plane must demonstrably lose
 // datagrams yet recover through the reliable transport.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <unordered_map>
 
 #include "harness/cluster.hpp"
@@ -133,96 +136,12 @@ TEST(Cluster, SingleNodeRunsAnyCounter) {
   EXPECT_EQ(r.wire_msgs_sent, 0);  // no peers to talk to
 }
 
-TEST(Cluster, BackendParityPollVsEpoll) {
-  // The reactor backend is an implementation detail: the same 4-node
-  // tree workload under poll and under epoll must produce the same
-  // sorted value multiset (each a permutation of 0..ops-1) and the same
-  // protocol-level message totals. m_p is a protocol quantity — the
-  // readiness mechanism must not be observable in it. (Per-run message
-  // counts for the dynamic tree carry the O(1)-per-handover slack
-  // documented above, so totals are compared with that tolerance.)
-  ClusterOptions opt = base_options();
-  opt.counter = "tree";
-  opt.ops = 48;
-  opt.backend = "poll";
-  const ClusterResult poll_r = run_cluster(opt);
-  opt.backend = "epoll";
-  const ClusterResult epoll_r = run_cluster(opt);
-  EXPECT_TRUE(poll_r.values_ok);
-  EXPECT_TRUE(epoll_r.values_ok);
-  std::vector<Value> pv = poll_r.values;
-  std::vector<Value> ev = epoll_r.values;
-  std::sort(pv.begin(), pv.end());
-  std::sort(ev.begin(), ev.end());
-  EXPECT_EQ(pv, ev);  // both exactly 0..warmup+ops-1
-  const std::int64_t diff = poll_r.total_messages > epoll_r.total_messages
-                                ? poll_r.total_messages - epoll_r.total_messages
-                                : epoll_r.total_messages - poll_r.total_messages;
-  // O(1) forwarding slack per handover; 48 ops retire more roles than
-  // the 24-op sequential test above, so the band scales with it (and
-  // sanitizer timing shifts which handovers race, so it is generous —
-  // genuine lost or duplicated traffic diverges by far more or wedges
-  // the quiescence barrier outright).
-  EXPECT_LE(diff, 32);
-
-  // central's per-op traffic is a single causal chain: its m_p totals
-  // must match exactly across backends, per processor.
-  opt.counter = "central";
-  opt.min_processors = 16;
-  opt.quiesce_between_ops = true;
-  opt.ops = 24;
-  opt.backend = "poll";
-  const ClusterResult cp = run_cluster(opt);
-  opt.backend = "epoll";
-  const ClusterResult ce = run_cluster(opt);
-  EXPECT_EQ(cp.values, ce.values);
-  EXPECT_EQ(cp.load, ce.load);
-  EXPECT_EQ(cp.total_messages, ce.total_messages);
-}
-
-TEST(Cluster, MultiLoopMultiShardTcp) {
-  // v2 topology smoke: 2 nodes x 2 event loops x 2 runtime shards per
-  // node, TCP. Exercises connection adoption (peer links sharded across
-  // loops), the loop->runtime inject path, the per-loop wire-counter
-  // snapshots in the stats barrier, and multi-shard quiescence.
-  ClusterOptions opt = base_options();
-  opt.counter = "tree";
-  opt.nodes = 2;
-  opt.loops = 2;
-  opt.shards_per_node = 2;
-  opt.ops = 48;
-  const ClusterResult r = run_cluster(opt);
-  EXPECT_TRUE(r.values_ok);
-  EXPECT_GT(r.wire_msgs_sent, 0);
-  EXPECT_EQ(r.wire_msgs_sent, r.wire_msgs_received);
-}
-
-TEST(Cluster, MultiLoopMultiShardUdp) {
-  // Same topology over the datagram plane: every loop owns its own
-  // send socket and drop RNG; only loop 0's port is advertised.
-  ClusterOptions opt = base_options();
-  opt.counter = "central";
-  opt.nodes = 2;
-  opt.loops = 2;
-  opt.shards_per_node = 2;
-  opt.ops = 48;
-  opt.udp = true;
-  opt.tick_us = 100;
-  const ClusterResult r = run_cluster(opt);
-  EXPECT_TRUE(r.values_ok);
-  EXPECT_GT(r.wire_msgs_sent, 0);
-  EXPECT_EQ(r.injected_drops, 0);
-}
-
 TEST(Cluster, InlineDriveTcp) {
-  // shards_per_node=0: the node spawns no protocol worker threads; its
-  // event-loop thread drives the single runtime shard itself between
-  // reactor passes. The degenerate topology for single-core hosts —
-  // same protocol, same barrier code, no cross-thread hop per message.
+  // Each node is one thread: its event loop drives the runtime's single
+  // shard itself between reactor passes, so no message crosses a thread.
   ClusterOptions opt = base_options();
   opt.counter = "tree";
   opt.nodes = 2;
-  opt.shards_per_node = 0;
   opt.ops = 48;
   const ClusterResult r = run_cluster(opt);
   EXPECT_TRUE(r.values_ok);
@@ -234,12 +153,11 @@ TEST(Cluster, InlineDriveUdpLossyFiresTimersInline) {
   // The inline path's timer machinery: retransmission timers are armed
   // by the reliable transport and must fire from the driving loop's own
   // clamped kernel wait (no worker thread exists to park on the
-  // deadline), and the controller's time jump must wake the loop even
+  // deadline), and the controller's time jump must be acted on even
   // when no socket traffic is due.
   ClusterOptions opt = base_options();
   opt.counter = "central";
   opt.nodes = 2;
-  opt.shards_per_node = 0;
   opt.ops = 48;
   opt.udp = true;
   opt.drop_probability = 0.15;
@@ -478,6 +396,20 @@ TEST(Cluster, UdpCleanChannelHasNoRetransmissions) {
   // Loopback datagrams under tiny load essentially never drop; allow
   // the odd kernel hiccup but require the common case.
   EXPECT_LE(r.messages_abandoned, 0);
+}
+
+TEST(Cluster, NodeRejectsUnknownFlags) {
+  // dcnt_node accepts a fixed flag set. A flag outside it (here the
+  // topology knobs a node no longer has) must exit 2 with a usage
+  // message instead of being silently ignored.
+  const std::string node = find_node_binary();
+  for (const char* flag : {"--shards=2", "--loops=2", "--backend=poll"}) {
+    SCOPED_TRACE(flag);
+    const std::string cmd = "'" + node + "' " + flag + " 2>/dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
 }
 
 }  // namespace

@@ -1,16 +1,13 @@
-// Reactor unit tests, run under BOTH readiness backends (poll and
-// epoll) — the backends must be observationally identical, and the
-// syscall-edge hardening must hold on each: a peer vanishing mid-frame
-// (orderly FIN or abortive RST) is a clean close callback, never a
-// crash or a torn frame delivery; notify() wakes a loop blocked in the
-// kernel; detach/adopt replays buffered bytes without double counting.
+// Reactor unit tests: frames round-trip coalesced, and the syscall-edge
+// hardening holds — a peer vanishing mid-frame (orderly FIN or abortive
+// RST) is a clean close callback, never a crash or a torn frame
+// delivery.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -20,8 +17,6 @@
 
 namespace dcnt::net {
 namespace {
-
-constexpr Backend kBackends[] = {Backend::kPoll, Backend::kEpoll};
 
 /// Listener + connected client/server pair on 127.0.0.1:<ephemeral>.
 struct Pair {
@@ -62,180 +57,73 @@ void write_raw(const Socket& sock, const std::uint8_t* data,
 }
 
 TEST(EventLoop, RoundTripBothBackends) {
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    Pair p = make_pair_sockets();
-    EventLoop a(backend);
-    EventLoop b(backend);
-    std::vector<Value> seen;
-    const int ca = a.add_connection(
-        std::move(p.client), [](int, const FrameView&) {}, [](int) {});
-    b.add_connection(
-        std::move(p.server),
-        [&](int, const FrameView& f) {
-          seen.push_back(decode_complete(f).value);
-        },
-        [](int) {});
-    a.send(ca, encode_complete(CompleteFrame{0, 41}));
-    a.send(ca, encode_complete(CompleteFrame{1, 42}));
-    a.run_once(0);  // flush both frames — coalesced into one write
-    for (int i = 0; i < 2000 && seen.size() < 2; ++i) b.run_once(5);
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[0], 41);
-    EXPECT_EQ(seen[1], 42);
-    EXPECT_EQ(a.frames_sent(), 2);
-    EXPECT_EQ(b.frames_received(), 2);
-  }
+  Pair p = make_pair_sockets();
+  EventLoop a;
+  EventLoop b;
+  std::vector<Value> seen;
+  const int ca = a.add_connection(
+      std::move(p.client), [](int, const FrameView&) {}, [](int) {});
+  b.add_connection(
+      std::move(p.server),
+      [&](int, const FrameView& f) {
+        seen.push_back(decode_complete(f).value);
+      },
+      [](int) {});
+  a.send(ca, encode_complete(CompleteFrame{0, 41}));
+  a.send(ca, encode_complete(CompleteFrame{1, 42}));
+  a.run_once(0);  // flush both frames — coalesced into one write
+  for (int i = 0; i < 2000 && seen.size() < 2; ++i) b.run_once(5);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], 41);
+  EXPECT_EQ(seen[1], 42);
+  EXPECT_EQ(a.frames_sent(), 2);
+  EXPECT_EQ(b.frames_received(), 2);
 }
 
 TEST(EventLoop, PeerFinMidFrameIsCleanClose) {
   // The peer writes half a frame, then closes in an orderly way (FIN).
   // The loop must fire on_close exactly once, deliver no frame, and
   // keep running.
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    Pair p = make_pair_sockets();
-    EventLoop loop(backend);
-    int closes = 0;
-    int frames = 0;
-    const int conn = loop.add_connection(
-        std::move(p.server), [&](int, const FrameView&) { ++frames; },
-        [&](int) { ++closes; });
-    const auto frame = encode_ready(ReadyFrame{7});
-    write_raw(p.client, frame.data(), frame.size() / 2);
-    p.client.close();
-    for (int i = 0; i < 2000 && closes == 0; ++i) loop.run_once(5);
-    EXPECT_EQ(closes, 1);
-    EXPECT_EQ(frames, 0);
-    EXPECT_FALSE(loop.connected(conn));
-    EXPECT_EQ(loop.open_connections(), 0u);
-    loop.run_once(0);  // the loop stays usable after the close
-  }
+  Pair p = make_pair_sockets();
+  EventLoop loop;
+  int closes = 0;
+  int frames = 0;
+  const int conn = loop.add_connection(
+      std::move(p.server), [&](int, const FrameView&) { ++frames; },
+      [&](int) { ++closes; });
+  const auto frame = encode_ready(ReadyFrame{7});
+  write_raw(p.client, frame.data(), frame.size() / 2);
+  p.client.close();
+  for (int i = 0; i < 2000 && closes == 0; ++i) loop.run_once(5);
+  EXPECT_EQ(closes, 1);
+  EXPECT_EQ(frames, 0);
+  EXPECT_FALSE(loop.connected(conn));
+  EXPECT_EQ(loop.open_connections(), 0u);
+  loop.run_once(0);  // the loop stays usable after the close
 }
 
 TEST(EventLoop, PeerResetMidFrameIsCleanClose) {
   // Same, but the peer dies abortively: SO_LINGER(0) turns close() into
   // RST, so the loop sees ECONNRESET instead of EOF. On localhost that
   // is shutdown order, not corruption — same clean close path.
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    Pair p = make_pair_sockets();
-    EventLoop loop(backend);
-    int closes = 0;
-    int frames = 0;
-    loop.add_connection(
-        std::move(p.server), [&](int, const FrameView&) { ++frames; },
-        [&](int) { ++closes; });
-    const auto frame = encode_ready(ReadyFrame{7});
-    write_raw(p.client, frame.data(), frame.size() / 2);
-    const struct linger lg {1, 0};
-    ASSERT_EQ(::setsockopt(p.client.fd(), SOL_SOCKET, SO_LINGER, &lg,
-                           sizeof(lg)),
-              0);
-    p.client.close();
-    for (int i = 0; i < 2000 && closes == 0; ++i) loop.run_once(5);
-    EXPECT_EQ(closes, 1);
-    EXPECT_EQ(frames, 0);
-    EXPECT_EQ(loop.open_connections(), 0u);
-  }
-}
-
-TEST(EventLoop, NotifyWakesBlockedRunOnce) {
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    EventLoop loop(backend);
-    const auto t0 = std::chrono::steady_clock::now();
-    std::thread kicker([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      loop.notify();
-    });
-    loop.run_once(10000);  // must NOT sleep the full ten seconds
-    const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - t0);
-    kicker.join();
-    EXPECT_LT(elapsed.count(), 5000);
-
-    // Sticky: a notify() against an idle loop makes the NEXT wait
-    // return immediately instead of getting lost.
-    loop.notify();
-    const auto t1 = std::chrono::steady_clock::now();
-    loop.run_once(10000);
-    const auto again = std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - t1);
-    EXPECT_LT(again.count(), 5000);
-  }
-}
-
-TEST(EventLoop, DetachAdoptReplaysResidualWithoutDoubleCount) {
-  // The multi-loop node's adoption path: loop A reads frame 1 (the
-  // Hello in real life) and detaches the connection from inside that
-  // frame's callback; frames already buffered behind it travel as
-  // residual and must be delivered by the adopting loop B during
-  // add_connection — they were consumed from the kernel, so readiness
-  // will never re-announce them. Bytes handed over as residual must
-  // leave A's byte count (no double counting across the loop pair).
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(backend_name(backend));
-    Pair p = make_pair_sockets();
-    EventLoop a(backend);
-    const auto f1 = encode_ready(ReadyFrame{1});
-    const auto f2 = encode_complete(CompleteFrame{2, 22});
-    const auto f3 = encode_complete(CompleteFrame{3, 33});
-    // Frame 1 + frame 2 + the first half of frame 3, all in one burst.
-    std::vector<std::uint8_t> burst;
-    burst.insert(burst.end(), f1.begin(), f1.end());
-    burst.insert(burst.end(), f2.begin(), f2.end());
-    burst.insert(burst.end(), f3.begin(), f3.begin() + f3.size() / 2);
-    write_raw(p.client, burst.data(), burst.size());
-
-    DetachedConn detached;
-    bool got_first = false;
-    a.add_connection(
-        std::move(p.server),
-        [&](int c, const FrameView& f) {
-          ASSERT_FALSE(got_first);  // detach stops delivery mid-batch
-          EXPECT_EQ(f.type(), FrameType::kReady);
-          got_first = true;
-          detached = a.detach_connection(c);
-        },
-        [](int) { FAIL() << "close fired on a detached connection"; });
-    for (int i = 0; i < 2000 && !got_first; ++i) a.run_once(5);
-    ASSERT_TRUE(got_first);
-    ASSERT_TRUE(detached.sock.valid());
-    // Residual = frame 2 + half of frame 3; A keeps only frame 1's bytes.
-    EXPECT_EQ(detached.residual.size(), f2.size() + f3.size() / 2);
-    EXPECT_EQ(static_cast<std::size_t>(a.bytes_received()), f1.size());
-
-    EventLoop b(backend);
-    std::vector<Value> seen;
-    b.add_connection(
-        std::move(detached.sock),
-        [&](int, const FrameView& f) {
-          seen.push_back(decode_complete(f).value);
-        },
-        [](int) {}, std::move(detached.residual));
-    // Frame 2 was complete inside the residual: delivered already.
-    ASSERT_EQ(seen.size(), 1u);
-    EXPECT_EQ(seen[0], 22);
-    // The rest of frame 3 arrives over the socket and completes there.
-    write_raw(p.client, f3.data() + f3.size() / 2, f3.size() - f3.size() / 2);
-    for (int i = 0; i < 2000 && seen.size() < 2; ++i) b.run_once(5);
-    ASSERT_EQ(seen.size(), 2u);
-    EXPECT_EQ(seen[1], 33);
-  }
-}
-
-TEST(EventLoop, BackendSelection) {
-  EXPECT_EQ(backend_from_string("poll"), Backend::kPoll);
-  EXPECT_EQ(backend_from_string("epoll"), Backend::kEpoll);
-  EXPECT_EQ(backend_from_string(""), default_backend());
-#ifdef __linux__
-  // On Linux the platform default is epoll unless the environment
-  // overrides it (CI's fallback lane sets DCNT_NET_BACKEND=poll).
-  if (::getenv("DCNT_NET_BACKEND") == nullptr) {
-    EXPECT_EQ(default_backend(), Backend::kEpoll);
-  }
-#endif
+  Pair p = make_pair_sockets();
+  EventLoop loop;
+  int closes = 0;
+  int frames = 0;
+  loop.add_connection(
+      std::move(p.server), [&](int, const FrameView&) { ++frames; },
+      [&](int) { ++closes; });
+  const auto frame = encode_ready(ReadyFrame{7});
+  write_raw(p.client, frame.data(), frame.size() / 2);
+  const struct linger lg {1, 0};
+  ASSERT_EQ(::setsockopt(p.client.fd(), SOL_SOCKET, SO_LINGER, &lg,
+                         sizeof(lg)),
+            0);
+  p.client.close();
+  for (int i = 0; i < 2000 && closes == 0; ++i) loop.run_once(5);
+  EXPECT_EQ(closes, 1);
+  EXPECT_EQ(frames, 0);
+  EXPECT_EQ(loop.open_connections(), 0u);
 }
 
 }  // namespace

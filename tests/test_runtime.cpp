@@ -315,5 +315,25 @@ TEST(ThreadedRuntimeDeathTest, RejectsShardUnsafeProtocolAtMultipleWorkers) {
   EXPECT_EQ(rt.workers(), 1u);
 }
 
+TEST(ThreadedRuntimeDeathTest, WallTimersAndClusterHostingRequireInlineDrive) {
+  // No worker parks on a wall-clock deadline: wall timers and cluster
+  // hosting exist only for a shard its owner drives inline.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  RuntimeConfig wall;
+  wall.workers = 1;
+  wall.wall_timers = true;
+  EXPECT_DEATH(ThreadedRuntime(std::make_unique<CentralCounter>(4), wall),
+               "wall_timers requires inline_drive");
+  RuntimeConfig hosted;
+  hosted.workers = 1;
+  hosted.cluster_nodes = 2;
+  EXPECT_DEATH(ThreadedRuntime(std::make_unique<CentralCounter>(4), hosted),
+               "requires inline_drive");
+  wall.inline_drive = true;
+  wall.cluster_nodes = 2;
+  ThreadedRuntime rt(std::make_unique<CentralCounter>(4), wall);
+  EXPECT_EQ(rt.workers(), 1u);
+}
+
 }  // namespace
 }  // namespace dcnt

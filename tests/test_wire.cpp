@@ -147,10 +147,14 @@ TEST(Wire, FrameReaderHandlesSplitAcrossFeeds) {
 }
 
 TEST(Wire, RejectsForeignVersion) {
-  auto frame = encode_ready(ReadyFrame{0});
-  frame[4] = kWireVersion + 1;  // version byte, after the length word
-  EXPECT_DEATH(FrameView(frame.data() + 4, frame.size() - 4),
-               "wire version mismatch");
+  // Only kWireVersion decodes: a later version and the retired
+  // pre-keyed-envelope version 1 both abort.
+  for (const int version : {kWireVersion + 1, 1}) {
+    auto frame = encode_ready(ReadyFrame{0});
+    frame[4] = static_cast<std::uint8_t>(version);  // after the length word
+    EXPECT_DEATH(FrameView(frame.data() + 4, frame.size() - 4),
+                 "wire version mismatch");
+  }
 }
 
 TEST(Wire, RejectsUnknownType) {
@@ -400,48 +404,6 @@ TEST(Wire, KeyedDecoderFuzzNeverAborts) {
         break;
     }
   }
-}
-
-// --- wire-version back-compat ---------------------------------------------
-
-// A v1 peer's traffic stays readable: the v1 frame vocabulary (types
-// 1..11) is byte-identical under version byte 1, so restamping a
-// current frame as v1 must decode to the same values.
-TEST(Wire, V1FramesStillDecode) {
-  auto ready = encode_ready(ReadyFrame{3});
-  ready[4] = kWireVersionV1;
-  EXPECT_EQ(decode_ready(view(ready)).node_id, 3u);
-
-  Message msg;
-  msg.src = 1;
-  msg.dst = 2;
-  msg.tag = 42;
-  msg.op = 7;
-  msg.args = {5, -5};
-  auto wire_msg = encode_message(msg);
-  wire_msg[4] = kWireVersionV1;
-  const Message out = decode_message(view(wire_msg));
-  EXPECT_EQ(out.tag, 42);
-  EXPECT_EQ(out.args, msg.args);
-
-  StartFrame start{9, 4, {11}};
-  auto wire_start = encode_start(start);
-  wire_start[4] = kWireVersionV1;
-  EXPECT_EQ(decode_start(view(wire_start)).args,
-            (std::vector<std::int64_t>{11}));
-}
-
-// ...but the keyed vocabulary is v2-only: a keyed frame stamped v1 is
-// outside version 1's type range and dies as an unknown type.
-TEST(Wire, V1StampedKeyedFrameRejected) {
-  Message msg;
-  msg.key = 1;
-  msg.src = 0;
-  msg.dst = 1;
-  auto frame = encode_keyed_message(msg);
-  frame[4] = kWireVersionV1;
-  const FrameView v(frame.data() + 4, frame.size() - 4);
-  EXPECT_DEATH(v.type(), "unknown frame type");
 }
 
 }  // namespace
