@@ -28,8 +28,9 @@
 // arrival timeline (--shape=constant|burst|diurnal), with latency
 // measured from each op's *scheduled* arrival — coordinated omission
 // cannot hide a backlog. Rows report p50..p99.99 + max plus SLO
-// attainment (--slo_us) and land in an "open_loop" JSON array. Large
-// runs (> --exact_cap ops) record into the O(buckets) HDR histogram.
+// attainment (--slo_us; the table prints "—" when it is unset) and land
+// in an "open_loop" JSON array. Large runs (> --exact_cap ops) record
+// into the O(buckets) HDR histogram.
 // --open_ops_list sweeps run length at fixed rate: at a rate above
 // capacity, p99 growing with run length is the open-loop saturation
 // signature the closed loop structurally cannot show.
@@ -577,7 +578,9 @@ int main(int argc, char** argv) {
                 .add(res.p999_us, 1)
                 .add(res.p9999_us, 1)
                 .add(res.max_us, 1)
-                .add(100.0 * res.slo_attainment, 2)
+                .add(res.slo_us > 0.0
+                         ? format_double(100.0 * res.slo_attainment, 2)
+                         : std::string("—"))
                 .add(res.hdr_recorder ? "y" : "n");
           }
         }

@@ -53,10 +53,17 @@ struct ThreadedRuntime::Shard {
 
   // Owner-thread-only state below. alignas: `batch` starts a fresh
   // line so the owner's hottest private state (drain target, ready
-  // queue) never shares a line with the observer-read gauge above.
+  // queues) never shares a line with the observer-read gauge above.
   alignas(64) std::vector<RuntimeEvent> batch;  ///< drain target, reused
-  std::vector<RuntimeEvent> ready;  ///< runnable events, appended mid-run
-  std::size_t ready_head{0};
+  /// The generation queues (see run_shard_pass). `running` is the
+  /// generation being handled, front to back; handlers, completion-
+  /// driven starts and the mailbox append the next one to `ready`.
+  /// Both are reused, so they are sized by the widest generation, not
+  /// by the length of the run.
+  std::vector<RuntimeEvent> ready;
+  std::vector<RuntimeEvent> running;
+  /// Largest generation run so far (ThreadedRuntime::ready_high_water).
+  std::size_t ready_high_water{0};
   /// Cross-shard events staged per destination, flushed by flush_shard
   /// with one push_all per dirty destination. The vectors are reused
   /// (push_all clears without releasing capacity), so steady-state
@@ -415,62 +422,71 @@ void ThreadedRuntime::fire_timer(Shard& shard, WorkerCtx& ctx) {
 bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
   const bool wall = config_.wall_timers;
   bool ran = false;
-  // 1. Pull whatever has accumulated in the mailbox. Timer
-  //    registrations are anchored to this clock now; the rest joins
-  //    the ready queue in arrival order.
-  if (shard.mailbox.drain(shard.batch)) {
-    for (auto& ev : shard.batch) {
-      if (ev.kind == RuntimeEvent::Kind::kTimer) {
-        // Only cross-shard send_local ships timers, and wall mode
-        // hosts a single shard.
-        DCNT_CHECK(!wall);
-        TimerEntry t;
-        t.seq = shard.timer_seq++;
-        t.msg = std::move(ev.msg);
-        t.due = shard.clock + ev.delay;
-        shard.timers.push_back(std::move(t));
-        std::push_heap(shard.timers.begin(), shard.timers.end(),
-                       TimerLater{});
-      } else {
-        shard.ready.push_back(std::move(ev));
+  for (;;) {
+    // 1. Generation boundary: admit the mailbox behind the previous
+    //    generation's output. Timer registrations are anchored to this
+    //    clock now; the rest joins `ready` in arrival order. Other
+    //    threads' pushes therefore wait at most one generation, not
+    //    until the pass runs dry.
+    if (shard.mailbox.drain(shard.batch)) {
+      for (auto& ev : shard.batch) {
+        if (ev.kind == RuntimeEvent::Kind::kTimer) {
+          // Only cross-shard send_local ships timers, and wall mode
+          // hosts a single shard.
+          DCNT_CHECK(!wall);
+          TimerEntry t;
+          t.seq = shard.timer_seq++;
+          t.msg = std::move(ev.msg);
+          t.due = shard.clock + ev.delay;
+          shard.timers.push_back(std::move(t));
+          std::push_heap(shard.timers.begin(), shard.timers.end(),
+                         TimerLater{});
+        } else {
+          shard.ready.push_back(std::move(ev));
+        }
       }
     }
-  }
-  // 2. Run until dry: ready events first (handlers may append more),
-  //    then any timer whose deadline the advancing clock has passed.
-  //    Cross-shard output is flushed every flush_batch events so
-  //    peers are fed even while this worker stays busy.
-  for (;;) {
-    if (shard.ready_head < shard.ready.size()) {
-      // Move out: the handler may push_back and reallocate `ready`.
-      RuntimeEvent ev = std::move(shard.ready[shard.ready_head++]);
-      if (ev.kind == RuntimeEvent::Kind::kFireTimers) {
-        // The distributed time jump: the controller certified global
-        // idleness, so every armed deadline is unreachable any other
-        // way. Budget = the count at the marker, not "until empty":
-        // a fired retransmit handler re-arms its next attempt, and
-        // firing that too would melt the backoff schedule. The
-        // marker itself is bookkeeping, not progress — finished++
-        // (balancing its injection hold) without events_processed.
-        std::size_t budget = shard.timers.size();
-        while (budget-- > 0) {
-          fire_timer(shard, ctx);
-          if (shard.events_since_flush >= config_.flush_batch) {
-            flush_shard(shard);
+    // 2. Run one generation front to back while handlers append the
+    //    next one to the emptied `ready`. A FIFO whose appends go to
+    //    its tail is processed in exactly this order, so delivery order
+    //    and per-op attribution match a single queue; only the memory
+    //    is bounded by the in-flight window instead of the run length.
+    //    Cross-shard output is flushed every flush_batch events so
+    //    peers are fed even while this worker stays busy.
+    if (!shard.ready.empty()) {
+      shard.ready_high_water =
+          std::max(shard.ready_high_water, shard.ready.size());
+      std::swap(shard.running, shard.ready);
+      for (RuntimeEvent& ev : shard.running) {
+        if (ev.kind == RuntimeEvent::Kind::kFireTimers) {
+          // The distributed time jump: the controller certified global
+          // idleness, so every armed deadline is unreachable any other
+          // way. Budget = the count at the marker, not "until empty":
+          // a fired retransmit handler re-arms its next attempt, and
+          // firing that too would melt the backoff schedule. The
+          // marker itself is bookkeeping, not progress — finished++
+          // (balancing its injection hold) without events_processed.
+          std::size_t budget = shard.timers.size();
+          while (budget-- > 0) {
+            fire_timer(shard, ctx);
+            if (shard.events_since_flush >= config_.flush_batch) {
+              flush_shard(shard);
+            }
           }
+          ++shard.finished;
+        } else {
+          process_event(shard, ctx, ev);
         }
-        ++shard.finished;
-      } else {
-        process_event(shard, ctx, ev);
+        if (shard.events_since_flush >= config_.flush_batch) {
+          flush_shard(shard);
+        }
       }
+      shard.running.clear();
       ran = true;
-      if (shard.events_since_flush >= config_.flush_batch) {
-        flush_shard(shard);
-      }
       continue;
     }
-    shard.ready.clear();
-    shard.ready_head = 0;
+    // 3. Both queues are empty: a timer whose deadline the advancing
+    //    clock has passed seeds the next generation.
     if (!shard.timers.empty() &&
         shard.timers.front().due <= (wall ? wall_now_us() : shard.clock)) {
       fire_timer(shard, ctx);
@@ -576,6 +592,16 @@ std::int64_t ThreadedRuntime::events_processed() const {
     sum += shard->events_processed.load(std::memory_order_relaxed);
   }
   return sum;
+}
+
+std::size_t ThreadedRuntime::ready_high_water() const {
+  DCNT_CHECK_MSG(in_flight_.load(std::memory_order_acquire) == 0,
+                 "ready_high_water requires quiescence");
+  std::size_t most = 0;
+  for (const auto& shard : shards_) {
+    most = std::max(most, shard->ready_high_water);
+  }
+  return most;
 }
 
 std::int64_t ThreadedRuntime::timers_armed() const {

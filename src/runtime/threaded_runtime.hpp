@@ -23,9 +23,17 @@
 // counter is batched the same way: sends and finished events tally in
 // plain per-worker integers and hit the shared atomic once per cycle,
 // adds strictly before subtracts so the count never dips below truth.
-// All hot-path buffers (drain target, ready queue, outboxes) are
-// reused across cycles; after warm-up a drain cycle allocates nothing
-// beyond what the protocol's own messages carry.
+// A shard runs its work in generations: the ready queue is swapped
+// into a second vector and handled front to back while handlers append
+// the next generation to the emptied queue, and the mailbox is drained
+// again at every generation boundary. That is exactly the order of one
+// FIFO appended at its tail, but both vectors stay as wide as the
+// widest generation (bounded by the in-flight window), not as long as
+// the run, and mail pushed by other threads mid-pass waits at most one
+// generation. All hot-path buffers (drain target, both generation
+// queues, outboxes) are reused, so once they have grown to the window
+// a pass allocates nothing beyond what the protocol's own messages
+// carry.
 //
 // What carries over from the simulator, exactly:
 //   - message accounting: a non-local message with src != dst counts
@@ -208,6 +216,12 @@ class ThreadedRuntime {
   /// the in-flight counter orders every worker's bump before that
   /// observation); merely advisory while work is moving.
   std::int64_t events_processed() const;
+  /// The most events any shard has run in one generation since
+  /// construction: the high-water mark of its ready queue, owner-written
+  /// once per generation. A closed loop keeps it within a small multiple
+  /// of its in-flight window however many ops it runs. Requires
+  /// quiescence.
+  std::size_t ready_high_water() const;
   /// Armed wall-clock timers (wall_timers mode, owner thread only).
   /// These do NOT hold the in-flight count.
   std::int64_t timers_armed() const;
@@ -301,8 +315,9 @@ class ThreadedRuntime {
         .count();
   }
   void worker_main(std::size_t worker);
-  /// One non-blocking pass over a shard: drain the mailbox, run ready
-  /// events and due timers until dry, flush. The shared body of the
+  /// One non-blocking pass over a shard: generation by generation,
+  /// drain the mailbox and run the ready events; when both are empty,
+  /// fire a due timer; exit dry and flush. The shared body of the
   /// threaded worker loop and the inline drive() entry point. Returns
   /// whether any event was processed.
   bool run_shard_pass(Shard& shard, WorkerCtx& ctx);

@@ -8,6 +8,18 @@
 
 namespace dcnt {
 
+namespace {
+
+/// Terminal columns a cell occupies: one per UTF-8 code point (every
+/// byte that is not a continuation byte), so a cell such as "—" pads
+/// like one character rather than three bytes.
+std::size_t display_width(const std::string& s) {
+  return static_cast<std::size_t>(std::count_if(
+      s.begin(), s.end(), [](char c) { return (c & 0xC0) != 0x80; }));
+}
+
+}  // namespace
+
 std::string format_double(double v, int precision) {
   std::ostringstream os;
   os.setf(std::ios::fixed);
@@ -47,17 +59,19 @@ Table& Table::add(double v, int precision) {
 
 std::string Table::to_text() const {
   std::vector<std::size_t> width(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();
+  for (std::size_t c = 0; c < headers_.size(); ++c) {
+    width[c] = display_width(headers_[c]);
+  }
   for (const auto& r : rows_) {
     for (std::size_t c = 0; c < r.size(); ++c) {
-      width[c] = std::max(width[c], r[c].size());
+      width[c] = std::max(width[c], display_width(r[c]));
     }
   }
   std::ostringstream os;
   auto emit_row = [&](const std::vector<std::string>& cells) {
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       const std::string& cell = c < cells.size() ? cells[c] : std::string();
-      os << "  " << cell << std::string(width[c] - cell.size(), ' ');
+      os << "  " << cell << std::string(width[c] - display_width(cell), ' ');
     }
     os << '\n';
   };

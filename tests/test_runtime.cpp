@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -283,6 +284,143 @@ TEST(ThreadedRuntime, TimersFireViaIdleClockJump) {
   EXPECT_EQ(rt.ops_completed(), 8u);
   // Timers are local: no network traffic at all.
   EXPECT_EQ(rt.merged_metrics().total_messages(), 0);
+}
+
+// A shard runs its events in generations, and its ready queue is only
+// as wide as the widest generation. In a closed loop that width is set
+// by the in-flight window, so the high-water mark must stay a small
+// multiple of the window and must not grow with the op count.
+TEST(ThreadedRuntime, ReadyQueueHighWaterIsBoundedByTheWindow) {
+  constexpr std::size_t kClients = 16;
+  // Each in-flight tree inc has a few events queued at once; 8 per
+  // client leaves room without admitting O(ops) growth.
+  constexpr std::size_t kBound = 8 * kClients;
+  for (const std::size_t ops : {50'000u, 100'000u}) {
+    RuntimeConfig config;
+    config.workers = 1;
+    config.seed = 13;
+    config.max_ops = ops;
+    ThreadedRuntime rt(make_counter(CounterKind::kTree, 81), config);
+    std::vector<ProcessorId> initiators(ops);
+    for (std::size_t i = 0; i < ops; ++i) {
+      initiators[i] = static_cast<ProcessorId>(i % rt.num_processors());
+    }
+    WorkloadOptions wl;
+    wl.concurrency = kClients;
+    wl.inflight = 1;
+    const WorkloadResult run = run_workload(rt, initiators, wl);
+    ASSERT_EQ(run.ops, ops);
+    // The same bound at twice the ops: no growth with the run length.
+    EXPECT_GE(rt.ready_high_water(), 1u) << ops;
+    EXPECT_LE(rt.ready_high_water(), kBound) << ops;
+  }
+}
+
+// The starvation regression: a one-worker closed loop whose every op is
+// issued from the completion callback never runs its shard dry, so the
+// mailbox must still be served mid-pass. An op pushed from outside
+// while the loop runs has to complete long before the loop runs out.
+TEST(ThreadedRuntime, ExternalOpCompletesWhileAClosedLoopRuns) {
+  constexpr std::size_t kLoopOps = 50'000;
+  constexpr std::size_t kWindow = 16;
+  RuntimeConfig config;
+  config.workers = 1;
+  config.max_ops = kLoopOps + 1;
+  ThreadedRuntime rt(make_counter(CounterKind::kTree, 81), config);
+  const std::size_t n = rt.num_processors();
+
+  std::atomic<std::size_t> issued{0};
+  const auto issue = [&] {
+    const std::size_t i = issued.fetch_add(1, std::memory_order_relaxed);
+    if (i < kLoopOps) rt.begin_inc(static_cast<ProcessorId>(i % n));
+  };
+  // Worker-only state, read by the driver after quiescence.
+  std::size_t completions = 0;
+  std::size_t loop_issued_at_external = kLoopOps;
+  // Handshake that pins the external push inside the run: the worker
+  // holds still in the 64th completion until the driver has pushed.
+  std::atomic<bool> at_gate{false};
+  std::atomic<bool> external_pushed{false};
+  std::atomic<OpId> external{kNoOp};
+  rt.set_completion([&](OpId op, Value /*value*/) {
+    if (++completions == 64) {
+      at_gate.store(true, std::memory_order_release);
+      while (!external_pushed.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    }
+    if (op == external.load(std::memory_order_relaxed)) {
+      loop_issued_at_external =
+          std::min(issued.load(std::memory_order_relaxed), kLoopOps);
+      return;
+    }
+    issue();
+  });
+  for (std::size_t c = 0; c < kWindow; ++c) issue();
+  while (!at_gate.load(std::memory_order_acquire)) std::this_thread::yield();
+  external.store(rt.begin_inc(0), std::memory_order_relaxed);
+  external_pushed.store(true, std::memory_order_release);
+  rt.wait_quiescent();
+
+  EXPECT_EQ(rt.ops_completed(), kLoopOps + 1);
+  // The worker was mid-pass when the op arrived; it must be admitted at
+  // the next generation boundary, within a few windows of loop ops.
+  EXPECT_LT(loop_issued_at_external, kLoopOps / 10)
+      << "external op waited for the closed loop to run out";
+}
+
+// W=1 with every op after the first issued from the completion
+// callback: nothing races the worker, so two runs must agree on every
+// op's value and every processor's load. This pins that generation
+// order is the single FIFO's order on the path where order is
+// observable.
+TEST(ThreadedRuntime, SelfDrivenSingleWorkerRunIsDeterministic) {
+  constexpr std::size_t kOps = 4096;
+  constexpr std::size_t kWindow = 16;
+  struct Outcome {
+    std::vector<Value> values;
+    std::vector<std::int64_t> loads;
+  };
+  const auto run_once = [&] {
+    RuntimeConfig config;
+    config.workers = 1;
+    config.seed = 21;
+    config.max_ops = kOps;
+    ThreadedRuntime rt(make_counter(CounterKind::kTree, 81), config);
+    const std::size_t n = rt.num_processors();
+    std::size_t issued = 1;  // worker-only after the seed op
+    rt.set_completion([&](OpId op, Value /*value*/) {
+      // The seed's completion opens the window; each later one refills
+      // the slot it frees.
+      for (std::size_t k = op == 0 ? kWindow : 1; k > 0 && issued < kOps;
+           --k, ++issued) {
+        rt.begin_inc(static_cast<ProcessorId>((issued * 7) % n));
+      }
+    });
+    rt.begin_inc(0);
+    rt.wait_quiescent();
+    Outcome out;
+    for (std::size_t op = 0; op < kOps; ++op) {
+      const std::optional<Value> v = rt.result(static_cast<OpId>(op));
+      EXPECT_TRUE(v.has_value()) << op;
+      out.values.push_back(v.value_or(-1));
+    }
+    const Metrics m = rt.merged_metrics();
+    for (std::size_t p = 0; p < n; ++p) {
+      out.loads.push_back(m.load(static_cast<ProcessorId>(p)));
+    }
+    return out;
+  };
+  const Outcome first = run_once();
+  const Outcome second = run_once();
+  ASSERT_EQ(first.values.size(), kOps);
+  EXPECT_EQ(first.values, second.values);
+  EXPECT_EQ(first.loads, second.loads);
+  std::vector<Value> sorted = first.values;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < kOps; ++i) {
+    ASSERT_EQ(sorted[i], static_cast<Value>(i));
+  }
 }
 
 TEST(ThreadedRuntime, ShardSafetyDefaultsMatchTheAudit) {

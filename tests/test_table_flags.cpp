@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "support/flags.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -17,6 +20,27 @@ TEST(Table, AlignedTextOutput) {
   EXPECT_NE(text.find("42"), std::string::npos);
   EXPECT_NE(text.find("---"), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
+}
+
+// A multi-byte cell ("—", three UTF-8 bytes) pads as one column, so
+// every line of the table spans the same number of characters.
+TEST(Table, PadsMultiByteCellsByCharacters) {
+  Table t({"counter", "slo%"});
+  t.row().add("tree").add("—");
+  t.row().add("central").add(99.5, 2);
+  const std::string text = t.to_text();
+  std::vector<std::size_t> widths;
+  std::size_t chars = 0;
+  for (const char c : text) {
+    if (c == '\n') {
+      widths.push_back(chars);
+      chars = 0;
+    } else if ((c & 0xC0) != 0x80) {
+      ++chars;
+    }
+  }
+  ASSERT_EQ(widths.size(), 4u);  // header, rule, two rows
+  for (const std::size_t w : widths) EXPECT_EQ(w, widths[0]) << text;
 }
 
 TEST(Table, CsvQuotesCommas) {
