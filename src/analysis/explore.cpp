@@ -172,7 +172,9 @@ ExploreResult explore_schedules_args(
                  "exploration enumerates orders; disable fifo_channels");
   DCNT_CHECK(options.max_paths > 0);
   Simulator sim(base);
-  for (const auto& [origin, args] : ops) sim.begin_op(origin, args);
+  for (const auto& [origin, args] : ops) {
+    sim.begin_op(origin, MessageArgs(args));
+  }
   ExploreState state;
   state.options = &options;
   state.base_deliveries = base.deliveries();

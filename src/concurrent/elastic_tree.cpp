@@ -35,7 +35,7 @@ class EpochCtx final : public Context {
   }
 
   void send_local(ProcessorId p, std::int32_t tag,
-                  std::vector<std::int64_t> args, SimTime delay) override {
+                  MessageArgs args, SimTime delay) override {
     args.insert(args.begin(), epoch_);
     base_.send_local(p, tag, std::move(args), delay);
   }

@@ -34,7 +34,7 @@ class TreeFlipBit final : public TreeService {
 
  protected:
   Value root_apply(std::vector<std::int64_t>& state,
-                   const std::vector<std::int64_t>& op_args) override {
+                   std::span<const std::int64_t> op_args) override {
     (void)op_args;
     const Value old = state.at(0);
     state.at(0) ^= 1;

@@ -62,7 +62,7 @@ class TreeCounter final : public TreeService {
 
  protected:
   Value root_apply(std::vector<std::int64_t>& state,
-                   const std::vector<std::int64_t>& op_args) override {
+                   std::span<const std::int64_t> op_args) override {
     (void)op_args;
     return state.at(0)++;
   }

@@ -15,11 +15,11 @@ std::string TreePriorityQueue::name() const {
 }
 
 Value TreePriorityQueue::root_apply(std::vector<std::int64_t>& state,
-                                    const std::vector<std::int64_t>& op_args) {
+                                    std::span<const std::int64_t> op_args) {
   // state is a binary min-heap (std::*_heap with greater<>).
-  if (!op_args.empty() && op_args.at(0) == kOpInsert) {
+  if (!op_args.empty() && op_args[0] == kOpInsert) {
     DCNT_CHECK_MSG(op_args.size() == 2, "insert takes exactly one key");
-    const std::int64_t key = op_args.at(1);
+    const std::int64_t key = op_args[1];
     state.push_back(key);
     std::push_heap(state.begin(), state.end(), std::greater<>());
     return key;

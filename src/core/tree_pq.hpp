@@ -50,7 +50,7 @@ class TreePriorityQueue final : public TreeService {
   /// would be ambiguous — treat it as extract-min so the counter
   /// harness cannot silently mis-drive this service.
   Value root_apply(std::vector<std::int64_t>& state,
-                   const std::vector<std::int64_t>& op_args) override;
+                   std::span<const std::int64_t> op_args) override;
   std::vector<std::int64_t> initial_root_state() const override { return {}; }
 };
 

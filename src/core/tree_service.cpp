@@ -105,7 +105,7 @@ void TreeService::start_inc(Context& ctx, ProcessorId origin, OpId op) {
 }
 
 void TreeService::start_op(Context& ctx, ProcessorId origin, OpId /*op*/,
-                           const std::vector<std::int64_t>& args) {
+                           std::span<const std::int64_t> args) {
   DCNT_CHECK_MSG(initialized_,
                  "subclass constructor must call finish_init()");
   auto& ps = procs_[static_cast<std::size_t>(origin)];
@@ -120,7 +120,7 @@ void TreeService::start_op(Context& ctx, ProcessorId origin, OpId /*op*/,
     const std::int64_t serial = ps.next_serial++;
     m.args.push_back(serial);
     ps.out_serial = serial;
-    ps.out_args = args;
+    ps.out_args.assign(args.begin(), args.end());
     ps.out_attempts = 1;
     ps.out_timeout = inc_retry_timeout_;
     ctx.send_local(origin, kTagIncRetry, {serial}, ps.out_timeout);
@@ -209,10 +209,10 @@ void TreeService::on_message(Context& ctx, const Message& msg) {
         ++pt->children_received;
       }
       if (pt->has_main && pt->children_received == layout_.k()) {
-        const PendingTakeover done = *pt;
+        PendingTakeover done = std::move(*pt);
         ps.pending.erase(ps.pending.begin() + (pt - ps.pending.data()));
         --live_pending_;
-        commit_takeover(ctx, self, done);
+        commit_takeover(ctx, self, std::move(done));
       }
       return;
     }
@@ -283,9 +283,8 @@ void TreeService::handle_role_message(Context& ctx, ProcessorId self,
       return;
     }
     if (role.node == 0) {
-      const std::vector<std::int64_t> op_args(msg.args.begin() + 2,
-                                              msg.args.end());
-      const Value reply_value = root_apply(role.state, op_args);
+      const Value reply_value = root_apply(
+          role.state, std::span<const std::int64_t>(msg.args).subspan(2));
       Message reply;
       reply.src = self;
       reply.dst = origin;
@@ -330,17 +329,13 @@ void TreeService::handle_role_message(Context& ctx, ProcessorId self,
 void TreeService::bump_age(Context& ctx, ProcessorId self, Role& role,
                            std::int64_t amount, OpId op) {
   role.age += amount;
-  if (role.age >= threshold_) {
-    // Copy: retire() erases the role from the vector we point into.
-    const Role copy = role;
-    retire(ctx, self, copy, op);
-  }
+  // retire() erases the role from the vector `role` points into.
+  if (role.age >= threshold_) retire(ctx, self, role.node, op);
 }
 
-void TreeService::retire(Context& ctx, ProcessorId self, const Role& role,
+void TreeService::retire(Context& ctx, ProcessorId self, NodeId node,
                          OpId op) {
   auto& ps = procs_[static_cast<std::size_t>(self)];
-  const NodeId node = role.node;
   const int level = layout_.level_of(node);
   const int k = layout_.k();
   // Walk the pool past any processor this one has declared dead
@@ -358,22 +353,23 @@ void TreeService::retire(Context& ctx, ProcessorId self, const Role& role,
   ++stats_.retirements_total;
   ++stats_.retirements_by_level[static_cast<std::size_t>(level)];
 
+  const auto live =
+      std::find_if(ps.roles.begin(), ps.roles.end(),
+                   [node](const Role& r) { return r.node == node; });
+  DCNT_CHECK(live != ps.roles.end());
   if (succ == self) {
     // Degenerate pool of size 1 (level-k nodes under aggressive
     // thresholds): "retire" to ourselves — just reset the age.
     ++stats_.self_handovers;
-    Role* live = find_role(ps, node);
-    DCNT_CHECK(live != nullptr);
     live->age = count_handover_in_age_ ? k + 1 : 0;
     return;
   }
   if (succ == layout_.pool_begin(node)) ++stats_.pool_wraps;
 
-  // Drop the role, remember where it went. (`role` is the caller's copy,
-  // not an element of ps.roles, so it survives the erase.)
-  ps.roles.erase(
-      std::find_if(ps.roles.begin(), ps.roles.end(),
-                   [node](const Role& r) { return r.node == node; }));
+  // Drop the role, remember where it went. The role's buffers move out
+  // first; its handover messages are built from them below.
+  const Role role = std::move(*live);
+  ps.roles.erase(live);
   if (ProcessorId* fwd = find_forward(ps, node)) {
     *fwd = succ;
   } else {
@@ -443,19 +439,19 @@ void TreeService::retire(Context& ctx, ProcessorId self, const Role& role,
 }
 
 void TreeService::commit_takeover(Context& ctx, ProcessorId self,
-                                  const PendingTakeover& pt) {
+                                  PendingTakeover pt) {
   auto& ps = procs_[static_cast<std::size_t>(self)];
   DCNT_CHECK_MSG(find_role(ps, pt.node) == nullptr,
                  "takeover for a role we already hold");
   Role role;
   role.node = pt.node;
   role.parent_pid = pt.parent_pid;
-  role.child_pids = pt.child_pids;
-  role.state = pt.state;
+  role.child_pids = std::move(pt.child_pids);
+  role.state = std::move(pt.state);
   role.age = count_handover_in_age_ ? layout_.k() + 1 : 0;
   if (self_healing_ && pt.node == 0) {
-    role.journal = pt.journal;
-    role.gated = pt.gated;
+    role.journal = std::move(pt.journal);
+    role.gated = std::move(pt.gated);
     role.backup_next_seq = pt.backup_next_seq;
     // We were the previous root's backup target; now we are the primary.
     ps.shadow_seq = -1;
@@ -551,9 +547,8 @@ void TreeService::handle_root_op(Context& ctx, ProcessorId self, Role& role,
   } else {
     DCNT_CHECK_MSG(serial == (je == nullptr ? 0 : je->serial + 1),
                    "origin serials must be sequential");
-    const std::vector<std::int64_t> op_args(msg.args.begin() + 3,
-                                            msg.args.end());
-    const Value value = root_apply(role.state, op_args);
+    const Value value = root_apply(
+        role.state, std::span<const std::int64_t>(msg.args).subspan(3));
     if (je != nullptr) {
       je->serial = serial;
       je->value = value;

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -143,7 +144,7 @@ class TreeService : public CounterProtocol {
   std::size_t num_processors() const override;
   void start_inc(Context& ctx, ProcessorId origin, OpId op) override;
   void start_op(Context& ctx, ProcessorId origin, OpId op,
-                const std::vector<std::int64_t>& args) override;
+                std::span<const std::int64_t> args) override;
   void on_message(Context& ctx, const Message& msg) override;
   void on_peer_unreachable(Context& ctx, ProcessorId self,
                            ProcessorId peer) override;
@@ -176,7 +177,7 @@ class TreeService : public CounterProtocol {
   /// The sequential object living at the root. Called once per
   /// operation, under the root incumbent; must return the reply value.
   virtual Value root_apply(std::vector<std::int64_t>& state,
-                           const std::vector<std::int64_t>& op_args) = 0;
+                           std::span<const std::int64_t> op_args) = 0;
   /// Root state before any operation.
   virtual std::vector<std::int64_t> initial_root_state() const = 0;
   /// Service-specific quiescent invariant on the root state (default:
@@ -285,9 +286,8 @@ class TreeService : public CounterProtocol {
                           const Message& msg);
   void bump_age(Context& ctx, ProcessorId self, Role& role,
                 std::int64_t amount, OpId op);
-  void retire(Context& ctx, ProcessorId self, const Role& role, OpId op);
-  void commit_takeover(Context& ctx, ProcessorId self,
-                       const PendingTakeover& pt);
+  void retire(Context& ctx, ProcessorId self, NodeId node, OpId op);
+  void commit_takeover(Context& ctx, ProcessorId self, PendingTakeover pt);
   void drain_stash(Context& ctx, ProcessorId self, NodeId node);
 
   // Self-healing helpers (all no-ops / unreachable with healing off).

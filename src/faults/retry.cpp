@@ -69,7 +69,7 @@ void ReliableTransport::start_inc(Context& ctx, ProcessorId origin, OpId op) {
 }
 
 void ReliableTransport::start_op(Context& ctx, ProcessorId origin, OpId op,
-                                 const std::vector<std::int64_t>& args) {
+                                 std::span<const std::int64_t> args) {
   EnvelopeCtx wrapped(*this, ctx);
   inner_->start_op(wrapped, origin, op, args);
 }

@@ -86,7 +86,7 @@ class ReliableTransport final : public CounterProtocol {
   std::size_t num_processors() const override;
   void start_inc(Context& ctx, ProcessorId origin, OpId op) override;
   void start_op(Context& ctx, ProcessorId origin, OpId op,
-                const std::vector<std::int64_t>& args) override;
+                std::span<const std::int64_t> args) override;
   void on_message(Context& ctx, const Message& msg) override;
   void check_quiescent(std::size_t ops_completed) const override;
   std::unique_ptr<CounterProtocol> clone_counter() const override;
@@ -125,7 +125,7 @@ class ReliableTransport final : public CounterProtocol {
       transport_.send_enveloped(real_, std::move(msg));
     }
     void send_local(ProcessorId p, std::int32_t tag,
-                    std::vector<std::int64_t> args, SimTime delay) override {
+                    MessageArgs args, SimTime delay) override {
       real_.send_local(p, tag, std::move(args), delay);
     }
     void complete(OpId op, Value value) override { real_.complete(op, value); }

@@ -266,7 +266,7 @@ void Controller::issue_next(std::int64_t sched_ns) {
     stamp(op);
     // Keyed single-op issuance rides the plain Start frame with the key
     // as the op's one argument word.
-    std::vector<std::int64_t> args;
+    MessageArgs args;
     if (keyed()) args.push_back(keys_[idx]);
     loop_.send(conn_of_node_.at(node),
                encode_start(StartFrame{op, origin, std::move(args)}));

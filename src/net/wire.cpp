@@ -71,6 +71,8 @@ class BodyReader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
+  std::size_t remaining() const { return size_ - pos_; }
+
   void expect_end() const {
     DCNT_CHECK_MSG(pos_ == size_, "trailing bytes in frame body");
   }
@@ -431,6 +433,9 @@ StartFrame decode_start(const FrameView& frame) {
   f.op = r.i64();
   f.origin = r.i32();
   const std::uint32_t argc = r.u32();
+  // Bound the wire's word count by the bytes present before reserving.
+  DCNT_CHECK_MSG(static_cast<std::size_t>(argc) * 8 <= r.remaining(),
+                 "argument count exceeds frame body");
   f.args.reserve(argc);
   for (std::uint32_t i = 0; i < argc; ++i) f.args.push_back(r.i64());
   r.expect_end();
@@ -456,6 +461,9 @@ Message decode_message(const FrameView& frame) {
   msg.tag = r.i32();
   msg.op = r.i64();
   const std::uint32_t argc = r.u32();
+  // Bound the wire's word count by the bytes present before reserving.
+  DCNT_CHECK_MSG(static_cast<std::size_t>(argc) * 8 <= r.remaining(),
+                 "argument count exceeds frame body");
   msg.args.reserve(argc);
   for (std::uint32_t i = 0; i < argc; ++i) msg.args.push_back(r.i64());
   r.expect_end();

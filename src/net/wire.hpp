@@ -110,7 +110,7 @@ struct ReadyFrame {
 struct StartFrame {
   OpId op{kNoOp};
   ProcessorId origin{kNoProcessor};
-  std::vector<std::int64_t> args;  ///< empty = plain inc
+  MessageArgs args;  ///< empty = plain inc
 };
 
 struct CompleteFrame {

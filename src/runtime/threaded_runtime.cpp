@@ -139,8 +139,8 @@ class ThreadedRuntime::WorkerCtx final : public Context {
     }
   }
 
-  void send_local(ProcessorId p, std::int32_t tag,
-                  std::vector<std::int64_t> args, SimTime delay) override {
+  void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
+                  SimTime delay) override {
     DCNT_CHECK_MSG(in_handler_, "send_local() outside a handler");
     DCNT_CHECK(p >= 0 && static_cast<std::size_t>(p) < rt_->num_processors());
     DCNT_CHECK(delay >= 1);
@@ -285,8 +285,7 @@ ThreadedRuntime::ThreadedRuntime(std::unique_ptr<CounterProtocol> protocol,
 
 ThreadedRuntime::~ThreadedRuntime() { stop(); }
 
-OpId ThreadedRuntime::begin_op(ProcessorId origin,
-                               std::vector<std::int64_t> args) {
+OpId ThreadedRuntime::begin_op(ProcessorId origin, MessageArgs args) {
   DCNT_CHECK(origin >= 0 &&
              static_cast<std::size_t>(origin) < num_processors_);
   DCNT_CHECK(!stop_.load(std::memory_order_acquire));

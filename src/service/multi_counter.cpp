@@ -25,7 +25,7 @@ class KeyCtx final : public Context {
   }
 
   void send_local(ProcessorId p, std::int32_t tag,
-                  std::vector<std::int64_t> args, SimTime delay) override {
+                  MessageArgs args, SimTime delay) override {
     args.insert(args.begin(), static_cast<std::int64_t>(key_));
     base_.send_local(rotate(p), tag, std::move(args), delay);
   }
@@ -72,7 +72,7 @@ void MultiCounter::start_inc(Context& ctx, ProcessorId origin, OpId op) {
 }
 
 void MultiCounter::start_op(Context& ctx, ProcessorId origin, OpId op,
-                            const std::vector<std::int64_t>& args) {
+                            std::span<const std::int64_t> args) {
   if (args.empty()) {
     start_keyed(ctx, origin, op, 0);
     return;

@@ -58,7 +58,7 @@ class MultiCounter final : public CounterProtocol {
   std::size_t num_processors() const override;
   void start_inc(Context& ctx, ProcessorId origin, OpId op) override;
   void start_op(Context& ctx, ProcessorId origin, OpId op,
-                const std::vector<std::int64_t>& args) override;
+                std::span<const std::int64_t> args) override;
   void on_message(Context& ctx, const Message& msg) override;
   std::unique_ptr<CounterProtocol> clone_counter() const override;
   std::string name() const override;

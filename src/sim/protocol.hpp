@@ -14,7 +14,9 @@
 // communication list.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <typeinfo>
 
@@ -34,8 +36,8 @@ class Context {
 
   /// Schedule a local wake-up for processor p after `delay` ticks,
   /// delivered as a Message with local=true (not counted as traffic).
-  virtual void send_local(ProcessorId p, std::int32_t tag,
-                          std::vector<std::int64_t> args, SimTime delay) = 0;
+  virtual void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
+                          SimTime delay) = 0;
 
   /// Report that operation `op` completed with `value` at its initiator.
   virtual void complete(OpId op, Value value) = 0;
@@ -150,7 +152,7 @@ class CounterProtocol : public Protocol {
   /// (e.g. the tree priority queue takes {kind, key} arguments). The
   /// default ignores the arguments and treats the operation as an inc.
   virtual void start_op(Context& ctx, ProcessorId origin, OpId op,
-                        const std::vector<std::int64_t>& args) {
+                        std::span<const std::int64_t> args) {
     (void)args;
     start_inc(ctx, origin, op);
   }

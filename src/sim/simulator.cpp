@@ -92,8 +92,7 @@ OpId Simulator::begin_inc(ProcessorId origin) {
   return begin_op(origin, {});
 }
 
-OpId Simulator::begin_op(ProcessorId origin,
-                         const std::vector<std::int64_t>& args) {
+OpId Simulator::begin_op(ProcessorId origin, const MessageArgs& args) {
   DCNT_CHECK(origin >= 0 &&
              static_cast<std::size_t>(origin) < num_processors());
   const OpId op = static_cast<OpId>(results_.size());
@@ -154,8 +153,8 @@ void Simulator::send(Message msg) {
   enqueue_hop(std::move(msg), hop_src, first_hop, rec, cause, ttl);
 }
 
-void Simulator::send_local(ProcessorId p, std::int32_t tag,
-                           std::vector<std::int64_t> args, SimTime delay) {
+void Simulator::send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
+                           SimTime delay) {
   DCNT_CHECK_MSG(in_handler_, "send_local() outside a handler");
   DCNT_CHECK(p >= 0 && static_cast<std::size_t>(p) < num_processors());
   DCNT_CHECK(delay >= 1);

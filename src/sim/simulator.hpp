@@ -76,7 +76,7 @@ class Simulator final : private Context {
   /// Initiate a generic operation with arguments (for protocols beyond
   /// plain counters, e.g. the tree priority queue). Counters treat it
   /// as an inc.
-  OpId begin_op(ProcessorId origin, const std::vector<std::int64_t>& args);
+  OpId begin_op(ProcessorId origin, const MessageArgs& args);
 
   /// Invocation / response times of an operation (response only after
   /// completion) — the history the linearizability checker consumes.
@@ -148,8 +148,8 @@ class Simulator final : private Context {
 
   // Context interface (used by protocol handlers).
   void send(Message msg) override;
-  void send_local(ProcessorId p, std::int32_t tag,
-                  std::vector<std::int64_t> args, SimTime delay) override;
+  void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
+                  SimTime delay) override;
   void complete(OpId op, Value value) override;
   SimTime now() const override { return now_; }
   Rng& rng() override { return rng_; }

@@ -297,7 +297,7 @@ class RecordingCtx final : public Context {
     if (!blackhole) sent.push_back(std::move(msg));
   }
   void send_local(ProcessorId p, std::int32_t tag,
-                  std::vector<std::int64_t> args, SimTime delay) override {
+                  MessageArgs args, SimTime delay) override {
     Message msg;
     msg.src = p;
     msg.dst = p;
@@ -340,7 +340,7 @@ class ProbeProtocol final : public CounterProtocol {
     ctx.send(std::move(msg));
   }
   void start_op(Context& ctx, ProcessorId origin, OpId op,
-                const std::vector<std::int64_t>& args) override {
+                std::span<const std::int64_t> args) override {
     (void)args;
     start_inc(ctx, origin, op);
   }

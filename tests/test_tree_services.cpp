@@ -12,6 +12,7 @@
 #include "core/tree_counter.hpp"
 #include "core/tree_pq.hpp"
 #include "harness/schedule.hpp"
+#include "runtime/threaded_runtime.hpp"
 #include "sim/simulator.hpp"
 
 namespace dcnt {
@@ -167,6 +168,46 @@ TEST(TreePriorityQueue, HandoverWordsGrowWithQueueUnlikeCounter) {
   EXPECT_GT(pq_sim.metrics().max_message_words(),
             10 * cnt_sim.metrics().max_message_words());
   EXPECT_LE(cnt_sim.metrics().max_message_words(), 5);
+}
+
+TEST(TreePriorityQueue, WideHandoversMatchTheSimulatorOnTheRuntime) {
+  // The PQ's root handover ships the whole heap, far wider than a
+  // message's inline words, so this drives the spilled-payload path
+  // through the threaded runtime's queues. Sequential ops keep the
+  // tree's message pattern schedule-independent: values and the widest
+  // message must agree with the simulator exactly.
+  TreeServiceParams params;
+  params.k = 2;
+  constexpr int kOps = 200;
+  const auto arg_of = [](int i) -> MessageArgs {
+    if (i < kOps) return {TreePriorityQueue::kOpInsert, 1000 - i};
+    return {TreePriorityQueue::kOpExtractMin};
+  };
+  SimConfig cfg;
+  cfg.seed = 2;
+  Simulator sim(std::make_unique<TreePriorityQueue>(params), cfg);
+  RuntimeConfig rcfg;
+  rcfg.workers = 1;
+  rcfg.max_ops = 2 * kOps;
+  ThreadedRuntime rt(std::make_unique<TreePriorityQueue>(params), rcfg);
+  for (int i = 0; i < 2 * kOps; ++i) {
+    const auto origin = static_cast<ProcessorId>(i % 8);
+    const OpId sim_op = sim.begin_op(origin, arg_of(i));
+    sim.run_until_quiescent();
+    const OpId rt_op = rt.begin_op(origin, arg_of(i));
+    rt.wait_quiescent();
+    ASSERT_EQ(sim_op, rt_op);
+    ASSERT_EQ(sim.result(sim_op), rt.result(rt_op)) << "op " << i;
+  }
+  const auto& pq = dynamic_cast<const TreePriorityQueue&>(rt.protocol());
+  EXPECT_GT(pq.stats().max_handover_words, 50);
+  EXPECT_GT(rt.merged_metrics().max_message_words(),
+            static_cast<std::int64_t>(MessageArgs::kInline) + 1);
+  EXPECT_EQ(rt.merged_metrics().max_message_words(),
+            sim.metrics().max_message_words());
+  EXPECT_EQ(rt.merged_metrics().total_messages(),
+            sim.metrics().total_messages());
+  pq.check_quiescent(2 * kOps);
 }
 
 TEST(TreePriorityQueue, PoolWrapKeepsHeapIntact) {

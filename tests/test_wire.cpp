@@ -188,6 +188,38 @@ TEST(Wire, RejectsTrailingBytes) {
   EXPECT_DEATH(decode_ready(v), "trailing bytes");
 }
 
+// A corrupt word count must hit a named check before any allocation is
+// sized from it (a claim of 2^32-1 words would otherwise die as an
+// uncaught bad_alloc).
+TEST(Wire, RejectsArgCountBeyondBody) {
+  Message msg;
+  msg.args = {1};
+  auto encoded = encode_message(msg);
+  // argc follows length(4) version(1) type(1) src dst tag(4 each) op(8).
+  for (std::size_t i = 26; i < 30; ++i) encoded[i] = 0xff;
+  EXPECT_DEATH(decode_message(view(encoded)),
+               "argument count exceeds frame body");
+
+  auto start = encode_start(StartFrame{1, 2, {3}});
+  // argc follows length(4) version(1) type(1) op(8) origin(4).
+  for (std::size_t i = 18; i < 22; ++i) start[i] = 0xff;
+  EXPECT_DEATH(decode_start(view(start)), "argument count exceeds frame body");
+}
+
+TEST(Wire, WideMessageRoundTripsThroughTheSpill) {
+  Message msg;
+  msg.src = 1;
+  msg.dst = 2;
+  msg.tag = 3;
+  msg.op = 4;
+  for (std::int64_t i = 0; i < 64; ++i) msg.args.push_back(i * i - 7);
+  ASSERT_FALSE(msg.args.is_inline());
+  const Message out = decode_message(view(encode_message(msg)));
+  EXPECT_FALSE(out.args.is_inline());
+  EXPECT_EQ(out.args, msg.args);
+  EXPECT_EQ(out.size_words(), 65u);
+}
+
 // --- v2 keyed envelope ----------------------------------------------------
 
 TEST(Wire, KeyedMessageRoundTrip) {
