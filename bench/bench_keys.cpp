@@ -91,51 +91,15 @@ struct KeyRow {
   std::int64_t wire_msgs{0};
 };
 
-KeyRow from_keyed_throughput(const KeyedThroughputResult& r,
-                             const std::string& key_dist, double skew,
-                             std::size_t capacity, const std::string& mode) {
+/// The fields every runtime reports; the callers add their own.
+KeyRow from_run(const HarnessResult& r, const std::string& mode,
+                const std::string& key_dist, double skew,
+                std::size_t capacity) {
   KeyRow row;
   row.mode = mode;
   row.keys = r.keys;
   row.key_dist = key_dist;
   row.key_skew = skew;
-  row.parallelism = r.base.workers;
-  row.ops = r.base.ops;
-  row.key_capacity = capacity;
-  row.ops_per_sec = r.base.ops_per_sec;
-  row.p50_us = r.base.p50_us;
-  row.p99_us = r.base.p99_us;
-  row.p999_us = r.base.p999_us;
-  row.max_us = r.base.max_us;
-  row.slo_attainment = r.base.slo_attainment;
-  row.hdr_recorder = r.base.hdr_recorder;
-  row.total_messages = r.base.total_messages;
-  row.max_load = r.base.max_load;
-  row.hot_key = r.hot_key;
-  row.hot_key_ops = r.hot_key_ops;
-  row.hot_key_max_load = r.hot_key_max_load;
-  if (r.hot_key_ops > 0) {
-    row.hot_key_load_per_op = static_cast<double>(r.hot_key_max_load) /
-                              static_cast<double>(r.hot_key_ops);
-  }
-  row.keys_touched = r.keys_touched;
-  row.live_instances = r.live_instances;
-  row.lru_hits = r.lru_hits;
-  row.lru_misses = r.lru_misses;
-  row.lru_evicts = r.lru_evicts;
-  row.lru_rehydrates = r.lru_rehydrates;
-  return row;
-}
-
-KeyRow from_cluster(const net::ClusterResult& r, const std::string& key_dist,
-                    double skew, std::size_t batch, std::size_t capacity) {
-  KeyRow row;
-  row.mode = "tcp";
-  row.keys = r.keys;
-  row.key_dist = key_dist;
-  row.key_skew = skew;
-  row.parallelism = r.nodes;
-  row.batch = batch;
   row.ops = r.ops;
   row.key_capacity = capacity;
   row.ops_per_sec = r.ops_per_sec;
@@ -155,10 +119,27 @@ KeyRow from_cluster(const net::ClusterResult& r, const std::string& key_dist,
                               static_cast<double>(r.hot_key_ops);
   }
   row.keys_touched = r.keys_touched;
+  row.live_instances = r.live_instances;
   row.lru_hits = r.lru_hits;
   row.lru_misses = r.lru_misses;
   row.lru_evicts = r.lru_evicts;
   row.lru_rehydrates = r.lru_rehydrates;
+  return row;
+}
+
+KeyRow from_keyed_throughput(const ThroughputResult& r,
+                             const std::string& key_dist, double skew,
+                             std::size_t capacity, const std::string& mode) {
+  KeyRow row = from_run(r, mode, key_dist, skew, capacity);
+  row.parallelism = r.workers;
+  return row;
+}
+
+KeyRow from_cluster(const net::ClusterResult& r, const std::string& key_dist,
+                    double skew, std::size_t batch, std::size_t capacity) {
+  KeyRow row = from_run(r, "tcp", key_dist, skew, capacity);
+  row.parallelism = r.nodes;
+  row.batch = batch;
   row.wire_msgs = r.wire_msgs_sent;
   return row;
 }

@@ -113,18 +113,23 @@ struct NetRow {
   std::int64_t lin_violations{0};
 };
 
-NetRow from_throughput(const ThroughputResult& r) {
+/// The fields every runtime reports; the callers add their own.
+NetRow from_run(const HarnessResult& r, const std::string& mode) {
   NetRow row;
   row.counter = r.counter;
-  row.mode = "inproc";
+  row.mode = mode;
   row.n = r.n;
-  row.parallelism = r.workers;
   row.ops = r.ops;
   row.wall_seconds = r.wall_seconds;
   row.ops_per_sec = r.ops_per_sec;
   row.mean_us = r.mean_us;
   row.p50_us = r.p50_us;
   row.p99_us = r.p99_us;
+  row.p999_us = r.p999_us;
+  row.p9999_us = r.p9999_us;
+  row.max_us = r.max_us;
+  row.slo_attainment = r.slo_attainment;
+  row.hdr_recorder = r.hdr_recorder;
   row.total_messages = r.total_messages;
   row.max_load = r.max_load;
   row.lin_checked = r.lin_checked;
@@ -135,33 +140,14 @@ NetRow from_throughput(const ThroughputResult& r) {
 
 NetRow from_cluster(const net::ClusterResult& r, const std::string& mode,
                     std::size_t pipeline) {
-  NetRow row;
-  row.counter = r.counter;
-  row.mode = mode;
+  NetRow row = from_run(r, mode);
   row.pipeline = pipeline;
-  row.n = r.n;
   row.parallelism = r.nodes;
-  row.ops = r.ops;
-  row.wall_seconds = r.wall_seconds;
-  row.ops_per_sec = r.ops_per_sec;
-  row.mean_us = r.mean_us;
-  row.p50_us = r.p50_us;
-  row.p99_us = r.p99_us;
-  row.total_messages = r.total_messages;
-  row.max_load = r.max_load;
   row.wire_msgs = r.wire_msgs_sent;
   row.injected_drops = r.injected_drops;
   row.retransmissions = r.retransmissions;
   row.wire_bytes = r.wire_bytes_sent;
   row.write_syscalls = r.wire_write_syscalls;
-  row.p999_us = r.p999_us;
-  row.p9999_us = r.p9999_us;
-  row.max_us = r.max_us;
-  row.slo_attainment = r.slo_attainment;
-  row.hdr_recorder = r.hdr_recorder;
-  row.lin_checked = r.lin_checked;
-  row.linearizable = r.linearizable;
-  row.lin_violations = r.lin_violations;
   if (r.wire_write_syscalls > 0) {
     row.bytes_per_write = static_cast<double>(r.wire_bytes_sent) /
                           static_cast<double>(r.wire_write_syscalls);
@@ -231,7 +217,9 @@ int main(int argc, char** argv) {
     topt.concurrency = concurrency;
     topt.warmup = warmup;
     topt.seed = seed;
-    NetRow inproc = from_throughput(run_throughput(make_counter(kind, n), topt));
+    const ThroughputResult tres = run_throughput(make_counter(kind, n), topt);
+    NetRow inproc = from_run(tres, "inproc");
+    inproc.parallelism = tres.workers;
     inproc.counter = name;  // cluster rows carry the flag name; match it
     rows.push_back(inproc);
 
@@ -243,7 +231,7 @@ int main(int argc, char** argv) {
       copt.nodes = nodes;
       copt.ops = static_cast<std::int64_t>(ops);
       copt.concurrency = concurrency;
-      copt.pipeline = d;
+      copt.inflight = d;
       copt.warmup = warmup;
       copt.seed = seed;
       rows.push_back(from_cluster(net::run_cluster(copt), "tcp", d));

@@ -2,9 +2,9 @@
 // capture buffer, and the linearizability check (DESIGN.md §15).
 //
 // This is the canonical home of the checker, moved here from
-// src/analysis/ so the harnesses below the analysis layer (the threaded
-// workload driver and the socket-cluster controller) can run it over
-// the histories they just produced. analysis/linearizability.hpp
+// src/analysis/ so the harnesses below the analysis layer (the load
+// driver's callers and the shm harness) can run it over the histories
+// they just produced. analysis/linearizability.hpp
 // re-exports everything and keeps the simulator extraction helper.
 //
 // The theory, after Herlihy, Shavit & Waarts [HSW96] (cited by the

@@ -8,10 +8,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -22,8 +20,7 @@
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "support/check.hpp"
-#include "traffic/recorder.hpp"
-#include "traffic/shape.hpp"
+#include "traffic/driver.hpp"
 
 namespace dcnt::net {
 
@@ -55,7 +52,6 @@ std::string find_node_binary(const std::string& override_path) {
 namespace {
 
 using WallClock = std::chrono::steady_clock;
-using traffic::TailRecorder;
 
 pid_t spawn(const std::vector<std::string>& args) {
   std::vector<char*> argv;
@@ -85,22 +81,20 @@ struct ChildReaper {
   }
 };
 
-class Controller {
+/// The controller: the mesh handshake and teardown, and the load
+/// driver's port onto the cluster.
+class Controller final : public traffic::LoadPort {
  public:
-  explicit Controller(const ClusterOptions& opt)
-      : opt_(opt) {}
+  explicit Controller(const ClusterOptions& opt) : opt_(opt) {}
   ClusterResult run();
 
- private:
-  enum class Phase { kHello, kReady, kRun, kQuiesce, kKeyedStats, kShutdown };
+  OpId issue(std::size_t entry) override;
+  void wait(std::int64_t until_ns) override;
+  void quiesce() override;
+  void reset_metrics() override;
 
-  /// Ops kept outstanding per closed-loop slot; quiesce_between_ops
-  /// already forces a window of 1 at the call sites. `inflight` is the
-  /// concurrency-plane alias and supersedes `pipeline` when set.
-  std::size_t pipeline_depth() const {
-    if (opt_.inflight > 0) return opt_.inflight;
-    return opt_.pipeline > 0 ? opt_.pipeline : 1;
-  }
+ private:
+  enum class Phase { kHandshake, kLoad, kKeyedStats, kShutdown };
 
   bool keyed() const { return opt_.keys > 0; }
   /// Schedule entries per issuance unit. Batching is a closed-loop
@@ -111,58 +105,44 @@ class Controller {
     return std::max<std::size_t>(1, opt_.batch);
   }
 
+  /// One reactor round, failing fast on the run budget or a dead node.
+  void pump(int timeout_ms);
   void on_frame(int conn, const FrameView& frame);
-  void issue_next(std::int64_t sched_ns = -1);
   void on_complete(OpId op, Value value);
-  void maybe_issue_after_completion();
-  void maybe_finish_run();
-  void begin_keyed_stats();
+  void broadcast(const std::vector<std::uint8_t>& frame) {
+    for (const int conn : conn_of_node_) loop_.send(conn, frame);
+  }
+  void collect_keyed_stats();
   void on_keyed_stats(const KeyedStatsFrame& ks);
-  void begin_measured_phase();
-  void begin_stats_round();
-  void on_stats_round_complete();
   bool rounds_stable() const;
   void check_deadline() const;
-  int poll_timeout_ms() const;
 
   ClusterOptions opt_;
   EventLoop loop_;
   ChildReaper reaper_;
+  traffic::LoadDriver* driver_{nullptr};
+  /// Filled as the run goes: keyed stats land here before the rest.
+  ClusterResult out_;
   std::int64_t n_{0};
-  std::size_t ops_{0};      ///< measured ops
   std::size_t warmup_{0};   ///< unmeasured ops issued first
-  std::size_t total_{0};    ///< warmup_ + ops_
-  /// True from launch until the post-warmup metrics reset completes;
-  /// while set, issuance stops at warmup_ so no measured op can slip in
-  /// before the reset barrier.
-  bool warming_up_{false};
-  /// Reset acks still owed after a kMetricsReset broadcast; the
-  /// measured phase starts when this drains to zero, so no measured
-  /// frame can race a node's own reset (see node.cpp).
+  std::size_t total_{0};    ///< warmup_ + measured ops
+  /// Reset acks still owed after a kMetricsReset broadcast.
   std::size_t reset_acks_pending_{0};
   std::vector<ProcessorId> initiators_;
   /// Multi-key mode: which key each op (by id) addresses.
   std::vector<KeyId> keys_;
-  /// Completions since the last batch issuance; a fresh batch goes out
-  /// once a full batch's worth of slots has freed (see issue_next).
-  std::size_t issue_credits_{0};
-  /// Reused per-node kStartBatch staging (batched issuance).
+  /// Batched issuance: entries of the current unit still to come, and
+  /// the per-node kStartBatch staging they fill.
+  std::size_t unit_left_{0};
   std::vector<StartBatchFrame> batch_scratch_;
   /// Keyed-stats collection (multi-key mode, after the final barrier):
-  /// nodes whose last chunk is still outstanding, the hot key chosen
-  /// from the measured schedule, and the merged per-key accounting.
+  /// nodes whose last chunk is still outstanding and the hot key's
+  /// merged per-processor load.
   std::size_t keyed_stats_pending_{0};
-  KeyId hot_key_{kNoKey};
-  std::int64_t hot_key_ops_{0};
-  std::vector<std::int64_t> hot_key_load_;  ///< per processor, hot key only
-  std::int64_t hot_key_sent_{0};
+  std::vector<std::int64_t> hot_key_load_;
   std::unordered_set<KeyId> keys_touched_;
-  std::int64_t lru_hits_{0};
-  std::int64_t lru_misses_{0};
-  std::int64_t lru_evicts_{0};
-  std::int64_t lru_rehydrates_{0};
 
-  Phase phase_{Phase::kHello};
+  Phase phase_{Phase::kHandshake};
   WallClock::time_point deadline_;
   std::vector<int> conn_of_node_;
   std::vector<std::optional<HelloFrame>> hellos_;
@@ -172,35 +152,8 @@ class Controller {
 
   std::size_t issued_{0};
   std::size_t completed_{0};
-  std::vector<Value> values_;
-  std::vector<bool> value_seen_;
-  std::unique_ptr<TailRecorder> recorder_;
-  /// Measured-op counting history for the post-run linearizability
-  /// check (options.lin_check, single-key mode only). Warmup slots stay
-  /// empty; snapshot(warmup_) skips them.
-  std::unique_ptr<concurrent::HistoryBuffer> history_;
-  /// Open-loop burst runs: the measured phase's shape, kept so each
-  /// op's scheduled arrival can be classified high/low for the
-  /// phase-split SLO (null otherwise).
-  std::unique_ptr<traffic::RateShape> measured_shape_;
-  std::int64_t t_first_issue_ns_{0};
-  std::int64_t t_last_complete_ns_{0};
-  std::int64_t open_t0_ns_{0};
-  /// Open loop: the measured phase's deterministic arrival timeline and
-  /// the next scheduled offset it handed out (not yet issued).
-  std::unique_ptr<traffic::ArrivalTimeline> timeline_;
-  std::int64_t next_arrival_off_{0};
-  /// Measured-phase budget in ns (duration_s; INT64_MAX when unset) and
-  /// the wall deadline the closed loop stops reissuing at.
-  std::int64_t budget_ns_{0};
-  std::int64_t run_deadline_ns_{0};
-  /// Latched once nothing more will be issued (schedule exhausted or
-  /// the duration budget hit); the run ends when completed_ == issued_.
-  bool no_more_{false};
+  std::vector<Value> values_;  ///< by op id; -1 until completed
 
-  int quiesce_rounds_{0};
-  bool round_in_flight_{false};
-  WallClock::time_point next_round_at_;
   std::vector<std::optional<StatsFrame>> round_;
   std::vector<std::optional<StatsFrame>> prev_round_;
   std::size_t stats_outstanding_{0};
@@ -208,152 +161,106 @@ class Controller {
 
 void Controller::check_deadline() const {
   if (WallClock::now() < deadline_) return;
-  // Say where the run was stuck; a budget abort is always a hang
-  // diagnosis session and the phase/progress triple is the first
-  // question.
+  // Say where the run was stuck: the first question of any hang.
   std::fprintf(stderr,
                "cluster budget exceeded: phase=%d issued=%zu completed=%zu "
-               "warmup=%zu total=%zu round_in_flight=%d outstanding=%zu\n",
+               "warmup=%zu total=%zu outstanding=%zu\n",
                static_cast<int>(phase_), issued_, completed_, warmup_, total_,
-               round_in_flight_ ? 1 : 0, stats_outstanding_);
+               stats_outstanding_);
   DCNT_CHECK_MSG(false, "cluster run exceeded its wall-clock budget");
 }
 
-/// Issues one unit of work: a single op, or — multi-key batched mode —
-/// up to batch_size() consecutive schedule entries partitioned by owning
-/// node into one kStartBatch frame each. Latency is stamped at batch
-/// send, so a deep batch's later entries include their queueing time.
-/// `sched_ns` >= 0 (open loop) stamps that scheduled arrival time
-/// instead of the send time, so backlog the controller accumulated
-/// counts against the op — the coordinated-omission-free measurement.
-void Controller::issue_next(std::int64_t sched_ns) {
-  const std::size_t limit = warming_up_ ? warmup_ : total_;  // measured ops wait
-  if (issued_ >= limit) {
-    if (!warming_up_) no_more_ = true;
-    return;
-  }
-  const std::int64_t t = TailRecorder::now_ns();
-  // Closed-loop duration budget: past the deadline, decline instead of
-  // reissuing (the open loop bounds itself by scheduled offsets).
-  if (!warming_up_ && sched_ns < 0 && t >= run_deadline_ns_) {
-    no_more_ = true;
-    return;
-  }
-  const std::size_t count = std::min(batch_size(), limit - issued_);
-  const auto stamp = [&](OpId op) {
-    if (static_cast<std::size_t>(op) >= warmup_) {
-      if (t_first_issue_ns_ == 0) t_first_issue_ns_ = t;
-      const std::int64_t sched = sched_ns >= 0 ? sched_ns : t;
-      if (measured_shape_) {
-        recorder_->on_issue(
-            op, sched,
-            measured_shape_->high_at(
-                static_cast<double>(sched - open_t0_ns_) / 1e9));
-      } else {
-        recorder_->on_issue(op, sched);
-      }
-      // The history's invoke stamp is the *actual* send time even in
-      // the open loop: a backdated scheduled stamp would tighten
-      // resp < inv intervals and could fabricate a violation.
-      if (history_) history_->on_invoke(op, t);
+void Controller::pump(int timeout_ms) {
+  check_deadline();
+  DCNT_CHECK_MSG(!child_died_, "a node process died mid-run");
+  loop_.run_once(timeout_ms);
+}
+
+/// Sends entry `entry` as a Start frame or — batched keyed mode — as a
+/// slot of the current unit, which leaves as one kStartBatch frame per
+/// touched node once complete. The driver issues units back to back, in
+/// order and full except at a phase's end, so a unit's size is known at
+/// its first entry.
+OpId Controller::issue(std::size_t entry) {
+  DCNT_CHECK(entry == issued_);
+  ++issued_;
+  const auto op = static_cast<OpId>(entry);
+  const ProcessorId origin = initiators_[entry];
+  const std::uint32_t node = static_cast<std::uint32_t>(origin) % opt_.nodes;
+  if (unit_left_ == 0) {
+    const std::size_t phase_end = entry < warmup_ ? warmup_ : total_;
+    unit_left_ = std::min(batch_size(), phase_end - entry);
+    if (unit_left_ == 1) {
+      unit_left_ = 0;
+      // Keyed single-op issuance rides the plain Start frame with the
+      // key as the op's one argument word.
+      MessageArgs args;
+      if (keyed()) args.push_back(keys_[entry]);
+      loop_.send(conn_of_node_.at(node),
+                 encode_start(StartFrame{op, origin, std::move(args)}));
+      return op;
     }
-  };
-  if (count == 1) {
-    const OpId op = static_cast<OpId>(issued_++);
-    const auto idx = static_cast<std::size_t>(op);
-    const ProcessorId origin = initiators_[idx];
-    const std::uint32_t node = static_cast<std::uint32_t>(origin) % opt_.nodes;
-    stamp(op);
-    // Keyed single-op issuance rides the plain Start frame with the key
-    // as the op's one argument word.
-    MessageArgs args;
-    if (keyed()) args.push_back(keys_[idx]);
-    loop_.send(conn_of_node_.at(node),
-               encode_start(StartFrame{op, origin, std::move(args)}));
-    return;
+    batch_scratch_.resize(opt_.nodes);
+    for (StartBatchFrame& f : batch_scratch_) f.ops.clear();
   }
-  batch_scratch_.resize(opt_.nodes);
-  for (StartBatchFrame& f : batch_scratch_) f.ops.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    const OpId op = static_cast<OpId>(issued_++);
-    const auto idx = static_cast<std::size_t>(op);
-    const ProcessorId origin = initiators_[idx];
-    const std::uint32_t node = static_cast<std::uint32_t>(origin) % opt_.nodes;
-    stamp(op);
-    batch_scratch_[node].ops.push_back(StartBatchEntry{op, origin, keys_[idx]});
-  }
+  batch_scratch_[node].ops.push_back(StartBatchEntry{op, origin, keys_[entry]});
+  if (--unit_left_ > 0) return op;
   for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
     if (batch_scratch_[id].ops.empty()) continue;
     loop_.send(conn_of_node_.at(id), encode_start_batch(batch_scratch_[id]));
   }
+  return op;
 }
 
-/// Closed-loop reissue at batch granularity: one completion frees one
-/// slot; a new batch goes out once a whole batch's worth has freed (or
-/// immediately when nothing is left in flight, so a short tail can
-/// never strand credits below the threshold).
-void Controller::maybe_issue_after_completion() {
-  ++issue_credits_;
-  if (issue_credits_ >= batch_size() || issued_ == completed_) {
-    issue_credits_ = 0;
-    issue_next();
-  }
+void Controller::wait(std::int64_t until_ns) {
+  const std::int64_t left_ns =
+      until_ns == kForever ? 50'000'000
+                           : until_ns - traffic::TailRecorder::now_ns();
+  pump(static_cast<int>(
+      std::clamp<std::int64_t>((left_ns + 999'999) / 1'000'000, 0, 50)));
 }
 
-void Controller::begin_measured_phase() {
-  DCNT_CHECK(phase_ == Phase::kRun);
-  issue_credits_ = 0;
-  const std::int64_t now = TailRecorder::now_ns();
-  run_deadline_ns_ = budget_ns_ == std::numeric_limits<std::int64_t>::max()
-                         ? budget_ns_
-                         : now + budget_ns_;
-  if (opt_.open_rate > 0.0) {
-    open_t0_ns_ = now;
-    const traffic::RateShape shape = traffic::make_shape(
-        opt_.shape, opt_.open_rate, opt_.period_s, opt_.amplitude, opt_.duty);
-    if (shape.kind == traffic::RateShape::Kind::kBurst) {
-      // Burst runs split SLO attainment per load phase; no measured op
-      // has been stamped yet (warmup never touches the recorder).
-      recorder_->enable_phases();
-      measured_shape_ = std::make_unique<traffic::RateShape>(shape);
+void Controller::quiesce() {
+  prev_round_.clear();
+  const std::vector<std::uint8_t> request = encode_stats_request();
+  for (;;) {
+    round_.assign(opt_.nodes, std::nullopt);
+    stats_outstanding_ = opt_.nodes;
+    ++out_.quiesce_rounds;
+    broadcast(request);
+    while (stats_outstanding_ > 0) pump(50);
+    // Give in-flight frames and stale timers a moment before re-asking;
+    // the barrier converges on stability, not on asking faster.
+    auto pause = std::chrono::milliseconds(2);
+    if (rounds_stable()) {
+      std::int64_t timers = 0;
+      for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
+        timers += round_[id]->timers_armed;
+      }
+      if (timers == 0) break;
+      // Idle except for armed timers — the distributed version of the
+      // simulator's clock jump: tell the nodes to fire them now rather
+      // than waiting out wall deadlines (a stale inc-retry or
+      // retransmission timer can be tens of milliseconds away).
+      broadcast(encode_time_jump());
+      pause = std::chrono::milliseconds(1);
     }
-    timeline_ = std::make_unique<traffic::ArrivalTimeline>(shape);
-    next_arrival_off_ = timeline_->next_ns();
-    return;
-  }
-  const std::size_t window =
-      opt_.quiesce_between_ops
-          ? 1
-          : std::max<std::size_t>(
-                1, std::min(opt_.concurrency * pipeline_depth(), ops_));
-  for (std::size_t i = 0; i < window; ++i) issue_next();
-  // A zero-length budget can decline the whole window; certify the
-  // (empty) run through the barrier rather than hanging.
-  maybe_finish_run();
-}
-
-/// End of the measured phase: nothing more will be issued and every
-/// issued op completed — hand off to the quiescence barrier. Reissues
-/// happen before this check in on_complete, so completed_ == issued_
-/// means no measured work is in flight anywhere.
-void Controller::maybe_finish_run() {
-  if (phase_ != Phase::kRun || warming_up_) return;
-  if (issued_ >= total_) no_more_ = true;
-  if (no_more_ && completed_ == issued_) {
-    phase_ = Phase::kQuiesce;
-    begin_stats_round();
+    prev_round_ = round_;
+    const WallClock::time_point next_round_at = WallClock::now() + pause;
+    while (WallClock::now() < next_round_at) pump(1);
   }
 }
 
-void Controller::begin_stats_round() {
-  round_.assign(opt_.nodes, std::nullopt);
-  stats_outstanding_ = opt_.nodes;
-  round_in_flight_ = true;
-  ++quiesce_rounds_;
-  const std::vector<std::uint8_t> frame = encode_stats_request();
-  for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
-    loop_.send(conn_of_node_[id], frame);
-  }
+void Controller::reset_metrics() {
+  // Every node zeroes its metrics and re-baselines its wire counters.
+  // Measured Starts wait for every node's ack: the reset is ordered
+  // before the Starts on each control connection, but a fast peer's
+  // first measured data frame is not ordered against a slow node's
+  // reset, and a receive absorbed into a baseline would skew the global
+  // sent/received balance for good.
+  broadcast(encode_metrics_reset());
+  reset_acks_pending_ = opt_.nodes;
+  while (reset_acks_pending_ > 0) pump(50);
 }
 
 bool Controller::rounds_stable() const {
@@ -377,70 +284,6 @@ bool Controller::rounds_stable() const {
   return true;
 }
 
-void Controller::on_stats_round_complete() {
-  round_in_flight_ = false;
-  if (rounds_stable()) {
-    std::int64_t timers = 0;
-    for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
-      timers += round_[id]->timers_armed;
-    }
-    if (timers > 0) {
-      // Idle except for armed timers — the distributed version of the
-      // simulator's clock jump: tell the nodes to fire them now rather
-      // than waiting out wall deadlines (a stale inc-retry or
-      // retransmission timer can be tens of milliseconds away).
-      const std::vector<std::uint8_t> jump = encode_time_jump();
-      for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
-        loop_.send(conn_of_node_[id], jump);
-      }
-      prev_round_ = round_;
-      next_round_at_ = WallClock::now() + std::chrono::milliseconds(1);
-      return;
-    }
-    if (warming_up_ && completed_ == warmup_) {
-      // The warmup traffic has fully settled; tell every node to zero
-      // its metrics and re-baseline its wire counters. Measured Starts
-      // wait for every node's ack (begin_measured_phase): the reset is
-      // ordered before the Starts on each control connection, but a
-      // fast peer's first measured data frame is not ordered against a
-      // slow node's reset, and a receive absorbed into a baseline
-      // would skew the global sent/received balance for good.
-      const std::vector<std::uint8_t> reset = encode_metrics_reset();
-      for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
-        loop_.send(conn_of_node_[id], reset);
-      }
-      reset_acks_pending_ = opt_.nodes;
-      prev_round_.clear();
-      phase_ = Phase::kRun;
-      return;
-    }
-    if (opt_.quiesce_between_ops && completed_ < total_ && !no_more_) {
-      // Mid-run barrier: the previous op's activity has fully settled;
-      // resume the workload with the next one.
-      prev_round_.clear();
-      phase_ = Phase::kRun;
-      issue_next();
-      if (issued_ > completed_) return;
-      // The reissue declined (duration budget hit): the settled barrier
-      // we just ran doubles as the end-of-run barrier; fall through.
-      phase_ = Phase::kQuiesce;
-    }
-    if (keyed()) {
-      // One end-of-run collection pass: per-key loads and LRU counters
-      // are a report, not part of the barrier, so they are fetched once
-      // after the cluster is certified idle and before Shutdown.
-      begin_keyed_stats();
-      return;
-    }
-    phase_ = Phase::kShutdown;
-    return;
-  }
-  prev_round_ = round_;
-  // Give in-flight frames and stale timers a moment before re-asking;
-  // the barrier converges on stability, not on asking faster.
-  next_round_at_ = WallClock::now() + std::chrono::milliseconds(2);
-}
-
 void Controller::on_frame(int conn, const FrameView& frame) {
   switch (frame.type()) {
     case FrameType::kHello: {
@@ -458,41 +301,17 @@ void Controller::on_frame(int conn, const FrameView& frame) {
           const HelloFrame& h = *hellos_[id];
           peers.peers.push_back(PeerAddr{id, h.tcp_port, h.udp_port});
         }
-        const std::vector<std::uint8_t> encoded = encode_peers(peers);
-        for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
-          loop_.send(conn_of_node_[id], encoded);
-        }
-        phase_ = Phase::kReady;
+        broadcast(encode_peers(peers));
       }
       return;
     }
     case FrameType::kReady: {
+      // After a kMetricsReset broadcast a Ready is that node's reset ack.
       if (reset_acks_pending_ > 0) {
-        // Reset ack (see kMetricsReset in node.cpp): this node has
-        // re-baselined; once all have, measured traffic may flow.
-        if (--reset_acks_pending_ == 0) {
-          warming_up_ = false;
-          begin_measured_phase();
-        }
-        return;
-      }
-      DCNT_CHECK(phase_ == Phase::kReady);
-      ++ready_count_;
-      if (ready_count_ == opt_.nodes) {
-        phase_ = Phase::kRun;
-        if (warming_up_) {
-          // Warmup always runs closed-loop, even ahead of an open-loop
-          // measured phase; the open-loop clock starts after the reset.
-          const std::size_t window =
-              opt_.quiesce_between_ops
-                  ? 1
-                  : std::max<std::size_t>(
-                        1,
-                        std::min(opt_.concurrency * pipeline_depth(), total_));
-          for (std::size_t i = 0; i < window; ++i) issue_next();
-        } else {
-          begin_measured_phase();
-        }
+        --reset_acks_pending_;
+      } else {
+        DCNT_CHECK(phase_ == Phase::kHandshake && hello_count_ == opt_.nodes);
+        ++ready_count_;
       }
       return;
     }
@@ -523,9 +342,9 @@ void Controller::on_frame(int conn, const FrameView& frame) {
     case FrameType::kStats: {
       const StatsFrame stats = decode_stats(frame);
       DCNT_CHECK(stats.node_id < opt_.nodes);
-      DCNT_CHECK(round_in_flight_ && !round_[stats.node_id].has_value());
+      DCNT_CHECK(stats_outstanding_ > 0 && !round_[stats.node_id].has_value());
       round_[stats.node_id] = stats;
-      if (--stats_outstanding_ == 0) on_stats_round_complete();
+      --stats_outstanding_;
       return;
     }
     default:
@@ -534,57 +353,28 @@ void Controller::on_frame(int conn, const FrameView& frame) {
 }
 
 void Controller::on_complete(OpId op, Value value) {
-  DCNT_CHECK(phase_ == Phase::kRun);
+  DCNT_CHECK(phase_ == Phase::kLoad);
   const auto idx = static_cast<std::size_t>(op);
-  DCNT_CHECK(op >= 0 && idx < total_);
-  DCNT_CHECK_MSG(!value_seen_[idx], "operation completed twice");
-  value_seen_[idx] = true;
+  DCNT_CHECK(op >= 0 && idx < issued_);
+  DCNT_CHECK_MSG(values_[idx] < 0, "operation completed twice");
   values_[idx] = value;
-  if (idx >= warmup_) {
-    const std::int64_t t = TailRecorder::now_ns();
-    recorder_->on_complete(op, t);
-    if (history_) history_->on_response(op, t, value);
-    t_last_complete_ns_ = t;
-  }
   ++completed_;
-  if (opt_.quiesce_between_ops) {
-    phase_ = Phase::kQuiesce;
-    begin_stats_round();
-    return;
-  }
-  if (warming_up_) {
-    // Keep the warmup window full; the last warmup completion
-    // triggers the reset barrier instead of a new op.
-    if (completed_ == warmup_) {
-      phase_ = Phase::kQuiesce;
-      begin_stats_round();
-    } else {
-      maybe_issue_after_completion();
-    }
-    return;
-  }
-  if (opt_.open_rate <= 0.0) maybe_issue_after_completion();
-  maybe_finish_run();
+  driver_->on_complete(op, value);
 }
 
-void Controller::begin_keyed_stats() {
+/// One end-of-run collection pass: per-key loads and LRU counters are a
+/// report, not part of the barrier, so they are fetched once after the
+/// cluster is certified idle and before Shutdown.
+void Controller::collect_keyed_stats() {
   phase_ = Phase::kKeyedStats;
   keyed_stats_pending_ = opt_.nodes;
   hot_key_load_.assign(static_cast<std::size_t>(n_), 0);
-  // The hot key is a property of the measured schedule (ties to the
-  // smallest id); the nodes' reports then fill in its message loads.
-  std::unordered_map<KeyId, std::int64_t> ops_by_key;
-  for (std::size_t i = warmup_; i < issued_; ++i) ++ops_by_key[keys_[i]];
-  for (const auto& [key, count] : ops_by_key) {
-    if (count > hot_key_ops_ || (count == hot_key_ops_ && key < hot_key_)) {
-      hot_key_ = key;
-      hot_key_ops_ = count;
-    }
+  broadcast(encode_keyed_stats_request());
+  while (keyed_stats_pending_ > 0) pump(50);
+  for (const std::int64_t load : hot_key_load_) {
+    out_.hot_key_max_load = std::max(out_.hot_key_max_load, load);
   }
-  const std::vector<std::uint8_t> frame = encode_keyed_stats_request();
-  for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
-    loop_.send(conn_of_node_[id], frame);
-  }
+  out_.keys_touched = keys_touched_.size();
 }
 
 void Controller::on_keyed_stats(const KeyedStatsFrame& ks) {
@@ -598,27 +388,21 @@ void Controller::on_keyed_stats(const KeyedStatsFrame& ks) {
     DCNT_CHECK(static_cast<std::uint32_t>(load.pid) % opt_.nodes ==
                ks.node_id);
     keys_touched_.insert(load.key);
-    if (load.key == hot_key_) {
+    if (load.key == out_.hot_key) {
       hot_key_load_[static_cast<std::size_t>(load.pid)] +=
           load.sent + load.received;
-      hot_key_sent_ += load.sent;
+      out_.hot_key_messages += load.sent;
     }
   }
   if (ks.last) {
     // LRU counters ride in every chunk of a node's report; count them
     // once, from the last.
-    lru_hits_ += ks.lru_hits;
-    lru_misses_ += ks.lru_misses;
-    lru_evicts_ += ks.lru_evicts;
-    lru_rehydrates_ += ks.lru_rehydrates;
-    if (--keyed_stats_pending_ == 0) phase_ = Phase::kShutdown;
+    out_.lru_hits += ks.lru_hits;
+    out_.lru_misses += ks.lru_misses;
+    out_.lru_evicts += ks.lru_evicts;
+    out_.lru_rehydrates += ks.lru_rehydrates;
+    --keyed_stats_pending_;
   }
-}
-
-int Controller::poll_timeout_ms() const {
-  if (phase_ == Phase::kRun && opt_.open_rate > 0.0) return 1;
-  if (phase_ == Phase::kQuiesce && !round_in_flight_) return 1;
-  return 50;
 }
 
 ClusterResult Controller::run() {
@@ -645,11 +429,11 @@ ClusterResult Controller::run() {
                      "key_capacity requires a service-evictable counter");
     }
   }
-  ops_ = opt_.ops != 0 ? opt_.ops : static_cast<std::size_t>(8 * n_);
-  DCNT_CHECK(ops_ > 0);
+  const std::size_t ops =
+      opt_.ops != 0 ? opt_.ops : static_cast<std::size_t>(8 * n_);
+  DCNT_CHECK(ops > 0);
   warmup_ = opt_.warmup;
-  total_ = warmup_ + ops_;
-  warming_up_ = warmup_ > 0;
+  total_ = warmup_ + ops;
   initiators_ = make_initiators(opt_.initiators, opt_.zipf_s, n_,
                                 static_cast<std::int64_t>(total_), opt_.seed);
   if (keyed()) {
@@ -658,17 +442,6 @@ ClusterResult Controller::run() {
                       static_cast<std::int64_t>(total_), opt_.seed);
   }
   values_.assign(total_, -1);
-  value_seen_.assign(total_, false);
-  budget_ns_ = opt_.duration_s > 0.0
-                   ? static_cast<std::int64_t>(opt_.duration_s * 1e9)
-                   : std::numeric_limits<std::int64_t>::max();
-  run_deadline_ns_ = std::numeric_limits<std::int64_t>::max();
-  // Sized by op id; the warmup slots simply stay empty.
-  recorder_ = std::make_unique<TailRecorder>(
-      total_, static_cast<std::int64_t>(opt_.slo_us * 1e3), opt_.exact_cap);
-  if (opt_.lin_check && !keyed()) {
-    history_ = std::make_unique<concurrent::HistoryBuffer>(total_);
-  }
   conn_of_node_.assign(opt_.nodes, -1);
   hellos_.assign(opt_.nodes, std::nullopt);
 
@@ -708,41 +481,41 @@ ClusterResult Controller::run() {
     }
     reaper_.pids.push_back(spawn(args));
   }
+  while (ready_count_ < opt_.nodes) pump(50);
 
-  while (phase_ != Phase::kShutdown) {
-    check_deadline();
-    DCNT_CHECK_MSG(!child_died_, "a node process died mid-run");
-    if (phase_ == Phase::kRun && !warming_up_ && opt_.open_rate > 0.0 &&
-        !no_more_) {
-      // Walk the arrival timeline: issue every arrival that is due (all
-      // at once if the controller fell behind — never skipped; the
-      // scheduled-time stamp charges the lateness to the op), stop at
-      // the first one scheduled past the duration budget.
-      const std::int64_t now = TailRecorder::now_ns();
-      while (issued_ < total_) {
-        if (next_arrival_off_ >= budget_ns_) {
-          no_more_ = true;
-          break;
-        }
-        if (now - open_t0_ns_ < next_arrival_off_) break;
-        issue_next(open_t0_ns_ + next_arrival_off_);
-        next_arrival_off_ = timeline_->next_ns();
-      }
-      maybe_finish_run();
-    }
-    if (phase_ == Phase::kQuiesce && !round_in_flight_ &&
-        WallClock::now() >= next_round_at_) {
-      begin_stats_round();
-    }
-    loop_.run_once(poll_timeout_ms());
+  // The load: warmup, metrics reset, measured phase, final barrier.
+  traffic::DriverOptions load = opt_.driver_options();
+  std::unique_ptr<concurrent::HistoryBuffer> history;
+  if (opt_.lin_check && !keyed()) {
+    history = std::make_unique<concurrent::HistoryBuffer>(total_);
+    load.history = history.get();
   }
+  traffic::LoadDriver driver(*this, load, ops, batch_size(),
+                             opt_.quiesce_between_ops);
+  driver_ = &driver;
+  phase_ = Phase::kLoad;
+  fill_run(out_, driver.run());
+  driver_ = nullptr;
+
+  // Ops are issued in id order, so a duration-cut run completed exactly
+  // ids 0..issued_-1; everything below verifies and reports over that
+  // prefix.
+  values_.resize(issued_);
+  out_.counter = opt_.counter;
+  out_.n = static_cast<std::size_t>(n_);
+  out_.nodes = opt_.nodes;
+  out_.warmup = warmup_;
+  if (keyed()) {
+    keys_.resize(issued_);
+    out_.keys = opt_.keys;
+  }
+  verify_values(out_, values_, keys_);
+  if (keyed()) collect_keyed_stats();
 
   // Orderly teardown: every node flushes and exits 0; the controller
   // insists on it so a crash shadowed by a successful run still fails.
-  const std::vector<std::uint8_t> bye = encode_shutdown();
-  for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
-    loop_.send(conn_of_node_[id], bye);
-  }
+  phase_ = Phase::kShutdown;
+  broadcast(encode_shutdown());
   while (loop_.open_connections() > 0) {
     check_deadline();
     loop_.run_once(20);
@@ -755,127 +528,37 @@ ClusterResult Controller::run() {
     pid = 0;  // reaped; the ChildReaper must not touch it
   }
 
-  // Merge and verify. Ops are issued in id order, so a duration-cut run
-  // completed exactly ids 0..issued_-1; everything below verifies and
-  // reports over that prefix.
-  values_.resize(issued_);
-  ClusterResult out;
-  out.counter = opt_.counter;
-  out.n = static_cast<std::size_t>(n_);
-  out.nodes = opt_.nodes;
-  out.ops = issued_ - warmup_;
-  out.warmup = warmup_;
-  out.quiesce_rounds = quiesce_rounds_;
-  out.load.assign(static_cast<std::size_t>(n_), 0);
+  // Merge the final barrier's per-node reports.
+  out_.load.assign(static_cast<std::size_t>(n_), 0);
   for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
     const StatsFrame& s = *round_[id];
-    out.wire_msgs_sent += s.wire_msgs_sent;
-    out.wire_msgs_received += s.wire_msgs_received;
-    out.wire_bytes_sent += s.wire_bytes_sent;
-    out.wire_bytes_received += s.wire_bytes_received;
-    out.injected_drops += s.injected_drops;
-    out.retransmissions += s.retransmissions;
-    out.duplicates_suppressed += s.duplicates_suppressed;
-    out.messages_abandoned += s.messages_abandoned;
-    out.wire_write_syscalls += s.wire_write_syscalls;
+    out_.wire_msgs_sent += s.wire_msgs_sent;
+    out_.wire_msgs_received += s.wire_msgs_received;
+    out_.wire_bytes_sent += s.wire_bytes_sent;
+    out_.wire_bytes_received += s.wire_bytes_received;
+    out_.injected_drops += s.injected_drops;
+    out_.retransmissions += s.retransmissions;
+    out_.duplicates_suppressed += s.duplicates_suppressed;
+    out_.messages_abandoned += s.messages_abandoned;
+    out_.wire_write_syscalls += s.wire_write_syscalls;
     for (const ProcLoad& load : s.loads) {
       DCNT_CHECK(load.pid >= 0 && load.pid < n_);
       DCNT_CHECK(static_cast<std::uint32_t>(load.pid) % opt_.nodes == id);
-      out.load[static_cast<std::size_t>(load.pid)] =
-          load.sent + load.received;
-      out.total_messages += load.sent;
+      out_.load[static_cast<std::size_t>(load.pid)] = load.sent + load.received;
+      out_.total_messages += load.sent;
     }
   }
-  for (ProcessorId p = 0; p < n_; ++p) {
-    if (out.load[static_cast<std::size_t>(p)] > out.max_load) {
-      out.max_load = out.load[static_cast<std::size_t>(p)];
-      out.bottleneck = p;
-    }
+  const auto top = std::max_element(out_.load.begin(), out_.load.end());
+  if (*top > 0) {
+    out_.max_load = *top;
+    out_.bottleneck = static_cast<ProcessorId>(top - out_.load.begin());
   }
-
-  if (keyed()) {
-    // Per-key contract (warmup ops included — they consumed that key's
-    // low values): within each key, the returned values are an exact
-    // permutation of 0..ops_k-1. The global permutation check does not
-    // apply across independent counters.
-    std::unordered_map<KeyId, std::vector<Value>> by_key;
-    for (std::size_t i = 0; i < issued_; ++i) by_key[keys_[i]].push_back(values_[i]);
-    out.values_ok = true;
-    for (auto& [key, vals] : by_key) {
-      std::sort(vals.begin(), vals.end());
-      for (std::size_t i = 0; i < vals.size(); ++i) {
-        if (vals[i] != static_cast<Value>(i)) out.values_ok = false;
-      }
-    }
-    DCNT_CHECK_MSG(out.values_ok,
-                   "some key's values are not a permutation of 0..ops_k-1");
-  } else {
-    std::vector<Value> sorted = values_;
-    std::sort(sorted.begin(), sorted.end());
-    out.values_ok = true;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      if (sorted[i] != static_cast<Value>(i)) {
-        out.values_ok = false;
-        break;
-      }
-    }
-    DCNT_CHECK_MSG(out.values_ok,
-                   "cluster values are not a permutation of 0..ops-1");
+  out_.values = std::move(values_);
+  out_.key_of_op = std::move(keys_);
+  if (history) {
+    fill_linearizability(out_, check_linearizable(history->snapshot(warmup_)));
   }
-  out.values = std::move(values_);
-  if (keyed()) {
-    out.keys = opt_.keys;
-    keys_.resize(issued_);
-    out.key_of_op = std::move(keys_);
-    out.hot_key = hot_key_;
-    out.hot_key_ops = hot_key_ops_;
-    for (const std::int64_t load : hot_key_load_) {
-      out.hot_key_max_load = std::max(out.hot_key_max_load, load);
-    }
-    out.hot_key_messages = hot_key_sent_;
-    out.keys_touched = keys_touched_.size();
-    out.lru_hits = lru_hits_;
-    out.lru_misses = lru_misses_;
-    out.lru_evicts = lru_evicts_;
-    out.lru_rehydrates = lru_rehydrates_;
-  }
-
-  out.wall_seconds =
-      static_cast<double>(t_last_complete_ns_ - t_first_issue_ns_) / 1e9;
-  if (out.wall_seconds > 0.0) {
-    out.ops_per_sec = static_cast<double>(out.ops) / out.wall_seconds;
-  }
-  const traffic::TrafficStats lat = recorder_->stats();
-  out.mean_us = lat.mean_us;
-  out.p50_us = lat.p50_us;
-  out.p95_us = lat.p95_us;
-  out.p99_us = lat.p99_us;
-  out.p999_us = lat.p999_us;
-  out.p9999_us = lat.p9999_us;
-  out.max_us = lat.max_us;
-  out.slo_us = static_cast<double>(lat.slo_ns) / 1e3;
-  out.slo_den = lat.count;
-  out.slo_ok = lat.slo_ok;
-  out.slo_attainment = lat.slo_attainment;
-  out.hdr_recorder = !lat.exact;
-  out.hdr_overflow = lat.hdr_overflow;
-  if (lat.phases) {
-    out.slo_phases = true;
-    out.slo_high_den = lat.high_count;
-    out.slo_high_ok = lat.high_slo_ok;
-    out.slo_high_attainment = lat.high_attainment;
-    out.slo_low_den = lat.low_count;
-    out.slo_low_ok = lat.low_slo_ok;
-    out.slo_low_attainment = lat.low_attainment;
-  }
-  if (history_) {
-    const LinearizabilityReport report =
-        check_linearizable(history_->snapshot(warmup_));
-    out.lin_checked = true;
-    out.linearizable = report.linearizable;
-    out.lin_violations = report.violations;
-  }
-  return out;
+  return std::move(out_);
 }
 
 }  // namespace

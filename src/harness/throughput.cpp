@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
-#include <unordered_map>
 
 #include "concurrent/elastic_tree.hpp"
 #include "concurrent/history.hpp"
@@ -12,78 +10,46 @@
 #include "runtime/workload.hpp"
 #include "service/multi_counter.hpp"
 #include "support/check.hpp"
-#include "support/rng.hpp"
 
 namespace dcnt {
 
 namespace {
 
-bool is_permutation_of_iota(std::vector<Value> values) {
-  std::sort(values.begin(), values.end());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != static_cast<Value>(i)) return false;
-  }
-  return true;
-}
-
-WorkloadOptions make_workload_options(const ThroughputOptions& options) {
-  WorkloadOptions wl;
-  wl.concurrency = options.concurrency;
-  wl.inflight = options.inflight;
-  if (options.open_rate > 0.0) {
-    wl.shape = traffic::make_shape(options.shape, options.open_rate,
-                                   options.period_s, options.amplitude,
-                                   options.duty);
-  }
-  wl.duration_s = options.duration_s;
-  wl.slo_ns = static_cast<std::int64_t>(options.slo_us * 1e3);
-  wl.exact_cap = options.exact_cap;
-  wl.warmup = options.warmup;
-  return wl;
-}
-
-void fill_latency(ThroughputResult& out, const WorkloadResult& run) {
-  out.ops = run.ops;
-  out.wall_seconds = run.wall_seconds;
-  out.ops_per_sec = run.ops_per_sec;
-  const traffic::TrafficStats& t = run.traffic;
-  out.mean_us = t.mean_us;
-  out.p50_us = t.p50_us;
-  out.p95_us = t.p95_us;
-  out.p99_us = t.p99_us;
-  out.p999_us = t.p999_us;
-  out.p9999_us = t.p9999_us;
-  out.max_us = t.max_us;
-  out.slo_us = static_cast<double>(t.slo_ns) / 1e3;
-  out.slo_den = t.count;
-  out.slo_ok = t.slo_ok;
-  out.slo_attainment = t.slo_attainment;
-  out.hdr_recorder = !t.exact;
-  out.hdr_overflow = t.hdr_overflow;
-  out.record_threads = t.record_threads;
-  out.slo_phases = t.phases;
-  out.slo_high_den = t.high_count;
-  out.slo_high_ok = t.high_slo_ok;
-  out.slo_high_attainment = t.high_attainment;
-  out.slo_low_den = t.low_count;
-  out.slo_low_ok = t.low_slo_ok;
-  out.slo_low_attainment = t.low_attainment;
-}
-
-}  // namespace
-
-ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
-                                const ThroughputOptions& options) {
+/// The shared core of the plain and keyed runs: drives `protocol`
+/// (wrapped in the multi-key fabric when `keyed` is set) on a fresh
+/// runtime and verifies it.
+ThroughputResult run_on_runtime(std::unique_ptr<CounterProtocol> protocol,
+                                const ThroughputOptions& options,
+                                const KeyedOptions* keyed) {
   DCNT_CHECK(protocol != nullptr);
   const auto n = static_cast<std::int64_t>(protocol->num_processors());
   const std::size_t ops =
       options.ops != 0 ? options.ops : static_cast<std::size_t>(8 * n);
 
   ThroughputResult out;
-  out.counter = protocol->name();
   out.n = static_cast<std::size_t>(n);
-  out.ops = ops;
   out.warmup = options.warmup;
+  out.placement = to_string(options.placement);
+  WorkloadOptions wl;
+  static_cast<traffic::DriverOptions&>(wl) = options.driver_options();
+  std::unique_ptr<concurrent::HistoryBuffer> history;
+  if (keyed != nullptr) {
+    DCNT_CHECK(keyed->keys > 0);
+    out.keys = keyed->keys;
+    wl.keys = make_keys(keyed->key_dist, keyed->key_skew,
+                        static_cast<std::int64_t>(keyed->keys),
+                        static_cast<std::int64_t>(ops), options.seed);
+    service::MultiCounterOptions mc;
+    mc.seed = options.seed;
+    mc.capacity = keyed->key_capacity;
+    protocol =
+        std::make_unique<service::MultiCounter>(std::move(protocol), mc);
+  } else if (options.lin_check) {
+    history =
+        std::make_unique<concurrent::HistoryBuffer>(options.warmup + ops);
+    wl.history = history.get();
+  }
+  out.counter = protocol->name();
 
   RuntimeConfig config;
   config.workers = options.workers;
@@ -94,24 +60,17 @@ ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
   config.placement = options.placement;
   ThreadedRuntime rt(std::move(protocol), config);
   out.workers = rt.workers();
-  out.placement = to_string(options.placement);
 
   const auto initiators =
       make_initiators(options.initiators, options.zipf_s, n,
                       static_cast<std::int64_t>(ops), options.seed);
-  WorkloadOptions wl = make_workload_options(options);
-  std::unique_ptr<concurrent::HistoryBuffer> history;
-  if (options.lin_check) {
-    history =
-        std::make_unique<concurrent::HistoryBuffer>(options.warmup + ops);
-    wl.history = history.get();
-  }
-  const WorkloadResult run = run_workload(rt, initiators, wl);
+  WorkloadResult run = run_workload(rt, initiators, wl);
+  fill_run(out, run);
 
-  // Warmup ops take part in the permutation too (they consumed counter
+  // Warmup ops take part in the contract too (they consumed counter
   // values before the measured phase), so verify over the full range of
   // issued ops — a duration-cut run completes a prefix of the schedule,
-  // and any completed prefix must still be an exact permutation.
+  // and any completed prefix must still verify.
   const std::size_t total = options.warmup + run.ops;
   std::vector<Value> values(total);
   for (std::size_t i = 0; i < total; ++i) {
@@ -119,26 +78,13 @@ ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
     DCNT_CHECK_MSG(v.has_value(), "operation never completed");
     values[i] = *v;
   }
-  out.values_ok = is_permutation_of_iota(values);
-  DCNT_CHECK_MSG(out.values_ok, "values are not a permutation of 0..m-1");
+  if (keyed != nullptr) run.key_of_op.resize(total);
+  verify_values(out, values, run.key_of_op);
   rt.protocol().check_quiescent(total);
-  if (const auto* elastic = dynamic_cast<const concurrent::ElasticTreeCounter*>(
-          &rt.protocol())) {
-    out.elastic_resizes = elastic->resizes();
-    out.elastic_epochs = elastic->epochs_used();
-    out.elastic_final_k = elastic->current_k();
-  }
-
-  fill_latency(out, run);
-
+  // Measured ops only: warmup slots never completed in the buffer.
   if (history) {
-    // Measured ops only: warmup slots never completed in the buffer and
-    // are skipped by the snapshot.
-    const auto report =
-        check_linearizable(history->snapshot(options.warmup));
-    out.lin_checked = true;
-    out.linearizable = report.linearizable;
-    out.lin_violations = report.violations;
+    fill_linearizability(out,
+                         check_linearizable(history->snapshot(options.warmup)));
   }
 
   const Metrics metrics = rt.merged_metrics();
@@ -149,98 +95,41 @@ ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
                   static_cast<double>(n);
   out.pinned_workers = rt.pinned_workers();
   out.placement_supported = rt.placement_supported();
+  if (keyed != nullptr) {
+    out.keys_touched = metrics.key_loads().size();
+    if (out.hot_key != kNoKey) {
+      out.hot_key_max_load = metrics.key_max_load(out.hot_key);
+      out.hot_key_messages = metrics.key_total_messages(out.hot_key);
+    }
+    const auto& fabric =
+        static_cast<const service::MultiCounter&>(rt.protocol());
+    const auto lru = fabric.lru_stats();
+    out.lru_hits = lru.hits;
+    out.lru_misses = lru.misses;
+    out.lru_evicts = lru.evicts;
+    out.lru_rehydrates = lru.rehydrates;
+    out.live_instances = fabric.directory().live_instances();
+  } else if (const auto* elastic =
+                 dynamic_cast<const concurrent::ElasticTreeCounter*>(
+                     &rt.protocol())) {
+    out.elastic_resizes = elastic->resizes();
+    out.elastic_epochs = elastic->epochs_used();
+    out.elastic_final_k = elastic->current_k();
+  }
   return out;
 }
 
-KeyedThroughputResult run_keyed_throughput(
+}  // namespace
+
+ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
+                                const ThroughputOptions& options) {
+  return run_on_runtime(std::move(protocol), options, nullptr);
+}
+
+ThroughputResult run_keyed_throughput(
     std::unique_ptr<CounterProtocol> prototype,
     const ThroughputOptions& options, const KeyedOptions& keyed) {
-  DCNT_CHECK(prototype != nullptr);
-  DCNT_CHECK(keyed.keys > 0);
-  const auto n = static_cast<std::int64_t>(prototype->num_processors());
-  const std::size_t ops =
-      options.ops != 0 ? options.ops : static_cast<std::size_t>(8 * n);
-
-  service::MultiCounterOptions mc;
-  mc.seed = options.seed;
-  mc.capacity = keyed.key_capacity;
-  auto fabric =
-      std::make_unique<service::MultiCounter>(std::move(prototype), mc);
-  const service::MultiCounter* fabric_view = fabric.get();
-
-  KeyedThroughputResult out;
-  out.keys = keyed.keys;
-  out.base.counter = fabric->name();
-  out.base.n = static_cast<std::size_t>(n);
-  out.base.ops = ops;
-  out.base.warmup = options.warmup;
-
-  RuntimeConfig config;
-  config.workers = options.workers;
-  config.seed = options.seed;
-  config.max_ops = options.warmup + ops;
-  config.active_shards = options.active_shards;
-  config.flush_batch = options.flush_batch;
-  ThreadedRuntime rt(std::move(fabric), config);
-  out.base.workers = rt.workers();
-
-  const auto initiators =
-      make_initiators(options.initiators, options.zipf_s, n,
-                      static_cast<std::int64_t>(ops), options.seed);
-  WorkloadOptions wl = make_workload_options(options);
-  wl.keys = make_keys(keyed.key_dist, keyed.key_skew,
-                      static_cast<std::int64_t>(keyed.keys),
-                      static_cast<std::int64_t>(ops), options.seed);
-  const WorkloadResult run = run_workload(rt, initiators, wl);
-
-  // Per-key contract: within each key (warmup ops included — they
-  // consumed that key's low values) the returned values are an exact
-  // permutation of 0..ops_k-1. Holds for any completed schedule prefix,
-  // so a duration-cut run verifies over the ops actually issued.
-  const std::size_t total = options.warmup + run.ops;
-  std::unordered_map<KeyId, std::vector<Value>> by_key;
-  std::unordered_map<KeyId, std::int64_t> ops_by_key;
-  for (std::size_t i = 0; i < total; ++i) {
-    const auto v = rt.result(static_cast<OpId>(i));
-    DCNT_CHECK_MSG(v.has_value(), "operation never completed");
-    by_key[run.key_of_op.at(i)].push_back(*v);
-    ++ops_by_key[run.key_of_op.at(i)];
-  }
-  out.base.values_ok = true;
-  for (auto& [key, values] : by_key) {
-    if (!is_permutation_of_iota(values)) out.base.values_ok = false;
-  }
-  DCNT_CHECK_MSG(out.base.values_ok,
-                 "some key's values are not a permutation of 0..ops_k-1");
-  rt.protocol().check_quiescent(total);
-
-  fill_latency(out.base, run);
-
-  const Metrics metrics = rt.merged_metrics();
-  out.base.total_messages = metrics.total_messages();
-  out.base.max_load = metrics.max_load();
-  out.base.bottleneck = metrics.bottleneck();
-  out.base.mean_load = 2.0 * static_cast<double>(metrics.total_messages()) /
-                       static_cast<double>(n);
-  out.keys_touched = metrics.key_loads().size();
-  for (const auto& [key, count] : ops_by_key) {
-    if (count > out.hot_key_ops ||
-        (count == out.hot_key_ops && key < out.hot_key)) {
-      out.hot_key = key;
-      out.hot_key_ops = count;
-    }
-  }
-  if (out.hot_key != kNoKey) {
-    out.hot_key_max_load = metrics.key_max_load(out.hot_key);
-    out.hot_key_messages = metrics.key_total_messages(out.hot_key);
-  }
-  const auto lru = fabric_view->lru_stats();
-  out.lru_hits = lru.hits;
-  out.lru_misses = lru.misses;
-  out.lru_evicts = lru.evicts;
-  out.lru_rehydrates = lru.rehydrates;
-  out.live_instances = fabric_view->directory().live_instances();
-  return out;
+  return run_on_runtime(std::move(prototype), options, &keyed);
 }
 
 RuntimeSequentialResult run_runtime_sequential(

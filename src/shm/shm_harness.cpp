@@ -43,30 +43,6 @@ class SpinBarrier {
   std::atomic<std::uint64_t> phase_{0};
 };
 
-void fill_latency(ThroughputResult& out, const traffic::TrafficStats& t) {
-  out.mean_us = t.mean_us;
-  out.p50_us = t.p50_us;
-  out.p95_us = t.p95_us;
-  out.p99_us = t.p99_us;
-  out.p999_us = t.p999_us;
-  out.p9999_us = t.p9999_us;
-  out.max_us = t.max_us;
-  out.slo_us = static_cast<double>(t.slo_ns) / 1e3;
-  out.slo_den = t.count;
-  out.slo_ok = t.slo_ok;
-  out.slo_attainment = t.slo_attainment;
-  out.hdr_recorder = !t.exact;
-  out.hdr_overflow = t.hdr_overflow;
-  out.record_threads = t.record_threads;
-  out.slo_phases = t.phases;
-  out.slo_high_den = t.high_count;
-  out.slo_high_ok = t.high_slo_ok;
-  out.slo_high_attainment = t.high_attainment;
-  out.slo_low_den = t.low_count;
-  out.slo_low_ok = t.low_slo_ok;
-  out.slo_low_attainment = t.low_attainment;
-}
-
 }  // namespace
 
 ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
@@ -128,7 +104,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
 
   // One slot per measured op, written exactly once by the claiming
   // thread; the join orders main's reads.
-  std::vector<std::uint64_t> values(tickets ? ops : 0);
+  std::vector<Value> values(tickets ? ops : 0);
 
   std::atomic<std::size_t> warmup_cursor{0};
   std::atomic<std::size_t> cursor{0};
@@ -179,7 +155,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
                 op, resp,
                 tickets ? static_cast<Value>(base + j) : Value{0});
           }
-          if (tickets) values[start + j] = base + j;
+          if (tickets) values[start + j] = static_cast<Value>(base + j);
         }
       }
     } else {
@@ -211,7 +187,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
           history->on_response(op, resp,
                                tickets ? static_cast<Value>(base) : Value{0});
         }
-        if (tickets) values[i] = base;
+        if (tickets) values[i] = static_cast<Value>(base);
       }
     }
   };
@@ -262,7 +238,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
   out.ops_per_sec = out.wall_seconds > 0.0
                         ? static_cast<double>(ops) / out.wall_seconds
                         : 0.0;
-  fill_latency(out, recorder.stats());
+  fill_traffic(out, recorder.stats());
   out.pinned_workers = pinned.load(std::memory_order_acquire);
 
   // Exactness: every counter lands on precisely warmup + ops.
@@ -271,30 +247,16 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
                  "shm counter final value != warmup + ops");
 
   if (tickets) {
-    std::vector<std::uint64_t> sorted = values;
-    std::sort(sorted.begin(), sorted.end());
-    out.values_ok = true;
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      if (sorted[i] != warmup + i) out.values_ok = false;
-    }
-    DCNT_CHECK_MSG(out.values_ok,
-                   "shm tickets are not a permutation of warmup..warmup+ops-1");
+    // The measured tickets follow the warmup's.
+    verify_values(out, values, {}, static_cast<Value>(warmup));
   } else {
     out.values_ok = true;  // the exact-final-value check above IS the claim
   }
 
   if (history) {
-    out.lin_checked = true;
-    if (tickets) {
-      const auto report = check_linearizable(history->snapshot());
-      out.linearizable = report.linearizable;
-      out.lin_violations = report.violations;
-    } else {
-      const auto report =
-          check_inc_read_linearizable(history->snapshot(), reads);
-      out.linearizable = report.linearizable;
-      out.lin_violations = report.violations;
-    }
+    fill_linearizability(
+        out, tickets ? check_linearizable(history->snapshot())
+                     : check_inc_read_linearizable(history->snapshot(), reads));
   }
   return out;
 }

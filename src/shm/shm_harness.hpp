@@ -1,7 +1,11 @@
 // Throughput harness for the shared-memory counters: the shm sibling
 // of harness/run_throughput, producing the SAME ThroughputResult so
 // bench_throughput's SHM table ranks silicon and message-passing rows
-// on one axis.
+// on one axis. It shares the result schema, the TrafficStats fill and
+// the value verifier with the other harnesses (harness/result.hpp)
+// but keeps its own thread-per-client loop instead of the load driver:
+// a client's inc_batch is one synchronous call, so there is no
+// issue/complete split for a driver port to carry.
 //
 // Closed loop: T real threads each keep one batch of F increments in
 // flight — a thread claims op ids [i, i+F) from a shared cursor, stamps
@@ -24,8 +28,8 @@
 // Verification per run (all DCNT_CHECKed, so a bench row completing is
 // a correctness run):
 //   - ticket counters: returned values are exactly {warmup, ...,
-//     warmup+ops-1} and check_linearizable passes over the live
-//     history;
+//     warmup+ops-1} (verify_values), and check_linearizable runs over
+//     the live history;
 //   - the sharded counter: a sampler thread interleaves read()s with
 //     the increments and check_inc_read_linearizable vets the combined
 //     history (reads inside the inc-interval bounds, monotone);

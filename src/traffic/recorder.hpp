@@ -1,6 +1,6 @@
 // TailRecorder: the latency recorder of the traffic engine
-// (DESIGN.md §14), shared by the threaded-runtime workload driver and
-// the socket cluster controller.
+// (DESIGN.md §14), owned by the load driver (traffic/driver.hpp) and
+// the shm harness.
 //
 // Two storage modes, chosen once at construction from the run size:
 //   - exact (small runs): one latency slot per op; stats() computes

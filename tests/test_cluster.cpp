@@ -181,7 +181,7 @@ TEST(Cluster, PipelinedClosedLoopKeepsInvariants) {
   opt.counter = "tree";
   opt.ops = 96;
   opt.concurrency = 8;
-  opt.pipeline = 8;
+  opt.inflight = 8;
   const ClusterResult r = run_cluster(opt);
   EXPECT_TRUE(r.values_ok);
   EXPECT_EQ(r.ops, 96u);
@@ -200,9 +200,9 @@ TEST(Cluster, PipelineDepthDoesNotChangeCentralMessageCount) {
   opt.counter = "central";
   opt.min_processors = 16;
   opt.ops = 64;
-  opt.pipeline = 1;
+  opt.inflight = 1;
   const ClusterResult d1 = run_cluster(opt);
-  opt.pipeline = 8;
+  opt.inflight = 8;
   const ClusterResult d8 = run_cluster(opt);
   EXPECT_TRUE(d1.values_ok);
   EXPECT_TRUE(d8.values_ok);
@@ -334,7 +334,7 @@ TEST(Cluster, KeyedTcpMatchesInprocPerKeyBottleneck) {
   kopt.keys = 16;
   kopt.key_dist = "zipf";
   kopt.key_skew = 0.99;
-  const KeyedThroughputResult inproc = run_keyed_throughput(
+  const ThroughputResult inproc = run_keyed_throughput(
       make_counter(CounterKind::kCentral, 16), topt, kopt);
 
   ClusterOptions copt = base_options();
@@ -353,8 +353,8 @@ TEST(Cluster, KeyedTcpMatchesInprocPerKeyBottleneck) {
   EXPECT_EQ(cluster.hot_key_max_load, inproc.hot_key_max_load);
   EXPECT_EQ(cluster.hot_key_messages, inproc.hot_key_messages);
   EXPECT_EQ(cluster.keys_touched, inproc.keys_touched);
-  EXPECT_EQ(cluster.total_messages, inproc.base.total_messages);
-  EXPECT_EQ(cluster.max_load, inproc.base.max_load);
+  EXPECT_EQ(cluster.total_messages, inproc.total_messages);
+  EXPECT_EQ(cluster.max_load, inproc.max_load);
 }
 
 TEST(Cluster, KeyedUdpLossyKeepsEnvelopeKeyed) {

@@ -148,13 +148,13 @@ TEST(PerfSmoke, NetCentralMpPinnedAcrossTransportAndPipeline) {
   EXPECT_EQ(tcp.max_load, 480);
   EXPECT_EQ(tcp.bottleneck, 0);
 
-  copt.pipeline = 8;
+  copt.inflight = 8;
   const net::ClusterResult tcp_d8 = net::run_cluster(copt);
   ASSERT_TRUE(tcp_d8.values_ok);
   EXPECT_EQ(tcp_d8.total_messages, 480);
   EXPECT_EQ(tcp_d8.max_load, 480);
 
-  copt.pipeline = 1;
+  copt.inflight = 1;
   copt.udp = true;
   // A clean loopback channel never needs a retransmission, but a
   // too-tight ack timeout can fire spuriously under queueing delay and
@@ -186,16 +186,16 @@ TEST(PerfSmoke, KeyedSingleKeyMatchesSingleCounterBaseline) {
   KeyedOptions keyed;
   keyed.keys = 1;
   keyed.key_dist = "roundrobin";
-  const KeyedThroughputResult res = run_keyed_throughput(
+  const ThroughputResult res = run_keyed_throughput(
       std::make_unique<CentralCounter>(16), options, keyed);
-  ASSERT_TRUE(res.base.values_ok);
+  ASSERT_TRUE(res.values_ok);
   EXPECT_EQ(res.hot_key, 0);
   // 15 of every 16 round-robin ops are remote, 2 messages each — the
   // identical closed form as the single-counter pin.
   EXPECT_EQ(res.hot_key_max_load, 480);
   EXPECT_EQ(res.hot_key_messages, 480);
-  EXPECT_EQ(res.base.total_messages, 480);
-  EXPECT_EQ(res.base.max_load, 480);
+  EXPECT_EQ(res.total_messages, 480);
+  EXPECT_EQ(res.max_load, 480);
   EXPECT_EQ(res.keys_touched, 1u);
   EXPECT_EQ(res.live_instances, 1u);
   EXPECT_EQ(res.lru_evicts, 0);
@@ -221,9 +221,9 @@ TEST(PerfSmoke, KeyedMultiKeyLoadsMatchClosedForm) {
   KeyedOptions keyed;
   keyed.keys = keys;
   keyed.key_dist = "roundrobin";
-  const KeyedThroughputResult res = run_keyed_throughput(
+  const ThroughputResult res = run_keyed_throughput(
       std::make_unique<CentralCounter>(n), options, keyed);
-  ASSERT_TRUE(res.base.values_ok);
+  ASSERT_TRUE(res.values_ok);
   EXPECT_EQ(res.keys_touched, keys);
 
   // Reconstruct the routing with the same (seed, key) mix the run used.
@@ -247,7 +247,7 @@ TEST(PerfSmoke, KeyedMultiKeyLoadsMatchClosedForm) {
   EXPECT_EQ(res.hot_key, 0);
   EXPECT_EQ(res.hot_key_max_load, expected_hot_load);
   EXPECT_EQ(res.hot_key_messages, expected_hot_load);
-  EXPECT_EQ(res.base.total_messages, expected_total);
+  EXPECT_EQ(res.total_messages, expected_total);
 }
 
 // The arrival timeline is a pure function of the shape: scheduled-op

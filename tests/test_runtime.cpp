@@ -250,6 +250,26 @@ TEST(ThreadedRuntime, ZipfAndOpenLoopWorkloadsComplete) {
   EXPECT_GT(open.wall_seconds, 0.0);
 }
 
+// The keyed harness builds its runtime from the same config as the
+// plain one, so the placement it asks for applies — or reports itself
+// unsupported — exactly as a plain run's does.
+TEST(ThreadedRuntime, KeyedRunHonoursPlacement) {
+  ThroughputOptions options;
+  options.workers = 2;
+  options.ops = 128;
+  options.seed = 5;
+  options.placement = Placement::kCompact;
+  KeyedOptions keyed;
+  keyed.keys = 4;
+  const ThroughputResult res = run_keyed_throughput(
+      make_counter(CounterKind::kCentral, 8), options, keyed);
+  EXPECT_TRUE(res.values_ok);
+  EXPECT_EQ(res.workers, 2u);
+  EXPECT_EQ(res.placement, "compact");
+  EXPECT_TRUE(res.pinned_workers == res.workers || !res.placement_supported)
+      << "pinned " << res.pinned_workers;
+}
+
 // A protocol driven purely by send_local timers: completion depends on
 // the idle clock-jump, and quiescence must wait for armed timers.
 struct TimerCounter final : CounterProtocol {
