@@ -53,95 +53,53 @@ using namespace dcnt;
 
 namespace {
 
+/// One row: the run's result plus what only the row knows. In-process
+/// rows fill just the HarnessResult part; wire_msgs_sent stays zero.
 struct KeyRow {
-  std::string mode;  ///< "inproc", "inproc-lru", "tcp"
-  std::size_t keys{1};
+  net::ClusterResult r;
+  std::string mode;  ///< "inproc", "inproc-lru", "inproc-open", "tcp", "tcp-open"
   std::string key_dist;
   double key_skew{0.0};
   std::size_t parallelism{0};  ///< workers (inproc) or nodes (tcp)
   std::size_t batch{1};        ///< tcp rows: schedule entries per frame
-  std::size_t ops{0};
   std::size_t key_capacity{0};
-  double ops_per_sec{0.0};
-  double p50_us{0.0};
-  double p99_us{0.0};
-  /// Open-loop rows ("inproc-open"): offered rate, deep tail and SLO
-  /// attainment with latency measured from scheduled arrival.
-  double rate{0.0};
-  double p999_us{0.0};
-  double max_us{0.0};
-  double slo_attainment{0.0};
-  bool hdr_recorder{false};
-  std::int64_t total_messages{0};
-  std::int64_t max_load{0};
-  std::int64_t hot_key{-1};
-  std::int64_t hot_key_ops{0};
-  std::int64_t hot_key_max_load{0};
-  /// The normalized per-key bottleneck: the hot key's max_p divided by
-  /// its op count. The paper's claim is that this stays Omega(1) per op
-  /// (a constant for central) regardless of how many other keys share
-  /// the fabric.
-  double hot_key_load_per_op{0.0};
-  std::size_t keys_touched{0};
-  std::size_t live_instances{0};
-  std::int64_t lru_hits{0};
-  std::int64_t lru_misses{0};
-  std::int64_t lru_evicts{0};
-  std::int64_t lru_rehydrates{0};
-  std::int64_t wire_msgs{0};
+  double rate{0.0};  ///< open-loop rows: offered rate
 };
-
-/// The fields every runtime reports; the callers add their own.
-KeyRow from_run(const HarnessResult& r, const std::string& mode,
-                const std::string& key_dist, double skew,
-                std::size_t capacity) {
-  KeyRow row;
-  row.mode = mode;
-  row.keys = r.keys;
-  row.key_dist = key_dist;
-  row.key_skew = skew;
-  row.ops = r.ops;
-  row.key_capacity = capacity;
-  row.ops_per_sec = r.ops_per_sec;
-  row.p50_us = r.p50_us;
-  row.p99_us = r.p99_us;
-  row.p999_us = r.p999_us;
-  row.max_us = r.max_us;
-  row.slo_attainment = r.slo_attainment;
-  row.hdr_recorder = r.hdr_recorder;
-  row.total_messages = r.total_messages;
-  row.max_load = r.max_load;
-  row.hot_key = r.hot_key;
-  row.hot_key_ops = r.hot_key_ops;
-  row.hot_key_max_load = r.hot_key_max_load;
-  if (r.hot_key_ops > 0) {
-    row.hot_key_load_per_op = static_cast<double>(r.hot_key_max_load) /
-                              static_cast<double>(r.hot_key_ops);
-  }
-  row.keys_touched = r.keys_touched;
-  row.live_instances = r.live_instances;
-  row.lru_hits = r.lru_hits;
-  row.lru_misses = r.lru_misses;
-  row.lru_evicts = r.lru_evicts;
-  row.lru_rehydrates = r.lru_rehydrates;
-  return row;
-}
 
 KeyRow from_keyed_throughput(const ThroughputResult& r,
                              const std::string& key_dist, double skew,
                              std::size_t capacity, const std::string& mode) {
-  KeyRow row = from_run(r, mode, key_dist, skew, capacity);
+  KeyRow row;
+  static_cast<HarnessResult&>(row.r) = r;
+  row.mode = mode;
+  row.key_dist = key_dist;
+  row.key_skew = skew;
   row.parallelism = r.workers;
+  row.key_capacity = capacity;
   return row;
 }
 
-KeyRow from_cluster(const net::ClusterResult& r, const std::string& key_dist,
+KeyRow from_cluster(net::ClusterResult r, const std::string& key_dist,
                     double skew, std::size_t batch, std::size_t capacity) {
-  KeyRow row = from_run(r, "tcp", key_dist, skew, capacity);
+  KeyRow row;
   row.parallelism = r.nodes;
+  row.r = std::move(r);
+  row.mode = "tcp";
+  row.key_dist = key_dist;
+  row.key_skew = skew;
   row.batch = batch;
-  row.wire_msgs = r.wire_msgs_sent;
+  row.key_capacity = capacity;
   return row;
+}
+
+/// The normalized per-key bottleneck: the hot key's max_p divided by
+/// its op count. The paper's claim is that this stays Omega(1) per op
+/// (a constant for central) regardless of how many other keys share
+/// the fabric.
+double hot_key_load_per_op(const HarnessResult& r) {
+  if (r.hot_key_ops == 0) return 0.0;
+  return static_cast<double>(r.hot_key_max_load) /
+         static_cast<double>(r.hot_key_ops);
 }
 
 }  // namespace
@@ -275,7 +233,7 @@ int main(int argc, char** argv) {
         run_keyed_throughput(make_counter(kind, n), topt, kopt),
         kopt.key_dist, skew, 0, "inproc-open");
     row.rate = open_rate;
-    rows.push_back(row);
+    rows.push_back(std::move(row));
   }
 
   // The real cluster: batched keyed Starts out, coalesced completions
@@ -328,27 +286,28 @@ int main(int argc, char** argv) {
     KeyRow row = from_cluster(net::run_cluster(copt), "zipf", 0.99, 1, 0);
     row.mode = "tcp-open";
     row.rate = open_rate;
-    rows.push_back(row);
+    rows.push_back(std::move(row));
   }
 
   Table table({"mode", "keys", "dist", "par", "batch", "ops", "cap", "inc/s",
                "p99_us", "max_load", "hot_ops", "hk_max", "hk/op", "touched",
                "evict", "rehyd"});
-  for (const KeyRow& r : rows) {
+  for (const KeyRow& row : rows) {
+    const net::ClusterResult& r = row.r;
     table.row()
-        .add(r.mode)
+        .add(row.mode)
         .add(static_cast<std::int64_t>(r.keys))
-        .add(r.key_dist)
-        .add(static_cast<std::int64_t>(r.parallelism))
-        .add(static_cast<std::int64_t>(r.batch))
+        .add(row.key_dist)
+        .add(static_cast<std::int64_t>(row.parallelism))
+        .add(static_cast<std::int64_t>(row.batch))
         .add(static_cast<std::int64_t>(r.ops))
-        .add(static_cast<std::int64_t>(r.key_capacity))
+        .add(static_cast<std::int64_t>(row.key_capacity))
         .add(r.ops_per_sec, 0)
         .add(r.p99_us, 1)
         .add(r.max_load)
         .add(r.hot_key_ops)
         .add(r.hot_key_max_load)
-        .add(r.hot_key_load_per_op, 2)
+        .add(hot_key_load_per_op(r), 2)
         .add(static_cast<std::int64_t>(r.keys_touched))
         .add(r.lru_evicts)
         .add(r.lru_rehydrates);
@@ -367,21 +326,22 @@ int main(int argc, char** argv) {
   json.field("batch", batch);
   json.field("seed", seed);
   json.begin_array("runs");
-  for (const KeyRow& r : rows) {
+  for (const KeyRow& row : rows) {
+    const net::ClusterResult& r = row.r;
     json.begin_object();
-    json.field("mode", r.mode);
+    json.field("mode", row.mode);
     json.field("keys", r.keys);
-    json.field("key_dist", r.key_dist);
-    json.field("key_skew", r.key_skew, 2);
-    json.field("parallelism", r.parallelism);
-    json.field("batch", r.batch);
+    json.field("key_dist", row.key_dist);
+    json.field("key_skew", row.key_skew, 2);
+    json.field("parallelism", row.parallelism);
+    json.field("batch", row.batch);
     json.field("ops", r.ops);
-    json.field("key_capacity", r.key_capacity);
+    json.field("key_capacity", row.key_capacity);
     json.field("ops_per_sec", r.ops_per_sec, 1);
     json.field("p50_us", r.p50_us, 2);
     json.field("p99_us", r.p99_us, 2);
-    if (r.mode == "inproc-open" || r.mode == "tcp-open") {
-      json.field("rate", r.rate, 1);
+    if (row.mode == "inproc-open" || row.mode == "tcp-open") {
+      json.field("rate", row.rate, 1);
       json.field("shape", shape);
       json.field("p999_us", r.p999_us, 2);
       json.field("max_us", r.max_us, 2);
@@ -394,14 +354,14 @@ int main(int argc, char** argv) {
     json.field("hot_key", r.hot_key);
     json.field("hot_key_ops", r.hot_key_ops);
     json.field("hot_key_max_load", r.hot_key_max_load);
-    json.field("hot_key_load_per_op", r.hot_key_load_per_op, 3);
+    json.field("hot_key_load_per_op", hot_key_load_per_op(r), 3);
     json.field("keys_touched", r.keys_touched);
     json.field("live_instances", r.live_instances);
     json.field("lru_hits", r.lru_hits);
     json.field("lru_misses", r.lru_misses);
     json.field("lru_evicts", r.lru_evicts);
     json.field("lru_rehydrates", r.lru_rehydrates);
-    json.field("wire_msgs", r.wire_msgs);
+    json.field("wire_msgs", r.wire_msgs_sent);
     json.end_object();
   }
   json.end_array();

@@ -74,85 +74,34 @@ using namespace dcnt;
 
 namespace {
 
-/// One row of the comparison, whichever runtime produced it.
+/// One row of the comparison, whichever runtime produced it: the run's
+/// result plus what only the row knows. In-process rows fill just the
+/// HarnessResult part; their wire counters stay zero.
 struct NetRow {
-  std::string counter;
+  net::ClusterResult r;
   std::string mode;  ///< "inproc", "tcp", "udp", "udp-lossy", "tcp-conc"
   std::size_t pipeline{1};  ///< closed-loop depth per slot (1 for inproc)
   std::size_t inflight{0};  ///< tcp-conc rows: F ops outstanding per slot
-  std::size_t n{0};
   std::size_t parallelism{0};  ///< workers (inproc) or nodes (cluster)
-  std::size_t ops{0};
-  double wall_seconds{0.0};
-  double ops_per_sec{0.0};
-  double mean_us{0.0};
-  double p50_us{0.0};
-  double p99_us{0.0};
-  std::int64_t total_messages{0};
-  std::int64_t max_load{0};
-  std::int64_t wire_msgs{0};
-  std::int64_t injected_drops{0};
-  std::int64_t retransmissions{0};
-  std::int64_t wire_bytes{0};
-  std::int64_t write_syscalls{0};
-  /// Wire bytes per kernel write() — how much frame coalescing the
-  /// deferred-flush event loop achieved (0 for the in-process rows).
-  double bytes_per_write{0.0};
-  /// Open-loop rows ("tcp-open"): offered rate, deep tails measured
-  /// from scheduled arrival, and SLO attainment.
-  double rate{0.0};
-  double p999_us{0.0};
-  double p9999_us{0.0};
-  double max_us{0.0};
-  double slo_attainment{0.0};
-  bool hdr_recorder{false};
-  /// Linearizability verdict over the run's real recorded history
-  /// (concurrent::check_linearizable; lin_checked says it ran).
-  bool lin_checked{false};
-  bool linearizable{false};
-  std::int64_t lin_violations{0};
+  double rate{0.0};  ///< tcp-open rows: offered rate
 };
 
-/// The fields every runtime reports; the callers add their own.
-NetRow from_run(const HarnessResult& r, const std::string& mode) {
+NetRow from_cluster(net::ClusterResult r, const std::string& mode,
+                    std::size_t pipeline) {
   NetRow row;
-  row.counter = r.counter;
+  row.parallelism = r.nodes;
+  row.r = std::move(r);
   row.mode = mode;
-  row.n = r.n;
-  row.ops = r.ops;
-  row.wall_seconds = r.wall_seconds;
-  row.ops_per_sec = r.ops_per_sec;
-  row.mean_us = r.mean_us;
-  row.p50_us = r.p50_us;
-  row.p99_us = r.p99_us;
-  row.p999_us = r.p999_us;
-  row.p9999_us = r.p9999_us;
-  row.max_us = r.max_us;
-  row.slo_attainment = r.slo_attainment;
-  row.hdr_recorder = r.hdr_recorder;
-  row.total_messages = r.total_messages;
-  row.max_load = r.max_load;
-  row.lin_checked = r.lin_checked;
-  row.linearizable = r.linearizable;
-  row.lin_violations = r.lin_violations;
+  row.pipeline = pipeline;
   return row;
 }
 
-NetRow from_cluster(const net::ClusterResult& r, const std::string& mode,
-                    std::size_t pipeline) {
-  NetRow row = from_run(r, mode);
-  row.pipeline = pipeline;
-  row.parallelism = r.nodes;
-  row.wire_msgs = r.wire_msgs_sent;
-  row.injected_drops = r.injected_drops;
-  row.retransmissions = r.retransmissions;
-  row.wire_bytes = r.wire_bytes_sent;
-  row.write_syscalls = r.wire_write_syscalls;
-  if (r.wire_write_syscalls > 0) {
-    row.bytes_per_write = static_cast<double>(r.wire_bytes_sent) /
-                          static_cast<double>(r.wire_write_syscalls);
-  }
-  return row;
+/// Wire bytes per kernel write() — how much frame coalescing the
+/// deferred-flush event loop achieved (0 for the in-process rows).
+double bytes_per_write(const net::ClusterResult& r) {
+  if (r.wire_write_syscalls == 0) return 0.0;
+  return static_cast<double>(r.wire_bytes_sent) /
+         static_cast<double>(r.wire_write_syscalls);
 }
 
 }  // namespace
@@ -218,10 +167,12 @@ int main(int argc, char** argv) {
     topt.warmup = warmup;
     topt.seed = seed;
     const ThroughputResult tres = run_throughput(make_counter(kind, n), topt);
-    NetRow inproc = from_run(tres, "inproc");
+    NetRow inproc;
+    static_cast<HarnessResult&>(inproc.r) = tres;
+    inproc.r.counter = name;  // cluster rows carry the flag name; match it
+    inproc.mode = "inproc";
     inproc.parallelism = tres.workers;
-    inproc.counter = name;  // cluster rows carry the flag name; match it
-    rows.push_back(inproc);
+    rows.push_back(std::move(inproc));
 
     for (const std::int64_t depth : pipelines) {
       const auto d = static_cast<std::size_t>(depth > 0 ? depth : 1);
@@ -270,12 +221,12 @@ int main(int argc, char** argv) {
       copt.seed = seed;
       NetRow row = from_cluster(net::run_cluster(copt), "tcp-conc", inflight);
       row.inflight = inflight;
-      DCNT_CHECK_MSG(row.lin_checked, "tcp-conc row without a lin verdict");
+      DCNT_CHECK_MSG(row.r.lin_checked, "tcp-conc row without a lin verdict");
       if (expected_linearizable(kind)) {
-        DCNT_CHECK_MSG(row.linearizable,
+        DCNT_CHECK_MSG(row.r.linearizable,
                        "serializing counter failed linearizability on TCP");
       }
-      rows.push_back(row);
+      rows.push_back(std::move(row));
     }
 
     // Open-loop rows on the TCP plane: one per offered rate.
@@ -297,25 +248,26 @@ int main(int argc, char** argv) {
       copt.exact_cap = exact_cap;
       NetRow row = from_cluster(net::run_cluster(copt), "tcp-open", 1);
       row.rate = rate;
-      rows.push_back(row);
+      rows.push_back(std::move(row));
     }
   }
 
-  for (const NetRow& r : rows) {
+  for (const NetRow& row : rows) {
+    const net::ClusterResult& r = row.r;
     table.row()
         .add(r.counter)
-        .add(r.mode)
-        .add(static_cast<std::int64_t>(r.pipeline))
+        .add(row.mode)
+        .add(static_cast<std::int64_t>(row.pipeline))
         .add(static_cast<std::int64_t>(r.n))
-        .add(static_cast<std::int64_t>(r.parallelism))
+        .add(static_cast<std::int64_t>(row.parallelism))
         .add(static_cast<std::int64_t>(r.ops))
         .add(r.ops_per_sec, 0)
         .add(r.p50_us, 1)
         .add(r.p99_us, 1)
         .add(r.total_messages)
         .add(r.max_load)
-        .add(r.wire_msgs)
-        .add(r.bytes_per_write, 1)
+        .add(r.wire_msgs_sent)
+        .add(bytes_per_write(r), 1)
         .add(r.retransmissions)
         .add(r.lin_checked ? (r.linearizable ? "y" : "NO") : "-")
         .add(r.lin_violations);
@@ -334,21 +286,22 @@ int main(int argc, char** argv) {
   json.field("warmup", warmup);
   json.field("seed", seed);
   json.begin_array("runs");
-  for (const NetRow& r : rows) {
+  for (const NetRow& row : rows) {
+    const net::ClusterResult& r = row.r;
     json.begin_object();
     json.field("counter", r.counter);
-    json.field("mode", r.mode);
-    json.field("pipeline", r.pipeline);
+    json.field("mode", row.mode);
+    json.field("pipeline", row.pipeline);
     json.field("n", r.n);
-    json.field("parallelism", r.parallelism);
+    json.field("parallelism", row.parallelism);
     json.field("ops", r.ops);
     json.field("wall_seconds", r.wall_seconds, 4);
     json.field("ops_per_sec", r.ops_per_sec, 1);
     json.field("mean_us", r.mean_us, 2);
     json.field("p50_us", r.p50_us, 2);
     json.field("p99_us", r.p99_us, 2);
-    if (r.mode == "tcp-open") {
-      json.field("rate", r.rate, 1);
+    if (row.mode == "tcp-open") {
+      json.field("rate", row.rate, 1);
       json.field("shape", shape);
       json.field("p999_us", r.p999_us, 2);
       json.field("p9999_us", r.p9999_us, 2);
@@ -357,19 +310,19 @@ int main(int argc, char** argv) {
       json.field("slo_attainment", r.slo_attainment, 6);
       json.field("hdr_recorder", r.hdr_recorder ? 1 : 0);
     }
-    if (r.mode == "tcp-conc") {
-      json.field("inflight", r.inflight);
-      json.field("window", r.inflight * concurrency);
+    if (row.mode == "tcp-conc") {
+      json.field("inflight", row.inflight);
+      json.field("window", row.inflight * concurrency);
     }
     json.field("lin_checked", r.lin_checked ? 1 : 0);
     json.field("linearizable", r.linearizable ? 1 : 0);
     json.field("lin_violations", r.lin_violations);
     json.field("total_messages", r.total_messages);
     json.field("max_load", r.max_load);
-    json.field("wire_msgs", r.wire_msgs);
-    json.field("wire_bytes", r.wire_bytes);
-    json.field("write_syscalls", r.write_syscalls);
-    json.field("bytes_per_write", r.bytes_per_write, 1);
+    json.field("wire_msgs", r.wire_msgs_sent);
+    json.field("wire_bytes", r.wire_bytes_sent);
+    json.field("write_syscalls", r.wire_write_syscalls);
+    json.field("bytes_per_write", bytes_per_write(r), 1);
     json.field("injected_drops", r.injected_drops);
     json.field("retransmissions", r.retransmissions);
     json.end_object();

@@ -135,6 +135,8 @@ class Controller final : public traffic::LoadPort {
   /// the per-node kStartBatch staging they fill.
   std::size_t unit_left_{0};
   std::vector<StartBatchFrame> batch_scratch_;
+  /// Reused by every kCompleteBatch decode.
+  CompleteBatchFrame complete_scratch_;
   /// Keyed-stats collection (multi-key mode, after the final barrier):
   /// nodes whose last chunk is still outstanding and the hot key's
   /// merged per-processor load.
@@ -176,38 +178,28 @@ void Controller::pump(int timeout_ms) {
   loop_.run_once(timeout_ms);
 }
 
-/// Sends entry `entry` as a Start frame or — batched keyed mode — as a
-/// slot of the current unit, which leaves as one kStartBatch frame per
-/// touched node once complete. The driver issues units back to back, in
+/// Stages entry `entry` as a slot of the current unit, which leaves as
+/// one kStartBatch frame per touched node once complete (a unit of one
+/// is a one-entry frame). The driver issues units back to back, in
 /// order and full except at a phase's end, so a unit's size is known at
 /// its first entry.
 OpId Controller::issue(std::size_t entry) {
   DCNT_CHECK(entry == issued_);
   ++issued_;
-  const auto op = static_cast<OpId>(entry);
-  const ProcessorId origin = initiators_[entry];
-  const std::uint32_t node = static_cast<std::uint32_t>(origin) % opt_.nodes;
   if (unit_left_ == 0) {
     const std::size_t phase_end = entry < warmup_ ? warmup_ : total_;
     unit_left_ = std::min(batch_size(), phase_end - entry);
-    if (unit_left_ == 1) {
-      unit_left_ = 0;
-      // Keyed single-op issuance rides the plain Start frame with the
-      // key as the op's one argument word.
-      MessageArgs args;
-      if (keyed()) args.push_back(keys_[entry]);
-      loop_.send(conn_of_node_.at(node),
-                 encode_start(StartFrame{op, origin, std::move(args)}));
-      return op;
-    }
-    batch_scratch_.resize(opt_.nodes);
-    for (StartBatchFrame& f : batch_scratch_) f.ops.clear();
   }
-  batch_scratch_[node].ops.push_back(StartBatchEntry{op, origin, keys_[entry]});
+  const auto op = static_cast<OpId>(entry);
+  const ProcessorId origin = initiators_[entry];
+  const KeyId key = keyed() ? keys_[entry] : kNoKey;
+  batch_scratch_[static_cast<std::uint32_t>(origin) % opt_.nodes].ops.push_back(
+      StartBatchEntry{op, origin, key});
   if (--unit_left_ > 0) return op;
   for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
     if (batch_scratch_[id].ops.empty()) continue;
     loop_.send(conn_of_node_.at(id), encode_start_batch(batch_scratch_[id]));
+    batch_scratch_[id].ops.clear();
   }
   return op;
 }
@@ -287,7 +279,9 @@ bool Controller::rounds_stable() const {
 void Controller::on_frame(int conn, const FrameView& frame) {
   switch (frame.type()) {
     case FrameType::kHello: {
-      const HelloFrame hello = decode_hello(frame);
+      HelloFrame hello;
+      DCNT_CHECK_MSG(decode_hello(frame, &hello),
+                     "malformed Hello at the controller");
       DCNT_CHECK(hello.node_id < opt_.nodes);
       DCNT_CHECK_MSG(!hellos_[hello.node_id].has_value(),
                      "duplicate Hello from a node");
@@ -306,6 +300,9 @@ void Controller::on_frame(int conn, const FrameView& frame) {
       return;
     }
     case FrameType::kReady: {
+      ReadyFrame ready;
+      DCNT_CHECK_MSG(decode_ready(frame, &ready),
+                     "malformed Ready at the controller");
       // After a kMetricsReset broadcast a Ready is that node's reset ack.
       if (reset_acks_pending_ > 0) {
         --reset_acks_pending_;
@@ -315,19 +312,12 @@ void Controller::on_frame(int conn, const FrameView& frame) {
       }
       return;
     }
-    case FrameType::kComplete: {
-      const CompleteFrame done = decode_complete(frame);
-      on_complete(done.op, done.value);
-      return;
-    }
     case FrameType::kCompleteBatch: {
-      // Keyed nodes coalesce every completion of a drain round into one
-      // frame. The control channel is our own node binary, so a
-      // malformed batch is a bug, not corruption to survive.
-      CompleteBatchFrame batch;
-      DCNT_CHECK_MSG(decode_complete_batch(frame, &batch),
+      // A node coalesces every completion of a drain round into one
+      // frame.
+      DCNT_CHECK_MSG(decode_complete_batch(frame, &complete_scratch_),
                      "malformed CompleteBatch at the controller");
-      for (const CompleteBatchEntry& e : batch.completions) {
+      for (const CompleteBatchEntry& e : complete_scratch_.completions) {
         on_complete(e.op, e.value);
       }
       return;
@@ -340,7 +330,9 @@ void Controller::on_frame(int conn, const FrameView& frame) {
       return;
     }
     case FrameType::kStats: {
-      const StatsFrame stats = decode_stats(frame);
+      StatsFrame stats;
+      DCNT_CHECK_MSG(decode_stats(frame, &stats),
+                     "malformed Stats at the controller");
       DCNT_CHECK(stats.node_id < opt_.nodes);
       DCNT_CHECK(stats_outstanding_ > 0 && !round_[stats.node_id].has_value());
       round_[stats.node_id] = stats;
@@ -444,6 +436,7 @@ ClusterResult Controller::run() {
   values_.assign(total_, -1);
   conn_of_node_.assign(opt_.nodes, -1);
   hellos_.assign(opt_.nodes, std::nullopt);
+  batch_scratch_.resize(opt_.nodes);
 
   std::uint16_t ctrl_port = 0;
   Socket listener = tcp_listen(&ctrl_port);
@@ -541,6 +534,7 @@ ClusterResult Controller::run() {
     out_.duplicates_suppressed += s.duplicates_suppressed;
     out_.messages_abandoned += s.messages_abandoned;
     out_.wire_write_syscalls += s.wire_write_syscalls;
+    out_.frames_rejected += s.frames_rejected;
     for (const ProcLoad& load : s.loads) {
       DCNT_CHECK(load.pid >= 0 && load.pid < n_);
       DCNT_CHECK(static_cast<std::uint32_t>(load.pid) % opt_.nodes == id);

@@ -5,9 +5,9 @@
 // Hello/Peers/Ready mesh handshake, then drives the cluster with the
 // shared load driver (traffic/driver.hpp) — the same closed/open loop,
 // warmup and duration policy as the threaded runtime. The controller is
-// the driver's port: issue sends Start (or batched keyed kStartBatch)
-// frames, wait runs one reactor round delivering Complete frames,
-// reset_metrics broadcasts kMetricsReset and waits for every ack, and
+// the driver's port: issue sends each unit of ops as one kStartBatch
+// frame per touched node (a plain unit is a batch of one), wait runs
+// one reactor round delivering kCompleteBatch frames, reset_metrics broadcasts kMetricsReset and waits for every ack, and
 // quiesce is the distributed barrier: StatsRequest/Stats rounds until
 // two consecutive rounds show identical per-node progress, no unacked
 // envelopes or armed timers anywhere, and — on the reliable TCP plane —
@@ -80,8 +80,8 @@ struct ClusterOptions : LoadOptions {
   std::size_t key_capacity{0};
   /// Multi-key batched RPC: this many consecutive schedule entries go
   /// out as one kStartBatch frame per touched node, and the closed-loop
-  /// window counts batches. 1 = unbatched keyed Starts; forced to 1
-  /// under quiesce_between_ops and open-loop issuance.
+  /// window counts batches. 1 = one op per frame; forced to 1 without
+  /// keys, under quiesce_between_ops and under open-loop issuance.
   std::size_t batch{1};
 };
 
@@ -101,6 +101,9 @@ struct ClusterResult : HarnessResult {
   /// Kernel write syscalls the data planes issued; wire_bytes_sent /
   /// wire_write_syscalls is the send-coalescing observable.
   std::int64_t wire_write_syscalls{0};
+  /// Malformed data-plane frames the nodes dropped (UDP mode; a TCP
+  /// node aborts instead). Nonzero means the wire carried garbage.
+  std::int64_t frames_rejected{0};
 
   /// StatsRequest rounds the quiescence barriers took.
   int quiesce_rounds{0};

@@ -110,15 +110,6 @@ std::size_t EventLoop::send_message(int conn, const Message& msg) {
   return n;
 }
 
-std::size_t EventLoop::send_keyed_message(int conn, const Message& msg) {
-  DCNT_CHECK_MSG(connected(conn), "send on a closed connection");
-  Connection& c = *connections_[static_cast<std::size_t>(conn)];
-  const std::size_t n = append_keyed_message(c.outbound, msg);
-  ++frames_sent_;
-  bytes_sent_ += static_cast<std::int64_t>(n);
-  return n;
-}
-
 bool EventLoop::send_datagram(std::uint16_t port,
                               const std::vector<std::uint8_t>& frame) {
   DCNT_CHECK_MSG(udp_.valid(), "no UDP socket registered");
@@ -132,13 +123,6 @@ std::size_t EventLoop::send_datagram_message(std::uint16_t port,
                                              const Message& msg) {
   dgram_scratch_.clear();
   const std::size_t n = append_message(dgram_scratch_, msg);
-  return send_datagram(port, dgram_scratch_) ? n : 0;
-}
-
-std::size_t EventLoop::send_datagram_keyed_message(std::uint16_t port,
-                                                   const Message& msg) {
-  dgram_scratch_.clear();
-  const std::size_t n = append_keyed_message(dgram_scratch_, msg);
   return send_datagram(port, dgram_scratch_) ? n : 0;
 }
 

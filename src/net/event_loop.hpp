@@ -67,12 +67,10 @@ class EventLoop {
   /// Move overload: when the connection's queue is empty the frame's
   /// buffer is adopted wholesale instead of copied.
   void send(int conn, std::vector<std::uint8_t>&& frame);
-  /// Encodes one protocol Message straight into the connection's
-  /// outbound queue — no intermediate buffer. Returns bytes queued.
+  /// Encodes one protocol Message (kMsg, or kKeyedMsg when it carries a
+  /// key) straight into the connection's outbound queue — no
+  /// intermediate buffer. Returns bytes queued.
   std::size_t send_message(int conn, const Message& msg);
-  /// Same, as a kKeyedMsg frame carrying msg.key (the service fabric's
-  /// data plane). Requires msg.key != kNoKey.
-  std::size_t send_keyed_message(int conn, const Message& msg);
   bool connected(int conn) const;
   std::size_t open_connections() const;
   /// Any open connection still holding unflushed outbound bytes? A node
@@ -110,9 +108,6 @@ class EventLoop {
   /// (datagrams keep their boundaries; there is nothing to coalesce).
   /// Returns bytes sent, or 0 when the kernel dropped it.
   std::size_t send_datagram_message(std::uint16_t port, const Message& msg);
-  /// Keyed-frame flavor of send_datagram_message (msg.key != kNoKey).
-  std::size_t send_datagram_keyed_message(std::uint16_t port,
-                                          const Message& msg);
 
   /// Kernel write syscalls actually issued (TCP send() calls that moved
   /// bytes + UDP sendto() calls). bytes_sent()/write_syscalls() is the

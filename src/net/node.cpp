@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -46,7 +47,13 @@ class Node {
   void on_ctrl_frame(const FrameView& frame);
   void on_peer_frame(int conn, const FrameView& frame);
   void stage_wire_message(const FrameView& frame);
-  void stage_start(StartFrame start);
+  void stage_start(const StartBatchEntry& start);
+  /// Policy for a frame whose decoder returned `decoded`: true passes
+  /// it on. A rejected `droppable` frame (the UDP data plane, where the
+  /// reliable transport retransmits) is dropped and counted; any other
+  /// rejection aborts naming the frame type, because nothing replaces
+  /// a frame lost on a TCP stream.
+  bool admit(bool decoded, const FrameView& frame, bool droppable);
   int add_peer_connection(Socket sock);
   void link_up(std::uint32_t peer, int conn);
   void maybe_ready();
@@ -84,13 +91,15 @@ class Node {
   std::vector<PeerAddr> peers_;  ///< cluster address table (UDP sends)
   Rng drop_rng_{1};
   WireCounters wire_;
-  /// Malformed kKeyedMsg frames dropped by the hardened decoder (the
-  /// fabric data plane rejects instead of aborting).
-  std::int64_t keyed_rejects_{0};
-  /// Completions of the current drain round (multi-key mode), flushed
-  /// as one kCompleteBatch frame.
+  /// Malformed datagrams dropped (UDP mode), reported in every Stats
+  /// frame.
+  std::int64_t frames_rejected_{0};
+  /// Completions of the current drain round, flushed as one
+  /// kCompleteBatch frame.
   CompleteBatchFrame complete_buf_;
   std::vector<std::uint8_t> complete_scratch_;
+  /// Reused by every kStartBatch decode, so a start allocates nothing.
+  StartBatchFrame start_buf_;
   /// Wire-arrived and controller-started events, handed to the shard
   /// with one inject() per drain round.
   std::vector<RuntimeEvent> inject_buf_;
@@ -171,17 +180,13 @@ void Node::build_runtime() {
 
   // Handler output goes straight into the event loop: each remote
   // message is encoded into its peer's outbound queue (or sent as a
-  // datagram), and completions are written to the controller connection
-  // or staged for this round's kCompleteBatch frame.
+  // datagram), and completions are staged for this round's
+  // kCompleteBatch frame.
   runtime_->set_remote_sink([this](std::size_t, std::vector<Message>& out) {
     for (Message& msg : out) send_wire(msg);
   });
   runtime_->set_completion([this](OpId op, Value value) {
-    if (keyed_) {
-      complete_buf_.completions.push_back(CompleteBatchEntry{op, value});
-    } else {
-      loop_.send(ctrl_conn_, encode_complete(CompleteFrame{op, value}));
-    }
+    complete_buf_.completions.push_back(CompleteBatchEntry{op, value});
   });
 }
 
@@ -195,10 +200,8 @@ void Node::send_wire(Message& msg) {
     }
     // A kernel refusal (full buffers) is just loss with extra steps; the
     // reliable transport's retransmission covers both.
-    const std::uint16_t port = peers_.at(owner).udp_port;
-    const std::size_t sent = msg.key != kNoKey
-                                 ? loop_.send_datagram_keyed_message(port, msg)
-                                 : loop_.send_datagram_message(port, msg);
+    const std::size_t sent =
+        loop_.send_datagram_message(peers_.at(owner).udp_port, msg);
     if (sent != 0) {
       ++wire_.msgs_sent;
       wire_.bytes_sent += static_cast<std::int64_t>(sent);
@@ -208,11 +211,8 @@ void Node::send_wire(Message& msg) {
   const int conn = peer_conn_.at(owner);
   DCNT_CHECK_MSG(conn >= 0, "wire send before the peer link is up");
   // Encoded straight into the connection's outbound queue; the bytes
-  // leave coalesced with everything else queued this round. A message
-  // owned by a key travels as the fabric's kKeyedMsg envelope.
-  const std::size_t queued = msg.key != kNoKey
-                                 ? loop_.send_keyed_message(conn, msg)
-                                 : loop_.send_message(conn, msg);
+  // leave coalesced with everything else queued this round.
+  const std::size_t queued = loop_.send_message(conn, msg);
   ++wire_.msgs_sent;
   wire_.bytes_sent += static_cast<std::int64_t>(queued);
 }
@@ -220,7 +220,8 @@ void Node::send_wire(Message& msg) {
 void Node::on_ctrl_frame(const FrameView& frame) {
   switch (frame.type()) {
     case FrameType::kPeers: {
-      PeersFrame pf = decode_peers(frame);
+      PeersFrame pf;
+      admit(decode_peers(frame, &pf), frame, false);
       DCNT_CHECK(pf.peers.size() == cfg_.num_nodes);
       peers_ = std::move(pf.peers);
       if (!cfg_.udp) {
@@ -238,19 +239,10 @@ void Node::on_ctrl_frame(const FrameView& frame) {
       maybe_ready();
       return;
     }
-    case FrameType::kStart:
-      stage_start(decode_start(frame));
-      return;
     case FrameType::kStartBatch: {
-      // One frame, many keyed ops: split into individual Start events.
-      // The control channel is our own controller, so a malformed batch
-      // is a bug, not wire corruption to survive.
-      StartBatchFrame batch;
-      DCNT_CHECK_MSG(decode_start_batch(frame, &batch),
-                     "malformed StartBatch on the control channel");
-      for (StartBatchEntry& e : batch.ops) {
-        stage_start(StartFrame{e.op, e.origin, {e.key}});
-      }
+      // One frame, one or many ops: split into individual Start events.
+      admit(decode_start_batch(frame, &start_buf_), frame, false);
+      for (const StartBatchEntry& e : start_buf_.ops) stage_start(e);
       return;
     }
     case FrameType::kStatsRequest:
@@ -275,7 +267,8 @@ void Node::on_ctrl_frame(const FrameView& frame) {
 
 void Node::on_peer_frame(int conn, const FrameView& frame) {
   if (frame.type() == FrameType::kHello) {
-    const HelloFrame hello = decode_hello(frame);
+    HelloFrame hello;
+    admit(decode_hello(frame, &hello), frame, false);
     DCNT_CHECK(hello.node_id < cfg_.num_nodes);
     link_up(hello.node_id, conn);
     return;
@@ -284,42 +277,41 @@ void Node::on_peer_frame(int conn, const FrameView& frame) {
 }
 
 void Node::stage_wire_message(const FrameView& frame) {
-  DCNT_CHECK(frame.type() == FrameType::kMsg ||
-             frame.type() == FrameType::kKeyedMsg);
   ++wire_.msgs_received;
   wire_.bytes_received += static_cast<std::int64_t>(frame.body_size()) + 6;
   RuntimeEvent ev;
   ev.kind = RuntimeEvent::Kind::kMessage;
-  if (frame.type() == FrameType::kKeyedMsg) {
-    // The fabric data plane is decoded by the hardened non-aborting
-    // path: a mangled frame is dropped and counted, never fatal. (Under
-    // UDP the reliable transport retransmits it; on TCP it cannot occur
-    // short of memory corruption, and the quiescence barrier would
-    // expose the loss as a sent/received mismatch rather than a hang
-    // going unnoticed.)
-    if (!decode_keyed_message(frame, &ev.msg)) {
-      ++keyed_rejects_;
-      return;
-    }
-  } else {
-    ev.msg = decode_message(frame);
-  }
+  if (!admit(decode_message(frame, &ev.msg), frame, cfg_.udp)) return;
   DCNT_CHECK(runtime_->owns(ev.msg.dst));
   inject_buf_.push_back(std::move(ev));
 }
 
-void Node::stage_start(StartFrame start) {
-  DCNT_CHECK(start.origin >= 0 && start.origin < n_);
+void Node::stage_start(const StartBatchEntry& start) {
+  DCNT_CHECK(start.origin < n_);
   DCNT_CHECK_MSG(runtime_->owns(start.origin),
                  "Start frame routed to the wrong node");
+  DCNT_CHECK_MSG((start.key != kNoKey) == keyed_,
+                 "Start key does not match the node's key mode");
   runtime_->register_external_op(start.op);
   RuntimeEvent ev;
   ev.kind = RuntimeEvent::Kind::kStart;
   ev.msg.src = start.origin;
   ev.msg.dst = start.origin;
   ev.msg.op = start.op;
-  ev.msg.args = std::move(start.args);  // empty = plain inc
+  if (keyed_) ev.msg.args.push_back(start.key);  // none = plain inc
   inject_buf_.push_back(std::move(ev));
+}
+
+bool Node::admit(bool decoded, const FrameView& frame, bool droppable) {
+  if (decoded) return true;
+  if (droppable) {
+    ++frames_rejected_;
+    return false;
+  }
+  std::fprintf(stderr, "dcnt_node %u: malformed frame of type %d\n",
+               cfg_.node_id, static_cast<int>(frame.type()));
+  DCNT_CHECK_MSG(false, "malformed frame on a TCP connection");
+  return false;
 }
 
 int Node::add_peer_connection(Socket sock) {
@@ -388,6 +380,7 @@ void Node::send_stats() {
   s.wire_bytes_received = w.bytes_received - base_.wire.bytes_received;
   s.injected_drops = w.injected_drops - base_.wire.injected_drops;
   s.wire_write_syscalls = w.write_syscalls - base_.wire.write_syscalls;
+  s.frames_rejected = frames_rejected_;
   s.timers_armed = runtime_->timers_armed();
   if (transport_ != nullptr) {
     s.unacked = transport_->unacked_total();

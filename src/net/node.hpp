@@ -27,6 +27,10 @@
 //     inside each node — the PROTOCOL.md ack/seq/backoff framing doing
 //     real work over an actually-lossy medium. Kernel-level losses
 //     (ENOBUFS, buffer overflow) are absorbed by the same machinery.
+// A frame its decoder rejects is dropped and counted on the udp plane
+// (StatsFrame::frames_rejected), where the transport retransmits the
+// message; on a tcp link or the control connection nothing can replace
+// it, so the node aborts naming the frame type.
 //
 // Time: the node keeps the runtime's logical clock (one tick per
 // handled event), and maps Context::send_local delays to wall-clock
@@ -43,7 +47,8 @@
 // time. Each round decodes what the sockets delivered, injects it into
 // the shard, and runs the shard until dry; handler output goes straight
 // into the reactor's per-peer outbound queues and leaves coalesced at
-// the next round boundary. Stats requests, metric resets and time
+// the next round boundary, and the round's completions leave as one
+// kCompleteBatch frame. Stats requests, metric resets and time
 // jumps are handled at a dry point of the same thread (staged events
 // injected, the shard driven until dry, outbound queues flushed), so a
 // stats reply counts only fully processed messages. Nothing is shared
@@ -80,10 +85,9 @@ struct NodeConfig {
   /// hint for the runtime's completion tables; 0 = default 1<<16).
   std::int64_t max_ops{0};
   /// > 0: multi-key mode — wrap the counter in a service/MultiCounter
-  /// fabric of this many keys. The node then accepts keyed Starts
-  /// (StartFrame args = {key}, or batched kStartBatch), speaks the
-  /// kKeyedMsg data plane between peers, coalesces completions into
-  /// kCompleteBatch frames, and answers kKeyedStatsRequest with per-key
+  /// fabric of this many keys. Every kStartBatch entry then carries a
+  /// key (kNoKey otherwise), messages between peers travel as kKeyedMsg
+  /// frames, and the node answers kKeyedStatsRequest with per-key
   /// loads. The fabric's routing seed is the shared `seed`, identical on
   /// every node, so key -> rotation agrees cluster-wide.
   std::int64_t keys{0};

@@ -6,30 +6,33 @@
 //   [u32 payload_len][u8 version][u8 type][body...]
 //
 // all integers little-endian, payload_len counting everything after the
-// length word. The kMsg body carries a protocol Message verbatim
-// (src, dst, tag, op, args), so the PROTOCOL.md framing fields — the
+// length word. One frame per concept: a Msg frame carries one protocol
+// Message verbatim (src, dst, tag, op, args), and its keyed twin adds
+// the counter key in front, so the PROTOCOL.md framing fields — the
 // reliable transport's [seq, inner_tag, inner_args...] Data envelopes
 // and [seq] Acks — ride inside args untouched: the wire layer moves
 // envelopes, the ReliableTransport decorator inside each node gives
 // them meaning (see PROTOCOL.md, "Reliable transport framing").
 //
 // Control frames (node <-> cluster controller) share the same framing:
-// Hello/Peers/Ready for the mesh handshake, Start/Complete for the
-// initiator RPC, StatsRequest/Stats for the distributed-quiescence
-// barrier and metrics collection, Shutdown to end a node.
+// Hello/Peers/Ready for the mesh handshake, StartBatch/CompleteBatch
+// for the initiator RPC (every op, plain or keyed, one entry of a
+// batch), StatsRequest/Stats for the distributed-quiescence barrier and
+// metrics collection, Shutdown to end a node.
 //
-// Trust model: frames are parsed with hard bounds checks
-// (kMaxFramePayload, per-field underflow checks) and a malformed or
-// version-mismatched frame aborts the process (DCNT_CHECK) — peers are
-// our own binaries on localhost, so corruption is a bug, not an attack
-// to survive. The v2 *keyed* frames (below) are the exception: they are
-// the service fabric's data plane, and their decoders reject (return
-// false) instead of aborting, so a node can drop-and-count a mangled
-// keyed frame without taking the whole cluster down with it.
+// Trust model: decoders reject, callers choose the policy. Every body
+// decoder is bounds-checked and returns false on malformed input
+// (truncation, trailing bytes, a count the body cannot hold, an
+// out-of-range field); none aborts. The controller and a TCP node treat
+// a rejection as fatal — nothing can replace a frame lost on a reliable
+// stream — while a UDP node drops the frame and counts it in
+// StatsFrame::frames_rejected, leaving the retransmission to the
+// reliable transport. The header checks (FrameView's version and type,
+// FrameReader's length bound) still abort.
 //
-// Versioning: kWireVersion is 2 since the keyed envelope landed, and
-// FrameView accepts only that version — every node and controller is
-// built from one tree, so no peer ever speaks another.
+// Versioning: kWireVersion is 3 since the frame vocabulary was unified,
+// and FrameView accepts only that version — every node and controller
+// is built from one tree, so no peer ever speaks another.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +44,7 @@
 
 namespace dcnt::net {
 
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Upper bound on one frame's payload; protects against a corrupt
 /// length word committing us to a gigabyte read.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -50,8 +53,11 @@ enum class FrameType : std::uint8_t {
   kHello = 1,     ///< node -> controller: id + data-plane ports
   kPeers = 2,     ///< controller -> node: everyone's ports
   kReady = 3,     ///< node -> controller: peer mesh established
-  kStart = 4,     ///< controller -> node: begin op at an owned processor
-  kComplete = 5,  ///< node -> controller: op finished with value
+  /// controller -> node: op starts for processors this node owns, one
+  /// entry per op (a plain unit is a batch of one).
+  kStartBatch = 4,
+  /// node -> controller: the completions of one drain round.
+  kCompleteBatch = 5,
   kMsg = 6,       ///< node -> node: one protocol Message
   kStatsRequest = 7,  ///< controller -> node: report counters now
   kStats = 8,         ///< node -> controller: counters + per-proc loads
@@ -66,25 +72,17 @@ enum class FrameType : std::uint8_t {
   /// quiescent barrier after the warmup phase, so cold-start traffic
   /// never appears in the measured stats.
   kMetricsReset = 11,
-
-  // --- v2: the service fabric's keyed envelope (wire version 2) ---
-
-  /// node -> node: one protocol Message plus the counter key it belongs
-  /// to. kMsg with a key_id prefix; the multi-key fabric's data plane.
+  /// node -> node: a kMsg body prefixed by the counter key it belongs
+  /// to — the multi-key fabric's data plane. append_message picks it
+  /// whenever msg.key != kNoKey.
   kKeyedMsg = 12,
-  /// controller -> node: a batch of keyed op starts for processors this
-  /// node owns, split into individual kStart events at the receiver.
-  kStartBatch = 13,
-  /// node -> controller: completions coalesced per drain round — the
-  /// reply half of the batched multi-key RPC.
-  kCompleteBatch = 14,
   /// node -> controller: per-key per-processor loads + LRU tier
   /// counters, chunked so 100k-key runs never exceed kMaxFramePayload.
-  kKeyedStats = 15,
+  kKeyedStats = 13,
   /// controller -> node: report keyed stats now (sent once, after the
   /// final quiescence barrier — per-key loads are an end-of-run report,
   /// not part of the barrier).
-  kKeyedStatsRequest = 16,
+  kKeyedStatsRequest = 14,
 };
 
 struct HelloFrame {
@@ -107,15 +105,25 @@ struct ReadyFrame {
   std::uint32_t node_id{0};
 };
 
-struct StartFrame {
+/// One op start inside a kStartBatch.
+struct StartBatchEntry {
   OpId op{kNoOp};
   ProcessorId origin{kNoProcessor};
-  MessageArgs args;  ///< empty = plain inc
+  KeyId key{kNoKey};  ///< kNoKey = plain inc
 };
 
-struct CompleteFrame {
+struct StartBatchFrame {
+  std::vector<StartBatchEntry> ops;
+};
+
+/// One completion inside a kCompleteBatch.
+struct CompleteBatchEntry {
   OpId op{kNoOp};
   Value value{0};
+};
+
+struct CompleteBatchFrame {
+  std::vector<CompleteBatchEntry> completions;
 };
 
 /// Per-processor load triple; only processors the reporting node owns
@@ -156,28 +164,10 @@ struct StatsFrame {
   /// sendto per datagram in UDP mode). wire_bytes_sent divided by this
   /// is bytes-per-syscall — the direct observable for send coalescing.
   std::int64_t wire_write_syscalls{0};
+  /// Malformed data-plane frames the node dropped (UDP mode; a TCP node
+  /// aborts instead). Never re-baselined: a rejection is a fault.
+  std::int64_t frames_rejected{0};
   std::vector<ProcLoad> loads;
-};
-
-/// One keyed op start inside a kStartBatch.
-struct StartBatchEntry {
-  OpId op{kNoOp};
-  ProcessorId origin{kNoProcessor};
-  KeyId key{0};
-};
-
-struct StartBatchFrame {
-  std::vector<StartBatchEntry> ops;
-};
-
-/// One completion inside a kCompleteBatch.
-struct CompleteBatchEntry {
-  OpId op{kNoOp};
-  Value value{0};
-};
-
-struct CompleteBatchFrame {
-  std::vector<CompleteBatchEntry> completions;
 };
 
 /// One (key, processor) load slice inside a kKeyedStats chunk.
@@ -211,36 +201,27 @@ inline constexpr std::size_t kKeyedStatsChunk = 16384;
 std::vector<std::uint8_t> encode_hello(const HelloFrame& f);
 std::vector<std::uint8_t> encode_peers(const PeersFrame& f);
 std::vector<std::uint8_t> encode_ready(const ReadyFrame& f);
-std::vector<std::uint8_t> encode_start(const StartFrame& f);
-std::vector<std::uint8_t> encode_complete(const CompleteFrame& f);
+std::vector<std::uint8_t> encode_start_batch(const StartBatchFrame& f);
+std::vector<std::uint8_t> encode_complete_batch(const CompleteBatchFrame& f);
 std::vector<std::uint8_t> encode_message(const Message& msg);
-/// Appends one complete kMsg frame (length word included) to `out`
-/// without any intermediate buffer — the zero-allocation path for hot
-/// data-plane sends: encode straight into a connection's outbound queue
-/// or a reused datagram scratch buffer, coalescing many messages into
-/// one write(). Returns the number of bytes appended.
-std::size_t append_message(std::vector<std::uint8_t>& out, const Message& msg);
 std::vector<std::uint8_t> encode_stats_request();
 std::vector<std::uint8_t> encode_stats(const StatsFrame& f);
 std::vector<std::uint8_t> encode_shutdown();
 std::vector<std::uint8_t> encode_time_jump();
 std::vector<std::uint8_t> encode_metrics_reset();
-
-// v2 keyed envelope. append_* are the zero-allocation hot paths,
-// mirroring append_message: encode straight into the connection's
-// outbound queue.
-std::vector<std::uint8_t> encode_keyed_message(const Message& msg);
-/// Appends one complete kKeyedMsg frame carrying msg.key; requires
-/// msg.key != kNoKey. Returns bytes appended.
-std::size_t append_keyed_message(std::vector<std::uint8_t>& out,
-                                 const Message& msg);
-std::vector<std::uint8_t> encode_start_batch(const StartBatchFrame& f);
-std::vector<std::uint8_t> encode_complete_batch(const CompleteBatchFrame& f);
-/// Appends one complete kCompleteBatch frame. Returns bytes appended.
-std::size_t append_complete_batch(std::vector<std::uint8_t>& out,
-                                  const CompleteBatchFrame& f);
 std::vector<std::uint8_t> encode_keyed_stats(const KeyedStatsFrame& f);
 std::vector<std::uint8_t> encode_keyed_stats_request();
+
+// append_* are the zero-allocation hot paths: they encode one complete
+// frame (length word included) straight onto the end of `out` — a
+// connection's outbound queue or a reused datagram scratch buffer — so
+// many frames coalesce into one write(). Each returns bytes appended.
+
+/// A kMsg frame, or a kKeyedMsg frame carrying msg.key when it is not
+/// kNoKey.
+std::size_t append_message(std::vector<std::uint8_t>& out, const Message& msg);
+std::size_t append_complete_batch(std::vector<std::uint8_t>& out,
+                                  const CompleteBatchFrame& f);
 
 // --- decoding -------------------------------------------------------------
 
@@ -261,22 +242,19 @@ class FrameView {
   std::size_t size_;
 };
 
-HelloFrame decode_hello(const FrameView& frame);
-PeersFrame decode_peers(const FrameView& frame);
-ReadyFrame decode_ready(const FrameView& frame);
-StartFrame decode_start(const FrameView& frame);
-CompleteFrame decode_complete(const FrameView& frame);
-Message decode_message(const FrameView& frame);
-StatsFrame decode_stats(const FrameView& frame);
-
-// v2 keyed decoders: hardened, non-aborting. Each validates the body
-// completely (field bounds, key_id >= 0, exact length) and returns
-// false on any malformation — the caller drops and counts the frame.
-// They still DCNT_CHECK the frame *type*: dispatching the wrong type
-// here is a local bug, not wire corruption.
-bool decode_keyed_message(const FrameView& frame, Message* out);
+// Body decoders: each validates the body completely (field bounds,
+// counts against the bytes present, exact length) and returns false on
+// any malformation, or when handed a frame of another type; `*out` is
+// then unspecified. None aborts — the caller decides what a rejected
+// frame costs (see the trust model above).
+bool decode_hello(const FrameView& frame, HelloFrame* out);
+bool decode_peers(const FrameView& frame, PeersFrame* out);
+bool decode_ready(const FrameView& frame, ReadyFrame* out);
 bool decode_start_batch(const FrameView& frame, StartBatchFrame* out);
 bool decode_complete_batch(const FrameView& frame, CompleteBatchFrame* out);
+/// Both kMsg and kKeyedMsg; a plain frame decodes with key = kNoKey.
+bool decode_message(const FrameView& frame, Message* out);
+bool decode_stats(const FrameView& frame, StatsFrame* out);
 bool decode_keyed_stats(const FrameView& frame, KeyedStatsFrame* out);
 
 /// Incremental frame extractor for a TCP byte stream (also used one

@@ -25,7 +25,8 @@
 // nodes, because offset(key) is a pure function of (seed, key).
 //
 // Ops address a key by their first argument word:
-//   runtime.begin_op(origin, {key})  /  StartFrame.args = {key}.
+//   runtime.begin_op(origin, {key}); a cluster node builds that word
+//   from the key of a kStartBatch entry.
 // A bare begin_inc (no args) counts on key 0.
 #pragma once
 

@@ -42,6 +42,7 @@ TEST(Cluster, TreeFourNodesTcp) {
   // Real messages crossed real sockets.
   EXPECT_GT(r.wire_msgs_sent, 0);
   EXPECT_EQ(r.wire_msgs_sent, r.wire_msgs_received);
+  EXPECT_EQ(r.frames_rejected, 0);
   EXPECT_GT(r.total_messages, 0);
   EXPECT_GT(r.max_load, 0);
   EXPECT_GE(r.bottleneck, 0);
@@ -380,6 +381,9 @@ TEST(Cluster, KeyedUdpLossyKeepsEnvelopeKeyed) {
   EXPECT_GT(r.injected_drops, 0);
   EXPECT_GT(r.retransmissions, 0);
   EXPECT_EQ(r.messages_abandoned, 0);
+  // Lost datagrams are dropped by the shim, never mangled: every one
+  // that arrived decoded.
+  EXPECT_EQ(r.frames_rejected, 0);
 }
 
 TEST(Cluster, UdpCleanChannelHasNoRetransmissions) {

@@ -66,11 +66,15 @@ TEST(EventLoop, RoundTripBothBackends) {
   b.add_connection(
       std::move(p.server),
       [&](int, const FrameView& f) {
-        seen.push_back(decode_complete(f).value);
+        CompleteBatchFrame done;
+        ASSERT_TRUE(decode_complete_batch(f, &done));
+        for (const CompleteBatchEntry& e : done.completions) {
+          seen.push_back(e.value);
+        }
       },
       [](int) {});
-  a.send(ca, encode_complete(CompleteFrame{0, 41}));
-  a.send(ca, encode_complete(CompleteFrame{1, 42}));
+  a.send(ca, encode_complete_batch(CompleteBatchFrame{{{0, 41}}}));
+  a.send(ca, encode_complete_batch(CompleteBatchFrame{{{1, 42}}}));
   a.run_once(0);  // flush both frames — coalesced into one write
   for (int i = 0; i < 2000 && seen.size() < 2; ++i) b.run_once(5);
   ASSERT_EQ(seen.size(), 2u);

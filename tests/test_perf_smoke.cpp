@@ -116,8 +116,9 @@ TEST(PerfSmoke, NetCentralClusterMatchesInProcessTotals) {
   EXPECT_LT(cluster.wire_msgs_sent, 2 * static_cast<std::int64_t>(ops));
   // The coalescing observable: every kernel write moves at least one
   // whole frame, so writes never exceed data frames plus the node's
-  // control-plane traffic (one Complete per measured op, plus a handful
-  // of Stats replies and time jumps during the quiescence barrier).
+  // control-plane traffic (at most one CompleteBatch per measured op,
+  // plus a handful of Stats replies and time jumps during the
+  // quiescence barrier).
   EXPECT_GT(cluster.wire_write_syscalls, 0);
   EXPECT_LE(cluster.wire_write_syscalls,
             cluster.wire_msgs_sent + static_cast<std::int64_t>(ops) + 64);
