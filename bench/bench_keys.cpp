@@ -19,8 +19,9 @@
 // completing is itself a correctness check. The `inproc-lru` row caps
 // the directory so the LRU cold tier does real work (evict to durable
 // value, rehydrate on next touch); its counters are reported. The tcp
-// rows run the real 4-process cluster with batched keyed Starts
-// (kStartBatch) and coalesced completions (kCompleteBatch).
+// rows run the real 4-process cluster: the controller coalesces every
+// reactor round's keyed Starts into one kStartBatch per touched node,
+// and each node returns one kCompleteBatch per drain round.
 //
 //   $ bench_keys [--counter=central] [--n=16] [--keys_list=1,1000,100000]
 //                [--key_skews=0,0.99] [--workers_list=1,4] [--ops=0]
@@ -35,7 +36,8 @@
 // attainment at --slo_us — plus a "tcp-open" row doing the same against
 // the real socket cluster (keyed Starts paced per op; the controller
 // forces batch=1 in the open loop, so queueing in the mesh counts
-// against the tail, coordinated-omission-free).
+// against the tail, coordinated-omission-free; starts that fall due
+// between two reactor rounds still share a frame).
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -61,7 +63,7 @@ struct KeyRow {
   std::string key_dist;
   double key_skew{0.0};
   std::size_t parallelism{0};  ///< workers (inproc) or nodes (tcp)
-  std::size_t batch{1};        ///< tcp rows: schedule entries per frame
+  std::size_t batch{1};        ///< tcp rows: schedule entries per issuance unit
   std::size_t key_capacity{0};
   double rate{0.0};  ///< open-loop rows: offered rate
 };
@@ -236,9 +238,12 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // The real cluster: batched keyed Starts out, coalesced completions
-  // back, per-key values verified as exact permutations across 4
-  // processes, per-key loads merged from chunked kKeyedStats reports.
+  // The real cluster: keyed Starts out, coalesced completions back,
+  // per-key values verified as exact permutations across 4 processes,
+  // per-key loads merged from chunked kKeyedStats reports. Framing is
+  // per reactor round whatever --batch is, so the batch rows price the
+  // driver's issuance unit (reissue once a unit's worth of slots has
+  // freed), not frames.
   std::vector<std::size_t> cluster_batches{1};
   if (batch > 1) cluster_batches.push_back(batch);
   std::vector<std::size_t> cluster_keyspaces{1};
@@ -267,8 +272,9 @@ int main(int argc, char** argv) {
   // Open-loop keyed row on the real cluster: same arrival timeline as
   // the inproc-open row, but the Starts cross actual sockets. Batch is
   // forced to 1 by the controller (pacing is per op), so the comparison
-  // against the batched closed-loop tcp rows prices what coalescing
-  // buys and what open-loop pacing costs.
+  // against the closed-loop tcp rows prices open-loop pacing: the
+  // arrivals due between two reactor rounds share a frame, as a closed
+  // loop's completion burst does.
   if (open_rate > 0.0) {
     net::ClusterOptions copt;
     copt.counter = counter;

@@ -1,13 +1,93 @@
 #include "concurrent/history.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/check.hpp"
 
 namespace dcnt {
 
+namespace {
+
+/// Record indices by value, when the values are exactly lo..lo+m-1 for
+/// some lo >= 0, each once; empty otherwise (a gap, a duplicate or a
+/// negative value, which the sort sweep, its running maximum starting
+/// at -1, does not treat as a plain value). 4 bytes per op.
+std::vector<std::uint32_t> index_by_value(
+    const std::vector<CounterOpRecord>& history) {
+  const std::size_t m = history.size();
+  if (m >= std::numeric_limits<std::uint32_t>::max()) return {};
+  const auto [lo, hi] = std::minmax_element(
+      history.begin(), history.end(),
+      [](const CounterOpRecord& a, const CounterOpRecord& b) {
+        return a.value < b.value;
+      });
+  const Value base = lo->value;
+  if (base < 0 || static_cast<std::uint64_t>(hi->value - base) != m - 1) {
+    return {};
+  }
+  constexpr auto kEmpty = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> index(m, kEmpty);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::uint32_t& slot =
+        index[static_cast<std::size_t>(history[i].value - base)];
+    // m values in a range of m: a duplicate leaves a gap elsewhere.
+    if (slot != kEmpty) return {};
+    slot = static_cast<std::uint32_t>(i);
+  }
+  return index;
+}
+
+/// The real-time sweep over a value index, in O(m) with no copy. Op b
+/// violates iff some op with a larger value responded before b was
+/// invoked, i.e. iff the earliest response among larger values precedes
+/// inv(b): the violating set of the sort sweep, found from the top
+/// value down. first_b is the violator the sort sweep meets first (the
+/// earliest invocation; ties to the smaller op id) and first_a its
+/// running maximum there (the largest value that responded before
+/// inv(first_b)).
+LinearizabilityReport sweep_by_value(
+    const std::vector<CounterOpRecord>& history,
+    const std::vector<std::uint32_t>& index) {
+  LinearizabilityReport report;
+  SimTime earliest_resp = std::numeric_limits<SimTime>::max();
+  const CounterOpRecord* first_b = nullptr;
+  for (std::size_t v = index.size(); v-- > 0;) {
+    const CounterOpRecord& b = history[index[v]];
+    if (earliest_resp < b.invoked) {
+      ++report.violations;
+      if (first_b == nullptr || b.invoked < first_b->invoked ||
+          (b.invoked == first_b->invoked && b.op < first_b->op)) {
+        first_b = &b;
+      }
+    }
+    earliest_resp = std::min(earliest_resp, b.responded);
+  }
+  if (first_b == nullptr) return report;
+  report.linearizable = false;
+  report.first_b = first_b->op;
+  for (std::size_t v = index.size(); v-- > 0;) {
+    const CounterOpRecord& a = history[index[v]];
+    if (a.responded < first_b->invoked) {
+      report.first_a = a.op;
+      break;
+    }
+  }
+  return report;
+}
+
+}  // namespace
+
 LinearizabilityReport check_linearizable(
-    std::vector<CounterOpRecord> history) {
+    const std::vector<CounterOpRecord>& history) {
+  if (history.empty()) return {};
+  const std::vector<std::uint32_t> index = index_by_value(history);
+  if (!index.empty()) return sweep_by_value(history, index);
+  return check_linearizable_by_sort(history);
+}
+
+LinearizabilityReport check_linearizable_by_sort(
+    const std::vector<CounterOpRecord>& history) {
   LinearizabilityReport report;
   if (history.empty()) return report;
 

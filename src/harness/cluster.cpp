@@ -97,19 +97,28 @@ class Controller final : public traffic::LoadPort {
   enum class Phase { kHandshake, kLoad, kKeyedStats, kShutdown };
 
   bool keyed() const { return opt_.keys > 0; }
-  /// Schedule entries per issuance unit. Batching is a closed-loop
-  /// multi-key construct: quiesce_between_ops needs one op in flight and
-  /// the open-loop clock paces individual ops, so both force 1.
+  /// Schedule entries per driver issuance unit (framing does not depend
+  /// on it). Batching is a closed-loop multi-key construct:
+  /// quiesce_between_ops needs one op in flight and the open-loop clock
+  /// paces individual ops, so both force 1.
   std::size_t batch_size() const {
     if (!keyed() || opt_.quiesce_between_ops || opt_.open_rate > 0.0) return 1;
     return std::max<std::size_t>(1, opt_.batch);
   }
 
   /// One reactor round, failing fast on the run budget or a dead node.
+  /// The starts staged since the previous round leave first.
   void pump(int timeout_ms);
+  /// Sends every staged start: one kStartBatch per touched node, more
+  /// only past kBatchEntryCap.
+  void flush_starts();
+  bool starts_staged() const;
   void on_frame(int conn, const FrameView& frame);
   void on_complete(OpId op, Value value);
   void broadcast(const std::vector<std::uint8_t>& frame) {
+    // A control frame must not overtake a start the driver already
+    // issued; every caller broadcasts with nothing in flight.
+    DCNT_CHECK_MSG(!starts_staged(), "broadcast with starts still staged");
     for (const int conn : conn_of_node_) loop_.send(conn, frame);
   }
   void collect_keyed_stats();
@@ -131,10 +140,10 @@ class Controller final : public traffic::LoadPort {
   std::vector<ProcessorId> initiators_;
   /// Multi-key mode: which key each op (by id) addresses.
   std::vector<KeyId> keys_;
-  /// Batched issuance: entries of the current unit still to come, and
-  /// the per-node kStartBatch staging they fill.
-  std::size_t unit_left_{0};
-  std::vector<StartBatchFrame> batch_scratch_;
+  /// Per node, the starts issued since the previous reactor round, and
+  /// the buffer each kStartBatch frame is encoded into.
+  std::vector<std::vector<StartBatchEntry>> batch_scratch_;
+  std::vector<std::uint8_t> start_scratch_;
   /// Reused by every kCompleteBatch decode.
   CompleteBatchFrame complete_scratch_;
   /// Keyed-stats collection (multi-key mode, after the final barrier):
@@ -175,32 +184,38 @@ void Controller::check_deadline() const {
 void Controller::pump(int timeout_ms) {
   check_deadline();
   DCNT_CHECK_MSG(!child_died_, "a node process died mid-run");
+  flush_starts();
   loop_.run_once(timeout_ms);
 }
 
-/// Stages entry `entry` as a slot of the current unit, which leaves as
-/// one kStartBatch frame per touched node once complete (a unit of one
-/// is a one-entry frame). The driver issues units back to back, in
-/// order and full except at a phase's end, so a unit's size is known at
-/// its first entry.
+void Controller::flush_starts() {
+  for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
+    if (batch_scratch_[id].empty()) continue;
+    start_scratch_.clear();
+    out_.start_frames += static_cast<std::int64_t>(
+        append_start_batches(start_scratch_, batch_scratch_[id]));
+    loop_.send(conn_of_node_[id], start_scratch_);
+    batch_scratch_[id].clear();
+  }
+}
+
+bool Controller::starts_staged() const {
+  return std::any_of(batch_scratch_.begin(), batch_scratch_.end(),
+                     [](const auto& ops) { return !ops.empty(); });
+}
+
+/// Stages entry `entry` for its origin's node. Whatever the driver
+/// issues between two reactor rounds (a completion burst, the window
+/// fill, an open-loop catch-up) leaves together at the next pump(). The
+/// driver's issue stamp, taken before this call, stays the op's start.
 OpId Controller::issue(std::size_t entry) {
   DCNT_CHECK(entry == issued_);
   ++issued_;
-  if (unit_left_ == 0) {
-    const std::size_t phase_end = entry < warmup_ ? warmup_ : total_;
-    unit_left_ = std::min(batch_size(), phase_end - entry);
-  }
   const auto op = static_cast<OpId>(entry);
   const ProcessorId origin = initiators_[entry];
   const KeyId key = keyed() ? keys_[entry] : kNoKey;
-  batch_scratch_[static_cast<std::uint32_t>(origin) % opt_.nodes].ops.push_back(
+  batch_scratch_[static_cast<std::uint32_t>(origin) % opt_.nodes].push_back(
       StartBatchEntry{op, origin, key});
-  if (--unit_left_ > 0) return op;
-  for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
-    if (batch_scratch_[id].ops.empty()) continue;
-    loop_.send(conn_of_node_.at(id), encode_start_batch(batch_scratch_[id]));
-    batch_scratch_[id].ops.clear();
-  }
   return op;
 }
 
@@ -253,6 +268,7 @@ void Controller::reset_metrics() {
   broadcast(encode_metrics_reset());
   reset_acks_pending_ = opt_.nodes;
   while (reset_acks_pending_ > 0) pump(50);
+  out_.start_frames = 0;
 }
 
 bool Controller::rounds_stable() const {

@@ -5,9 +5,11 @@
 // Hello/Peers/Ready mesh handshake, then drives the cluster with the
 // shared load driver (traffic/driver.hpp) — the same closed/open loop,
 // warmup and duration policy as the threaded runtime. The controller is
-// the driver's port: issue sends each unit of ops as one kStartBatch
-// frame per touched node (a plain unit is a batch of one), wait runs
-// one reactor round delivering kCompleteBatch frames, reset_metrics broadcasts kMetricsReset and waits for every ack, and
+// the driver's port: issue only stages an op's start; every reactor
+// round (wait, and each round of the barriers) first sends what the
+// driver issued since the previous round as one kStartBatch frame per
+// touched node, then delivers kCompleteBatch frames. reset_metrics
+// broadcasts kMetricsReset and waits for every ack, and
 // quiesce is the distributed barrier: StatsRequest/Stats rounds until
 // two consecutive rounds show identical per-node progress, no unacked
 // envelopes or armed timers anywhere, and — on the reliable TCP plane —
@@ -78,10 +80,13 @@ struct ClusterOptions : LoadOptions {
   /// LRU cap on live per-key instances per node (0 = unbounded;
   /// requires a service-evictable counter).
   std::size_t key_capacity{0};
-  /// Multi-key batched RPC: this many consecutive schedule entries go
-  /// out as one kStartBatch frame per touched node, and the closed-loop
-  /// window counts batches. 1 = one op per frame; forced to 1 without
-  /// keys, under quiesce_between_ops and under open-loop issuance.
+  /// Multi-key issuance unit: the driver issues this many consecutive
+  /// schedule entries at once, and the closed-loop window counts units
+  /// (a completion reissues once a unit's worth of slots has freed).
+  /// Framing does not depend on it: each reactor round's starts share
+  /// one kStartBatch frame per touched node whatever the unit. Forced
+  /// to 1 without keys, under quiesce_between_ops and under open-loop
+  /// issuance.
   std::size_t batch{1};
 };
 
@@ -105,6 +110,10 @@ struct ClusterResult : HarnessResult {
   /// node aborts instead). Nonzero means the wire carried garbage.
   std::int64_t frames_rejected{0};
 
+  /// kStartBatch frames the controller sent in the measured phase: at
+  /// most one per touched node per reactor round, plus one per further
+  /// kBatchEntryCap starts.
+  std::int64_t start_frames{0};
   /// StatsRequest rounds the quiescence barriers took.
   int quiesce_rounds{0};
   /// Per-op returned values, warmup ops first (size warmup + ops).

@@ -59,7 +59,8 @@ class Node {
   void maybe_ready();
 
   /// One drain round: hand staged events to the shard, run it until
-  /// dry, and queue the round's completions as one frame.
+  /// dry, and queue the round's completions as one frame (more only
+  /// past kBatchEntryCap).
   void drain();
   /// A dry point: drain(), then push every queued byte to the kernel.
   /// Afterwards nothing is in flight inside this node, so the counters
@@ -94,9 +95,9 @@ class Node {
   /// Malformed datagrams dropped (UDP mode), reported in every Stats
   /// frame.
   std::int64_t frames_rejected_{0};
-  /// Completions of the current drain round, flushed as one
-  /// kCompleteBatch frame.
-  CompleteBatchFrame complete_buf_;
+  /// Completions of the current drain round, flushed as kCompleteBatch
+  /// frames of at most kBatchEntryCap entries.
+  std::vector<CompleteBatchEntry> complete_buf_;
   std::vector<std::uint8_t> complete_scratch_;
   /// Reused by every kStartBatch decode, so a start allocates nothing.
   StartBatchFrame start_buf_;
@@ -186,7 +187,7 @@ void Node::build_runtime() {
     for (Message& msg : out) send_wire(msg);
   });
   runtime_->set_completion([this](OpId op, Value value) {
-    complete_buf_.completions.push_back(CompleteBatchEntry{op, value});
+    complete_buf_.push_back(CompleteBatchEntry{op, value});
   });
 }
 
@@ -340,11 +341,11 @@ void Node::maybe_ready() {
 void Node::drain() {
   runtime_->inject(0, inject_buf_);
   runtime_->drive();
-  if (complete_buf_.completions.empty()) return;
+  if (complete_buf_.empty()) return;
   complete_scratch_.clear();
-  append_complete_batch(complete_scratch_, complete_buf_);
+  append_complete_batches(complete_scratch_, complete_buf_);
   loop_.send(ctrl_conn_, complete_scratch_);
-  complete_buf_.completions.clear();
+  complete_buf_.clear();
 }
 
 void Node::settle() {

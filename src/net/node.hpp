@@ -48,7 +48,7 @@
 // the shard, and runs the shard until dry; handler output goes straight
 // into the reactor's per-peer outbound queues and leaves coalesced at
 // the next round boundary, and the round's completions leave as one
-// kCompleteBatch frame. Stats requests, metric resets and time
+// kCompleteBatch frame (split only past kBatchEntryCap entries). Stats requests, metric resets and time
 // jumps are handled at a dry point of the same thread (staged events
 // injected, the shard driven until dry, outbound queues flushed), so a
 // stats reply counts only fully processed messages. Nothing is shared

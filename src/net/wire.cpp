@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace dcnt::net {
@@ -150,34 +152,72 @@ std::vector<std::uint8_t> encode_ready(const ReadyFrame& f) {
   return out;
 }
 
-std::vector<std::uint8_t> encode_start_batch(const StartBatchFrame& f) {
-  std::vector<std::uint8_t> out;
+namespace {
+
+void append_start_batch(std::vector<std::uint8_t>& out,
+                        std::span<const StartBatchEntry> ops) {
+  DCNT_CHECK_MSG(ops.size() <= kBatchEntryCap, "start batch too large");
   const std::size_t start = begin_frame(out, FrameType::kStartBatch);
-  put_u32(out, static_cast<std::uint32_t>(f.ops.size()));
-  for (const StartBatchEntry& e : f.ops) {
+  put_u32(out, static_cast<std::uint32_t>(ops.size()));
+  for (const StartBatchEntry& e : ops) {
     put_i64(out, e.op);
     put_i32(out, e.origin);
     put_i64(out, e.key);
   }
   finish_frame(out, start);
+}
+
+void append_complete_batch(std::vector<std::uint8_t>& out,
+                           std::span<const CompleteBatchEntry> completions) {
+  DCNT_CHECK_MSG(completions.size() <= kBatchEntryCap,
+                 "complete batch too large");
+  const std::size_t start = begin_frame(out, FrameType::kCompleteBatch);
+  put_u32(out, static_cast<std::uint32_t>(completions.size()));
+  for (const CompleteBatchEntry& e : completions) {
+    put_i64(out, e.op);
+    put_i64(out, e.value);
+  }
+  finish_frame(out, start);
+}
+
+/// Appends `entries` as frames of at most kBatchEntryCap entries, each
+/// written by `append_frame`; returns the frames appended.
+template <class Entry, class AppendFrame>
+std::size_t append_split(std::vector<std::uint8_t>& out,
+                         std::span<const Entry> entries,
+                         AppendFrame append_frame) {
+  std::size_t frames = 0;
+  for (std::size_t first = 0; first < entries.size();
+       first += kBatchEntryCap, ++frames) {
+    append_frame(out, entries.subspan(first, std::min(kBatchEntryCap,
+                                                      entries.size() - first)));
+  }
+  return frames;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_start_batch(const StartBatchFrame& f) {
+  std::vector<std::uint8_t> out;
+  append_start_batch(out, f.ops);
   return out;
+}
+
+std::size_t append_start_batches(std::vector<std::uint8_t>& out,
+                                 std::span<const StartBatchEntry> ops) {
+  return append_split(out, ops, append_start_batch);
 }
 
 std::vector<std::uint8_t> encode_complete_batch(const CompleteBatchFrame& f) {
   std::vector<std::uint8_t> out;
-  append_complete_batch(out, f);
+  append_complete_batch(out, f.completions);
   return out;
 }
 
-std::size_t append_complete_batch(std::vector<std::uint8_t>& out,
-                                  const CompleteBatchFrame& f) {
-  const std::size_t start = begin_frame(out, FrameType::kCompleteBatch);
-  put_u32(out, static_cast<std::uint32_t>(f.completions.size()));
-  for (const CompleteBatchEntry& e : f.completions) {
-    put_i64(out, e.op);
-    put_i64(out, e.value);
-  }
-  return finish_frame(out, start);
+std::size_t append_complete_batches(
+    std::vector<std::uint8_t>& out,
+    std::span<const CompleteBatchEntry> completions) {
+  return append_split(out, completions, append_complete_batch);
 }
 
 std::vector<std::uint8_t> encode_message(const Message& msg) {
@@ -314,6 +354,7 @@ bool decode_ready(const FrameView& frame, ReadyFrame* out) {
 bool decode_start_batch(const FrameView& frame, StartBatchFrame* out) {
   BodyReader r(frame, FrameType::kStartBatch);
   out->ops.resize(r.count(20));
+  r.require(out->ops.size() <= kBatchEntryCap);
   for (StartBatchEntry& e : out->ops) {
     e.op = r.i64();
     e.origin = r.i32();
@@ -326,6 +367,7 @@ bool decode_start_batch(const FrameView& frame, StartBatchFrame* out) {
 bool decode_complete_batch(const FrameView& frame, CompleteBatchFrame* out) {
   BodyReader r(frame, FrameType::kCompleteBatch);
   out->completions.resize(r.count(16));
+  r.require(out->completions.size() <= kBatchEntryCap);
   for (CompleteBatchEntry& e : out->completions) {
     e.op = r.i64();
     e.value = r.i64();

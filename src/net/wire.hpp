@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,10 +54,12 @@ enum class FrameType : std::uint8_t {
   kHello = 1,     ///< node -> controller: id + data-plane ports
   kPeers = 2,     ///< controller -> node: everyone's ports
   kReady = 3,     ///< node -> controller: peer mesh established
-  /// controller -> node: op starts for processors this node owns, one
-  /// entry per op (a plain unit is a batch of one).
+  /// controller -> node: every op start the controller issued since its
+  /// previous reactor round for processors this node owns, one entry
+  /// per op, split at kBatchEntryCap.
   kStartBatch = 4,
-  /// node -> controller: the completions of one drain round.
+  /// node -> controller: the completions of one drain round, split at
+  /// kBatchEntryCap.
   kCompleteBatch = 5,
   kMsg = 6,       ///< node -> node: one protocol Message
   kStatsRequest = 7,  ///< controller -> node: report counters now
@@ -125,6 +128,15 @@ struct CompleteBatchEntry {
 struct CompleteBatchFrame {
   std::vector<CompleteBatchEntry> completions;
 };
+
+/// Max entries per kStartBatch or kCompleteBatch frame. A reactor
+/// round's starts, or a drain round's completions, can outnumber what
+/// one frame holds (a window of 80,000 ops in flight), so senders split
+/// them at this cap, as kKeyedStatsChunk splits keyed stats. An entry
+/// is at most 20 bytes, so a full frame stays at 640 KiB, well under
+/// kMaxFramePayload. Encoders check the cap; decoders reject counts
+/// above it.
+inline constexpr std::size_t kBatchEntryCap = kMaxFramePayload / 32;
 
 /// Per-processor load triple; only processors the reporting node owns
 /// appear, so the controller's merge is exact (each processor is owned
@@ -220,8 +232,14 @@ std::vector<std::uint8_t> encode_keyed_stats_request();
 /// A kMsg frame, or a kKeyedMsg frame carrying msg.key when it is not
 /// kNoKey.
 std::size_t append_message(std::vector<std::uint8_t>& out, const Message& msg);
-std::size_t append_complete_batch(std::vector<std::uint8_t>& out,
-                                  const CompleteBatchFrame& f);
+/// Every entry, as kStartBatch / kCompleteBatch frames of at most
+/// kBatchEntryCap entries each (none when there are no entries).
+/// Returns the frames appended.
+std::size_t append_start_batches(std::vector<std::uint8_t>& out,
+                                 std::span<const StartBatchEntry> ops);
+std::size_t append_complete_batches(
+    std::vector<std::uint8_t>& out,
+    std::span<const CompleteBatchEntry> completions);
 
 // --- decoding -------------------------------------------------------------
 

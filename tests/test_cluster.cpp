@@ -17,6 +17,7 @@
 #include "harness/cluster.hpp"
 #include "harness/factory.hpp"
 #include "harness/throughput.hpp"
+#include "net/wire.hpp"
 
 namespace dcnt::net {
 namespace {
@@ -400,6 +401,53 @@ TEST(Cluster, UdpCleanChannelHasNoRetransmissions) {
   // Loopback datagrams under tiny load essentially never drop; allow
   // the odd kernel hiccup but require the common case.
   EXPECT_LE(r.messages_abandoned, 0);
+}
+
+TEST(Cluster, StartsLeaveAsOneFramePerNodePerReactorRound) {
+  // The controller stages what the driver issues and sends it at the
+  // next reactor round. A window filled before the first round is one
+  // frame; a sequential run has one op per round, so one frame per op.
+  ClusterOptions opt = base_options();
+  opt.counter = "central";
+  opt.min_processors = 16;
+  opt.nodes = 1;
+  opt.concurrency = 4;
+  opt.inflight = 8;
+  opt.ops = 32;
+  const ClusterResult fill = run_cluster(opt);
+  EXPECT_TRUE(fill.values_ok);
+  EXPECT_TRUE(fill.linearizable);
+  EXPECT_EQ(fill.start_frames, 1);
+
+  opt = base_options();
+  opt.counter = "central";
+  opt.min_processors = 16;
+  opt.warmup = 4;  // counted out with the metrics reset
+  opt.ops = 24;
+  opt.quiesce_between_ops = true;
+  const ClusterResult seq = run_cluster(opt);
+  EXPECT_TRUE(seq.values_ok);
+  EXPECT_EQ(seq.start_frames, 24);
+}
+
+TEST(Cluster, WindowBeyondOneFrameCompletesExactly) {
+  // 80,000 ops in flight: the window's starts and the drain round's
+  // completions both outgrow one frame, and leave split at the cap.
+  ClusterOptions opt = base_options();
+  opt.counter = "central";
+  opt.min_processors = 16;
+  opt.nodes = 1;
+  opt.concurrency = 1;
+  opt.inflight = 80'000;
+  opt.ops = 80'000;
+  const ClusterResult r = run_cluster(opt);
+  EXPECT_TRUE(r.values_ok);
+  EXPECT_EQ(r.ops, 80'000u);
+  EXPECT_TRUE(r.lin_checked);
+  EXPECT_TRUE(r.linearizable);
+  EXPECT_EQ(r.start_frames,
+            static_cast<std::int64_t>((80'000 + kBatchEntryCap - 1) /
+                                      kBatchEntryCap));
 }
 
 TEST(Cluster, NodeRejectsUnknownFlags) {

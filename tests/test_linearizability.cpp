@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
+#include <vector>
 
 #include "baselines/central.hpp"
 #include "baselines/combining_tree.hpp"
@@ -16,6 +19,7 @@
 #include "harness/runner.hpp"
 #include "harness/schedule.hpp"
 #include "sim/simulator.hpp"
+#include "support/rng.hpp"
 
 namespace dcnt {
 namespace {
@@ -77,6 +81,108 @@ TEST(Checker, CountsAllViolations) {
   });
   EXPECT_FALSE(report.linearizable);
   EXPECT_EQ(report.violations, 3);  // ops 1, 2 and 3 all undercut op 0
+}
+
+TEST(Checker, TiedInvocationsNameTheSmallerOpAsFirstViolator) {
+  // Ops 1 and 2 both start after op 0 responded with the largest value,
+  // at the same instant.
+  const auto report = check_linearizable({
+      rec(2, 5, 7, 0),
+      rec(0, 0, 2, 2),
+      rec(1, 5, 6, 1),
+  });
+  EXPECT_FALSE(report.linearizable);
+  EXPECT_EQ(report.violations, 2);
+  EXPECT_EQ(report.first_a, 0);
+  EXPECT_EQ(report.first_b, 1);
+}
+
+enum class Mutation { kNone, kViolations, kGaps, kDuplicates };
+
+// A seeded random history of m ops with distinct invocation stamps. The
+// values start as a legal linearization (ordered by a point inside each
+// op's interval, from `base` up); the mutation then swaps values to
+// invert real time, spreads them apart, or copies one over another.
+std::vector<CounterOpRecord> random_history(Rng& rng, std::size_t m,
+                                            Mutation mutation) {
+  std::vector<SimTime> inv(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    inv[i] = static_cast<SimTime>(10 * i + rng.next_below(10));
+  }
+  for (std::size_t i = m; i-- > 1;) {
+    std::swap(inv[i], inv[rng.next_below(i + 1)]);
+  }
+  const std::uint64_t span = 1 + rng.next_below(80);
+  std::vector<CounterOpRecord> history(m);
+  std::vector<SimTime> point(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto len = static_cast<SimTime>(1 + rng.next_below(span));
+    history[i] = rec(static_cast<OpId>(i), inv[i], inv[i] + len, 0);
+    point[i] = inv[i] + static_cast<SimTime>(rng.next_below(
+                            static_cast<std::uint64_t>(len) + 1));
+  }
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return point[a] != point[b] ? point[a] < point[b] : a < b;
+  });
+  const auto base = static_cast<Value>(rng.next_below(5));
+  for (std::size_t rank = 0; rank < m; ++rank) {
+    history[order[rank]].value = base + static_cast<Value>(rank);
+  }
+  const std::size_t edits = 1 + rng.next_below(3);
+  for (std::size_t e = 0; e < edits && m > 1; ++e) {
+    CounterOpRecord& a = history[rng.next_below(m)];
+    CounterOpRecord& b = history[rng.next_below(m)];
+    switch (mutation) {
+      case Mutation::kNone:
+        break;
+      case Mutation::kViolations:
+        std::swap(a.value, b.value);
+        break;
+      case Mutation::kGaps:
+        // Lift every value from a's upward, keeping them distinct.
+        for (CounterOpRecord& r : history) {
+          if (r.value >= a.value) {
+            r.value += 1 + static_cast<Value>(rng.next_below(3));
+          }
+        }
+        if (rng.next_below(2) == 0) std::swap(a.value, b.value);
+        break;
+      case Mutation::kDuplicates:
+        a.value = b.value;
+        break;
+    }
+  }
+  return history;
+}
+
+TEST(Checker, LinearPathMatchesTheSortPath) {
+  // The value-indexed sweep and the sort sweep must agree field for
+  // field on every history: contiguous ones (the linear path), gapped
+  // and duplicated ones (both take the sort path), with and without
+  // real-time inversions.
+  Rng rng(20260519);
+  int violating = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto mutation = static_cast<Mutation>(trial % 4);
+    const std::size_t m = 1 + rng.next_below(trial % 5 == 0 ? 400 : 40);
+    const std::vector<CounterOpRecord> history =
+        random_history(rng, m, mutation);
+    const LinearizabilityReport fast = check_linearizable(history);
+    const LinearizabilityReport ref = check_linearizable_by_sort(history);
+    ASSERT_EQ(fast.linearizable, ref.linearizable) << "trial " << trial;
+    ASSERT_EQ(fast.violations, ref.violations) << "trial " << trial;
+    ASSERT_EQ(fast.duplicate_values, ref.duplicate_values) << "trial " << trial;
+    ASSERT_EQ(fast.first_a, ref.first_a) << "trial " << trial;
+    ASSERT_EQ(fast.first_b, ref.first_b) << "trial " << trial;
+    if (mutation == Mutation::kNone) {
+      EXPECT_TRUE(fast.linearizable) << "trial " << trial;
+    }
+    if (!fast.linearizable) ++violating;
+  }
+  // The mutations really produced non-linearizable histories.
+  EXPECT_GT(violating, 500);
 }
 
 // Staggered driver: operations are invoked while earlier ones are

@@ -429,7 +429,7 @@ TEST(Wire, CompleteBatchRoundTrip) {
   EXPECT_EQ(out.completions[1].value, -5);
 
   std::vector<std::uint8_t> appended;
-  EXPECT_EQ(append_complete_batch(appended, in), encoded.size());
+  EXPECT_EQ(append_complete_batches(appended, in.completions), 1u);
   EXPECT_EQ(appended, encoded);
 }
 
@@ -499,6 +499,61 @@ TEST(Wire, StartBatchRejectsOversizedCountAndKeysBelowNoKey) {
 
   sb.ops[0].key = kNoKey - 1;
   EXPECT_FALSE(decode_start_batch(view(encode_start_batch(sb)), &out));
+}
+
+/// `encoded` (a batch frame of kBatchEntryCap entries) grown by one
+/// zero entry of `entry_bytes`, its count patched to match: a body
+/// whose count the bytes do hold, but which no sender may produce.
+std::vector<std::uint8_t> one_past_the_cap(std::vector<std::uint8_t> encoded,
+                                           std::size_t entry_bytes) {
+  encoded.resize(encoded.size() + entry_bytes, 0);
+  const auto count = static_cast<std::uint32_t>(kBatchEntryCap + 1);
+  for (int i = 0; i < 4; ++i) {
+    encoded[6 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(count >> (8 * i));
+  }
+  return encoded;
+}
+
+TEST(Wire, BatchFramesHoldTheCapAndNoMore) {
+  StartBatchFrame sb;
+  sb.ops.assign(kBatchEntryCap, StartBatchEntry{1, 2, kNoKey});
+  const auto starts = encode_start_batch(sb);
+  EXPECT_LE(starts.size() - 4, kMaxFramePayload);
+  StartBatchFrame sb_out;
+  ASSERT_TRUE(decode_start_batch(view(starts), &sb_out));
+  EXPECT_EQ(sb_out.ops.size(), kBatchEntryCap);
+  EXPECT_FALSE(
+      decode_start_batch(view(one_past_the_cap(starts, 20)), &sb_out));
+
+  CompleteBatchFrame cb;
+  cb.completions.assign(kBatchEntryCap, CompleteBatchEntry{1, 2});
+  const auto completions = encode_complete_batch(cb);
+  CompleteBatchFrame cb_out;
+  ASSERT_TRUE(decode_complete_batch(view(completions), &cb_out));
+  EXPECT_EQ(cb_out.completions.size(), kBatchEntryCap);
+  EXPECT_FALSE(
+      decode_complete_batch(view(one_past_the_cap(completions, 16)), &cb_out));
+
+  // The encoders refuse to build such a frame at all; the senders'
+  // path splits at the cap instead.
+  sb.ops.push_back(sb.ops.back());
+  EXPECT_DEATH(encode_start_batch(sb), "start batch too large");
+  std::vector<std::uint8_t> split;
+  ASSERT_EQ(append_start_batches(split, sb.ops), 2u);
+  FrameReader reader;
+  reader.feed(split.data(), split.size());
+  std::vector<std::uint8_t> payload;
+  for (const std::size_t expected : {kBatchEntryCap, std::size_t{1}}) {
+    ASSERT_TRUE(reader.pop(payload));
+    ASSERT_TRUE(decode_start_batch(FrameView(payload.data(), payload.size()),
+                                   &sb_out));
+    EXPECT_EQ(sb_out.ops.size(), expected);
+  }
+  EXPECT_FALSE(reader.pop(payload));
+  EXPECT_EQ(append_start_batches(split, {}), 0u);
+  cb.completions.push_back(cb.completions.back());
+  EXPECT_DEATH(encode_complete_batch(cb), "complete batch too large");
 }
 
 // Seeded mutation fuzz: random byte flips in valid frames of every type
