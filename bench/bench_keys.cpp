@@ -21,7 +21,15 @@
 // value, rehydrate on next touch); its counters are reported. The tcp
 // rows run the real 4-process cluster: the controller coalesces every
 // reactor round's keyed Starts into one kStartBatch per touched node,
-// and each node returns one kCompleteBatch per drain round.
+// and each node returns one kCompleteBatch per drain round. The
+// batch=1 and batch=--batch tcp rows run the same window (8 slots x
+// --batch ops): batch=1 keeps --batch ops in flight per slot, so the
+// pair prices the issuance unit alone.
+//
+// Every row is one RowSpec: a mode, the parallelism (workers or nodes)
+// and one LoadOptions value, keyspace included, that run_throughput and
+// run_cluster both read. In-process rows run at --concurrency, tcp rows
+// at 8 slots.
 //
 //   $ bench_keys [--counter=central] [--n=16] [--keys_list=1,1000,100000]
 //                [--key_skews=0,0.99] [--workers_list=1,4] [--ops=0]
@@ -39,7 +47,6 @@
 // against the tail, coordinated-omission-free; starts that fall due
 // between two reactor rounds still share a frame).
 #include <algorithm>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -55,44 +62,23 @@ using namespace dcnt;
 
 namespace {
 
-/// One row: the run's result plus what only the row knows. In-process
-/// rows fill just the HarnessResult part; wire_msgs_sent stays zero.
-struct KeyRow {
-  net::ClusterResult r;
+/// One row: where it runs and the one LoadOptions value (keyspace
+/// included) that describes its workload on either substrate.
+struct RowSpec {
   std::string mode;  ///< "inproc", "inproc-lru", "inproc-open", "tcp", "tcp-open"
-  std::string key_dist;
-  double key_skew{0.0};
-  std::size_t parallelism{0};  ///< workers (inproc) or nodes (tcp)
+  LoadOptions load;
+  std::size_t parallelism{1};  ///< workers (inproc) or nodes (tcp)
   std::size_t batch{1};        ///< tcp rows: schedule entries per issuance unit
-  std::size_t key_capacity{0};
-  double rate{0.0};  ///< open-loop rows: offered rate
+
+  bool tcp() const { return mode.rfind("tcp", 0) == 0; }
 };
 
-KeyRow from_keyed_throughput(const ThroughputResult& r,
-                             const std::string& key_dist, double skew,
-                             std::size_t capacity, const std::string& mode) {
-  KeyRow row;
-  static_cast<HarnessResult&>(row.r) = r;
-  row.mode = mode;
-  row.key_dist = key_dist;
-  row.key_skew = skew;
-  row.parallelism = r.workers;
-  row.key_capacity = capacity;
-  return row;
-}
-
-KeyRow from_cluster(net::ClusterResult r, const std::string& key_dist,
-                    double skew, std::size_t batch, std::size_t capacity) {
-  KeyRow row;
-  row.parallelism = r.nodes;
-  row.r = std::move(r);
-  row.mode = "tcp";
-  row.key_dist = key_dist;
-  row.key_skew = skew;
-  row.batch = batch;
-  row.key_capacity = capacity;
-  return row;
-}
+/// A run row: its spec plus the run's result. In-process rows fill just
+/// the HarnessResult part; wire_msgs_sent stays zero.
+struct KeyRow {
+  RowSpec spec;
+  net::ClusterResult r;
+};
 
 /// The normalized per-key bottleneck: the hot key's max_p divided by
 /// its op count. The paper's claim is that this stays Omega(1) per op
@@ -154,33 +140,57 @@ int main(int argc, char** argv) {
     const std::size_t by_keys = std::min<std::size_t>(4 * keys, 200000);
     return std::max(floor_ops, by_keys);
   };
-  const auto dist_for = [](double skew) {
-    return skew > 0.0 ? std::string("zipf") : std::string("uniform");
+  const auto max_keys = static_cast<std::size_t>(
+      *std::max_element(keys_list.begin(), keys_list.end()));
+  const auto last_workers = static_cast<std::size_t>(
+      workers_list.back() > 0 ? workers_list.back() : 1);
+
+  // The fields every row shares; each row then sets its own.
+  const auto keyed_load = [&](std::size_t keys, double skew,
+                              std::size_t ops) {
+    LoadOptions load;
+    load.ops = ops;
+    load.concurrency = concurrency;
+    load.warmup = warmup;
+    load.seed = seed;
+    load.keys = keys;
+    load.key_dist = skew > 0.0 ? "zipf" : "uniform";
+    load.key_skew = skew;
+    return load;
+  };
+  std::vector<KeyRow> rows;
+  const auto run_row = [&](RowSpec spec) {
+    KeyRow row;
+    if (spec.tcp()) {
+      net::ClusterOptions copt;
+      static_cast<LoadOptions&>(copt) = spec.load;
+      copt.counter = counter;
+      copt.min_processors = n;
+      copt.nodes = static_cast<std::uint32_t>(spec.parallelism);
+      copt.batch = spec.batch;
+      row.r = net::run_cluster(copt);
+    } else {
+      // active_shards stays adaptive (min(workers, cores)) like the
+      // other wall-clock benches: on a small host W > 1 degrades
+      // gracefully instead of paying forced cross-shard hops.
+      ThroughputOptions topt;
+      static_cast<LoadOptions&>(topt) = spec.load;
+      topt.workers = spec.parallelism;
+      static_cast<HarnessResult&>(row.r) =
+          run_throughput(make_counter(kind, n), topt);
+    }
+    row.spec = std::move(spec);
+    rows.push_back(std::move(row));
   };
 
-  std::vector<KeyRow> rows;
   for (const std::int64_t keys64 : keys_list) {
     const auto keys = static_cast<std::size_t>(keys64 > 0 ? keys64 : 1);
     for (const double skew : key_skews) {
       for (const std::int64_t w : workers_list) {
-        ThroughputOptions topt;
-        topt.workers = static_cast<std::size_t>(w > 0 ? w : 1);
-        topt.ops = ops_for(keys);
-        topt.concurrency = concurrency;
-        topt.warmup = warmup;
-        topt.seed = seed;
-        // active_shards stays adaptive (min(workers, cores)) like the
-        // other wall-clock benches: on a small host W > 1 degrades
-        // gracefully instead of paying forced cross-shard hops; the
-        // keyed tests pin it instead.
-        KeyedOptions kopt;
-        kopt.keys = keys;
-        kopt.key_dist = dist_for(skew);
-        kopt.key_skew = skew;
-        kopt.key_capacity = key_capacity;
-        rows.push_back(from_keyed_throughput(
-            run_keyed_throughput(make_counter(kind, n), topt, kopt),
-            kopt.key_dist, skew, key_capacity, "inproc"));
+        RowSpec spec{"inproc", keyed_load(keys, skew, ops_for(keys)),
+                     static_cast<std::size_t>(w > 0 ? w : 1)};
+        spec.load.key_capacity = key_capacity;
+        run_row(std::move(spec));
       }
     }
   }
@@ -188,54 +198,24 @@ int main(int argc, char** argv) {
   // LRU cold tier at work: cap the directory well below the largest
   // keyspace so the skewed stream keeps evicting cold keys to their
   // durable values and rehydrating them on the next touch.
-  {
-    const auto keys =
-        static_cast<std::size_t>(*std::max_element(keys_list.begin(), keys_list.end()));
-    if (keys > 1) {
-      const double skew = key_skews.back();
-      const std::size_t capacity = std::max<std::size_t>(16, keys / 8);
-      ThroughputOptions topt;
-      topt.workers =
-          static_cast<std::size_t>(workers_list.back() > 0 ? workers_list.back() : 1);
-      topt.ops = ops_for(keys);
-      topt.concurrency = concurrency;
-      topt.warmup = warmup;
-      topt.seed = seed;
-      KeyedOptions kopt;
-      kopt.keys = keys;
-      kopt.key_dist = dist_for(skew);
-      kopt.key_skew = skew;
-      kopt.key_capacity = capacity;
-      rows.push_back(from_keyed_throughput(
-          run_keyed_throughput(make_counter(kind, n), topt, kopt),
-          kopt.key_dist, skew, capacity, "inproc-lru"));
-    }
+  if (max_keys > 1) {
+    RowSpec spec{"inproc-lru",
+                 keyed_load(max_keys, key_skews.back(), ops_for(max_keys)),
+                 last_workers};
+    spec.load.key_capacity = std::max<std::size_t>(16, max_keys / 8);
+    run_row(std::move(spec));
   }
 
   // Open-loop keyed row: the fabric under offered load at the largest
   // swept keyspace, tails measured from scheduled arrival.
   if (open_rate > 0.0) {
-    const auto keys = static_cast<std::size_t>(
-        *std::max_element(keys_list.begin(), keys_list.end()));
-    const double skew = key_skews.back();
-    ThroughputOptions topt;
-    topt.workers = static_cast<std::size_t>(
-        workers_list.back() > 0 ? workers_list.back() : 1);
-    topt.ops = ops_for(keys);
-    topt.warmup = warmup;
-    topt.seed = seed;
-    topt.open_rate = open_rate;
-    topt.shape = shape;
-    topt.slo_us = slo_us;
-    KeyedOptions kopt;
-    kopt.keys = keys;
-    kopt.key_dist = dist_for(skew);
-    kopt.key_skew = skew;
-    KeyRow row = from_keyed_throughput(
-        run_keyed_throughput(make_counter(kind, n), topt, kopt),
-        kopt.key_dist, skew, 0, "inproc-open");
-    row.rate = open_rate;
-    rows.push_back(std::move(row));
+    RowSpec spec{"inproc-open",
+                 keyed_load(max_keys, key_skews.back(), ops_for(max_keys)),
+                 last_workers};
+    spec.load.open_rate = open_rate;
+    spec.load.shape = shape;
+    spec.load.slo_us = slo_us;
+    run_row(std::move(spec));
   }
 
   // The real cluster: keyed Starts out, coalesced completions back,
@@ -243,29 +223,27 @@ int main(int argc, char** argv) {
   // per-key loads merged from chunked kKeyedStats reports. Framing is
   // per reactor round whatever --batch is, so the batch rows price the
   // driver's issuance unit (reissue once a unit's worth of slots has
-  // freed), not frames.
+  // freed), not frames. The batch=1 rows keep --batch ops in flight per
+  // slot instead, so both rows run the same window of 8 * batch ops.
   std::vector<std::size_t> cluster_batches{1};
   if (batch > 1) cluster_batches.push_back(batch);
   std::vector<std::size_t> cluster_keyspaces{1};
   if (cluster_keys > 1) cluster_keyspaces.push_back(cluster_keys);
+  const auto cluster_load = [&](std::size_t keys, std::size_t ops) {
+    LoadOptions load = keyed_load(keys, 0.99, ops);
+    load.concurrency = 8;
+    return load;
+  };
   for (const std::size_t b : cluster_batches) {
     for (const std::size_t keys : cluster_keyspaces) {
       if (b == 1 && keys == 1) continue;  // covered by the batch sweep
-      net::ClusterOptions copt;
-      copt.counter = counter;
-      copt.min_processors = n;
-      copt.nodes = nodes;
-      copt.ops = std::min<std::size_t>(std::max<std::size_t>(4 * keys, 256),
-                                       quick ? 256 : 2048);
-      copt.concurrency = 8;
-      copt.warmup = warmup;
-      copt.seed = seed;
-      copt.keys = keys;
-      copt.key_dist = "zipf";
-      copt.key_skew = 0.99;
-      copt.batch = b;
-      rows.push_back(
-          from_cluster(net::run_cluster(copt), "zipf", 0.99, b, 0));
+      RowSpec spec{"tcp",
+                   cluster_load(keys, std::min<std::size_t>(
+                                          std::max<std::size_t>(4 * keys, 256),
+                                          quick ? 256 : 2048)),
+                   nodes, b};
+      spec.load.inflight = b == 1 ? batch : 1;
+      run_row(std::move(spec));
     }
   }
 
@@ -276,38 +254,28 @@ int main(int argc, char** argv) {
   // arrivals due between two reactor rounds share a frame, as a closed
   // loop's completion burst does.
   if (open_rate > 0.0) {
-    net::ClusterOptions copt;
-    copt.counter = counter;
-    copt.min_processors = n;
-    copt.nodes = nodes;
-    copt.ops = quick ? 256 : 2048;
-    copt.warmup = warmup;
-    copt.seed = seed;
-    copt.keys = cluster_keys;
-    copt.key_dist = "zipf";
-    copt.key_skew = 0.99;
-    copt.open_rate = open_rate;
-    copt.shape = shape;
-    copt.slo_us = slo_us;
-    KeyRow row = from_cluster(net::run_cluster(copt), "zipf", 0.99, 1, 0);
-    row.mode = "tcp-open";
-    row.rate = open_rate;
-    rows.push_back(std::move(row));
+    RowSpec spec{"tcp-open", cluster_load(cluster_keys, quick ? 256 : 2048),
+                 nodes};
+    spec.load.open_rate = open_rate;
+    spec.load.shape = shape;
+    spec.load.slo_us = slo_us;
+    run_row(std::move(spec));
   }
 
   Table table({"mode", "keys", "dist", "par", "batch", "ops", "cap", "inc/s",
                "p99_us", "max_load", "hot_ops", "hk_max", "hk/op", "touched",
                "evict", "rehyd"});
   for (const KeyRow& row : rows) {
+    const RowSpec& spec = row.spec;
     const net::ClusterResult& r = row.r;
     table.row()
-        .add(row.mode)
+        .add(spec.mode)
         .add(static_cast<std::int64_t>(r.keys))
-        .add(row.key_dist)
-        .add(static_cast<std::int64_t>(row.parallelism))
-        .add(static_cast<std::int64_t>(row.batch))
+        .add(spec.load.key_dist)
+        .add(static_cast<std::int64_t>(spec.parallelism))
+        .add(static_cast<std::int64_t>(spec.batch))
         .add(static_cast<std::int64_t>(r.ops))
-        .add(static_cast<std::int64_t>(row.key_capacity))
+        .add(static_cast<std::int64_t>(spec.load.key_capacity))
         .add(r.ops_per_sec, 0)
         .add(r.p99_us, 1)
         .add(r.max_load)
@@ -333,25 +301,26 @@ int main(int argc, char** argv) {
   json.field("seed", seed);
   json.begin_array("runs");
   for (const KeyRow& row : rows) {
+    const RowSpec& spec = row.spec;
     const net::ClusterResult& r = row.r;
     json.begin_object();
-    json.field("mode", row.mode);
+    json.field("mode", spec.mode);
     json.field("keys", r.keys);
-    json.field("key_dist", row.key_dist);
-    json.field("key_skew", row.key_skew, 2);
-    json.field("parallelism", row.parallelism);
-    json.field("batch", row.batch);
+    json.field("key_dist", spec.load.key_dist);
+    json.field("key_skew", spec.load.key_skew, 2);
+    json.field("parallelism", spec.parallelism);
+    json.field("batch", spec.batch);
     json.field("ops", r.ops);
-    json.field("key_capacity", row.key_capacity);
+    json.field("key_capacity", spec.load.key_capacity);
     json.field("ops_per_sec", r.ops_per_sec, 1);
     json.field("p50_us", r.p50_us, 2);
     json.field("p99_us", r.p99_us, 2);
-    if (row.mode == "inproc-open" || row.mode == "tcp-open") {
-      json.field("rate", row.rate, 1);
-      json.field("shape", shape);
+    if (spec.load.open_rate > 0.0) {
+      json.field("rate", spec.load.open_rate, 1);
+      json.field("shape", spec.load.shape);
       json.field("p999_us", r.p999_us, 2);
       json.field("max_us", r.max_us, 2);
-      json.field("slo_us", slo_us, 1);
+      json.field("slo_us", spec.load.slo_us, 1);
       json.field("slo_attainment", r.slo_attainment, 6);
       json.field("hdr_recorder", r.hdr_recorder ? 1 : 0);
     }

@@ -181,6 +181,22 @@ int main(int argc, char** argv) {
   const double shm_rate =
       flags.get_double("shm_rate", quick ? 20000.0 : 200000.0);
 
+  // Every message-passing row's options: the shared load fields, then
+  // whatever the row sets on top.
+  const auto throughput_options = [&](std::size_t workers, std::size_t ops,
+                                      std::size_t inflight) {
+    ThroughputOptions options;
+    options.workers = workers;
+    options.ops = ops;
+    options.concurrency = concurrency;
+    options.inflight = inflight;
+    options.initiators = dist;
+    options.zipf_s = zipf_s;
+    options.seed = seed;
+    options.warmup = warmup;
+    return options;
+  };
+
   Table table({"counter", "n", "W", "ops", "inc/s", "p50_us", "p95_us",
                "p99_us", "max_load", "total_msgs"});
   std::vector<ThroughputResult> results;
@@ -227,16 +243,11 @@ int main(int argc, char** argv) {
                   << " (not shard-safe)\n";
         continue;
       }
-      ThroughputOptions options;
-      options.workers = workers;
-      options.ops = static_cast<std::size_t>(ops_factor) *
-                    protocol->num_processors();
-      options.concurrency = concurrency;
+      ThroughputOptions options = throughput_options(
+          workers,
+          static_cast<std::size_t>(ops_factor) * protocol->num_processors(),
+          1);
       options.open_rate = open_rate;
-      options.initiators = dist;
-      options.zipf_s = zipf_s;
-      options.seed = seed;
-      options.warmup = warmup;
       const ThroughputResult res = run_throughput(std::move(protocol), options);
       results.push_back(res);
       table.row()
@@ -303,20 +314,13 @@ int main(int argc, char** argv) {
     const auto run_conc = [&](std::unique_ptr<CounterProtocol> protocol,
                               std::size_t inflight, bool must_linearize) {
       const std::size_t window = concurrency * inflight;
-      ThroughputOptions options;
-      options.workers = conc_workers;
-      // Enough ops that the window is the steady state, not the whole
-      // run (and, for the elastic rows, that the migration threshold is
-      // crossed with room to run in the new epoch).
-      options.ops = std::max<std::size_t>(
-          static_cast<std::size_t>(ops_factor) * protocol->num_processors(),
-          4 * window);
-      options.concurrency = concurrency;
-      options.inflight = inflight;
-      options.initiators = dist;
-      options.zipf_s = zipf_s;
-      options.seed = seed;
-      options.warmup = warmup;
+      // Enough ops that the window is the steady state, not the run.
+      const ThroughputOptions options = throughput_options(
+          conc_workers,
+          std::max<std::size_t>(
+              static_cast<std::size_t>(ops_factor) * protocol->num_processors(),
+              4 * window),
+          inflight);
       const ThroughputResult res = run_throughput(std::move(protocol), options);
       DCNT_CHECK_MSG(res.lin_checked, "CONC row skipped its history check");
       if (must_linearize) {
@@ -361,17 +365,11 @@ int main(int argc, char** argv) {
       // run drains: every processor sees resize_period ops after
       // n * resize_period round-robin issues.
       const std::size_t floor_ops = 2 * protocol->num_processors() * 16;
-      ThroughputOptions options;
-      options.workers = conc_workers;
-      options.ops = std::max<std::size_t>(4 * concurrency *
-                                              static_cast<std::size_t>(f),
-                                          floor_ops);
-      options.concurrency = concurrency;
-      options.inflight = static_cast<std::size_t>(f);
-      options.initiators = dist;
-      options.zipf_s = zipf_s;
-      options.seed = seed;
-      options.warmup = warmup;
+      const ThroughputOptions options = throughput_options(
+          conc_workers,
+          std::max<std::size_t>(4 * concurrency * static_cast<std::size_t>(f),
+                                floor_ops),
+          static_cast<std::size_t>(f));
       const ThroughputResult res = run_throughput(std::move(protocol), options);
       DCNT_CHECK_MSG(res.lin_checked && res.linearizable,
                      "elastic tree produced a non-linearizable history");
@@ -491,18 +489,12 @@ int main(int argc, char** argv) {
           if (conc_workers > 1 && !protocol->shard_safe()) continue;
           const std::size_t window =
               concurrency * static_cast<std::size_t>(f);
-          ThroughputOptions options;
-          options.workers = conc_workers;
-          options.ops = std::max<std::size_t>(
-              static_cast<std::size_t>(ops_factor) *
-                  protocol->num_processors(),
-              4 * window);
-          options.concurrency = concurrency;
-          options.inflight = static_cast<std::size_t>(f);
-          options.initiators = dist;
-          options.zipf_s = zipf_s;
-          options.seed = seed;
-          options.warmup = warmup;
+          ThroughputOptions options = throughput_options(
+              conc_workers,
+              std::max<std::size_t>(static_cast<std::size_t>(ops_factor) *
+                                        protocol->num_processors(),
+                                    4 * window),
+              static_cast<std::size_t>(f));
           options.placement = placement_from_string(place);
           const ThroughputResult res =
               run_throughput(std::move(protocol), options);
@@ -547,10 +539,8 @@ int main(int argc, char** argv) {
           for (const std::string& shape_name : shapes) {
             auto protocol = make_counter(kind, n);
             if (open_workers > 1 && !protocol->shard_safe()) continue;
-            ThroughputOptions options;
-            options.workers = open_workers;
-            options.ops = static_cast<std::size_t>(open_ops);
-            options.concurrency = concurrency;
+            ThroughputOptions options = throughput_options(
+                open_workers, static_cast<std::size_t>(open_ops), 1);
             options.open_rate = rate;
             options.shape = shape_name;
             options.period_s = period;
@@ -559,10 +549,6 @@ int main(int argc, char** argv) {
             options.duration_s = duration;
             options.slo_us = slo_us;
             options.exact_cap = exact_cap;
-            options.initiators = dist;
-            options.zipf_s = zipf_s;
-            options.seed = seed;
-            options.warmup = warmup;
             const ThroughputResult res =
                 run_throughput(std::move(protocol), options);
             open_rows.push_back(OpenRow{res, rate, shape_name,

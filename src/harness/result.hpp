@@ -1,8 +1,10 @@
 // The schema every wall-clock harness shares: the load options a bench
 // sets (LoadOptions) and the row it gets back (HarnessResult).
 //
-// run_throughput / run_keyed_throughput (threaded runtime), run_cluster
-// (socket cluster) and run_shm_throughput (shared memory) all report a
+// run_throughput (threaded runtime) and run_cluster (socket cluster)
+// take the same LoadOptions, keyspace included, so one value describes
+// a workload on either substrate; run_shm_throughput (shared memory)
+// keeps its own smaller option set. All three report a
 // HarnessResult-derived struct, filled by the same helpers: fill_traffic
 // copies the TailRecorder's stats, verify_values checks the counter's
 // observable contract (a global or per-key permutation) and picks the
@@ -47,6 +49,20 @@ struct LoadOptions : traffic::LoadPolicy {
   /// Keyed runs skip it (per-key value spaces make a global counter
   /// history meaningless).
   bool lin_check{true};
+
+  /// > 0: multi-key mode. The protocol runs inside a
+  /// service/MultiCounter fabric (routing seed = seed) and each op
+  /// addresses one of this many keys; the per-key contract (each key's
+  /// values a permutation of 0..ops_k-1) replaces the global one.
+  std::size_t keys{0};
+  /// Key distribution: "roundrobin", "uniform" or "zipf" (key 0
+  /// hottest) with skew key_skew, salted independently of the
+  /// initiator stream.
+  std::string key_dist{"zipf"};
+  double key_skew{0.99};
+  /// LRU cap on live per-key instances (per node in a cluster); 0 =
+  /// unbounded. Requires a service-evictable counter.
+  std::size_t key_capacity{0};
 
   /// The driver's view: resolved shape, SLO in ns, no history.
   traffic::DriverOptions driver_options() const;

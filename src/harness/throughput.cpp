@@ -13,14 +13,8 @@
 
 namespace dcnt {
 
-namespace {
-
-/// The shared core of the plain and keyed runs: drives `protocol`
-/// (wrapped in the multi-key fabric when `keyed` is set) on a fresh
-/// runtime and verifies it.
-ThroughputResult run_on_runtime(std::unique_ptr<CounterProtocol> protocol,
-                                const ThroughputOptions& options,
-                                const KeyedOptions* keyed) {
+ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
+                                const ThroughputOptions& options) {
   DCNT_CHECK(protocol != nullptr);
   const auto n = static_cast<std::int64_t>(protocol->num_processors());
   const std::size_t ops =
@@ -32,16 +26,16 @@ ThroughputResult run_on_runtime(std::unique_ptr<CounterProtocol> protocol,
   out.placement = to_string(options.placement);
   WorkloadOptions wl;
   static_cast<traffic::DriverOptions&>(wl) = options.driver_options();
+  const bool keyed = options.keys > 0;
   std::unique_ptr<concurrent::HistoryBuffer> history;
-  if (keyed != nullptr) {
-    DCNT_CHECK(keyed->keys > 0);
-    out.keys = keyed->keys;
-    wl.keys = make_keys(keyed->key_dist, keyed->key_skew,
-                        static_cast<std::int64_t>(keyed->keys),
+  if (keyed) {
+    out.keys = options.keys;
+    wl.keys = make_keys(options.key_dist, options.key_skew,
+                        static_cast<std::int64_t>(options.keys),
                         static_cast<std::int64_t>(ops), options.seed);
     service::MultiCounterOptions mc;
     mc.seed = options.seed;
-    mc.capacity = keyed->key_capacity;
+    mc.capacity = options.key_capacity;
     protocol =
         std::make_unique<service::MultiCounter>(std::move(protocol), mc);
   } else if (options.lin_check) {
@@ -55,8 +49,6 @@ ThroughputResult run_on_runtime(std::unique_ptr<CounterProtocol> protocol,
   config.workers = options.workers;
   config.seed = options.seed;
   config.max_ops = options.warmup + ops;
-  config.active_shards = options.active_shards;
-  config.flush_batch = options.flush_batch;
   config.placement = options.placement;
   ThreadedRuntime rt(std::move(protocol), config);
   out.workers = rt.workers();
@@ -78,7 +70,7 @@ ThroughputResult run_on_runtime(std::unique_ptr<CounterProtocol> protocol,
     DCNT_CHECK_MSG(v.has_value(), "operation never completed");
     values[i] = *v;
   }
-  if (keyed != nullptr) run.key_of_op.resize(total);
+  if (keyed) run.key_of_op.resize(total);
   verify_values(out, values, run.key_of_op);
   rt.protocol().check_quiescent(total);
   // Measured ops only: warmup slots never completed in the buffer.
@@ -95,7 +87,7 @@ ThroughputResult run_on_runtime(std::unique_ptr<CounterProtocol> protocol,
                   static_cast<double>(n);
   out.pinned_workers = rt.pinned_workers();
   out.placement_supported = rt.placement_supported();
-  if (keyed != nullptr) {
+  if (keyed) {
     out.keys_touched = metrics.key_loads().size();
     if (out.hot_key != kNoKey) {
       out.hot_key_max_load = metrics.key_max_load(out.hot_key);
@@ -117,19 +109,6 @@ ThroughputResult run_on_runtime(std::unique_ptr<CounterProtocol> protocol,
     out.elastic_final_k = elastic->current_k();
   }
   return out;
-}
-
-}  // namespace
-
-ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
-                                const ThroughputOptions& options) {
-  return run_on_runtime(std::move(protocol), options, nullptr);
-}
-
-ThroughputResult run_keyed_throughput(
-    std::unique_ptr<CounterProtocol> prototype,
-    const ThroughputOptions& options, const KeyedOptions& keyed) {
-  return run_on_runtime(std::move(prototype), options, &keyed);
 }
 
 RuntimeSequentialResult run_runtime_sequential(

@@ -7,10 +7,11 @@
 // returned values form a permutation of 0..m-1 (same check as
 // run_concurrent; sequential 0,1,2,... ordering is meaningless once
 // operations genuinely overlap). Aborts on violation, so a bench
-// completing is itself a correctness check. run_keyed_throughput is the
-// same run over the multi-key fabric, with the per-key contract. Both
-// report the shared HarnessResult schema (harness/result.hpp) plus the
-// runtime's own fields.
+// completing is itself a correctness check. With options.keys > 0 the
+// same run goes over the multi-key fabric with the per-key contract,
+// exactly as run_cluster does for the same LoadOptions. It reports the
+// shared HarnessResult schema (harness/result.hpp) plus the runtime's
+// own fields.
 //
 // run_runtime_sequential is the paper's model on the runtime: one
 // operation at a time, quiescing in between. Used by the
@@ -37,13 +38,8 @@ struct ThroughputOptions : LoadOptions {
   ThroughputOptions() { concurrency = 16; }
 
   /// Worker threads; 0 = the process-wide --threads/DCNT_THREADS knob.
+  /// Shards stay adaptive (RuntimeConfig::active_shards = 0).
   std::size_t workers{0};
-  /// Passed through to RuntimeConfig: 0 = adaptive (min(workers,
-  /// cores)); tests pin it to `workers` to force real cross-shard
-  /// delivery on any host.
-  std::size_t active_shards{0};
-  /// Passed through to RuntimeConfig::flush_batch.
-  std::size_t flush_batch{64};
   /// Core placement for the runtime workers (runtime/placement.hpp);
   /// kNone leaves scheduling to the kernel. Results report what
   /// actually applied (pinned_workers / placement_supported) — an
@@ -70,32 +66,13 @@ struct ThroughputResult : HarnessResult {
 
 /// Runs the workload, verifies the value permutation (aborts on
 /// violation) and check_quiescent, and reports wall-clock rates plus
-/// the merged message-load metrics.
+/// the merged message-load metrics. With options.keys > 0 it wraps
+/// `protocol` in a service/MultiCounter (routing seed = options.seed),
+/// draws each op's key from key_dist, verifies every key's values are
+/// a permutation of 0..ops_k-1, and also reports the hot key's per-key
+/// bottleneck load and the LRU counters.
 ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
                                 const ThroughputOptions& options = {});
-
-/// Keyspace shape for run_keyed_throughput: the fabric multiplexes
-/// `keys` counters over the protocol's processor set, ops drawn from
-/// `key_dist` over keys crossed with ThroughputOptions::initiators over
-/// processors.
-struct KeyedOptions {
-  std::size_t keys{1};
-  /// "roundrobin", "uniform" or "zipf" (key 0 hottest).
-  std::string key_dist{"zipf"};
-  double key_skew{0.99};
-  /// LRU capacity for live per-key instances; 0 = unbounded.
-  std::size_t key_capacity{0};
-};
-
-/// Multi-key sibling of run_throughput: wraps `prototype` in a
-/// service/MultiCounter (routing seed = options.seed), drives the keyed
-/// workload, verifies every key's values are a permutation of
-/// 0..ops_k-1 plus the fabric's check_quiescent, and reports aggregate
-/// rates, the hot key's per-key bottleneck load, and LRU counters
-/// (values_ok reports the per-key contract).
-ThroughputResult run_keyed_throughput(
-    std::unique_ptr<CounterProtocol> prototype,
-    const ThroughputOptions& options, const KeyedOptions& keyed);
 
 struct RuntimeSequentialResult {
   std::vector<Value> values;

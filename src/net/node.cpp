@@ -163,20 +163,15 @@ void Node::build_runtime() {
   }
 
   RuntimeConfig rc;
-  // Inline drive: this thread hosts the single protocol shard, so a
+  // Hosting: this thread drives the single protocol shard, so a
   // message's receive->handle->send round trip never crosses a thread.
   rc.workers = 1;
-  rc.active_shards = 1;
-  rc.inline_drive = true;
   // Distinct per-node base seed so shard rng streams never collide
   // across nodes.
   rc.seed = mix64(cfg_.seed + 0x9e3779b97f4a7c15ull * (cfg_.node_id + 1));
   rc.max_ops = cfg_.max_ops > 0 ? static_cast<std::size_t>(cfg_.max_ops)
                                 : (std::size_t{1} << 16);
-  rc.cluster_nodes = cfg_.num_nodes;
-  rc.cluster_node_id = cfg_.node_id;
-  rc.wall_timers = true;
-  rc.tick_us = cfg_.tick_us;
+  rc.hosting = NodeHosting{cfg_.num_nodes, cfg_.node_id, cfg_.tick_us};
   runtime_ = std::make_unique<ThreadedRuntime>(std::move(protocol), rc);
 
   // Handler output goes straight into the event loop: each remote

@@ -42,9 +42,9 @@
 //
 // Threading: one thread per node. It runs the epoll reactor and, in
 // the same loop, drives the node's single protocol shard inline
-// (ThreadedRuntime with inline_drive, runtime/threaded_runtime.hpp) —
-// the paper's model of a processor handling its messages one at a
-// time. Each round decodes what the sockets delivered, injects it into
+// (ThreadedRuntime with RuntimeConfig::hosting,
+// runtime/threaded_runtime.hpp) — the paper's model of a processor
+// handling its messages one at a time. Each round decodes what the sockets delivered, injects it into
 // the shard, and runs the shard until dry; handler output goes straight
 // into the reactor's per-peer outbound queues and leaves coalesced at
 // the next round boundary, and the round's completions leave as one

@@ -83,8 +83,8 @@ struct ThreadedRuntime::Shard {
   std::size_t events_since_flush{0};
   std::vector<TimerEntry> timers;  ///< min-heap (TimerLater)
   std::uint64_t timer_seq{0};
-  /// Armed wall-clock timers (wall_timers mode, where the shard is
-  /// driven inline and this is read only by its owner).
+  /// Armed wall-clock timers (hosting, where the shard is driven by
+  /// its owner thread and this is read only there).
   std::int64_t timers_armed{0};
   /// Logical clock: advances by one per processed event, and jumps to
   /// the earliest timer deadline when the worker runs dry (the
@@ -152,11 +152,11 @@ class ThreadedRuntime::WorkerCtx final : public Context {
     msg.args = std::move(args);
     msg.local = true;
     DCNT_CHECK_MSG(rt_->owns(p), "send_local at a processor another node owns");
-    const bool wall = rt_->config_.wall_timers;
+    const bool wall = rt_->hosted_;
     const std::size_t dst_shard = rt_->shard_of(p);
     if (&*rt_->shards_[dst_shard] == shard_) {
       TimerEntry t;
-      t.due = wall ? rt_->wall_now_us() + delay * rt_->config_.tick_us
+      t.due = wall ? rt_->wall_now_us() + delay * rt_->tick_us_
                    : shard_->clock + delay;
       t.seq = shard_->timer_seq++;
       t.msg = std::move(msg);
@@ -177,8 +177,8 @@ class ThreadedRuntime::WorkerCtx final : public Context {
       // Protocols only arm timers at the handling processor today, but
       // the Context contract allows any p: ship the relative delay and
       // let the owner anchor it to its own clock. The event holds
-      // in-flight from here until the timer fires. (Wall mode hosts a
-      // single shard, so it never takes this branch.)
+      // in-flight from here until the timer fires. (A hosted runtime
+      // has a single shard, so it never takes this branch.)
       ++shard_->pending_sends;
       RuntimeEvent ev;
       ev.kind = RuntimeEvent::Kind::kTimer;
@@ -239,13 +239,16 @@ ThreadedRuntime::ThreadedRuntime(std::unique_ptr<CounterProtocol> protocol,
   num_processors_ = protocol_->num_processors();
   DCNT_CHECK(num_processors_ > 0);
   DCNT_CHECK(config_.flush_batch >= 1);
-  DCNT_CHECK(config_.cluster_nodes >= 1);
-  DCNT_CHECK(config_.cluster_node_id < config_.cluster_nodes);
-  DCNT_CHECK(config_.tick_us >= 1);
-  DCNT_CHECK_MSG(!config_.wall_timers || config_.inline_drive,
-                 "wall_timers requires inline_drive");
-  DCNT_CHECK_MSG(config_.cluster_nodes == 1 || config_.inline_drive,
-                 "cluster hosting (cluster_nodes > 1) requires inline_drive");
+  if (config_.hosting) {
+    const NodeHosting& h = *config_.hosting;
+    DCNT_CHECK_MSG(config_.workers == 1, "hosting requires workers == 1");
+    DCNT_CHECK_MSG(h.node_id < h.nodes, "hosting requires node_id < nodes");
+    DCNT_CHECK(h.tick_us >= 1);
+    nodes_ = h.nodes;
+    node_id_ = h.node_id;
+    hosted_ = true;
+    tick_us_ = h.tick_us;
+  }
   t0_ = std::chrono::steady_clock::now();
   const std::size_t w = resolve_thread_count(config_.workers);
   DCNT_CHECK_MSG(w == 1 || protocol_->shard_safe(),
@@ -267,8 +270,7 @@ ThreadedRuntime::ThreadedRuntime(std::unique_ptr<CounterProtocol> protocol,
   placement_plan_ = plan_placement(config_.placement, w);
   placement_supported_ =
       config_.placement == Placement::kNone || placement_plan_.supported;
-  if (config_.inline_drive) {
-    DCNT_CHECK_MSG(w == 1, "inline_drive hosts exactly one shard");
+  if (hosted_) {
     inline_ctx_ = std::make_unique<WorkerCtx>(this, shards_[0].get());
     // The embedding thread IS the shard; pin it here if asked, since
     // there is no worker_main to do it.
@@ -406,7 +408,7 @@ void ThreadedRuntime::fire_timer(Shard& shard, WorkerCtx& ctx) {
   // An armed wall timer holds no in-flight count, so firing it creates
   // the event it becomes. (Logical mode: armed timers already hold
   // in-flight via pending_sends; the add would double-count.)
-  if (config_.wall_timers) {
+  if (hosted_) {
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
     --shard.timers_armed;
   }
@@ -419,7 +421,7 @@ void ThreadedRuntime::fire_timer(Shard& shard, WorkerCtx& ctx) {
 }
 
 bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
-  const bool wall = config_.wall_timers;
+  const bool wall = hosted_;
   bool ran = false;
   for (;;) {
     // 1. Generation boundary: admit the mailbox behind the previous
@@ -430,8 +432,8 @@ bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
     if (shard.mailbox.drain(shard.batch)) {
       for (auto& ev : shard.batch) {
         if (ev.kind == RuntimeEvent::Kind::kTimer) {
-          // Only cross-shard send_local ships timers, and wall mode
-          // hosts a single shard.
+          // Only cross-shard send_local ships timers, and a hosted
+          // runtime has a single shard.
           DCNT_CHECK(!wall);
           TimerEntry t;
           t.seq = shard.timer_seq++;
@@ -531,32 +533,22 @@ void ThreadedRuntime::worker_main(std::size_t worker) {
 }
 
 bool ThreadedRuntime::drive() {
-  DCNT_CHECK_MSG(config_.inline_drive,
-                 "drive() is only for inline_drive runtimes");
-  Shard& shard = *shards_[0];
+  DCNT_CHECK_MSG(hosted_, "drive() is only for hosted runtimes");
   // The caller's thread IS the worker for the duration of the pass, so
   // handler re-entry (begin_op from a completion callback) takes the
-  // deferred-batch path exactly as it would on a spawned worker.
+  // deferred-batch path exactly as it would on a spawned worker. Due
+  // wall timers fire inside the pass; the driving loop clamps its
+  // kernel wait to inline_timer_wait_us.
   tl_worker_runtime = this;
   tl_worker_index = 0;
-  bool any = run_shard_pass(shard, *inline_ctx_);
-  // Logical-clock mode has no kernel deadline to park on: a dry shard
-  // jumps to the next timer due and keeps going, as the threaded
-  // worker's step 3 does. (The cluster node runs wall timers; its due
-  // timers fire inside the pass because the driving loop clamps its
-  // kernel wait to inline_timer_wait_us.)
-  while (!config_.wall_timers && !shard.timers.empty()) {
-    shard.clock = shard.timers.front().due;
-    if (!run_shard_pass(shard, *inline_ctx_)) break;
-    any = true;
-  }
+  const bool any = run_shard_pass(*shards_[0], *inline_ctx_);
   tl_worker_runtime = nullptr;
   return any;
 }
 
 std::int64_t ThreadedRuntime::inline_timer_wait_us() const {
-  DCNT_CHECK_MSG(config_.inline_drive,
-                 "inline_timer_wait_us() is only for inline_drive runtimes");
+  DCNT_CHECK_MSG(hosted_,
+                 "inline_timer_wait_us() is only for hosted runtimes");
   const Shard& shard = *shards_[0];
   if (shard.timers.empty()) return -1;
   const std::int64_t wait = shard.timers.front().due - wall_now_us();

@@ -63,6 +63,13 @@
 //     order, so W=1 with a single-threaded driver is deterministic;
 //     W>1 interleaves shards nondeterministically — results are then
 //     verified as a permutation, the concurrent-mode contract.
+//
+// Two modes, chosen by one field. Without RuntimeConfig::hosting the
+// runtime is the in-process engine above: W workers, logical-clock
+// timers. With it, the runtime is one node of the socket cluster
+// (src/net/node.cpp): no thread of its own, one shard the caller drives
+// with drive(), the processors p with p % nodes == node_id, wall-clock
+// timers, and messages for other nodes handed to the remote sink.
 #pragma once
 
 #include <atomic>
@@ -83,6 +90,16 @@
 #include "sim/types.hpp"
 
 namespace dcnt {
+
+/// One node's share of a socket cluster (RuntimeConfig::hosting).
+struct NodeHosting {
+  /// Node processes sharing the processor space.
+  std::size_t nodes{1};
+  /// This node: it owns processors p with p % nodes == node_id.
+  std::size_t node_id{0};
+  /// Wall microseconds per logical delay tick.
+  std::int64_t tick_us{200};
+};
 
 struct RuntimeConfig {
   /// Worker threads. 0 = auto: the process-wide --threads/DCNT_THREADS
@@ -113,38 +130,28 @@ struct RuntimeConfig {
   /// this to `workers`.
   std::size_t active_shards{0};
 
-  // --- cluster hosting (socket runtime, src/net/node.cpp) ---
-  /// Number of node processes sharing the processor space. 1 = the
-  /// whole protocol runs in this process (nothing below applies). N>1:
-  /// this runtime owns only processors with p % cluster_nodes ==
-  /// cluster_node_id; a handler's send() to a non-owned processor is
-  /// diverted to the remote sink instead of a local mailbox. Requires
-  /// inline_drive.
-  std::size_t cluster_nodes{1};
-  std::size_t cluster_node_id{0};
-  /// Timers keyed to the wall clock instead of the per-shard logical
-  /// clock. In-process, a dry worker can safely jump its clock to the
-  /// next deadline — all work lives in its mailbox. A cluster node
-  /// cannot: a locally-dry shard may still be owed wire messages, so
-  /// firing a retransmit timer early would forge loss. With wall_timers
+  /// Set: this runtime hosts one node of a socket cluster
+  /// (src/net/node.cpp); unset: the whole protocol runs in this process.
+  /// A hosted runtime spawns no thread. The caller's thread is its one
+  /// shard and calls drive() whenever events may be pending, so a
+  /// message's receive->handle->send round trip never crosses a thread;
+  /// mailbox injection, remote sink, completion callbacks and the
+  /// in-flight ledger behave as with a worker. Requires workers == 1.
+  ///
+  /// It owns only processors with p % nodes == node_id; a handler's
+  /// send() to another processor goes to the remote sink instead of a
+  /// local mailbox. Its timers run on the wall clock rather than the
+  /// shard's logical clock. In-process, a dry worker can safely jump its
+  /// clock to the next deadline, because all work lives in its mailbox.
+  /// A node cannot: a locally-dry shard may still be owed wire
+  /// messages, so firing a retransmit timer early would forge loss. So
   /// a send_local delay becomes delay*tick_us of real time, armed
   /// timers do NOT hold the in-flight count (reported separately so the
-  /// controller can distinguish "working" from "armed"), and the
-  /// distributed idle-jump arrives as an injected kFireTimers event
-  /// when the controller has certified global idleness. Requires
-  /// inline_drive: the owner thread clamps its kernel wait to the next
-  /// deadline (inline_timer_wait_us), so no worker ever parks on one.
-  bool wall_timers{false};
-  /// Wall microseconds per logical delay tick (wall_timers only).
-  std::int64_t tick_us{200};
-  /// Host the single shard on the CALLER's thread instead of spawning a
-  /// worker: no threads are created, and the owner drives the shard by
-  /// calling drive() whenever events may be pending. Mailbox injection,
-  /// remote sink, completion callbacks and the in-flight ledger behave
-  /// as with a worker. Requires workers == 1. The cluster node runs
-  /// this way: its one reactor thread is also the protocol shard, so a
-  /// message's receive->handle->send round trip never crosses a thread.
-  bool inline_drive{false};
+  /// controller can tell "working" from "armed"), the owner clamps its
+  /// kernel wait to the next deadline (inline_timer_wait_us), and the
+  /// distributed idle-jump arrives as an injected kFireTimers event once
+  /// the controller has certified global idleness.
+  std::optional<NodeHosting> hosting;
   /// Core placement for the worker threads (runtime/placement.hpp):
   /// kNone leaves scheduling to the kernel; the other policies pin each
   /// worker to a topology-chosen CPU at thread start, with kTree
@@ -193,11 +200,9 @@ class ThreadedRuntime {
   /// Cluster mode only; same installation rule as set_completion.
   void set_remote_sink(RemoteSinkFn fn) { remote_sink_ = std::move(fn); }
 
-  /// Does this runtime host processor p? Always true when
-  /// cluster_nodes == 1.
+  /// Does this runtime host processor p? Always true unless hosting.
   bool owns(ProcessorId p) const {
-    return static_cast<std::size_t>(p) % config_.cluster_nodes ==
-           config_.cluster_node_id;
+    return static_cast<std::size_t>(p) % nodes_ == node_id_;
   }
 
   /// Cluster-mode event injection: hands a batch of externally-produced
@@ -226,7 +231,7 @@ class ThreadedRuntime {
   /// of its in-flight window however many ops it runs. Requires
   /// quiescence.
   std::size_t ready_high_water() const;
-  /// Armed wall-clock timers (wall_timers mode, owner thread only).
+  /// Armed wall-clock timers (hosting only, owner thread only).
   /// These do NOT hold the in-flight count.
   std::int64_t timers_armed() const;
   std::int64_t in_flight() const {
@@ -282,27 +287,22 @@ class ThreadedRuntime {
   /// Idempotent; the destructor calls it.
   void stop();
 
-  /// Inline-drive mode only: runs the shard until dry on the calling
-  /// thread — drains the mailbox, processes ready events and due
-  /// timers, flushes cross-shard/remote/in-flight accounting. The owner
-  /// thread must call this whenever in_flight() > 0 (and at wall-timer
-  /// deadlines; see inline_timer_wait_us). Returns whether any event
-  /// was processed.
+  /// Hosting only: runs the shard until dry on the calling thread —
+  /// drains the mailbox, processes ready events and due timers, flushes
+  /// cross-shard/remote/in-flight accounting. The owner thread must
+  /// call this whenever in_flight() > 0 (and at wall-timer deadlines;
+  /// see inline_timer_wait_us). Returns whether any event was
+  /// processed.
   bool drive();
-  /// Inline-drive mode only, owner thread only: microseconds until the
+  /// Hosting only, owner thread only: microseconds until the
   /// earliest armed wall timer would fire, 0 if already due, -1 if no
   /// timer is armed. The driving loop clamps its kernel wait to this.
   std::int64_t inline_timer_wait_us() const;
 
-  /// Which shard owns processor p. In cluster mode the owned processor
-  /// ids form the arithmetic sequence {node_id, node_id+N, ...}; the
-  /// division folds that sequence onto 0,1,2,... before the round-robin
-  /// split, so owned processors spread evenly across shards (a plain
-  /// p % active_shards would alias the node stride with the shard
-  /// stride and can pile every owned processor onto shard 0).
+  /// Which shard owns processor p: round-robin over the active shards
+  /// (a hosted runtime has exactly one).
   std::size_t shard_of(ProcessorId p) const {
-    return (static_cast<std::size_t>(p) / config_.cluster_nodes) %
-           active_shards_;
+    return static_cast<std::size_t>(p) % active_shards_;
   }
 
  private:
@@ -341,9 +341,15 @@ class ThreadedRuntime {
   RuntimeConfig config_;
   std::size_t num_processors_;
   std::size_t active_shards_{1};
+  /// config_.hosting resolved at construction (1, 0, false, 0 when
+  /// unset), so the hot paths read plain members.
+  std::size_t nodes_{1};
+  std::size_t node_id_{0};
+  bool hosted_{false};
+  std::int64_t tick_us_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> threads_;
-  /// Persistent handler context for inline drive (threaded workers keep
+  /// Persistent handler context for drive() (threaded workers keep
   /// theirs on their own stacks).
   std::unique_ptr<WorkerCtx> inline_ctx_;
   CompletionFn completion_;

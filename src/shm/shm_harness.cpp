@@ -10,11 +10,16 @@
 
 #include "concurrent/history.hpp"
 #include "support/check.hpp"
+#include "traffic/recorder.hpp"
 #include "traffic/shape.hpp"
 
 namespace dcnt::shm {
 
 namespace {
+
+/// Non-ticket counters: concurrent read() samples the sampler thread
+/// takes for the inc/read check.
+constexpr std::size_t kReadSamples = 128;
 
 /// Sense-reversing spin barrier separating the warmup and measured
 /// phases. One crossing per run: main + workers (+ sampler) all arrive,
@@ -60,7 +65,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
   // their ordering through the values; flat/funnel read() is only exact
   // at quiescence (it may lag a combiner's local tally), so sampling it
   // live would "detect" a violation the contract never promised away.
-  const bool sample_reads = !tickets && options.read_samples > 0;
+  const bool sample_reads = !tickets;
 
   counter->on_threads(threads);
 
@@ -76,31 +81,20 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
   out.placement_supported =
       options.placement == Placement::kNone || plan.supported;
 
-  traffic::TailRecorder recorder(
-      ops, static_cast<std::int64_t>(options.slo_us * 1e3),
-      options.exact_cap);
-  const traffic::RateShape rate_shape =
-      open_loop ? traffic::make_shape(options.shape, options.open_rate,
-                                      options.period_s, options.amplitude,
-                                      options.duty)
-                : traffic::RateShape{};
-  const bool phases =
-      open_loop && rate_shape.kind == traffic::RateShape::Kind::kBurst;
-  if (phases) recorder.enable_phases();
+  traffic::TailRecorder recorder(ops);
 
   // Open loop: the deterministic schedule, computed up front so workers
   // only claim-and-sleep on the hot path.
   std::vector<std::int64_t> offsets;
   if (open_loop) {
+    traffic::RateShape rate_shape;
+    rate_shape.rate = options.open_rate;
     traffic::ArrivalTimeline timeline(rate_shape);
     offsets.resize(ops);
     for (std::size_t i = 0; i < ops; ++i) offsets[i] = timeline.next_ns();
   }
 
-  std::unique_ptr<concurrent::HistoryBuffer> history;
-  if (options.lin_check) {
-    history = std::make_unique<concurrent::HistoryBuffer>(ops);
-  }
+  concurrent::HistoryBuffer history(ops);
 
   // One slot per measured op, written exactly once by the claiming
   // thread; the join orders main's reads.
@@ -143,18 +137,15 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
         for (std::size_t j = 0; j < count; ++j) {
           const auto op = static_cast<OpId>(start + j);
           recorder.on_issue(op, inv);
-          if (history) history->on_invoke(op, inv);
+          history.on_invoke(op, inv);
         }
         const std::uint64_t base = counter->inc_batch(t, count);
         const std::int64_t resp = traffic::TailRecorder::now_ns();
         for (std::size_t j = 0; j < count; ++j) {
           const auto op = static_cast<OpId>(start + j);
           recorder.on_complete(op, resp);
-          if (history) {
-            history->on_response(
-                op, resp,
-                tickets ? static_cast<Value>(base + j) : Value{0});
-          }
+          history.on_response(
+              op, resp, tickets ? static_cast<Value>(base + j) : Value{0});
           if (tickets) values[start + j] = static_cast<Value>(base + j);
         }
       }
@@ -170,23 +161,13 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
             std::chrono::nanoseconds(scheduled));
         std::this_thread::sleep_until(deadline);
         const auto op = static_cast<OpId>(i);
-        if (phases) {
-          recorder.on_issue(
-              op, scheduled,
-              rate_shape.high_at(static_cast<double>(offsets[i]) / 1e9));
-        } else {
-          recorder.on_issue(op, scheduled);
-        }
-        if (history) {
-          history->on_invoke(op, traffic::TailRecorder::now_ns());
-        }
+        recorder.on_issue(op, scheduled);
+        history.on_invoke(op, traffic::TailRecorder::now_ns());
         const std::uint64_t base = counter->inc_batch(t, 1);
         const std::int64_t resp = traffic::TailRecorder::now_ns();
         recorder.on_complete(op, resp);
-        if (history) {
-          history->on_response(op, resp,
-                               tickets ? static_cast<Value>(base) : Value{0});
-        }
+        history.on_response(op, resp,
+                            tickets ? static_cast<Value>(base) : Value{0});
         if (tickets) values[i] = static_cast<Value>(base);
       }
     }
@@ -200,7 +181,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
     sampler = std::thread([&] {
       barrier.wait();
       while (!sampler_done.load(std::memory_order_acquire)) {
-        if (reads.size() < options.read_samples) {
+        if (reads.size() < kReadSamples) {
           CounterOpRecord r;
           r.op = static_cast<OpId>(ops + reads.size());
           r.invoked = traffic::TailRecorder::now_ns();
@@ -253,11 +234,9 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
     out.values_ok = true;  // the exact-final-value check above IS the claim
   }
 
-  if (history) {
-    fill_linearizability(
-        out, tickets ? check_linearizable(history->snapshot())
-                     : check_inc_read_linearizable(history->snapshot(), reads));
-  }
+  fill_linearizability(
+      out, tickets ? check_linearizable(history.snapshot())
+                   : check_inc_read_linearizable(history.snapshot(), reads));
   return out;
 }
 

@@ -18,9 +18,10 @@
 // the way message combining amortizes RTTs — that symmetry is the
 // point of the sweep.
 //
-// Open loop: arrivals follow the deterministic timeline of
-// traffic/shape.hpp; threads claim the next scheduled arrival, sleep
-// until its offset, then run a single inc. Latency is measured from the
+// Open loop: arrivals follow the deterministic constant-rate timeline
+// of traffic/shape.hpp (no burst or diurnal shapes, no SLO); threads
+// claim the next scheduled arrival, sleep until its offset, then run a
+// single inc. Latency is measured from the
 // scheduled arrival (coordinated-omission-free), invoke stamps from the
 // actual call time (the history must reflect real overlap, not the
 // schedule).
@@ -30,9 +31,10 @@
 //   - ticket counters: returned values are exactly {warmup, ...,
 //     warmup+ops-1} (verify_values), and check_linearizable runs over
 //     the live history;
-//   - the sharded counter: a sampler thread interleaves read()s with
-//     the increments and check_inc_read_linearizable vets the combined
-//     history (reads inside the inc-interval bounds, monotone);
+//   - the sharded counter: a sampler thread interleaves up to 128
+//     read()s with the increments and
+//     check_inc_read_linearizable vets the combined history (reads
+//     inside the inc-interval bounds, monotone);
 //   - all counters: read() == warmup + ops at quiescence (exact final
 //     value).
 #pragma once
@@ -43,7 +45,6 @@
 #include "harness/throughput.hpp"
 #include "runtime/placement.hpp"
 #include "shm/shm_counter.hpp"
-#include "traffic/recorder.hpp"
 
 namespace dcnt::shm {
 
@@ -57,25 +58,13 @@ struct ShmOptions {
   /// Unrecorded increments before the measured phase (threads
   /// barrier-sync between phases).
   std::size_t warmup{0};
-  /// > 0: open-loop issuance at this mean rate; closed loop otherwise.
+  /// > 0: open-loop issuance at this constant rate; closed loop
+  /// otherwise.
   double open_rate{0.0};
-  std::string shape{"constant"};
-  double period_s{1.0};
-  double amplitude{0.5};
-  double duty{0.5};
-  /// > 0: SLO threshold in microseconds.
-  double slo_us{0.0};
-  std::size_t exact_cap{traffic::TailRecorder::kDefaultExactCap};
   /// Core placement for the harness threads (same policies as the
   /// runtime workers).
   Placement placement{Placement::kNone};
   std::uint64_t seed{1};
-  /// Capture the live history and check it (ticket criterion, or
-  /// inc/read for non-ticket counters).
-  bool lin_check{true};
-  /// Non-ticket counters: concurrent read() samples taken by the
-  /// sampler thread for the inc/read check (0 disables the sampler).
-  std::size_t read_samples{128};
 };
 
 /// Drives make_shm_counter(kind) and returns a bench-table-ready

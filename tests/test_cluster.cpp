@@ -324,29 +324,24 @@ TEST(Cluster, KeyedTcpMatchesInprocPerKeyBottleneck) {
   // its per-key message accounting are schedule properties for central,
   // so the two runtimes must agree number for number: the paper's
   // per-key bottleneck is invariant to where the processors live.
-  const std::size_t ops = 64;
-  const std::uint64_t seed = 7;
+  LoadOptions load;
+  load.ops = 64;
+  load.concurrency = 8;
+  load.seed = 7;
+  load.keys = 16;
+  load.key_dist = "zipf";
+  load.key_skew = 0.99;
 
   ThroughputOptions topt;
+  static_cast<LoadOptions&>(topt) = load;
   topt.workers = 2;
-  topt.ops = ops;
-  topt.concurrency = 8;
-  topt.seed = seed;
-  KeyedOptions kopt;
-  kopt.keys = 16;
-  kopt.key_dist = "zipf";
-  kopt.key_skew = 0.99;
-  const ThroughputResult inproc = run_keyed_throughput(
-      make_counter(CounterKind::kCentral, 16), topt, kopt);
+  const ThroughputResult inproc =
+      run_throughput(make_counter(CounterKind::kCentral, 16), topt);
 
   ClusterOptions copt = base_options();
+  static_cast<LoadOptions&>(copt) = load;
   copt.counter = "central";
   copt.min_processors = 16;
-  copt.ops = ops;
-  copt.seed = seed;
-  copt.keys = 16;
-  copt.key_dist = "zipf";
-  copt.key_skew = 0.99;
   copt.batch = 4;
   const ClusterResult cluster = run_cluster(copt);
 

@@ -184,11 +184,10 @@ TEST(PerfSmoke, KeyedSingleKeyMatchesSingleCounterBaseline) {
   options.concurrency = 16;
   options.seed = 7;
   options.initiators = "roundrobin";
-  KeyedOptions keyed;
-  keyed.keys = 1;
-  keyed.key_dist = "roundrobin";
-  const ThroughputResult res = run_keyed_throughput(
-      std::make_unique<CentralCounter>(16), options, keyed);
+  options.keys = 1;
+  options.key_dist = "roundrobin";
+  const ThroughputResult res =
+      run_throughput(std::make_unique<CentralCounter>(16), options);
   ASSERT_TRUE(res.values_ok);
   EXPECT_EQ(res.hot_key, 0);
   // 15 of every 16 round-robin ops are remote, 2 messages each — the
@@ -219,11 +218,10 @@ TEST(PerfSmoke, KeyedMultiKeyLoadsMatchClosedForm) {
   options.concurrency = 16;
   options.seed = 7;
   options.initiators = "roundrobin";
-  KeyedOptions keyed;
-  keyed.keys = keys;
-  keyed.key_dist = "roundrobin";
-  const ThroughputResult res = run_keyed_throughput(
-      std::make_unique<CentralCounter>(n), options, keyed);
+  options.keys = keys;
+  options.key_dist = "roundrobin";
+  const ThroughputResult res =
+      run_throughput(std::make_unique<CentralCounter>(n), options);
   ASSERT_TRUE(res.values_ok);
   EXPECT_EQ(res.keys_touched, keys);
 

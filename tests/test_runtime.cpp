@@ -259,10 +259,9 @@ TEST(ThreadedRuntime, KeyedRunHonoursPlacement) {
   options.ops = 128;
   options.seed = 5;
   options.placement = Placement::kCompact;
-  KeyedOptions keyed;
-  keyed.keys = 4;
-  const ThroughputResult res = run_keyed_throughput(
-      make_counter(CounterKind::kCentral, 8), options, keyed);
+  options.keys = 4;
+  const ThroughputResult res =
+      run_throughput(make_counter(CounterKind::kCentral, 8), options);
   EXPECT_TRUE(res.values_ok);
   EXPECT_EQ(res.workers, 2u);
   EXPECT_EQ(res.placement, "compact");
@@ -473,24 +472,29 @@ TEST(ThreadedRuntimeDeathTest, RejectsShardUnsafeProtocolAtMultipleWorkers) {
   EXPECT_EQ(rt.workers(), 1u);
 }
 
-TEST(ThreadedRuntimeDeathTest, WallTimersAndClusterHostingRequireInlineDrive) {
-  // No worker parks on a wall-clock deadline: wall timers and cluster
-  // hosting exist only for a shard its owner drives inline.
+TEST(ThreadedRuntimeDeathTest, HostingRequiresOneWorkerAndAValidNodeId) {
+  // A hosted runtime is one shard its owner thread drives: no worker
+  // parks on a wall-clock deadline, and the node must exist.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  RuntimeConfig wall;
-  wall.workers = 1;
-  wall.wall_timers = true;
-  EXPECT_DEATH(ThreadedRuntime(std::make_unique<CentralCounter>(4), wall),
-               "wall_timers requires inline_drive");
-  RuntimeConfig hosted;
-  hosted.workers = 1;
-  hosted.cluster_nodes = 2;
-  EXPECT_DEATH(ThreadedRuntime(std::make_unique<CentralCounter>(4), hosted),
-               "requires inline_drive");
-  wall.inline_drive = true;
-  wall.cluster_nodes = 2;
-  ThreadedRuntime rt(std::make_unique<CentralCounter>(4), wall);
+  RuntimeConfig workers;
+  workers.workers = 2;
+  workers.hosting = NodeHosting{2, 0, 200};
+  EXPECT_DEATH(ThreadedRuntime(std::make_unique<CentralCounter>(4), workers),
+               "hosting requires workers == 1");
+  workers.workers = 0;  // auto may resolve to 1, but hosting must say so
+  EXPECT_DEATH(ThreadedRuntime(std::make_unique<CentralCounter>(4), workers),
+               "hosting requires workers == 1");
+  RuntimeConfig node;
+  node.workers = 1;
+  node.hosting = NodeHosting{2, 2, 200};
+  EXPECT_DEATH(ThreadedRuntime(std::make_unique<CentralCounter>(4), node),
+               "hosting requires node_id < nodes");
+  node.hosting->node_id = 1;
+  ThreadedRuntime rt(std::make_unique<CentralCounter>(4), node);
   EXPECT_EQ(rt.workers(), 1u);
+  EXPECT_EQ(rt.active_shards(), 1u);
+  EXPECT_TRUE(rt.owns(3));
+  EXPECT_FALSE(rt.owns(2));
 }
 
 }  // namespace
