@@ -37,7 +37,7 @@
 // op's (invoke, response, value) triple in a history buffer, and
 // check_linearizable runs over the real socket history after quiesce —
 // the lin/viol columns are measured, not assumed. Serializing counters
-// (tree, central, combining, elastic) must come back linearizable at
+// (tree, central, combining) must come back linearizable at
 // every F; balancer-based ones (diffracting, counting networks) are
 // only quiescent-consistent and may not.
 //

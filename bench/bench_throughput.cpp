@@ -43,10 +43,7 @@
 // and reports each row's linearizability verdict: serializing counters
 // (tree, central, combining) must show zero violations at every depth
 // (enforced — the row aborts otherwise), while the diffracting tree is
-// only quiescently consistent and MAY invert real-time order. The
-// section ends with elastic-tree rows: a scripted k=2 -> k=3 migration
-// fires mid-run and the run completing proves value exactness across
-// the resize (resz column = completed migrations, enforced >= 1).
+// only quiescently consistent and MAY invert real-time order.
 //
 // Flags: --counters=tree,central,combining,diffracting
 //        --workers_list=1,2,4,8 (0 = auto: --threads, DCNT_THREADS, or
@@ -87,7 +84,6 @@
 #include "traffic/recorder.hpp"
 
 #include "bench_util.hpp"
-#include "concurrent/elastic_tree.hpp"
 #include "harness/factory.hpp"
 #include "harness/throughput.hpp"
 #include "shm/shm_harness.hpp"
@@ -297,10 +293,7 @@ int main(int argc, char** argv) {
   // and runs check_linearizable over it after quiescence. Serializing
   // counters are *enforced* linearizable at every depth; the
   // diffracting tree is only quiescently consistent, so its verdict is
-  // reported, not asserted. The final rows run the elastic tree with a
-  // scripted k=2 -> k=3 migration; resz >= 1 is enforced, and the
-  // permutation check inside run_throughput proves the values stayed
-  // exact across the resize.
+  // reported, not asserted.
   struct ConcRow {
     ThroughputResult res;
     std::size_t inflight{0};
@@ -310,86 +303,42 @@ int main(int argc, char** argv) {
   std::vector<ConcRow> conc_rows;
   if (!inflight_list.empty()) {
     Table conc_table({"counter", "F", "window", "ops", "inc/s", "p50_us",
-                      "p99_us", "lin", "viol", "resz"});
-    const auto run_conc = [&](std::unique_ptr<CounterProtocol> protocol,
-                              std::size_t inflight, bool must_linearize) {
-      const std::size_t window = concurrency * inflight;
-      // Enough ops that the window is the steady state, not the run.
-      const ThroughputOptions options = throughput_options(
-          conc_workers,
-          std::max<std::size_t>(
-              static_cast<std::size_t>(ops_factor) * protocol->num_processors(),
-              4 * window),
-          inflight);
-      const ThroughputResult res = run_throughput(std::move(protocol), options);
-      DCNT_CHECK_MSG(res.lin_checked, "CONC row skipped its history check");
-      if (must_linearize) {
-        DCNT_CHECK_MSG(res.linearizable,
-                       "serializing counter produced a non-linearizable "
-                       "history");
-      }
-      conc_rows.push_back(ConcRow{res, inflight, window, must_linearize});
-      conc_table.row()
-          .add(res.counter)
-          .add(static_cast<std::int64_t>(inflight))
-          .add(static_cast<std::int64_t>(window))
-          .add(static_cast<std::int64_t>(res.ops))
-          .add(res.ops_per_sec, 0)
-          .add(res.p50_us, 1)
-          .add(res.p99_us, 1)
-          .add(res.linearizable ? "y" : "N")
-          .add(res.lin_violations)
-          .add(static_cast<std::int64_t>(res.elastic_resizes));
-    };
+                      "p99_us", "lin", "viol"});
     for (const std::string& name : conc_counters) {
       const CounterKind kind = counter_kind_from_string(name);
+      const bool must_linearize = expected_linearizable(kind);
       for (const std::int64_t f : inflight_list) {
         auto protocol = make_counter(kind, n);
         if (conc_workers > 1 && !protocol->shard_safe()) continue;
-        run_conc(std::move(protocol), static_cast<std::size_t>(f),
-                 expected_linearizable(kind));
+        const auto inflight = static_cast<std::size_t>(f);
+        const std::size_t window = concurrency * inflight;
+        // Enough ops that the window is the steady state, not the run.
+        const ThroughputOptions options = throughput_options(
+            conc_workers,
+            std::max<std::size_t>(static_cast<std::size_t>(ops_factor) *
+                                      protocol->num_processors(),
+                                  4 * window),
+            inflight);
+        const ThroughputResult res =
+            run_throughput(std::move(protocol), options);
+        DCNT_CHECK_MSG(res.lin_checked, "CONC row skipped its history check");
+        if (must_linearize) {
+          DCNT_CHECK_MSG(res.linearizable,
+                         "serializing counter produced a non-linearizable "
+                         "history");
+        }
+        conc_rows.push_back(ConcRow{res, inflight, window, must_linearize});
+        conc_table.row()
+            .add(res.counter)
+            .add(f)
+            .add(static_cast<std::int64_t>(window))
+            .add(static_cast<std::int64_t>(res.ops))
+            .add(res.ops_per_sec, 0)
+            .add(res.p50_us, 1)
+            .add(res.p99_us, 1)
+            .add(res.linearizable ? "y" : "N")
+            .add(res.lin_violations);
       }
-    }
-    for (const std::int64_t f : inflight_list) {
-      concurrent::ElasticTreeParams params;
-      params.initial_k = 2;
-      params.min_k = 2;
-      params.max_k = 3;
-      // Low threshold so a round-robin schedule crosses it early: the
-      // first processor to issue 16 ops into epoch 0 triggers the
-      // scripted step.
-      params.resize_period = 16;
-      params.plan = {concurrent::ElasticStep{3, 0}};
-      auto protocol = std::make_unique<concurrent::ElasticTreeCounter>(params);
-      // The demo needs the migration threshold crossed well before the
-      // run drains: every processor sees resize_period ops after
-      // n * resize_period round-robin issues.
-      const std::size_t floor_ops = 2 * protocol->num_processors() * 16;
-      const ThroughputOptions options = throughput_options(
-          conc_workers,
-          std::max<std::size_t>(4 * concurrency * static_cast<std::size_t>(f),
-                                floor_ops),
-          static_cast<std::size_t>(f));
-      const ThroughputResult res = run_throughput(std::move(protocol), options);
-      DCNT_CHECK_MSG(res.lin_checked && res.linearizable,
-                     "elastic tree produced a non-linearizable history");
-      DCNT_CHECK_MSG(res.elastic_resizes >= 1,
-                     "elastic demo row completed no migration");
-      conc_rows.push_back(ConcRow{res, static_cast<std::size_t>(f),
-                                  concurrency * static_cast<std::size_t>(f),
-                                  true});
-      conc_table.row()
-          .add(res.counter)
-          .add(f)
-          .add(static_cast<std::int64_t>(concurrency *
-                                         static_cast<std::size_t>(f)))
-          .add(static_cast<std::int64_t>(res.ops))
-          .add(res.ops_per_sec, 0)
-          .add(res.p50_us, 1)
-          .add(res.p99_us, 1)
-          .add(res.linearizable ? "y" : "N")
-          .add(res.lin_violations)
-          .add(static_cast<std::int64_t>(res.elastic_resizes));
     }
     conc_table.print(
         std::cout,
@@ -657,9 +606,6 @@ int main(int argc, char** argv) {
     json.field("expected_linearizable", row.must_linearize ? 1 : 0);
     json.field("linearizable", r.linearizable ? 1 : 0);
     json.field("lin_violations", r.lin_violations);
-    json.field("elastic_resizes", r.elastic_resizes);
-    json.field("elastic_epochs", r.elastic_epochs);
-    json.field("elastic_final_k", r.elastic_final_k);
     json.field("total_messages", r.total_messages);
     json.field("max_load", r.max_load);
     json.end_object();

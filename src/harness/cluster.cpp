@@ -137,9 +137,12 @@ class Controller final : public traffic::LoadPort {
   std::size_t total_{0};    ///< warmup_ + measured ops
   /// Reset acks still owed after a kMetricsReset broadcast.
   std::size_t reset_acks_pending_{0};
+  /// The measured schedule (ops entries; warmup cycles through it, see
+  /// traffic::schedule_slot).
   std::vector<ProcessorId> initiators_;
-  /// Multi-key mode: which key each op (by id) addresses.
   std::vector<KeyId> keys_;
+  /// Multi-key mode: which key each issued op (by id) addressed.
+  std::vector<KeyId> key_of_op_;
   /// Per node, the starts issued since the previous reactor round, and
   /// the buffer each kStartBatch frame is encoded into.
   std::vector<std::vector<StartBatchEntry>> batch_scratch_;
@@ -212,8 +215,14 @@ OpId Controller::issue(std::size_t entry) {
   DCNT_CHECK(entry == issued_);
   ++issued_;
   const auto op = static_cast<OpId>(entry);
-  const ProcessorId origin = initiators_[entry];
-  const KeyId key = keyed() ? keys_[entry] : kNoKey;
+  const std::size_t slot =
+      traffic::schedule_slot(entry, warmup_, initiators_.size());
+  const ProcessorId origin = initiators_[slot];
+  KeyId key = kNoKey;
+  if (keyed()) {
+    key = keys_[slot];
+    key_of_op_[entry] = key;
+  }
   batch_scratch_[static_cast<std::uint32_t>(origin) % opt_.nodes].push_back(
       StartBatchEntry{op, origin, key});
   return op;
@@ -443,11 +452,12 @@ ClusterResult Controller::run() {
   warmup_ = opt_.warmup;
   total_ = warmup_ + ops;
   initiators_ = make_initiators(opt_.initiators, opt_.zipf_s, n_,
-                                static_cast<std::int64_t>(total_), opt_.seed);
+                                static_cast<std::int64_t>(ops), opt_.seed);
   if (keyed()) {
     keys_ = make_keys(opt_.key_dist, opt_.key_skew,
                       static_cast<std::int64_t>(opt_.keys),
-                      static_cast<std::int64_t>(total_), opt_.seed);
+                      static_cast<std::int64_t>(ops), opt_.seed);
+    key_of_op_.assign(total_, kNoKey);
   }
   values_.assign(total_, -1);
   conn_of_node_.assign(opt_.nodes, -1);
@@ -515,10 +525,10 @@ ClusterResult Controller::run() {
   out_.nodes = opt_.nodes;
   out_.warmup = warmup_;
   if (keyed()) {
-    keys_.resize(issued_);
+    key_of_op_.resize(issued_);
     out_.keys = opt_.keys;
   }
-  verify_values(out_, values_, keys_);
+  verify_values(out_, values_, key_of_op_);
   if (keyed()) collect_keyed_stats();
 
   // Orderly teardown: every node flushes and exits 0; the controller
@@ -564,7 +574,7 @@ ClusterResult Controller::run() {
     out_.bottleneck = static_cast<ProcessorId>(top - out_.load.begin());
   }
   out_.values = std::move(values_);
-  out_.key_of_op = std::move(keys_);
+  out_.key_of_op = std::move(key_of_op_);
   if (history) {
     fill_linearizability(out_, check_linearizable(history->snapshot(warmup_)));
   }

@@ -1,12 +1,9 @@
 #include "harness/factory.hpp"
 
-#include <algorithm>
-
 #include "baselines/central.hpp"
 #include "baselines/combining_tree.hpp"
 #include "baselines/counting_network.hpp"
 #include "baselines/diffracting_tree.hpp"
-#include "concurrent/elastic_tree.hpp"
 #include "core/bound.hpp"
 #include "core/tree_counter.hpp"
 #include "quorum/grid.hpp"
@@ -44,16 +41,11 @@ std::string to_string(CounterKind kind) {
       return "quorum-majority";
     case CounterKind::kQuorumGrid:
       return "quorum-grid";
-    case CounterKind::kElastic:
-      return "elastic";
   }
   return "?";
 }
 
 CounterKind counter_kind_from_string(const std::string& text) {
-  // Not part of all_counter_kinds() (see factory.hpp), so match it
-  // before the sweep.
-  if (text == "elastic") return CounterKind::kElastic;
   for (const CounterKind kind : all_counter_kinds()) {
     if (to_string(kind) == text) return kind;
   }
@@ -138,13 +130,6 @@ std::unique_ptr<CounterProtocol> make_counter(CounterKind kind,
     case CounterKind::kQuorumGrid:
       return std::make_unique<QuorumCounter>(
           std::make_shared<GridQuorum>(min_processors));
-    case CounterKind::kElastic: {
-      concurrent::ElasticTreeParams params;
-      params.initial_k = 2;
-      params.min_k = 2;
-      params.max_k = std::max(3, ceil_k_for(min_processors));
-      return std::make_unique<concurrent::ElasticTreeCounter>(params);
-    }
   }
   DCNT_CHECK_MSG(false, "unreachable");
   return nullptr;

@@ -21,13 +21,9 @@ enum class CounterKind {
   kDiffracting,      ///< diffracting tree [SZ94]
   kQuorumMajority,   ///< quorum counter over rotating majorities
   kQuorumGrid,       ///< quorum counter over a Maekawa-style grid
-  kElastic,          ///< epoch-migrating tree with online k/T resizes
 };
 
-/// All kinds, in presentation order. Deliberately excludes kElastic:
-/// the all-kinds sweeps (and their pinned message counts) predate it,
-/// and its load-driven resizes would make those tables nondeterministic
-/// across hosts. Ask for "elastic" by name.
+/// All kinds, in presentation order.
 std::vector<CounterKind> all_counter_kinds();
 
 /// Short identifier ("tree", "central", ...), also accepted by

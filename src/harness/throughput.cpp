@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "concurrent/elastic_tree.hpp"
 #include "concurrent/history.hpp"
 #include "harness/schedule.hpp"
 #include "runtime/threaded_runtime.hpp"
@@ -101,12 +100,6 @@ ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
     out.lru_evicts = lru.evicts;
     out.lru_rehydrates = lru.rehydrates;
     out.live_instances = fabric.directory().live_instances();
-  } else if (const auto* elastic =
-                 dynamic_cast<const concurrent::ElasticTreeCounter*>(
-                     &rt.protocol())) {
-    out.elastic_resizes = elastic->resizes();
-    out.elastic_epochs = elastic->epochs_used();
-    out.elastic_final_k = elastic->current_k();
   }
   return out;
 }

@@ -49,12 +49,6 @@ struct ThroughputOptions : LoadOptions {
 
 struct ThroughputResult : HarnessResult {
   std::size_t workers{0};
-  /// Elastic tree only (concurrent::ElasticTreeCounter; zeros for every
-  /// other protocol): completed online migrations, epochs opened, and
-  /// the final epoch's fan-out — the bench row's resize evidence.
-  std::size_t elastic_resizes{0};
-  std::uint32_t elastic_epochs{0};
-  int elastic_final_k{0};
   double mean_load{0.0};
   /// Placement outcome: the policy asked for, how many workers actually
   /// pinned, and whether pinning was possible at all on this host (the

@@ -18,10 +18,8 @@ class RuntimePort final : public traffic::LoadPort {
         key_of_op_(key_of_op) {}
 
   OpId issue(std::size_t entry) override {
-    // Warmup cycles through the schedule; measured entries walk it once.
-    const std::size_t i = entry < options_.warmup
-                              ? entry % initiators_.size()
-                              : entry - options_.warmup;
+    const std::size_t i =
+        traffic::schedule_slot(entry, options_.warmup, initiators_.size());
     if (options_.keys.empty()) return rt_.begin_inc(initiators_[i]);
     const KeyId key = options_.keys[i];
     const OpId op = rt_.begin_op(initiators_[i], {key});

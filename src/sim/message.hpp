@@ -10,12 +10,17 @@
 // so MessageArgs keeps up to kInline words inside the Message itself
 // and touches the heap only for the rare wide payloads: the priority
 // queue's root handover (the whole heap) and the self-healing root's
-// journal blob. kInline is the widest payload on any hot path:
-//   3  the tree's TakeOver / ChildInfo / NewId ([node, x, y])
-//  +2  the reliable-transport envelope ([seq, inner_tag, inner...])
-//  +1  the elastic tree's epoch prefix
-//  = 6 words. Copying, moving and sending such a message allocates
-// nothing, which takes the heap off the runtimes' per-message path.
+// journal blob. kInline is the widest payload on any hot path, which
+// is a counter message inside the reliable-transport envelope
+// ([seq, inner_tag, inner...], 2 words, the UDP data plane's framing):
+//   4  the combining tree's Req ([target_node, from_is_leaf, from_id,
+//      count]), the widest inner message of any counter kind
+//  +2  the envelope
+//  = 6 words (the paper's tree peaks at 3 + 2 = 5: TakeOver / ChildInfo
+// / NewId are [node, x, y]). test_message_args measures every kind
+// behind the transport and pins this. Copying, moving and sending such
+// a message allocates nothing, which takes the heap off the runtimes'
+// per-message path.
 // It is a compile-time constant on purpose: a wider payload still
 // works (it spills), it just pays one allocation per copy.
 #pragma once

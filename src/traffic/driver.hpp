@@ -18,7 +18,8 @@
 //     and the wall clock: first measured issue to last measured
 //     completion.
 // The port maps schedule entries 0..warmup+ops-1 (warmup first) to
-// initiators and keys and returns the OpId its substrate assigned.
+// initiators and keys through schedule_slot and returns the OpId its
+// substrate assigned.
 // on_complete may run on any thread, concurrently: the driver's
 // counters are atomics. Wide issue units (batched keyed Starts) and
 // settling after every op (the sequential schedule) need a
@@ -80,6 +81,15 @@ struct DriverResult {
   double ops_per_sec{0.0};
   TrafficStats traffic;
 };
+
+/// The slot of an `ops`-entry initiator/key schedule that entry `entry`
+/// addresses: warmup cycles through the schedule, measured entries walk
+/// it once. Every port maps entries this way, so one LoadOptions drives
+/// the same measured schedule on every substrate.
+inline std::size_t schedule_slot(std::size_t entry, std::size_t warmup,
+                                 std::size_t ops) {
+  return entry < warmup ? entry % ops : entry - warmup;
+}
 
 /// The substrate side of a run.
 class LoadPort {

@@ -1,6 +1,6 @@
 // The concurrency plane (src/concurrent/): history capture + the
-// linearizability checker's edge cases, the windowed in-flight workload
-// on the real threaded runtime, and the elastic tree's online resizes.
+// linearizability checker's edge cases, and the windowed in-flight workload
+// on the real threaded runtime.
 //
 // The runtime tests here are the live-history half of what
 // test_linearizability proves on the simulator: the histories checked
@@ -12,12 +12,8 @@
 
 #include <memory>
 
-#include "concurrent/elastic_tree.hpp"
 #include "harness/factory.hpp"
-#include "harness/runner.hpp"
-#include "harness/schedule.hpp"
 #include "harness/throughput.hpp"
-#include "sim/simulator.hpp"
 
 namespace dcnt {
 namespace {
@@ -179,86 +175,6 @@ TEST(InflightRuntime, BurstShapeSplitsSloByPhase) {
   EXPECT_GT(res.slo_high_den, 0);
   EXPECT_GT(res.slo_low_den, 0);
   EXPECT_EQ(res.slo_high_ok + res.slo_low_ok, res.slo_ok);
-}
-
-// --- elastic tree -------------------------------------------------------
-
-TEST(ElasticTree, ScriptedResizeOnRuntimeKeepsExactValues) {
-  concurrent::ElasticTreeParams params;
-  params.initial_k = 2;
-  params.min_k = 2;
-  params.max_k = 3;
-  params.resize_period = 16;
-  params.plan = {concurrent::ElasticStep{3, 0}};
-  auto counter = std::make_unique<concurrent::ElasticTreeCounter>(params);
-  ThroughputOptions options;
-  options.workers = 2;
-  options.ops = 4000;
-  options.concurrency = 8;
-  options.inflight = 8;
-  options.seed = 7;
-  const ThroughputResult res = run_throughput(std::move(counter), options);
-  EXPECT_TRUE(res.values_ok);
-  ASSERT_TRUE(res.lin_checked);
-  EXPECT_TRUE(res.linearizable);
-  EXPECT_GE(res.elastic_resizes, 1u);
-  EXPECT_GE(res.elastic_epochs, 2u);
-  EXPECT_EQ(res.elastic_final_k, 3);
-}
-
-TEST(ElasticTree, GrowThenShrinkOnSimulator) {
-  concurrent::ElasticTreeParams params;
-  params.initial_k = 2;
-  params.min_k = 2;
-  params.max_k = 3;
-  params.resize_period = 16;
-  params.plan = {concurrent::ElasticStep{3, 0}, concurrent::ElasticStep{2, 0}};
-  auto counter = std::make_unique<concurrent::ElasticTreeCounter>(params);
-  const auto n = static_cast<std::int64_t>(counter->num_processors());
-  EXPECT_EQ(n, 81);  // max_k^(max_k+1)
-  auto* view = counter.get();
-  SimConfig cfg;
-  cfg.seed = 7;
-  Simulator sim(std::move(counter), cfg);
-  const auto order = make_initiators("roundrobin", 0.9, n, 4000, 7);
-  const RunResult res = run_concurrent(sim, make_batches(order, 8));
-  EXPECT_TRUE(res.values_ok);
-  EXPECT_GE(view->resizes(), 2u);
-  EXPECT_GE(view->epochs_used(), 3u);
-  EXPECT_EQ(view->current_k(), 2);
-  EXPECT_EQ(view->current_age_threshold(), 8);  // step default 4k
-}
-
-TEST(ElasticTree, PeriodZeroNeverResizes) {
-  concurrent::ElasticTreeParams params;
-  params.initial_k = 2;
-  params.min_k = 2;
-  params.max_k = 3;
-  params.resize_period = 0;
-  params.plan = {concurrent::ElasticStep{3, 0}};
-  auto counter = std::make_unique<concurrent::ElasticTreeCounter>(params);
-  auto* view = counter.get();
-  ThroughputOptions options;
-  options.workers = 1;
-  options.ops = 1000;
-  options.concurrency = 4;
-  options.seed = 2;
-  const ThroughputResult res = run_throughput(
-      std::unique_ptr<CounterProtocol>(counter.release()), options);
-  EXPECT_TRUE(res.values_ok);
-  EXPECT_EQ(res.elastic_resizes, 0u);
-  EXPECT_EQ(res.elastic_epochs, 1u);
-  EXPECT_EQ(res.elastic_final_k, 2);
-  (void)view;
-}
-
-TEST(ElasticTree, FactoryMakesElastic) {
-  const CounterKind kind = counter_kind_from_string("elastic");
-  EXPECT_EQ(kind, CounterKind::kElastic);
-  auto counter = make_counter(kind, 8);
-  EXPECT_EQ(counter->num_processors(), 81u);
-  EXPECT_TRUE(counter->shard_safe());
-  EXPECT_TRUE(expected_linearizable(kind));
 }
 
 }  // namespace

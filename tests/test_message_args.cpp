@@ -1,8 +1,9 @@
 // MessageArgs: the inline-first word vector behind Message::args. Pins
 // the inline/heap boundary, value semantics across both representations
 // (the ownership hand-off in move is what the sanitizer jobs watch),
-// and the front insert/erase the elastic tree's epoch prefix and the
-// keyed fabric's key strip rely on.
+// the front insert/erase the keyed fabric's key prefix and strip rely
+// on, and kInline itself against the widest payload every counter kind
+// sends behind the reliable transport.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,14 @@
 #include <vector>
 
 #include "sim/message.hpp"
+
+#include <algorithm>
+#include <memory>
+
+#include "faults/retry.hpp"
+#include "harness/factory.hpp"
+#include "harness/runner.hpp"
+#include "sim/simulator.hpp"
 
 namespace dcnt {
 namespace {
@@ -121,7 +130,7 @@ TEST(MessageArgs, SelfAssignmentIsANoOp) {
 }
 
 TEST(MessageArgs, InsertAtFrontCrossesTheBoundary) {
-  // The elastic tree prefixes every message with its epoch.
+  // The keyed fabric prefixes local messages with their key.
   MessageArgs a = iota_args(kCap - 1);
   a.insert(a.begin(), 0);
   EXPECT_TRUE(a.is_inline());
@@ -197,6 +206,33 @@ TEST(MessageArgs, MessageCarriesItsWords) {
   EXPECT_EQ(copy.size_words(), kCap + 3);
   Message moved = std::move(m);
   EXPECT_EQ(moved.args, iota_vec(kCap + 2));
+}
+
+TEST(MessageArgs, InlineCapacityCoversEveryKindBehindTheTransport) {
+  // Every kind, enveloped by ReliableTransport ([seq, inner_tag,
+  // inner...]), 8n incs in batches of 16 (sequential for the quorum
+  // counters). size_words() counts the tag, so a message's args are
+  // max_message_words() - 1 words. Widest today: combining's 4 words
+  // plus the 2-word envelope, exactly kInline — one word less and every
+  // combining message over UDP would spill to the heap.
+  std::int64_t widest = 0;
+  for (const CounterKind kind : all_counter_kinds()) {
+    Simulator sim(std::make_unique<ReliableTransport>(make_counter(kind, 16),
+                                                      RetryParams{}),
+                  SimConfig{});
+    const auto n = static_cast<std::int64_t>(sim.num_processors());
+    std::vector<ProcessorId> order;
+    for (std::int64_t i = 0; i < 8 * n; ++i) {
+      order.push_back(static_cast<ProcessorId>(i % n));
+    }
+    const RunResult res = run_concurrent(
+        sim, make_batches(order, supports_concurrency(kind) ? 16 : 1));
+    EXPECT_TRUE(res.values_ok) << to_string(kind);
+    const std::int64_t args = sim.metrics().max_message_words() - 1;
+    EXPECT_LE(args, static_cast<std::int64_t>(kCap)) << to_string(kind);
+    widest = std::max(widest, args);
+  }
+  EXPECT_EQ(widest, static_cast<std::int64_t>(kCap));
 }
 
 }  // namespace
