@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -114,7 +115,9 @@ class Controller final : public traffic::LoadPort {
   void flush_starts();
   bool starts_staged() const;
   void on_frame(int conn, const FrameView& frame);
-  void on_complete(OpId op, Value value);
+  /// One decoded kCompleteBatch: checks each entry, then hands the
+  /// frame to the driver as one span.
+  void on_complete(std::span<const Completion> done);
   void broadcast(const std::vector<std::uint8_t>& frame) {
     // A control frame must not overtake a start the driver already
     // issued; every caller broadcasts with nothing in flight.
@@ -342,9 +345,7 @@ void Controller::on_frame(int conn, const FrameView& frame) {
       // frame.
       DCNT_CHECK_MSG(decode_complete_batch(frame, &complete_scratch_),
                      "malformed CompleteBatch at the controller");
-      for (const CompleteBatchEntry& e : complete_scratch_.completions) {
-        on_complete(e.op, e.value);
-      }
+      on_complete(complete_scratch_.completions);
       return;
     }
     case FrameType::kKeyedStats: {
@@ -369,14 +370,19 @@ void Controller::on_frame(int conn, const FrameView& frame) {
   }
 }
 
-void Controller::on_complete(OpId op, Value value) {
+void Controller::on_complete(std::span<const Completion> done) {
   DCNT_CHECK(phase_ == Phase::kLoad);
-  const auto idx = static_cast<std::size_t>(op);
-  DCNT_CHECK(op >= 0 && idx < issued_);
-  DCNT_CHECK_MSG(values_[idx] < 0, "operation completed twice");
-  values_[idx] = value;
-  ++completed_;
-  driver_->on_complete(op, value);
+  for (const Completion& c : done) {
+    const auto idx = static_cast<std::size_t>(c.op);
+    DCNT_CHECK(c.op >= 0 && idx < issued_);
+    DCNT_CHECK_MSG(values_[idx] < 0, "operation completed twice");
+    values_[idx] = c.value;
+  }
+  completed_ += done.size();
+  // The span's reissues are only staged; they leave at the next pump(),
+  // after the driver's invoke stamp, and the span's responses arrived
+  // before its response stamp.
+  driver_->on_complete(done);
 }
 
 /// One end-of-run collection pass: per-key loads and LRU counters are a

@@ -120,10 +120,7 @@ struct StartBatchFrame {
 };
 
 /// One completion inside a kCompleteBatch.
-struct CompleteBatchEntry {
-  OpId op{kNoOp};
-  Value value{0};
-};
+using CompleteBatchEntry = Completion;
 
 struct CompleteBatchFrame {
   std::vector<CompleteBatchEntry> completions;

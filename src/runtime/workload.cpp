@@ -73,8 +73,12 @@ WorkloadResult run_workload(ThreadedRuntime& rt,
 
   RuntimePort port(rt, initiators, options, result.key_of_op);
   traffic::LoadDriver driver(port, options, ops);
+  // Spans of one: a completion's reissue goes out inside its own
+  // handler, so the generation order (and the tree's message counts)
+  // stays what a per-op driver produced.
   rt.set_completion([&](OpId op, Value value) {
-    if (driver.on_complete(op, value)) port.wake();
+    const Completion done{op, value};
+    if (driver.on_complete({&done, 1})) port.wake();
   });
   static_cast<traffic::DriverResult&>(result) = driver.run();
   rt.set_completion(nullptr);

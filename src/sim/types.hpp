@@ -34,4 +34,12 @@ inline constexpr ProcessorId kNoProcessor = -1;
 inline constexpr OpId kNoOp = -1;
 inline constexpr KeyId kNoKey = -1;
 
+/// One finished operation and the value it returned: what a substrate
+/// reports to its load driver, and one entry of the wire's
+/// kCompleteBatch frame.
+struct Completion {
+  OpId op{kNoOp};
+  Value value{0};
+};
+
 }  // namespace dcnt

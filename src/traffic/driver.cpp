@@ -71,7 +71,7 @@ void LoadDriver::run_phase(std::size_t end, bool measured, bool closed) {
     }
   }
   if (closed) {
-    for (std::size_t i = 0; i < window_ && issue_unit(); ++i) {
+    for (std::size_t i = 0; i < window_ && issue_unit_now(); ++i) {
     }
   } else {
     run_open_loop();
@@ -82,12 +82,15 @@ void LoadDriver::run_phase(std::size_t end, bool measured, bool closed) {
   if (!settled_) port_.quiesce();
 }
 
-bool LoadDriver::issue_unit() {
+bool LoadDriver::issue_unit_now() {
   // One stamp serves the deadline check and the unit's send time, which
-  // for a closed-loop client IS its scheduled time (it cannot want an
-  // op before the previous one completed).
+  // for a unit no completion waited for IS its scheduled time.
   const std::int64_t t = TailRecorder::now_ns();
-  if (t >= deadline_ns_) {
+  return issue_unit(t, t);
+}
+
+bool LoadDriver::issue_unit(std::int64_t scheduled_ns, std::int64_t sent_ns) {
+  if (scheduled_ns >= deadline_ns_) {
     no_more_.store(true);
     return false;
   }
@@ -99,7 +102,7 @@ bool LoadDriver::issue_unit() {
   const std::size_t count = std::min(unit_, end_ - first);
   for (std::size_t i = 0; i < count; ++i) {
     const OpId op = port_.issue(first + i);
-    if (measured_) stamp(op, t, t);
+    if (measured_) stamp(op, scheduled_ns, sent_ns);
   }
   return true;
 }
@@ -150,35 +153,51 @@ void LoadDriver::drain() {
       // before the next op starts.
       port_.quiesce();
       settled_ = true;
-      if (issue_unit()) settled_ = false;
+      if (issue_unit_now()) settled_ = false;
       continue;
     }
     port_.wait(LoadPort::kForever);
   }
 }
 
-bool LoadDriver::on_complete(OpId op, Value value) {
-  const bool measured = static_cast<std::size_t>(op) >= options_.warmup;
+bool LoadDriver::on_complete(std::span<const Completion> done) {
+  if (done.empty()) return false;
+  // Phases never overlap (each ends quiescent), so one op tells.
+  const bool measured =
+      static_cast<std::size_t>(done.front().op) >= options_.warmup;
+  // One stamp for every response in the span, each at or after its
+  // true response; it is also the scheduled time of every reissue.
   std::int64_t t = 0;
   if (measured) {
     t = TailRecorder::now_ns();
-    recorder_.on_complete(op, t);
-    if (options_.history) options_.history->on_response(op, t, value);
+    for (const Completion& c : done) {
+      recorder_.on_complete(c.op, t);
+      if (options_.history) options_.history->on_response(c.op, t, c.value);
+    }
   }
   const bool settle = settle_each_ && closed_;
   if (closed_ && !settle) {
-    // This client immediately issues its next unit. Wider units reissue
-    // once a whole unit's worth of slots has freed, or when nothing else
-    // is in flight, so a short tail can never strand credits.
-    if (unit_ == 1) {
-      issue_unit();
-    } else if (++credits_ >= unit_ || issued() == done_.load() + 1) {
-      credits_ = 0;
-      issue_unit();
+    // Each completed client immediately issues its next unit. One more
+    // read, before the first reissue reaches the port, is the invoke of
+    // them all: at or before each true send, and after t so a client's
+    // consecutive ops stay ordered in the history.
+    const std::int64_t sent =
+        measured ? std::max(TailRecorder::now_ns(), t + 1) : 0;
+    for (std::size_t i = 0; i < done.size(); ++i) {
+      // Wider units reissue once a whole unit's worth of slots has
+      // freed, or when nothing else is in flight (the span's earlier
+      // completions are not in done_ yet), so a short tail can never
+      // strand credits.
+      if (unit_ == 1) {
+        issue_unit(t, sent);
+      } else if (++credits_ >= unit_ || issued() == done_.load() + i + 1) {
+        credits_ = 0;
+        issue_unit(t, sent);
+      }
     }
   }
-  const std::size_t done = done_.fetch_add(1) + 1;
-  if (done != issued()) return false;
+  const std::size_t count = done_.fetch_add(done.size()) + done.size();
+  if (count != issued()) return false;
   // Everything issued has completed: the last measured completion so
   // far, and the end of the phase once nothing more will be issued.
   if (measured) last_completion_ns_.store(t, std::memory_order_relaxed);

@@ -6,6 +6,10 @@
 //   - closed loop: a window of concurrency * inflight issuance units,
 //     refilled by one reissue per completion, made inside on_complete
 //     on the completing thread;
+//   - completion spans: a port reports completions in spans (the
+//     cluster controller: one decoded kCompleteBatch frame; the
+//     runtime: one op). A span costs two clock reads however long it
+//     is: one stamps every response, one the invoke of every reissue;
 //   - open loop: the driver thread walks the ArrivalTimeline, issuing
 //     late rather than skipping when it falls behind. The recorder gets
 //     each op's scheduled time (coordinated-omission-free), the history
@@ -31,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "concurrent/history.hpp"
 #include "sim/types.hpp"
@@ -67,9 +72,20 @@ struct DriverOptions : LoadPolicy {
   /// If > 0: latency SLO threshold; the stats report attainment.
   std::int64_t slo_ns{0};
   /// When set, every measured op's (invoke, response, value) lands here
-  /// (capacity >= warmup + ops) for check_linearizable. Invoke is
-  /// stamped before the port's issue and response inside on_complete —
-  /// both conservative widenings of the true interval.
+  /// (capacity >= warmup + ops) for check_linearizable. Both stamps are
+  /// conservative widenings of the true interval:
+  ///   - response: one clock read at the start of on_complete stamps
+  ///     every response of the span (each at or after its true
+  ///     response);
+  ///   - invoke: one more read, after the span's responses and before
+  ///     its first reissue reaches the port, stamps every reissue of
+  ///     the span (at or before its true send). It is forced to at
+  ///     least the response stamp + 1, so a client's consecutive ops
+  ///     keep resp(A) < inv(B). Fills and open-loop issues read the
+  ///     clock just before the port's issue.
+  /// The recorder's scheduled time of a reissue is its predecessor's
+  /// response stamp: a closed-loop client wants its next op the moment
+  /// the previous one completed.
   concurrent::HistoryBuffer* history{nullptr};
 };
 
@@ -122,16 +138,21 @@ class LoadDriver {
   /// Warmup, measured phase, drain, final quiesce.
   DriverResult run();
 
-  /// Returns true when the driver thread must wake (a phase finished,
-  /// or a settle-mode op completed).
-  bool on_complete(OpId op, Value value);
+  /// Accounts a span of completions (all of one phase) and makes their
+  /// closed-loop reissues. Returns true when the driver thread must
+  /// wake (a phase finished, or a settle-mode op completed).
+  bool on_complete(std::span<const Completion> done);
 
  private:
   /// Seeds or walks one phase, drains it and quiesces.
   void run_phase(std::size_t end, bool measured, bool closed);
   /// Issues the next closed-loop unit, or declines (latching no_more_)
-  /// once the phase's entries or its deadline ran out.
-  bool issue_unit();
+  /// once the phase's entries or its deadline ran out. `scheduled_ns`
+  /// is the unit's recorder stamp and deadline check, `sent_ns` its
+  /// history invoke stamp.
+  bool issue_unit(std::int64_t scheduled_ns, std::int64_t sent_ns);
+  /// issue_unit stamped with one fresh clock read.
+  bool issue_unit_now();
   /// Records a measured issue; burst runs tag the scheduled phase.
   void stamp(OpId op, std::int64_t scheduled_ns, std::int64_t sent_ns);
   /// Waits until every issued op completed and nothing more will be.
@@ -164,9 +185,9 @@ class LoadDriver {
 
   // Default (seq_cst) order throughout: the finish condition leans on
   // the single total order across no_more_, cursor_ and done_. An entry
-  // is claimed before the port sees it and a completion's reissue
-  // precedes its done_ bump, so done_ == issued() with no_more_ set
-  // means nothing is in flight and nothing more will be.
+  // is claimed before the port sees it and a span's reissues precede
+  // its one done_ bump, so done_ == issued() with no_more_ set means
+  // nothing is in flight and nothing more will be.
   std::atomic<std::size_t> cursor_{0};
   std::atomic<std::size_t> done_{0};
   std::atomic<bool> no_more_{false};

@@ -12,10 +12,12 @@
 #include <deque>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "concurrent/history.hpp"
 #include "harness/result.hpp"
+#include "support/stats.hpp"
 #include "traffic/driver.hpp"
 #include "traffic/shape.hpp"
 
@@ -23,8 +25,10 @@ namespace dcnt::traffic {
 namespace {
 
 /// Issues hand out consecutive OpIds; each wait() completes one op in
-/// flight (FIFO, or LIFO when asked) with its id as the value, or sleeps
-/// to the deadline when nothing is in flight.
+/// flight (FIFO, or LIFO when asked) with its id as the value, as a span
+/// of one, or sleeps to the deadline when nothing is in flight. In
+/// burst mode a wait() completes every op in flight as one span, the way
+/// the cluster controller hands over a decoded kCompleteBatch frame.
 class FakePort final : public LoadPort {
  public:
   enum class Kind { kIssue, kComplete, kQuiesce, kReset };
@@ -36,6 +40,7 @@ class FakePort final : public LoadPort {
 
   LoadDriver* driver{nullptr};
   bool lifo{false};
+  bool burst{false};
   /// Sleep inside every completion (drives a duration cut).
   std::chrono::microseconds service_time{0};
   /// Sleep inside the issue of entry `stall_entry` (the driver falls
@@ -46,9 +51,15 @@ class FakePort final : public LoadPort {
   std::vector<Event> log;
   std::deque<OpId> in_flight;
   std::size_t max_in_flight{0};
+  /// Burst mode: the ops of each span, in completion order.
+  std::vector<std::vector<OpId>> spans;
+  /// By op id: the span whose completion issued the op; -1 when the
+  /// driver thread issued it (window fill, settle, open loop).
+  std::vector<int> issued_in_span;
 
   OpId issue(std::size_t entry) override {
     const OpId op = next_op_++;
+    issued_in_span.push_back(span_);
     log.push_back({Kind::kIssue, entry, op});
     in_flight.push_back(op);
     max_in_flight = std::max(max_in_flight, in_flight.size());
@@ -63,17 +74,25 @@ class FakePort final : public LoadPort {
           std::chrono::nanoseconds(until_ns)));
       return;
     }
-    OpId op;
-    if (lifo) {
-      op = in_flight.back();
+    std::vector<Completion> done;
+    if (burst) {
+      spans.emplace_back(in_flight.begin(), in_flight.end());
+      span_ = static_cast<int>(spans.size()) - 1;
+      for (const OpId op : in_flight) done.push_back({op, op});
+      in_flight.clear();
+    } else if (lifo) {
+      done.push_back({in_flight.back(), in_flight.back()});
       in_flight.pop_back();
     } else {
-      op = in_flight.front();
+      done.push_back({in_flight.front(), in_flight.front()});
       in_flight.pop_front();
     }
     std::this_thread::sleep_for(service_time);
-    log.push_back({Kind::kComplete, 0, op});
-    driver->on_complete(op, static_cast<Value>(op));
+    for (const Completion& c : done) {
+      log.push_back({Kind::kComplete, 0, c.op});
+    }
+    driver->on_complete(done);
+    span_ = -1;
   }
 
   void quiesce() override {
@@ -100,6 +119,7 @@ class FakePort final : public LoadPort {
 
  private:
   OpId next_op_{0};
+  int span_{-1};
 };
 
 DriverResult run_driver(FakePort& port, const DriverOptions& options,
@@ -267,13 +287,72 @@ TEST(LoadDriver, SettleModeQuiescesAfterEveryOp) {
 }
 
 TEST(LoadDriver, WideUnitsCountTheWindowInUnits) {
+  for (const bool burst : {false, true}) {
+    FakePort port;
+    port.burst = burst;
+    DriverOptions options;
+    options.concurrency = 2;
+    const DriverResult run = run_driver(port, options, 30, /*unit=*/4);
+    EXPECT_EQ(run.ops, 30u);
+    EXPECT_EQ(port.max_in_flight, 8u);
+    EXPECT_EQ(port.completed().size(), 30u);
+  }
+}
+
+TEST(LoadDriver, ASpanSharesOneResponseStampAndReissuesStrictlyAfterIt) {
+  constexpr std::size_t kWarmup = 12;
+  constexpr std::size_t kOps = 300;
   FakePort port;
+  port.burst = true;
+  concurrent::HistoryBuffer history(kWarmup + kOps);
   DriverOptions options;
-  options.concurrency = 2;
-  const DriverResult run = run_driver(port, options, 30, /*unit=*/4);
-  EXPECT_EQ(run.ops, 30u);
-  EXPECT_EQ(port.max_in_flight, 8u);
-  EXPECT_EQ(port.completed().size(), 30u);
+  options.concurrency = 4;
+  options.inflight = 3;
+  options.warmup = kWarmup;
+  options.history = &history;
+  const DriverResult run = run_driver(port, options, kOps);
+  EXPECT_EQ(run.ops, kOps);
+  EXPECT_EQ(port.max_in_flight, 12u);
+  ASSERT_GT(port.spans.size(), 2u);
+
+  std::vector<CounterOpRecord> by_op(kWarmup + kOps);
+  const std::vector<CounterOpRecord> records = history.snapshot();
+  ASSERT_EQ(records.size(), kOps);
+  for (const CounterOpRecord& r : records) {
+    by_op[static_cast<std::size_t>(r.op)] = r;
+  }
+  // One response stamp per span.
+  std::vector<std::int64_t> span_stamp;
+  for (const std::vector<OpId>& span : port.spans) {
+    const std::int64_t t = by_op[static_cast<std::size_t>(span.front())]
+                               .responded;
+    for (const OpId op : span) {
+      EXPECT_EQ(by_op[static_cast<std::size_t>(op)].responded, t);
+    }
+    span_stamp.push_back(t);
+  }
+  // A reissue is invoked strictly after its span's responses and is
+  // scheduled at them; a fill op is scheduled when it is sent. The
+  // recorder's latencies are exactly responded - scheduled.
+  Summary expected;
+  for (std::size_t op = kWarmup; op < kWarmup + kOps; ++op) {
+    const CounterOpRecord& r = by_op[op];
+    std::int64_t scheduled = r.invoked;
+    const int span = port.issued_in_span[op];
+    if (span >= 0) {
+      scheduled = span_stamp[static_cast<std::size_t>(span)];
+      EXPECT_GT(r.invoked, scheduled);
+    }
+    expected.add(std::max<std::int64_t>(r.responded - scheduled, 0));
+  }
+  EXPECT_EQ(run.traffic.count, static_cast<std::int64_t>(kOps));
+  EXPECT_DOUBLE_EQ(run.traffic.mean_us, expected.mean() / 1e3);
+  for (const auto& [got, q] : {std::pair{run.traffic.p50_us, 50.0},
+                               std::pair{run.traffic.p95_us, 95.0},
+                               std::pair{run.traffic.max_us, 100.0}}) {
+    EXPECT_EQ(got, static_cast<double>(expected.percentile(q)) / 1e3) << q;
+  }
+  EXPECT_TRUE(check_linearizable(records).linearizable);
 }
 
 TEST(VerifyValues, AcceptsPermutationsAndPicksTheMeasuredHotKey) {
