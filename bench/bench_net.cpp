@@ -69,6 +69,7 @@
 #include "support/check.hpp"
 #include "support/flags.hpp"
 #include "support/table.hpp"
+#include "support/thread_pool.hpp"
 
 using namespace dcnt;
 
@@ -285,6 +286,7 @@ int main(int argc, char** argv) {
   json.field("drop", drop, 3);
   json.field("warmup", warmup);
   json.field("seed", seed);
+  json.field("hardware_threads", default_thread_count());
   json.begin_array("runs");
   for (const NetRow& row : rows) {
     const net::ClusterResult& r = row.r;

@@ -8,8 +8,9 @@
 //     on the completing thread;
 //   - completion spans: a port reports completions in spans (the
 //     cluster controller: one decoded kCompleteBatch frame; the
-//     runtime: one op). A span costs two clock reads however long it
-//     is: one stamps every response, one the invoke of every reissue;
+//     runtime: one op). A span costs at most two clock reads however
+//     long it is: one stamps every response, one the invoke of every
+//     reissue;
 //   - open loop: the driver thread walks the ArrivalTimeline, issuing
 //     late rather than skipping when it falls behind. The recorder gets
 //     each op's scheduled time (coordinated-omission-free), the history

@@ -12,9 +12,9 @@
 //     across workers and nodes. 10^6–10^7-op open-loop runs use this.
 //
 // Timestamps: on_issue stores the op's *scheduled* time (open loop: the
-// arrival timeline's epoch + offset; closed loop: the send time, which
-// IS the scheduled time — a closed-loop client cannot want an op before
-// its previous one completed). on_complete measures against that stamp,
+// arrival timeline's epoch + offset; closed loop: the moment the client
+// wanted the op — its predecessor's response stamp for a reissue, the
+// send time for a window fill). on_complete measures against that stamp,
 // so an open-loop run charges a backlogged system for every nanosecond
 // between when the op should have arrived and when it finished —
 // coordinated omission, by construction, cannot hide.
