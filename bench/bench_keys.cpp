@@ -26,10 +26,13 @@
 // --batch ops): batch=1 keeps --batch ops in flight per slot, so the
 // pair prices the issuance unit alone.
 //
-// Every row is one RowSpec: a mode, the parallelism (workers or nodes)
-// and one LoadOptions value, keyspace included, that run_throughput and
+// Every row is a ClusterRow (bench_util.hpp, shared with bench_net): a
+// mode, the parallelism (workers or nodes) and one ClusterOptions value
+// whose LoadOptions part, keyspace included, run_throughput and
 // run_cluster both read. In-process rows run at --concurrency, tcp rows
-// at 8 slots.
+// at 8 slots. The table and the JSON "runs" array come from the same
+// rows through one column list; the open-loop columns appear in the
+// JSON of open-loop rows only.
 //
 //   $ bench_keys [--counter=central] [--n=16] [--keys_list=1,1000,100000]
 //                [--key_skews=0,0.99] [--workers_list=1,4] [--ops=0]
@@ -56,41 +59,9 @@
 #include "harness/factory.hpp"
 #include "harness/throughput.hpp"
 #include "support/flags.hpp"
-#include "support/table.hpp"
+#include "support/thread_pool.hpp"
 
 using namespace dcnt;
-
-namespace {
-
-/// One row: where it runs and the one LoadOptions value (keyspace
-/// included) that describes its workload on either substrate.
-struct RowSpec {
-  std::string mode;  ///< "inproc", "inproc-lru", "inproc-open", "tcp", "tcp-open"
-  LoadOptions load;
-  std::size_t parallelism{1};  ///< workers (inproc) or nodes (tcp)
-  std::size_t batch{1};        ///< tcp rows: schedule entries per issuance unit
-
-  bool tcp() const { return mode.rfind("tcp", 0) == 0; }
-};
-
-/// A run row: its spec plus the run's result. In-process rows fill just
-/// the HarnessResult part; wire_msgs_sent stays zero.
-struct KeyRow {
-  RowSpec spec;
-  net::ClusterResult r;
-};
-
-/// The normalized per-key bottleneck: the hot key's max_p divided by
-/// its op count. The paper's claim is that this stays Omega(1) per op
-/// (a constant for central) regardless of how many other keys share
-/// the fabric.
-double hot_key_load_per_op(const HarnessResult& r) {
-  if (r.hot_key_ops == 0) return 0.0;
-  return static_cast<double>(r.hot_key_max_load) /
-         static_cast<double>(r.hot_key_ops);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags = parse_bench_flags(
@@ -148,7 +119,7 @@ int main(int argc, char** argv) {
   // The fields every row shares; each row then sets its own.
   const auto keyed_load = [&](std::size_t keys, double skew,
                               std::size_t ops) {
-    LoadOptions load;
+    net::ClusterOptions load;
     load.ops = ops;
     load.concurrency = concurrency;
     load.warmup = warmup;
@@ -158,28 +129,27 @@ int main(int argc, char** argv) {
     load.key_skew = skew;
     return load;
   };
-  std::vector<KeyRow> rows;
-  const auto run_row = [&](RowSpec spec) {
-    KeyRow row;
-    if (spec.tcp()) {
-      net::ClusterOptions copt;
-      static_cast<LoadOptions&>(copt) = spec.load;
-      copt.counter = counter;
-      copt.min_processors = n;
-      copt.nodes = static_cast<std::uint32_t>(spec.parallelism);
-      copt.batch = spec.batch;
-      row.r = net::run_cluster(copt);
+  std::vector<ClusterRow> rows;
+  // A row names its mode, parallelism (workers in process, nodes on
+  // tcp) and load; tcp rows run the real cluster, the rest in process.
+  const auto run_row = [&](const std::string& mode, std::size_t parallelism,
+                           const net::ClusterOptions& load) {
+    ClusterRow row{mode, parallelism, load, {}};
+    row.load.counter = counter;
+    row.load.min_processors = n;
+    if (row.mode.rfind("tcp", 0) == 0) {
+      row.load.nodes = static_cast<std::uint32_t>(row.parallelism);
+      row.result = net::run_cluster(row.load);
     } else {
       // active_shards stays adaptive (min(workers, cores)) like the
       // other wall-clock benches: on a small host W > 1 degrades
       // gracefully instead of paying forced cross-shard hops.
       ThroughputOptions topt;
-      static_cast<LoadOptions&>(topt) = spec.load;
-      topt.workers = spec.parallelism;
-      static_cast<HarnessResult&>(row.r) =
+      static_cast<LoadOptions&>(topt) = row.load;
+      topt.workers = row.parallelism;
+      static_cast<HarnessResult&>(row.result) =
           run_throughput(make_counter(kind, n), topt);
     }
-    row.spec = std::move(spec);
     rows.push_back(std::move(row));
   };
 
@@ -187,10 +157,9 @@ int main(int argc, char** argv) {
     const auto keys = static_cast<std::size_t>(keys64 > 0 ? keys64 : 1);
     for (const double skew : key_skews) {
       for (const std::int64_t w : workers_list) {
-        RowSpec spec{"inproc", keyed_load(keys, skew, ops_for(keys)),
-                     static_cast<std::size_t>(w > 0 ? w : 1)};
-        spec.load.key_capacity = key_capacity;
-        run_row(std::move(spec));
+        net::ClusterOptions load = keyed_load(keys, skew, ops_for(keys));
+        load.key_capacity = key_capacity;
+        run_row("inproc", static_cast<std::size_t>(w > 0 ? w : 1), load);
       }
     }
   }
@@ -199,23 +168,21 @@ int main(int argc, char** argv) {
   // keyspace so the skewed stream keeps evicting cold keys to their
   // durable values and rehydrating them on the next touch.
   if (max_keys > 1) {
-    RowSpec spec{"inproc-lru",
-                 keyed_load(max_keys, key_skews.back(), ops_for(max_keys)),
-                 last_workers};
-    spec.load.key_capacity = std::max<std::size_t>(16, max_keys / 8);
-    run_row(std::move(spec));
+    net::ClusterOptions load =
+        keyed_load(max_keys, key_skews.back(), ops_for(max_keys));
+    load.key_capacity = std::max<std::size_t>(16, max_keys / 8);
+    run_row("inproc-lru", last_workers, load);
   }
 
   // Open-loop keyed row: the fabric under offered load at the largest
   // swept keyspace, tails measured from scheduled arrival.
   if (open_rate > 0.0) {
-    RowSpec spec{"inproc-open",
-                 keyed_load(max_keys, key_skews.back(), ops_for(max_keys)),
-                 last_workers};
-    spec.load.open_rate = open_rate;
-    spec.load.shape = shape;
-    spec.load.slo_us = slo_us;
-    run_row(std::move(spec));
+    net::ClusterOptions load =
+        keyed_load(max_keys, key_skews.back(), ops_for(max_keys));
+    load.open_rate = open_rate;
+    load.shape = shape;
+    load.slo_us = slo_us;
+    run_row("inproc-open", last_workers, load);
   }
 
   // The real cluster: keyed Starts out, coalesced completions back,
@@ -230,20 +197,19 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> cluster_keyspaces{1};
   if (cluster_keys > 1) cluster_keyspaces.push_back(cluster_keys);
   const auto cluster_load = [&](std::size_t keys, std::size_t ops) {
-    LoadOptions load = keyed_load(keys, 0.99, ops);
+    net::ClusterOptions load = keyed_load(keys, 0.99, ops);
     load.concurrency = 8;
     return load;
   };
   for (const std::size_t b : cluster_batches) {
     for (const std::size_t keys : cluster_keyspaces) {
       if (b == 1 && keys == 1) continue;  // covered by the batch sweep
-      RowSpec spec{"tcp",
-                   cluster_load(keys, std::min<std::size_t>(
-                                          std::max<std::size_t>(4 * keys, 256),
-                                          quick ? 256 : 2048)),
-                   nodes, b};
-      spec.load.inflight = b == 1 ? batch : 1;
-      run_row(std::move(spec));
+      net::ClusterOptions load = cluster_load(
+          keys, std::min<std::size_t>(std::max<std::size_t>(4 * keys, 256),
+                                      quick ? 256 : 2048));
+      load.batch = b;
+      load.inflight = b == 1 ? batch : 1;
+      run_row("tcp", nodes, load);
     }
   }
 
@@ -254,41 +220,12 @@ int main(int argc, char** argv) {
   // arrivals due between two reactor rounds share a frame, as a closed
   // loop's completion burst does.
   if (open_rate > 0.0) {
-    RowSpec spec{"tcp-open", cluster_load(cluster_keys, quick ? 256 : 2048),
-                 nodes};
-    spec.load.open_rate = open_rate;
-    spec.load.shape = shape;
-    spec.load.slo_us = slo_us;
-    run_row(std::move(spec));
+    net::ClusterOptions load = cluster_load(cluster_keys, quick ? 256 : 2048);
+    load.open_rate = open_rate;
+    load.shape = shape;
+    load.slo_us = slo_us;
+    run_row("tcp-open", nodes, load);
   }
-
-  Table table({"mode", "keys", "dist", "par", "batch", "ops", "cap", "inc/s",
-               "p99_us", "max_load", "hot_ops", "hk_max", "hk/op", "touched",
-               "evict", "rehyd"});
-  for (const KeyRow& row : rows) {
-    const RowSpec& spec = row.spec;
-    const net::ClusterResult& r = row.r;
-    table.row()
-        .add(spec.mode)
-        .add(static_cast<std::int64_t>(r.keys))
-        .add(spec.load.key_dist)
-        .add(static_cast<std::int64_t>(spec.parallelism))
-        .add(static_cast<std::int64_t>(spec.batch))
-        .add(static_cast<std::int64_t>(r.ops))
-        .add(static_cast<std::int64_t>(spec.load.key_capacity))
-        .add(r.ops_per_sec, 0)
-        .add(r.p99_us, 1)
-        .add(r.max_load)
-        .add(r.hot_key_ops)
-        .add(r.hot_key_max_load)
-        .add(hot_key_load_per_op(r), 2)
-        .add(static_cast<std::int64_t>(r.keys_touched))
-        .add(r.lru_evicts)
-        .add(r.lru_rehydrates);
-  }
-  table.print(std::cout,
-              "KEYS: multi-key fabric — aggregate scales, every key still "
-              "pays its own bottleneck (all rows verified per key)");
 
   JsonWriter json(out);
   json.field("bench", "keys");
@@ -299,46 +236,37 @@ int main(int argc, char** argv) {
   json.field("nodes", nodes);
   json.field("batch", batch);
   json.field("seed", seed);
-  json.begin_array("runs");
-  for (const KeyRow& row : rows) {
-    const RowSpec& spec = row.spec;
-    const net::ClusterResult& r = row.r;
-    json.begin_object();
-    json.field("mode", spec.mode);
-    json.field("keys", r.keys);
-    json.field("key_dist", spec.load.key_dist);
-    json.field("key_skew", spec.load.key_skew, 2);
-    json.field("parallelism", spec.parallelism);
-    json.field("batch", spec.batch);
-    json.field("ops", r.ops);
-    json.field("key_capacity", spec.load.key_capacity);
-    json.field("ops_per_sec", r.ops_per_sec, 1);
-    json.field("p50_us", r.p50_us, 2);
-    json.field("p99_us", r.p99_us, 2);
-    if (spec.load.open_rate > 0.0) {
-      json.field("rate", spec.load.open_rate, 1);
-      json.field("shape", spec.load.shape);
-      json.field("p999_us", r.p999_us, 2);
-      json.field("max_us", r.max_us, 2);
-      json.field("slo_us", spec.load.slo_us, 1);
-      json.field("slo_attainment", r.slo_attainment, 6);
-      json.field("hdr_recorder", r.hdr_recorder ? 1 : 0);
-    }
-    json.field("total_messages", r.total_messages);
-    json.field("max_load", r.max_load);
-    json.field("hot_key", r.hot_key);
-    json.field("hot_key_ops", r.hot_key_ops);
-    json.field("hot_key_max_load", r.hot_key_max_load);
-    json.field("hot_key_load_per_op", hot_key_load_per_op(r), 3);
-    json.field("keys_touched", r.keys_touched);
-    json.field("live_instances", r.live_instances);
-    json.field("lru_hits", r.lru_hits);
-    json.field("lru_misses", r.lru_misses);
-    json.field("lru_evicts", r.lru_evicts);
-    json.field("lru_rehydrates", r.lru_rehydrates);
-    json.field("wire_msgs", r.wire_msgs_sent);
-    json.end_object();
-  }
-  json.end_array();
+  json.field("hardware_threads", default_thread_count());
+  using C = Columns<ClusterRow>;
+  emit(json, "runs",
+       "KEYS: multi-key fabric — aggregate scales, every key still pays "
+       "its own bottleneck (all rows verified per key)",
+       harness_columns<ClusterRow>({
+           C::load("key_dist", "dist", &net::ClusterOptions::key_dist),
+           C::load("key_skew", "", &net::ClusterOptions::key_skew, 2),
+           C::load("batch", "batch", &net::ClusterOptions::batch),
+           C::load("key_capacity", "cap", &net::ClusterOptions::key_capacity),
+           // The normalized per-key bottleneck: the hot key's max_p per
+           // op. The paper's claim is that this stays Omega(1) per op (a
+           // constant for central) however many other keys share the
+           // fabric.
+           {"hot_key_load_per_op", "hk/op", 3,
+            [](const ClusterRow& r) {
+              const HarnessResult& h = r.result;
+              return to_cell(h.hot_key_ops == 0
+                                 ? 0.0
+                                 : static_cast<double>(h.hot_key_max_load) /
+                                       static_cast<double>(h.hot_key_ops));
+            }},
+           C::result("wire_msgs", "", &net::ClusterResult::wire_msgs_sent),
+       }),
+       {{"mode* keys* key_dist* key_skew parallelism* batch* ops* "
+         "key_capacity* ops_per_sec* p50_us p99_us*"},
+        {"rate shape p999_us max_us slo_us slo_attainment hdr_recorder",
+         [](const ClusterRow& r) { return r.load.open_rate > 0.0; }},
+        {"total_messages max_load* hot_key hot_key_ops* hot_key_max_load* "
+         "hot_key_load_per_op* keys_touched* live_instances lru_hits "
+         "lru_misses lru_evicts* lru_rehydrates* wire_msgs"}},
+       rows);
   return 0;
 }

@@ -14,6 +14,10 @@
 // in-process runtime costs nanoseconds, and the lossy rows add
 // retransmission stalls on top.
 //
+// The in-process baseline is a few milliseconds of work, so one run's
+// inc/s is mostly scheduler noise: it runs 5 times (a constant, not a
+// flag) and its row is the run with the median inc/s.
+//
 // Each run starts with `--warmup` unmeasured closed-loop ops: the
 // connection setup, allocator cold-start and first-touch faults settle,
 // a cluster-wide quiescence barrier fires, the nodes reset their
@@ -56,8 +60,11 @@
 //               [--amplitude=0.5] [--duty=0.5] [--duration=0]
 //               [--slo_us=0] [--exact_cap=65536]
 //               [--out=BENCH_net.json]
+//
+// The table and the JSON "runs" array come from the same rows through
+// one column list (bench_util.hpp's emit); the tcp-open and tcp-conc
+// columns appear in the JSON of those rows only.
 #include <algorithm>
-#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -68,42 +75,14 @@
 #include "harness/throughput.hpp"
 #include "support/check.hpp"
 #include "support/flags.hpp"
-#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 using namespace dcnt;
 
 namespace {
 
-/// One row of the comparison, whichever runtime produced it: the run's
-/// result plus what only the row knows. In-process rows fill just the
-/// HarnessResult part; their wire counters stay zero.
-struct NetRow {
-  net::ClusterResult r;
-  std::string mode;  ///< "inproc", "tcp", "udp", "udp-lossy", "tcp-conc"
-  std::size_t pipeline{1};  ///< closed-loop depth per slot (1 for inproc)
-  std::size_t inflight{0};  ///< tcp-conc rows: F ops outstanding per slot
-  std::size_t parallelism{0};  ///< workers (inproc) or nodes (cluster)
-  double rate{0.0};  ///< tcp-open rows: offered rate
-};
-
-NetRow from_cluster(net::ClusterResult r, const std::string& mode,
-                    std::size_t pipeline) {
-  NetRow row;
-  row.parallelism = r.nodes;
-  row.r = std::move(r);
-  row.mode = mode;
-  row.pipeline = pipeline;
-  return row;
-}
-
-/// Wire bytes per kernel write() — how much frame coalescing the
-/// deferred-flush event loop achieved (0 for the in-process rows).
-double bytes_per_write(const net::ClusterResult& r) {
-  if (r.wire_write_syscalls == 0) return 0.0;
-  return static_cast<double>(r.wire_bytes_sent) /
-         static_cast<double>(r.wire_write_syscalls);
-}
+/// In-process baseline runs per counter; the row reports the median.
+constexpr int kInprocRuns = 5;
 
 }  // namespace
 
@@ -144,11 +123,7 @@ int main(int argc, char** argv) {
   const auto exact_cap =
       static_cast<std::size_t>(flags.get_int("exact_cap", 1 << 16));
 
-  Table table({"counter", "mode", "pipe", "n", "par", "ops", "inc/s", "p50_us",
-               "p99_us", "total_msgs", "max_load", "wire_msgs", "wr_B", "retx",
-               "lin", "viol"});
-  std::vector<NetRow> rows;
-
+  std::vector<ClusterRow> rows;
   for (const std::string& name : counters) {
     const CounterKind kind = counter_kind_from_string(name);
     auto probe = make_counter(kind, n);
@@ -156,41 +131,49 @@ int main(int argc, char** argv) {
       std::cout << "skip: " << probe->name() << " (not shard-safe)\n";
       continue;
     }
-    const std::size_t procs = probe->num_processors();
-    const auto ops = static_cast<std::size_t>(ops_factor) * procs;
+    const auto ops =
+        static_cast<std::size_t>(ops_factor) * probe->num_processors();
+    net::ClusterOptions base;
+    base.counter = name;
+    base.min_processors = n;
+    base.nodes = nodes;
+    base.ops = ops;
+    base.concurrency = concurrency;
+    base.warmup = warmup;
+    base.seed = seed;
+    const auto run = [&](const std::string& mode,
+                         const net::ClusterOptions& copt) {
+      rows.push_back({mode, copt.nodes, copt, net::run_cluster(copt)});
+    };
 
     // In-process baseline: worker count matched to the cluster's
     // process count, so both runtimes get the same parallelism budget.
+    // One run is a few milliseconds, so its inc/s is mostly scheduler
+    // noise: the row reports the median-inc/s run of kInprocRuns.
     ThroughputOptions topt;
+    static_cast<LoadOptions&>(topt) = base;
     topt.workers = nodes;
-    topt.ops = ops;
-    topt.concurrency = concurrency;
-    topt.warmup = warmup;
-    topt.seed = seed;
-    const ThroughputResult tres = run_throughput(make_counter(kind, n), topt);
-    NetRow inproc;
-    static_cast<HarnessResult&>(inproc.r) = tres;
-    inproc.r.counter = name;  // cluster rows carry the flag name; match it
-    inproc.mode = "inproc";
-    inproc.parallelism = tres.workers;
-    rows.push_back(std::move(inproc));
+    std::vector<ThroughputResult> inproc;
+    for (int i = 0; i < kInprocRuns; ++i) {
+      inproc.push_back(run_throughput(make_counter(kind, n), topt));
+    }
+    const auto median = inproc.begin() + kInprocRuns / 2;
+    std::nth_element(inproc.begin(), median, inproc.end(),
+                     [](const ThroughputResult& a, const ThroughputResult& b) {
+                       return a.ops_per_sec < b.ops_per_sec;
+                     });
+    ClusterRow row{"inproc", median->workers, base, {}};
+    static_cast<HarnessResult&>(row.result) = *median;
+    row.result.counter = name;  // cluster rows carry the flag name; match it
+    rows.push_back(std::move(row));
 
     for (const std::int64_t depth : pipelines) {
-      const auto d = static_cast<std::size_t>(depth > 0 ? depth : 1);
-      net::ClusterOptions copt;
-      copt.counter = name;
-      copt.min_processors = n;
-      copt.nodes = nodes;
-      copt.ops = static_cast<std::int64_t>(ops);
-      copt.concurrency = concurrency;
-      copt.inflight = d;
-      copt.warmup = warmup;
-      copt.seed = seed;
-      rows.push_back(from_cluster(net::run_cluster(copt), "tcp", d));
+      net::ClusterOptions copt = base;
+      copt.inflight = static_cast<std::size_t>(depth > 0 ? depth : 1);
+      run("tcp", copt);
 
       copt.udp = true;
-      copt.drop_probability = 0.0;
-      rows.push_back(from_cluster(net::run_cluster(copt), "udp", d));
+      run("udp", copt);
 
       if (drop > 0.0) {
         copt.drop_probability = drop;
@@ -200,7 +183,7 @@ int main(int argc, char** argv) {
         copt.retry.ack_timeout = 8;
         copt.retry.max_timeout = 64;
         copt.retry.max_attempts = 30;
-        rows.push_back(from_cluster(net::run_cluster(copt), "udp-lossy", d));
+        run("udp-lossy", copt);
       }
     }
 
@@ -209,36 +192,21 @@ int main(int argc, char** argv) {
     // few times, and the linearizability verdict comes from the real
     // socket history (serializing counters must pass at every F).
     for (const std::int64_t f : inflight_list) {
-      const auto inflight = static_cast<std::size_t>(f > 0 ? f : 1);
-      const std::size_t window = concurrency * inflight;
-      net::ClusterOptions copt;
-      copt.counter = name;
-      copt.min_processors = n;
-      copt.nodes = nodes;
-      copt.ops = static_cast<std::int64_t>(std::max(ops, 4 * window));
-      copt.concurrency = concurrency;
-      copt.inflight = inflight;
-      copt.warmup = warmup;
-      copt.seed = seed;
-      NetRow row = from_cluster(net::run_cluster(copt), "tcp-conc", inflight);
-      row.inflight = inflight;
-      DCNT_CHECK_MSG(row.r.lin_checked, "tcp-conc row without a lin verdict");
+      net::ClusterOptions copt = base;
+      copt.inflight = static_cast<std::size_t>(f > 0 ? f : 1);
+      copt.ops = std::max(ops, 4 * concurrency * copt.inflight);
+      run("tcp-conc", copt);
+      const net::ClusterResult& r = rows.back().result;
+      DCNT_CHECK_MSG(r.lin_checked, "tcp-conc row without a lin verdict");
       if (expected_linearizable(kind)) {
-        DCNT_CHECK_MSG(row.r.linearizable,
+        DCNT_CHECK_MSG(r.linearizable,
                        "serializing counter failed linearizability on TCP");
       }
-      rows.push_back(std::move(row));
     }
 
     // Open-loop rows on the TCP plane: one per offered rate.
     for (const double rate : rates) {
-      net::ClusterOptions copt;
-      copt.counter = name;
-      copt.min_processors = n;
-      copt.nodes = nodes;
-      copt.ops = static_cast<std::int64_t>(ops);
-      copt.warmup = warmup;
-      copt.seed = seed;
+      net::ClusterOptions copt = base;
       copt.open_rate = rate;
       copt.shape = shape;
       copt.period_s = period;
@@ -247,35 +215,9 @@ int main(int argc, char** argv) {
       copt.duration_s = duration;
       copt.slo_us = slo_us;
       copt.exact_cap = exact_cap;
-      NetRow row = from_cluster(net::run_cluster(copt), "tcp-open", 1);
-      row.rate = rate;
-      rows.push_back(std::move(row));
+      run("tcp-open", copt);
     }
   }
-
-  for (const NetRow& row : rows) {
-    const net::ClusterResult& r = row.r;
-    table.row()
-        .add(r.counter)
-        .add(row.mode)
-        .add(static_cast<std::int64_t>(row.pipeline))
-        .add(static_cast<std::int64_t>(r.n))
-        .add(static_cast<std::int64_t>(row.parallelism))
-        .add(static_cast<std::int64_t>(r.ops))
-        .add(r.ops_per_sec, 0)
-        .add(r.p50_us, 1)
-        .add(r.p99_us, 1)
-        .add(r.total_messages)
-        .add(r.max_load)
-        .add(r.wire_msgs_sent)
-        .add(bytes_per_write(r), 1)
-        .add(r.retransmissions)
-        .add(r.lin_checked ? (r.linearizable ? "y" : "NO") : "-")
-        .add(r.lin_violations);
-  }
-  table.print(std::cout,
-              "NET: in-process runtime vs multi-process socket cluster "
-              "(every run verified exact)");
 
   JsonWriter json(out);
   json.field("bench", "net");
@@ -287,48 +229,41 @@ int main(int argc, char** argv) {
   json.field("warmup", warmup);
   json.field("seed", seed);
   json.field("hardware_threads", default_thread_count());
-  json.begin_array("runs");
-  for (const NetRow& row : rows) {
-    const net::ClusterResult& r = row.r;
-    json.begin_object();
-    json.field("counter", r.counter);
-    json.field("mode", row.mode);
-    json.field("pipeline", row.pipeline);
-    json.field("n", r.n);
-    json.field("parallelism", row.parallelism);
-    json.field("ops", r.ops);
-    json.field("wall_seconds", r.wall_seconds, 4);
-    json.field("ops_per_sec", r.ops_per_sec, 1);
-    json.field("mean_us", r.mean_us, 2);
-    json.field("p50_us", r.p50_us, 2);
-    json.field("p99_us", r.p99_us, 2);
-    if (row.mode == "tcp-open") {
-      json.field("rate", row.rate, 1);
-      json.field("shape", shape);
-      json.field("p999_us", r.p999_us, 2);
-      json.field("p9999_us", r.p9999_us, 2);
-      json.field("max_us", r.max_us, 2);
-      json.field("slo_us", slo_us, 1);
-      json.field("slo_attainment", r.slo_attainment, 6);
-      json.field("hdr_recorder", r.hdr_recorder ? 1 : 0);
-    }
-    if (row.mode == "tcp-conc") {
-      json.field("inflight", row.inflight);
-      json.field("window", row.inflight * concurrency);
-    }
-    json.field("lin_checked", r.lin_checked ? 1 : 0);
-    json.field("linearizable", r.linearizable ? 1 : 0);
-    json.field("lin_violations", r.lin_violations);
-    json.field("total_messages", r.total_messages);
-    json.field("max_load", r.max_load);
-    json.field("wire_msgs", r.wire_msgs_sent);
-    json.field("wire_bytes", r.wire_bytes_sent);
-    json.field("write_syscalls", r.wire_write_syscalls);
-    json.field("bytes_per_write", bytes_per_write(r), 1);
-    json.field("injected_drops", r.injected_drops);
-    json.field("retransmissions", r.retransmissions);
-    json.end_object();
-  }
-  json.end_array();
+  using C = Columns<ClusterRow>;
+  using R = net::ClusterResult;
+  const auto mode_is = [](const char* mode) {
+    return [mode](const ClusterRow& r) { return r.mode == mode; };
+  };
+  emit(json, "runs",
+       "NET: in-process runtime vs multi-process socket cluster "
+       "(every run verified exact)",
+       harness_columns<ClusterRow>({
+           C::load("pipeline", "pipe", &net::ClusterOptions::inflight),
+           C::result("wire_msgs", "wire_msgs", &R::wire_msgs_sent),
+           C::result("wire_bytes", "", &R::wire_bytes_sent),
+           C::result("write_syscalls", "", &R::wire_write_syscalls),
+           // Wire bytes per kernel write(): how much frame coalescing the
+           // deferred-flush event loop achieved (0 for in-process rows).
+           {"bytes_per_write", "wr_B", 1,
+            [](const ClusterRow& r) {
+              const R& c = r.result;
+              return to_cell(c.wire_write_syscalls == 0
+                                 ? 0.0
+                                 : static_cast<double>(c.wire_bytes_sent) /
+                                       c.wire_write_syscalls);
+            }},
+           C::result("injected_drops", "", &R::injected_drops),
+           C::result("retransmissions", "retx", &R::retransmissions),
+       }),
+       {{"counter* mode* pipeline* n* parallelism* ops* wall_seconds "
+         "ops_per_sec* mean_us p50_us* p99_us*"},
+        {"rate shape p999_us p9999_us max_us slo_us slo_attainment "
+         "hdr_recorder",
+         mode_is("tcp-open")},
+        {"inflight window", mode_is("tcp-conc")},
+        {"lin_checked linearizable lin* lin_violations* total_messages* "
+         "max_load* wire_msgs* wire_bytes write_syscalls bytes_per_write* "
+         "injected_drops retransmissions*"}},
+       rows);
   return 0;
 }

@@ -13,15 +13,18 @@
 // skipped at W > 1 rather than run unsoundly.
 //
 // Emits a JSON baseline (default BENCH_throughput.json; the checked-in
-// copy at the repo root is the reference measurement).
+// copy at the repo root is the reference measurement). The sections run
+// in the file's order — throughput, open_loop, concurrent, shm — and
+// each prints its table and writes its JSON array from the same rows
+// through one column list (bench_util.hpp's emit); the scaling section
+// is derived from the throughput rows.
 //
 // Each run starts with --warmup unrecorded operations (run to
 // quiescence, metrics reset after) so thread wakeups, buffer growth and
-// page faults do not land in the measured percentiles — that cold-start
-// was the old workers=1 p99 = 1795µs artifact. The table ends with a
-// per-counter scaling line (ops/s at the largest worker count vs 1),
-// also emitted to the JSON, so a scaling regression is visible right in
-// the baseline trajectory.
+// page faults do not land in the measured percentiles. The last table
+// is the per-counter scaling ratio (ops/s at the largest worker count
+// over the smallest), also in the JSON, so a scaling regression is
+// visible right in the baseline trajectory.
 //
 // Open-loop traffic-engine rows (--rates non-empty): each counter runs
 // the open-loop generator at every rate in --rates, on a deterministic
@@ -75,10 +78,12 @@
 //        --shm_threads_list=1,2,4 --shm_inflight_list=1,64
 //        --shm_placements=none,compact --shm_msg_counters=tree,central,
 //        combining --shm_ops=32768 --shm_rate=200000
-//        --placement=none|compact|scatter|tree --pin (= compact)
+//        --placement=none|compact --pin (= compact)
+#include <algorithm>
 #include <iostream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "traffic/recorder.hpp"
@@ -89,10 +94,11 @@
 #include "shm/shm_harness.hpp"
 #include "support/check.hpp"
 #include "support/flags.hpp"
-#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
 using namespace dcnt;
+
+using ThruRow = BenchRow<LoadOptions, ThroughputResult>;
 
 int main(int argc, char** argv) {
   const Flags flags = parse_bench_flags(
@@ -192,340 +198,49 @@ int main(int argc, char** argv) {
     options.warmup = warmup;
     return options;
   };
-
-  Table table({"counter", "n", "W", "ops", "inc/s", "p50_us", "p95_us",
-               "p99_us", "max_load", "total_msgs"});
-  std::vector<ThroughputResult> results;
-  for (const std::string& name : counters) {
-    if (shm::is_shm_counter_name(name)) {
-      // Shared-memory counters ride the same closed sweep: W means
-      // driving threads, coherence messages are invisible to Metrics so
-      // max_load/total_msgs report 0.
-      const shm::ShmKind kind = shm::shm_kind_from_string(name);
-      for (const std::int64_t w : workers_list) {
-        shm::ShmOptions options;
-        options.threads =
-            w == 0 ? threads_from_flags(flags) : static_cast<std::size_t>(w);
-        options.ops = shm_ops;
-        options.warmup = warmup;
-        options.seed = seed;
-        options.placement = placement;
-        const ThroughputResult res = run_shm_throughput(kind, options);
-        DCNT_CHECK_MSG(res.lin_checked && res.linearizable,
-                       "shm counter produced a non-linearizable history");
-        results.push_back(res);
-        table.row()
-            .add(res.counter)
-            .add(static_cast<std::int64_t>(res.n))
-            .add(static_cast<std::int64_t>(res.workers))
-            .add(static_cast<std::int64_t>(res.ops))
-            .add(res.ops_per_sec, 0)
-            .add(res.p50_us, 1)
-            .add(res.p95_us, 1)
-            .add(res.p99_us, 1)
-            .add(res.max_load)
-            .add(res.total_messages);
-      }
-      continue;
-    }
-    const CounterKind kind = counter_kind_from_string(name);
-    for (const std::int64_t w : workers_list) {
-      // 0 = the shared process-wide knob (--threads / DCNT_THREADS).
-      const std::size_t workers =
-          w == 0 ? threads_from_flags(flags) : static_cast<std::size_t>(w);
-      auto protocol = make_counter(kind, n);
-      if (workers > 1 && !protocol->shard_safe()) {
-        std::cout << "skip: " << protocol->name() << " at W=" << workers
-                  << " (not shard-safe)\n";
-        continue;
-      }
-      ThroughputOptions options = throughput_options(
-          workers,
-          static_cast<std::size_t>(ops_factor) * protocol->num_processors(),
-          1);
-      options.open_rate = open_rate;
-      const ThroughputResult res = run_throughput(std::move(protocol), options);
-      results.push_back(res);
-      table.row()
-          .add(res.counter)
-          .add(static_cast<std::int64_t>(res.n))
-          .add(static_cast<std::int64_t>(res.workers))
-          .add(static_cast<std::int64_t>(res.ops))
-          .add(res.ops_per_sec, 0)
-          .add(res.p50_us, 1)
-          .add(res.p95_us, 1)
-          .add(res.p99_us, 1)
-          .add(res.max_load)
-          .add(res.total_messages);
-    }
-  }
-  table.print(std::cout,
-              "THRU: closed-loop increments/second on real threads (" + dist +
-                  " initiators; every run verified exact)");
-
-  // Scaling check: ops/s at the largest measured worker count relative
-  // to one worker. >= 1.0 means adding workers does not cost throughput
-  // (the acceptance bar on this box); the old runtime sat well below it.
-  struct ScalingRow {
-    std::size_t w_lo{0}, w_hi{0};
-    double lo{0.0}, hi{0.0};
+  // Message-passing rows run on the threaded runtime (mode "msg").
+  const auto run_msg = [&](const std::string& name,
+                           const ThroughputOptions& options) {
+    ThroughputResult res = run_throughput(
+        make_counter(counter_kind_from_string(name), n), options);
+    return ThruRow{"msg", res.workers, options, std::move(res)};
   };
-  std::map<std::string, ScalingRow> scaling;
-  for (const ThroughputResult& r : results) {
-    ScalingRow& row = scaling[r.counter];
-    if (row.w_lo == 0 || r.workers < row.w_lo) {
-      row.w_lo = r.workers;
-      row.lo = r.ops_per_sec;
-    }
-    if (r.workers > row.w_hi) {
-      row.w_hi = r.workers;
-      row.hi = r.ops_per_sec;
-    }
-  }
-  for (const auto& [counter, row] : scaling) {
-    if (row.w_hi <= row.w_lo || row.lo <= 0.0) continue;
-    std::cout << "scaling " << counter << ": W=" << row.w_hi << " / W="
-              << row.w_lo << " = " << row.hi / row.lo << "x\n";
-  }
-
-  // CONC: the concurrency plane. Each row keeps concurrency * F incs
-  // outstanding, captures the live (invoke, response, value) history,
-  // and runs check_linearizable over it after quiescence. Serializing
-  // counters are *enforced* linearizable at every depth; the
-  // diffracting tree is only quiescently consistent, so its verdict is
-  // reported, not asserted.
-  struct ConcRow {
-    ThroughputResult res;
-    std::size_t inflight{0};
-    std::size_t window{0};
-    bool must_linearize{false};
+  // Every shm row's live history is enforced linearizable — the ticket
+  // criterion for the value-returning counters, the inc/read criterion
+  // for shm-sharded.
+  const auto run_shm = [](shm::ShmKind kind, const shm::ShmOptions& options) {
+    ThruRow row{"shm", options.threads, {}, run_shm_throughput(kind, options)};
+    DCNT_CHECK_MSG(row.result.lin_checked && row.result.linearizable,
+                   "shm counter produced a non-linearizable history");
+    row.load.ops = options.ops;
+    row.load.inflight = options.inflight;
+    row.load.warmup = options.warmup;
+    row.load.open_rate = options.open_rate;
+    row.load.seed = options.seed;
+    return row;
   };
-  std::vector<ConcRow> conc_rows;
-  if (!inflight_list.empty()) {
-    Table conc_table({"counter", "F", "window", "ops", "inc/s", "p50_us",
-                      "p99_us", "lin", "viol"});
-    for (const std::string& name : conc_counters) {
-      const CounterKind kind = counter_kind_from_string(name);
-      const bool must_linearize = expected_linearizable(kind);
-      for (const std::int64_t f : inflight_list) {
-        auto protocol = make_counter(kind, n);
-        if (conc_workers > 1 && !protocol->shard_safe()) continue;
-        const auto inflight = static_cast<std::size_t>(f);
-        const std::size_t window = concurrency * inflight;
-        // Enough ops that the window is the steady state, not the run.
-        const ThroughputOptions options = throughput_options(
-            conc_workers,
-            std::max<std::size_t>(static_cast<std::size_t>(ops_factor) *
-                                      protocol->num_processors(),
-                                  4 * window),
-            inflight);
-        const ThroughputResult res =
-            run_throughput(std::move(protocol), options);
-        DCNT_CHECK_MSG(res.lin_checked, "CONC row skipped its history check");
-        if (must_linearize) {
-          DCNT_CHECK_MSG(res.linearizable,
-                         "serializing counter produced a non-linearizable "
-                         "history");
-        }
-        conc_rows.push_back(ConcRow{res, inflight, window, must_linearize});
-        conc_table.row()
-            .add(res.counter)
-            .add(f)
-            .add(static_cast<std::int64_t>(window))
-            .add(static_cast<std::int64_t>(res.ops))
-            .add(res.ops_per_sec, 0)
-            .add(res.p50_us, 1)
-            .add(res.p99_us, 1)
-            .add(res.linearizable ? "y" : "N")
-            .add(res.lin_violations);
-      }
-    }
-    conc_table.print(
-        std::cout,
-        "CONC: overlapping in-flight incs (window = concurrency * F), "
-        "check_linearizable over every measured history");
-  }
-
-  // SHM: the silicon re-ranking table. Shared-memory counters sweep
-  // threads x F x placement; the message-passing protocols run at the
-  // SAME F (and placements) through the threaded runtime, so one table
-  // ranks a contended fetch_add against the paper's tree on the same
-  // host. Closed-loop rows first, then one open-loop row per shm
-  // counter at --shm_rate. Every shm row's live history is enforced
-  // linearizable — the ticket criterion for the value-returning
-  // counters, the inc/read criterion for shm-sharded (the paper's
-  // theorem: exact sharding is only possible because incs return no
-  // ticket).
-  struct ShmRow {
-    ThroughputResult res;
-    std::string mode;  ///< "shm" or "msg"
-    std::string loop;  ///< "closed" or "open"
-    std::size_t inflight{0};
-    double rate{0.0};
-  };
-  std::vector<ShmRow> shm_rows;
-  if (!shm_threads_list.empty()) {
-    Table shm_table({"counter", "mode", "loop", "T", "F", "place", "pin",
-                     "ops", "inc/s", "p50_us", "p99_us", "lin", "viol"});
-    const auto add_shm_row = [&](const ThroughputResult& res,
-                                 const std::string& mode,
-                                 const std::string& loop, std::size_t inflight,
-                                 double rate) {
-      shm_rows.push_back(ShmRow{res, mode, loop, inflight, rate});
-      shm_table.row()
-          .add(res.counter)
-          .add(mode)
-          .add(loop)
-          .add(static_cast<std::int64_t>(res.workers))
-          .add(static_cast<std::int64_t>(inflight))
-          .add(res.placement)
-          .add(static_cast<std::int64_t>(res.pinned_workers))
-          .add(static_cast<std::int64_t>(res.ops))
-          .add(res.ops_per_sec, 0)
-          .add(res.p50_us, 1)
-          .add(res.p99_us, 1)
-          .add(res.linearizable ? "y" : "N")
-          .add(res.lin_violations);
-    };
-    for (const std::string& name : shm_counters) {
-      const shm::ShmKind kind = shm::shm_kind_from_string(name);
-      for (const std::string& place : shm_placements) {
-        const Placement policy = placement_from_string(place);
-        for (const std::int64_t t : shm_threads_list) {
-          for (const std::int64_t f : shm_inflight_list) {
-            shm::ShmOptions options;
-            options.threads = static_cast<std::size_t>(t);
-            options.ops = shm_ops;
-            options.inflight = static_cast<std::size_t>(f);
-            options.warmup = warmup;
-            options.seed = seed;
-            options.placement = policy;
-            const ThroughputResult res = run_shm_throughput(kind, options);
-            DCNT_CHECK_MSG(
-                res.lin_checked && res.linearizable,
-                "shm counter produced a non-linearizable history");
-            add_shm_row(res, "shm", "closed",
-                        static_cast<std::size_t>(f), 0.0);
-          }
-        }
-        // One open-loop row per (counter, placement) at the sweep's
-        // largest thread count: does the ranking hold under scheduled
-        // arrivals too?
-        if (shm_rate > 0.0 && !shm_threads_list.empty()) {
-          shm::ShmOptions options;
-          options.threads =
-              static_cast<std::size_t>(shm_threads_list.back());
-          options.ops = std::min<std::size_t>(shm_ops, quick ? 1024 : 16384);
-          options.open_rate = shm_rate;
-          options.warmup = warmup;
-          options.seed = seed;
-          options.placement = policy;
-          const ThroughputResult res = run_shm_throughput(kind, options);
-          DCNT_CHECK_MSG(res.lin_checked && res.linearizable,
-                         "shm counter produced a non-linearizable history");
-          add_shm_row(res, "shm", "open", 1, shm_rate);
-        }
-      }
-    }
-    // The message-passing side of the ranking: same F, same placements,
-    // driven through the threaded runtime. Serializing protocols are
-    // enforced linearizable exactly as in CONC.
-    for (const std::string& name : shm_msg_counters) {
-      const CounterKind kind = counter_kind_from_string(name);
-      for (const std::string& place : shm_placements) {
-        for (const std::int64_t f : shm_inflight_list) {
-          auto protocol = make_counter(kind, n);
-          if (conc_workers > 1 && !protocol->shard_safe()) continue;
-          const std::size_t window =
-              concurrency * static_cast<std::size_t>(f);
-          ThroughputOptions options = throughput_options(
-              conc_workers,
-              std::max<std::size_t>(static_cast<std::size_t>(ops_factor) *
-                                        protocol->num_processors(),
-                                    4 * window),
-              static_cast<std::size_t>(f));
-          options.placement = placement_from_string(place);
-          const ThroughputResult res =
-              run_throughput(std::move(protocol), options);
-          DCNT_CHECK_MSG(res.lin_checked, "SHM msg row skipped its check");
-          if (expected_linearizable(kind)) {
-            DCNT_CHECK_MSG(res.linearizable,
-                           "serializing counter produced a non-linearizable "
-                           "history");
-          }
-          add_shm_row(res, "msg", "closed", static_cast<std::size_t>(f),
-                      0.0);
-        }
-      }
-    }
-    shm_table.print(
-        std::cout,
-        "SHM: silicon re-ranking — shared-memory counters vs "
-        "message-passing protocols, pinned and unpinned (every shm row's "
-        "history enforced linearizable)");
-  }
-
-  // Open-loop traffic-engine rows: every (counter, rate, op-budget)
-  // triple runs the scheduled-arrival generator; --quick adds a burst
-  // row so both modulated shapes stay exercised in the smoke.
-  struct OpenRow {
-    ThroughputResult res;
-    double rate{0.0};
-    std::string shape;
-    std::size_t requested{0};
-  };
-  std::vector<OpenRow> open_rows;
-  if (!rates.empty()) {
-    Table open_table({"counter", "rate/s", "shape", "ops", "inc/s", "p50_us",
-                      "p99_us", "p999_us", "p9999_us", "max_us", "slo%",
-                      "hdr"});
-    std::vector<std::string> shapes{shape};
-    if (quick && shape == "constant") shapes.push_back("burst");
-    for (const std::string& name : open_counters) {
-      const CounterKind kind = counter_kind_from_string(name);
-      for (const double rate : rates) {
-        for (const std::int64_t open_ops : open_ops_list) {
-          for (const std::string& shape_name : shapes) {
-            auto protocol = make_counter(kind, n);
-            if (open_workers > 1 && !protocol->shard_safe()) continue;
-            ThroughputOptions options = throughput_options(
-                open_workers, static_cast<std::size_t>(open_ops), 1);
-            options.open_rate = rate;
-            options.shape = shape_name;
-            options.period_s = period;
-            options.amplitude = amplitude;
-            options.duty = duty;
-            options.duration_s = duration;
-            options.slo_us = slo_us;
-            options.exact_cap = exact_cap;
-            const ThroughputResult res =
-                run_throughput(std::move(protocol), options);
-            open_rows.push_back(OpenRow{res, rate, shape_name,
-                                        static_cast<std::size_t>(open_ops)});
-            open_table.row()
-                .add(res.counter)
-                .add(rate, 0)
-                .add(shape_name)
-                .add(static_cast<std::int64_t>(res.ops))
-                .add(res.ops_per_sec, 0)
-                .add(res.p50_us, 1)
-                .add(res.p99_us, 1)
-                .add(res.p999_us, 1)
-                .add(res.p9999_us, 1)
-                .add(res.max_us, 1)
-                .add(res.slo_us > 0.0
-                         ? format_double(100.0 * res.slo_attainment, 2)
-                         : std::string("—"))
-                .add(res.hdr_recorder ? "y" : "n");
-          }
-        }
-      }
-    }
-    open_table.print(
-        std::cout,
-        "THRU-OPEN: open-loop tails, latency from scheduled arrival "
-        "(coordinated-omission-free; every run verified exact)");
-  }
+  // The columns only THRU reports; the shared ones come from
+  // harness_columns. CONC rows record whether their counter must
+  // linearize, keyed by the protocol name the result carries.
+  std::map<std::string, bool> must_linearize;
+  using C = Columns<ThruRow>;
+  using T = ThroughputResult;
+  const auto columns = harness_columns<ThruRow>({
+      C::result("workers", "W", &T::workers),
+      C::result("threads", "T", &T::workers),
+      {"loop", "loop", 0,
+       [](const ThruRow& r) {
+         return to_cell(r.load.open_rate > 0.0 ? "open" : "closed");
+       }},
+      C::result("placement", "place", &T::placement),
+      C::result("pinned_workers", "pin", &T::pinned_workers),
+      C::result("placement_supported", "", &T::placement_supported),
+      C::load("ops_requested", "", &LoadOptions::ops),
+      {"expected_linearizable", "", 0,
+       [&must_linearize](const ThruRow& r) {
+         return to_cell(must_linearize.at(r.result.counter));
+       }},
+  });
 
   JsonWriter json(out);
   json.field("bench", "throughput");
@@ -536,116 +251,228 @@ int main(int argc, char** argv) {
   json.field("warmup", warmup);
   json.field("seed", seed);
   json.field("hardware_threads", default_thread_count());
-  json.begin_array("throughput");
-  for (const ThroughputResult& r : results) {
-    json.begin_object();
-    json.field("counter", r.counter);
-    json.field("n", r.n);
-    json.field("workers", r.workers);
-    json.field("ops", r.ops);
-    json.field("wall_seconds", r.wall_seconds, 4);
-    json.field("ops_per_sec", r.ops_per_sec, 1);
-    json.field("mean_us", r.mean_us, 2);
-    json.field("p50_us", r.p50_us, 2);
-    json.field("p95_us", r.p95_us, 2);
-    json.field("p99_us", r.p99_us, 2);
-    json.field("total_messages", r.total_messages);
-    json.field("max_load", r.max_load);
-    json.field("bottleneck", r.bottleneck);
-    json.end_object();
+
+  // An empty sweep list disables its section: its counters run nothing.
+  const std::vector<std::string> no_counters;
+  std::vector<ThruRow> closed;
+  for (const std::string& name : counters) {
+    const bool is_shm = shm::is_shm_counter_name(name);
+    const auto probe =
+        is_shm ? nullptr : make_counter(counter_kind_from_string(name), n);
+    for (const std::int64_t w : workers_list) {
+      // 0 = the shared process-wide knob (--threads / DCNT_THREADS).
+      const std::size_t workers =
+          w == 0 ? threads_from_flags(flags) : static_cast<std::size_t>(w);
+      if (is_shm) {
+        // Shared-memory counters ride the same closed sweep: W means
+        // driving threads, coherence messages are invisible to Metrics
+        // so max_load/total_msgs report 0.
+        shm::ShmOptions options;
+        options.threads = workers;
+        options.ops = shm_ops;
+        options.warmup = warmup;
+        options.seed = seed;
+        options.placement = placement;
+        closed.push_back(run_shm(shm::shm_kind_from_string(name), options));
+        continue;
+      }
+      if (workers > 1 && !probe->shard_safe()) {
+        std::cout << "skip: " << probe->name() << " at W=" << workers
+                  << " (not shard-safe)\n";
+        continue;
+      }
+      ThroughputOptions options = throughput_options(
+          workers,
+          static_cast<std::size_t>(ops_factor) * probe->num_processors(), 1);
+      options.open_rate = open_rate;
+      closed.push_back(run_msg(name, options));
+    }
   }
-  json.end_array();
-  json.begin_array("open_loop");
-  for (const OpenRow& row : open_rows) {
-    const ThroughputResult& r = row.res;
-    json.begin_object();
-    json.field("counter", r.counter);
-    json.field("n", r.n);
-    json.field("workers", r.workers);
-    json.field("rate", row.rate, 1);
-    json.field("shape", row.shape);
-    json.field("ops_requested", row.requested);
-    json.field("ops", r.ops);
-    json.field("wall_seconds", r.wall_seconds, 4);
-    json.field("ops_per_sec", r.ops_per_sec, 1);
-    json.field("mean_us", r.mean_us, 2);
-    json.field("p50_us", r.p50_us, 2);
-    json.field("p95_us", r.p95_us, 2);
-    json.field("p99_us", r.p99_us, 2);
-    json.field("p999_us", r.p999_us, 2);
-    json.field("p9999_us", r.p9999_us, 2);
-    json.field("max_us", r.max_us, 2);
-    json.field("slo_us", r.slo_us, 1);
-    json.field("slo_ok", r.slo_ok);
-    json.field("slo_den", r.slo_den);
-    json.field("slo_attainment", r.slo_attainment, 6);
-    json.field("hdr_recorder", r.hdr_recorder ? 1 : 0);
-    json.field("hdr_overflow", r.hdr_overflow);
-    json.field("record_threads", r.record_threads);
-    json.field("total_messages", r.total_messages);
-    json.field("max_load", r.max_load);
-    json.end_object();
+  emit(json, "throughput",
+       "THRU: closed-loop increments/second on real threads (" + dist +
+           " initiators; every run verified exact)",
+       columns,
+       {{"counter* n* workers* ops* wall_seconds ops_per_sec* mean_us "
+         "p50_us* p95_us* p99_us* total_messages* max_load* bottleneck"}},
+       closed);
+
+  // Scaling check: ops/s at the largest measured worker count relative
+  // to the smallest. >= 1.0 means adding workers does not cost
+  // throughput.
+  using Span = std::pair<const ThroughputResult*, const ThroughputResult*>;
+  std::map<std::string, Span> spans;
+  for (const ThruRow& row : closed) {
+    const ThroughputResult* r = &row.result;
+    auto& [lo, hi] = spans.try_emplace(r->counter, r, r).first->second;
+    if (r->workers < lo->workers) lo = r;
+    if (r->workers > hi->workers) hi = r;
   }
-  json.end_array();
-  json.begin_array("concurrent");
-  for (const ConcRow& row : conc_rows) {
-    const ThroughputResult& r = row.res;
-    json.begin_object();
-    json.field("counter", r.counter);
-    json.field("n", r.n);
-    json.field("workers", r.workers);
-    json.field("inflight", row.inflight);
-    json.field("window", row.window);
-    json.field("ops", r.ops);
-    json.field("wall_seconds", r.wall_seconds, 4);
-    json.field("ops_per_sec", r.ops_per_sec, 1);
-    json.field("mean_us", r.mean_us, 2);
-    json.field("p50_us", r.p50_us, 2);
-    json.field("p99_us", r.p99_us, 2);
-    json.field("p999_us", r.p999_us, 2);
-    json.field("expected_linearizable", row.must_linearize ? 1 : 0);
-    json.field("linearizable", r.linearizable ? 1 : 0);
-    json.field("lin_violations", r.lin_violations);
-    json.field("total_messages", r.total_messages);
-    json.field("max_load", r.max_load);
-    json.end_object();
+  std::vector<Span> scaling;
+  for (const auto& [counter, span] : spans) {
+    const auto& [lo, hi] = span;
+    if (hi->workers > lo->workers && lo->ops_per_sec > 0.0) {
+      scaling.push_back(span);
+    }
   }
-  json.end_array();
-  json.begin_array("shm");
-  for (const ShmRow& row : shm_rows) {
-    const ThroughputResult& r = row.res;
-    json.begin_object();
-    json.field("counter", r.counter);
-    json.field("mode", row.mode);
-    json.field("loop", row.loop);
-    json.field("threads", r.workers);
-    json.field("inflight", row.inflight);
-    json.field("placement", r.placement);
-    json.field("pinned_workers", r.pinned_workers);
-    json.field("placement_supported", r.placement_supported ? 1 : 0);
-    json.field("rate", row.rate, 1);
-    json.field("ops", r.ops);
-    json.field("wall_seconds", r.wall_seconds, 4);
-    json.field("ops_per_sec", r.ops_per_sec, 1);
-    json.field("mean_us", r.mean_us, 2);
-    json.field("p50_us", r.p50_us, 2);
-    json.field("p99_us", r.p99_us, 2);
-    json.field("linearizable", r.linearizable ? 1 : 0);
-    json.field("lin_violations", r.lin_violations);
-    json.field("record_threads", r.record_threads);
-    json.end_object();
+
+  // Open-loop traffic-engine rows: every (counter, rate, op-budget)
+  // triple runs the scheduled-arrival generator; --quick adds a burst
+  // row so both modulated shapes stay exercised in the smoke.
+  std::vector<ThruRow> open_rows;
+  std::vector<std::string> shapes{shape};
+  if (quick && shape == "constant") shapes.push_back("burst");
+  // Without --rates the open counters are never parsed (they default to
+  // --counters, which may name shm counters).
+  for (const std::string& name : rates.empty() ? no_counters : open_counters) {
+    const auto probe = make_counter(counter_kind_from_string(name), n);
+    if (open_workers > 1 && !probe->shard_safe()) continue;
+    for (const double rate : rates) {
+      for (const std::int64_t open_ops : open_ops_list) {
+        for (const std::string& shape_name : shapes) {
+          ThroughputOptions options = throughput_options(
+              open_workers, static_cast<std::size_t>(open_ops), 1);
+          options.open_rate = rate;
+          options.shape = shape_name;
+          options.period_s = period;
+          options.amplitude = amplitude;
+          options.duty = duty;
+          options.duration_s = duration;
+          options.slo_us = slo_us;
+          options.exact_cap = exact_cap;
+          open_rows.push_back(run_msg(name, options));
+        }
+      }
+    }
   }
-  json.end_array();
-  json.begin_array("scaling");
-  for (const auto& [counter, row] : scaling) {
-    if (row.w_hi <= row.w_lo || row.lo <= 0.0) continue;
-    json.begin_object();
-    json.field("counter", counter);
-    json.field("workers_lo", row.w_lo);
-    json.field("workers_hi", row.w_hi);
-    json.field("ratio", row.hi / row.lo, 3);
-    json.end_object();
+  emit(json, "open_loop",
+       "THRU-OPEN: open-loop tails, latency from scheduled arrival "
+       "(coordinated-omission-free; every run verified exact)",
+       columns,
+       {{"counter* n workers rate* shape* ops_requested ops* wall_seconds "
+         "ops_per_sec* mean_us p50_us* p95_us p99_us* p999_us* p9999_us* "
+         "max_us* slo_us slo_ok slo_den slo_attainment slo%* hdr_recorder "
+         "hdr* hdr_overflow record_threads total_messages max_load"}},
+       open_rows);
+
+  // CONC: the concurrency plane. Each row keeps concurrency * F incs
+  // outstanding, captures the live (invoke, response, value) history,
+  // and runs check_linearizable over it after quiescence. Serializing
+  // counters are *enforced* linearizable at every depth; the
+  // diffracting tree is only quiescently consistent, so its verdict is
+  // reported, not asserted.
+  const auto run_window = [&](const std::string& name, std::int64_t f,
+                              Placement policy) {
+    const CounterKind kind = counter_kind_from_string(name);
+    const auto inflight = static_cast<std::size_t>(f);
+    // Enough ops that the window is the steady state, not the run.
+    ThroughputOptions options = throughput_options(
+        conc_workers,
+        std::max<std::size_t>(static_cast<std::size_t>(ops_factor) *
+                                  make_counter(kind, n)->num_processors(),
+                              4 * concurrency * inflight),
+        inflight);
+    options.placement = policy;
+    ThruRow row = run_msg(name, options);
+    DCNT_CHECK_MSG(row.result.lin_checked,
+                   "message-passing row skipped its history check");
+    if (expected_linearizable(kind)) {
+      DCNT_CHECK_MSG(row.result.linearizable,
+                     "serializing counter produced a non-linearizable "
+                     "history");
+    }
+    return row;
+  };
+  std::vector<ThruRow> conc_rows;
+  for (const std::string& name :
+       inflight_list.empty() ? no_counters : conc_counters) {
+    const CounterKind kind = counter_kind_from_string(name);
+    const auto probe = make_counter(kind, n);
+    if (conc_workers > 1 && !probe->shard_safe()) continue;
+    must_linearize[probe->name()] = expected_linearizable(kind);
+    for (const std::int64_t f : inflight_list) {
+      conc_rows.push_back(run_window(name, f, Placement::kNone));
+    }
   }
-  json.end_array();
+  emit(json, "concurrent",
+       "CONC: overlapping in-flight incs (window = concurrency * F), "
+       "check_linearizable over every measured history",
+       columns,
+       {{"counter* n workers inflight* window* ops* wall_seconds "
+         "ops_per_sec* mean_us p50_us* p99_us* p999_us expected_linearizable "
+         "linearizable lin* lin_violations* total_messages max_load"}},
+       conc_rows);
+
+  // SHM: the silicon re-ranking table. Shared-memory counters sweep
+  // threads x F x placement; the message-passing protocols run at the
+  // SAME F (and placements) through the threaded runtime, so one table
+  // ranks a contended fetch_add against the paper's tree on the same
+  // host. Closed-loop rows first, then one open-loop row per shm
+  // counter at --shm_rate.
+  std::vector<ThruRow> shm_rows;
+  for (const std::string& name :
+       shm_threads_list.empty() ? no_counters : shm_counters) {
+    const shm::ShmKind kind = shm::shm_kind_from_string(name);
+    for (const std::string& place : shm_placements) {
+      shm::ShmOptions options;
+      options.warmup = warmup;
+      options.seed = seed;
+      options.placement = placement_from_string(place);
+      for (const std::int64_t t : shm_threads_list) {
+        for (const std::int64_t f : shm_inflight_list) {
+          options.threads = static_cast<std::size_t>(t);
+          options.ops = shm_ops;
+          options.inflight = static_cast<std::size_t>(f);
+          shm_rows.push_back(run_shm(kind, options));
+        }
+      }
+      // One open-loop row per (counter, placement) at the sweep's
+      // largest thread count: does the ranking hold under scheduled
+      // arrivals too?
+      if (shm_rate > 0.0) {
+        options.threads = static_cast<std::size_t>(shm_threads_list.back());
+        options.ops = std::min<std::size_t>(shm_ops, quick ? 1024 : 16384);
+        options.inflight = 1;
+        options.open_rate = shm_rate;
+        shm_rows.push_back(run_shm(kind, options));
+      }
+    }
+  }
+  // The message-passing side of the ranking: same F, same placements,
+  // driven through the threaded runtime. Serializing protocols are
+  // enforced linearizable exactly as in CONC.
+  for (const std::string& name :
+       shm_threads_list.empty() ? no_counters : shm_msg_counters) {
+    const auto probe = make_counter(counter_kind_from_string(name), n);
+    if (conc_workers > 1 && !probe->shard_safe()) continue;
+    for (const std::string& place : shm_placements) {
+      for (const std::int64_t f : shm_inflight_list) {
+        shm_rows.push_back(run_window(name, f, placement_from_string(place)));
+      }
+    }
+  }
+  emit(json, "shm",
+       "SHM: silicon re-ranking — shared-memory counters vs "
+       "message-passing protocols, pinned and unpinned (every shm row's "
+       "history enforced linearizable)",
+       columns,
+       {{"counter* mode* loop* threads* inflight* placement* pinned_workers* "
+         "placement_supported rate ops* wall_seconds ops_per_sec* mean_us "
+         "p50_us* p99_us* linearizable lin* lin_violations* record_threads"}},
+       shm_rows);
+
+  emit(json, "scaling",
+       "scaling: inc/s at the most workers over the fewest",
+       std::vector<Column<Span>>{
+           {"counter", "counter", 0,
+            [](const Span& s) { return to_cell(s.first->counter); }},
+           {"workers_lo", "W_lo", 0,
+            [](const Span& s) { return to_cell(s.first->workers); }},
+           {"workers_hi", "W_hi", 0,
+            [](const Span& s) { return to_cell(s.second->workers); }},
+           {"ratio", "ratio", 3,
+            [](const Span& s) {
+              return to_cell(s.second->ops_per_sec / s.first->ops_per_sec);
+            }}},
+       {{"counter* workers_lo* workers_hi* ratio*"}}, scaling);
   return 0;
 }

@@ -82,10 +82,6 @@ std::string to_string(Placement p) {
       return "none";
     case Placement::kCompact:
       return "compact";
-    case Placement::kScatter:
-      return "scatter";
-    case Placement::kTree:
-      return "tree";
   }
   return "none";
 }
@@ -93,10 +89,7 @@ std::string to_string(Placement p) {
 Placement placement_from_string(const std::string& name) {
   if (name.empty() || name == "none") return Placement::kNone;
   if (name == "compact" || name == "pin") return Placement::kCompact;
-  if (name == "scatter") return Placement::kScatter;
-  if (name == "tree") return Placement::kTree;
-  DCNT_CHECK_MSG(false,
-                 "unknown placement (expected none, compact, scatter or tree)");
+  DCNT_CHECK_MSG(false, "unknown placement (expected none or compact)");
   return Placement::kNone;
 }
 
@@ -137,8 +130,9 @@ PlacementPlan plan_placement(const CpuTopology& topo, Placement policy,
   plan.supported = affinity_supported();
   if (!plan.supported) return plan;
 
-  // Topology order: SMT siblings adjacent within a core, cores adjacent
-  // within a package. Every policy is a traversal of this order.
+  // Compact: topology order — SMT siblings adjacent within a core,
+  // cores adjacent within a package — so communicating workers share
+  // the deepest possible cache level.
   std::vector<CpuInfo> sorted = topo.cpus;
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const CpuInfo& a, const CpuInfo& b) {
@@ -147,73 +141,9 @@ PlacementPlan plan_placement(const CpuTopology& topo, Placement policy,
                      if (a.core_id != b.core_id) return a.core_id < b.core_id;
                      return a.cpu < b.cpu;
                    });
-
-  std::vector<int> order;
-  order.reserve(sorted.size());
-  switch (policy) {
-    case Placement::kCompact:
-      // Fill siblings, then the next core: communicating workers share
-      // the deepest possible cache level.
-      for (const CpuInfo& c : sorted) order.push_back(c.cpu);
-      break;
-    case Placement::kScatter: {
-      // One CPU per distinct physical core first (round-robin across
-      // the sibling index), so the first `cores` workers get private
-      // L1/L2 before any core is doubled up.
-      std::vector<std::vector<int>> by_core;
-      int last_pkg = -1, last_core = -1;
-      for (const CpuInfo& c : sorted) {
-        if (by_core.empty() || c.package_id != last_pkg ||
-            c.core_id != last_core) {
-          by_core.emplace_back();
-          last_pkg = c.package_id;
-          last_core = c.core_id;
-        }
-        by_core.back().push_back(c.cpu);
-      }
-      for (std::size_t sibling = 0; !by_core.empty(); ++sibling) {
-        bool any = false;
-        for (const auto& core : by_core) {
-          if (sibling < core.size()) {
-            order.push_back(core[sibling]);
-            any = true;
-          }
-        }
-        if (!any) break;
-      }
-      break;
-    }
-    case Placement::kTree: {
-      // One CPU per physical core, in core-id order: shard_of folds the
-      // TreeCounter's BFS processor ids round-robin onto shards, so
-      // consecutive shards hold tree-adjacent subtrees — putting them
-      // on adjacent cores keeps parent/child grant traffic within
-      // neighbouring caches instead of wherever the scheduler felt like.
-      int last_pkg = -1, last_core = -1;
-      for (const CpuInfo& c : sorted) {
-        if (c.package_id != last_pkg || c.core_id != last_core) {
-          order.push_back(c.cpu);
-          last_pkg = c.package_id;
-          last_core = c.core_id;
-        }
-      }
-      // Oversubscribed: wrap through the remaining siblings after every
-      // physical core is taken once.
-      for (const CpuInfo& c : sorted) {
-        if (order.size() >= workers) break;
-        if (std::find(order.begin(), order.end(), c.cpu) == order.end()) {
-          order.push_back(c.cpu);
-        }
-      }
-      break;
-    }
-    case Placement::kNone:
-      break;
-  }
-  DCNT_CHECK(!order.empty());
   plan.cpus.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    plan.cpus.push_back(order[w % order.size()]);
+    plan.cpus.push_back(sorted[w % sorted.size()].cpu);
   }
   return plan;
 }

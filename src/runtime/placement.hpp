@@ -9,17 +9,6 @@
 //   --placement none     leave scheduling to the kernel (default)
 //   --placement compact  fill SMT siblings / cores in topology order —
 //                        communicating shards share cache levels
-//   --placement scatter  stride across physical cores (then packages)
-//                        first — each shard gets private cache, at the
-//                        price of longer coherence paths between them
-//   --placement tree     one shard per physical core in core-id order,
-//                        so shard i and shard i+1 land on adjacent
-//                        cores. ThreadedRuntime::shard_of folds the
-//                        TreeCounter's BFS processor layout round-robin
-//                        onto shards, so tree-adjacent processors live
-//                        on consecutive shards — this policy turns that
-//                        adjacency into cache adjacency (parent/child
-//                        hand-offs stay within neighbouring cores).
 //   --pin                shorthand for compact
 //
 // Topology comes from sysfs (core_id / physical_package_id per online
@@ -39,13 +28,11 @@ namespace dcnt {
 enum class Placement {
   kNone,
   kCompact,
-  kScatter,
-  kTree,
 };
 
 std::string to_string(Placement p);
-/// "none" / "compact" / "scatter" / "tree"; anything else aborts with
-/// the accepted vocabulary.
+/// "none" / "compact" ("pin" is an alias); anything else aborts with the
+/// accepted vocabulary.
 Placement placement_from_string(const std::string& name);
 
 /// One logical CPU as sysfs describes it. core_id/package_id fall back

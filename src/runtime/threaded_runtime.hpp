@@ -153,11 +153,9 @@ struct RuntimeConfig {
   /// the controller has certified global idleness.
   std::optional<NodeHosting> hosting;
   /// Core placement for the worker threads (runtime/placement.hpp):
-  /// kNone leaves scheduling to the kernel; the other policies pin each
-  /// worker to a topology-chosen CPU at thread start, with kTree
-  /// co-locating consecutive shards (which shard_of makes tree-adjacent
-  /// for the BFS-laid-out TreeCounter) on neighbouring physical cores.
-  /// Gracefully a no-op where affinity is unsupported — see
+  /// kNone leaves scheduling to the kernel; kCompact pins each worker at
+  /// thread start to the next CPU in topology order (SMT siblings
+  /// first), so consecutive shards share cache levels. Gracefully a no-op where affinity is unsupported — see
   /// pinned_workers()/placement_supported() for what actually applied.
   Placement placement{Placement::kNone};
 };

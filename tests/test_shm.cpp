@@ -287,35 +287,6 @@ TEST(PlacementPlan, CompactFillsSiblingsFirst) {
   EXPECT_EQ(plan.cpu_for(3), 5);
 }
 
-TEST(PlacementPlan, ScatterStridesAcrossCores) {
-  const PlacementPlan plan = plan_placement(two_socket_smt(),
-                                            Placement::kScatter, 8);
-  ASSERT_TRUE(plan.supported);
-  // First pass: one CPU per physical core (4 distinct cores), before
-  // any SMT sibling is reused.
-  std::vector<int> first_pass = {plan.cpu_for(0), plan.cpu_for(1),
-                                 plan.cpu_for(2), plan.cpu_for(3)};
-  std::vector<bool> core_hit(4, false);
-  for (const int cpu : first_pass) {
-    const int core = cpu % 4;
-    EXPECT_FALSE(core_hit[core]) << "core " << core << " reused early";
-    core_hit[core] = true;
-  }
-}
-
-TEST(PlacementPlan, TreeCoLocatesNeighbours) {
-  const PlacementPlan plan = plan_placement(two_socket_smt(),
-                                            Placement::kTree, 4);
-  ASSERT_TRUE(plan.supported);
-  // One CPU per physical core in core-id order: consecutive shards on
-  // adjacent cores (that's what turns tree adjacency into cache
-  // adjacency).
-  EXPECT_EQ(plan.cpu_for(0) % 4, 0);
-  EXPECT_EQ(plan.cpu_for(1) % 4, 1);
-  EXPECT_EQ(plan.cpu_for(2) % 4, 2);
-  EXPECT_EQ(plan.cpu_for(3) % 4, 3);
-}
-
 TEST(PlacementPlan, WorkersWrapAroundCpus) {
   const PlacementPlan plan = plan_placement(two_socket_smt(),
                                             Placement::kCompact, 16);
