@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     const auto actual_n = static_cast<std::int64_t>(seq.num_processors());
     run_sequential(seq, schedule_sequential(actual_n));
     Simulator par(make_counter(kind, n), cfg);
-    run_concurrent(par, make_batches(schedule_sequential(actual_n), batch));
+    run_concurrent(par, schedule_sequential(actual_n), batch);
     conc.row()
         .add(to_string(kind))
         .add(actual_n)

@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
       cfg.seed = seed;
       cfg.delay = DelayModel::uniform(1, 4);
       Simulator sim(std::make_unique<DiffractingTreeCounter>(params), cfg);
-      run_concurrent(sim, make_batches(schedule_sequential(n),
-                                       static_cast<std::size_t>(n)));
+      run_concurrent(sim, schedule_sequential(n),
+                     static_cast<std::size_t>(n));
       const auto& tree =
           dynamic_cast<const DiffractingTreeCounter&>(sim.counter());
       // Drain = last op completion (quiescence additionally waits for

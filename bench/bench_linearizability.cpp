@@ -15,12 +15,12 @@
 #include <functional>
 
 #include "bench_util.hpp"
-#include "analysis/linearizability.hpp"
 #include "baselines/central.hpp"
 #include "baselines/combining_tree.hpp"
 #include "baselines/counting_network.hpp"
 #include "baselines/diffracting_tree.hpp"
 #include "core/tree_counter.hpp"
+#include "harness/runner.hpp"
 #include "sim/simulator.hpp"
 #include "support/flags.hpp"
 #include "support/table.hpp"

@@ -4,8 +4,8 @@
 // This is the canonical home of the checker, moved here from
 // src/analysis/ so the harnesses below the analysis layer (the load
 // driver's callers and the shm harness) can run it over the histories
-// they just produced. analysis/linearizability.hpp
-// re-exports everything and keeps the simulator extraction helper.
+// they just produced. The simulator's history comes from
+// counter_history (harness/runner.hpp).
 //
 // The theory, after Herlihy, Shavit & Waarts [HSW96] (cited by the
 // paper): counting networks are correct *quiescently* but hand out

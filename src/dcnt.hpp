@@ -59,7 +59,6 @@
 #include "analysis/explore.hpp"
 #include "analysis/hotspot.hpp"
 #include "analysis/latency.hpp"
-#include "analysis/linearizability.hpp"
 #include "analysis/report.hpp"
 #include "analysis/tree_profile.hpp"
 #include "analysis/weights.hpp"

@@ -515,8 +515,7 @@ ClusterResult Controller::run() {
     history = std::make_unique<concurrent::HistoryBuffer>(total_);
     load.history = history.get();
   }
-  traffic::LoadDriver driver(*this, load, ops, batch_size(),
-                             opt_.quiesce_between_ops);
+  traffic::LoadDriver driver(*this, load, ops, batch_size());
   driver_ = &driver;
   phase_ = Phase::kLoad;
   fill_run(out_, driver.run());

@@ -4,8 +4,9 @@
 // run_cluster spawns `nodes` dcnt_node processes on localhost, runs the
 // Hello/Peers/Ready mesh handshake, then drives the cluster with the
 // shared load driver (traffic/driver.hpp) — the same closed/open loop,
-// warmup and duration policy as the threaded runtime. The controller is
-// the driver's port: issue only stages an op's start; every reactor
+// settling, warmup and duration policy as the threaded runtime and the
+// simulator. The controller is the driver's port: issue only stages an
+// op's start; every reactor
 // round (wait, and each round of the barriers) first sends what the
 // driver issued since the previous round as one kStartBatch frame per
 // touched node, then delivers kCompleteBatch frames. reset_metrics
@@ -44,15 +45,6 @@ struct ClusterOptions : LoadOptions {
   std::string counter{"tree"};
   std::int64_t min_processors{16};
   std::uint32_t nodes{4};
-  /// Run the quiescence barrier after every completion before issuing
-  /// the next op (a closed-loop window of 1): the simulator's sequential
-  /// schedule, where an op's entire message activity — trailing
-  /// maintenance traffic included — settles before the next starts.
-  /// Single-causal-chain protocols (central, static-tree) then run
-  /// deterministically down to per-processor loads; the dynamic tree
-  /// stays deterministic in values but may shift a constant number of
-  /// forwarding messages, as the asynchronous simulator does.
-  bool quiesce_between_ops{false};
   /// Data plane: false = TCP mesh, true = lossy UDP behind the reliable
   /// transport.
   bool udp{false};

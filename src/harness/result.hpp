@@ -25,8 +25,8 @@
 namespace dcnt {
 
 /// Load options shared by ThroughputOptions and ClusterOptions, in the
-/// bench-flag vocabulary (the window, warmup, duration and exact_cap
-/// come from traffic::LoadPolicy).
+/// bench-flag vocabulary (the window, warmup, duration, exact_cap and
+/// settling come from traffic::LoadPolicy).
 struct LoadOptions : traffic::LoadPolicy {
   /// Measured operations; 0 = 8 * num_processors. With duration_s set
   /// this is a cap rather than a target.

@@ -119,17 +119,19 @@ RuntimeSequentialResult run_runtime_sequential(
   config.flush_batch = flush_batch;
   ThreadedRuntime rt(std::move(protocol), config);
 
+  // The driver's settle mode checks the protocol quiescent after each op.
+  WorkloadOptions wl;
+  wl.quiesce_between_ops = true;
+  run_workload(rt, order, wl);
+
   RuntimeSequentialResult out;
   out.values.reserve(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const OpId op = rt.begin_inc(order[i]);
-    rt.wait_quiescent();
-    const auto v = rt.result(op);
+    const auto v = rt.result(static_cast<OpId>(i));
     DCNT_CHECK_MSG(v.has_value(), "operation never completed");
     DCNT_CHECK_MSG(*v == static_cast<Value>(i),
                    "sequential semantics violated (value != op index)");
     out.values.push_back(*v);
-    rt.protocol().check_quiescent(i + 1);
   }
   out.metrics = rt.merged_metrics();
   return out;

@@ -4,17 +4,18 @@
 // run_throughput drives a counter protocol on real threads through
 // run_workload (the runtime's adapter over the shared load driver,
 // traffic/driver.hpp) and verifies the concurrent-mode contract —
-// returned values form a permutation of 0..m-1 (same check as
-// run_concurrent; sequential 0,1,2,... ordering is meaningless once
-// operations genuinely overlap). Aborts on violation, so a bench
-// completing is itself a correctness check. With options.keys > 0 the
-// same run goes over the multi-key fabric with the per-key contract,
-// exactly as run_cluster does for the same LoadOptions. It reports the
-// shared HarnessResult schema (harness/result.hpp) plus the runtime's
-// own fields.
+// returned values form a permutation of 0..m-1 (verify_values, the
+// check run_load applies in the simulator; sequential 0,1,2,...
+// ordering is meaningless once operations genuinely overlap). Aborts
+// on violation, so a bench completing is itself a correctness check.
+// With options.keys > 0 the same run goes over the multi-key fabric
+// with the per-key contract, exactly as run_cluster does for the same
+// LoadOptions. It reports the shared HarnessResult schema
+// (harness/result.hpp) plus the runtime's own fields.
 //
-// run_runtime_sequential is the paper's model on the runtime: one
-// operation at a time, quiescing in between. Used by the
+// run_runtime_sequential is the paper's model on the runtime: the same
+// run_workload with quiesce_between_ops set, so one operation at a
+// time, quiescing in between. Used by the
 // runtime/simulator equivalence tests: for sequential schedules the
 // message complexity of the tree and central counters is
 // schedule-independent, so total_messages (and per-processor loads)
@@ -73,10 +74,10 @@ struct RuntimeSequentialResult {
   Metrics metrics;
 };
 
-/// Sequential driver on the threaded runtime: begin one inc per entry
-/// of `order`, wait for quiescence after each, assert the value is the
-/// initiation index (the paper's sequential contract) and run
-/// check_quiescent. `workers` as in RuntimeConfig (0 = auto). Always
+/// Sequential driver on the threaded runtime: run_workload over `order`
+/// with quiesce_between_ops (one inc at a time, check_quiescent after
+/// each), then assert each value is its initiation index (the paper's
+/// sequential contract). `workers` as in RuntimeConfig (0 = auto). Always
 /// pins active_shards = workers — this is the equivalence harness, and
 /// it must exercise genuine cross-shard delivery on any host.
 /// `flush_batch` as in RuntimeConfig: the equivalence tests sweep it to

@@ -42,13 +42,13 @@
 
 namespace dcnt {
 
-/// One unit of work for a worker: a delivered message, an operation
-/// start, or a timer registration.
+/// One unit of work for a worker: a delivered message or an operation
+/// start. Timers never cross shards (send_local arms them at the
+/// handler's own processor), so none travels as an event.
 struct RuntimeEvent {
   enum class Kind : std::uint8_t {
     kMessage,  ///< deliver msg to msg.dst (network or self-addressed)
     kStart,    ///< run start_inc/start_op at msg.dst for msg.op
-    kTimer,    ///< register a local timer at msg.dst, `delay` ticks out
     /// Fire every armed timer on the receiving shard immediately (the
     /// distributed time jump: only the cluster controller can certify
     /// global idleness, so the node injects this on its command).
@@ -56,9 +56,6 @@ struct RuntimeEvent {
   };
   Kind kind{Kind::kMessage};
   Message msg;
-  /// kTimer only: delay relative to the owning worker's logical clock at
-  /// registration (the sender cannot know the receiver's clock).
-  SimTime delay{0};
 };
 
 /// Bounded spin budget for Mailbox::wait, resolved once per process.

@@ -151,40 +151,28 @@ class ThreadedRuntime::WorkerCtx final : public Context {
     msg.op = current_op_;
     msg.args = std::move(args);
     msg.local = true;
-    DCNT_CHECK_MSG(rt_->owns(p), "send_local at a processor another node owns");
+    // The Context contract: p is the handler's own processor, so the
+    // timer is armed on this shard against this shard's clock.
+    DCNT_CHECK_MSG(rt_->owns(p) && &*rt_->shards_[rt_->shard_of(p)] == shard_,
+                   "send_local at a processor another shard owns");
     const bool wall = rt_->hosted_;
-    const std::size_t dst_shard = rt_->shard_of(p);
-    if (&*rt_->shards_[dst_shard] == shard_) {
-      TimerEntry t;
-      t.due = wall ? rt_->wall_now_us() + delay * rt_->tick_us_
-                   : shard_->clock + delay;
-      t.seq = shard_->timer_seq++;
-      t.msg = std::move(msg);
-      shard_->timers.push_back(std::move(t));
-      std::push_heap(shard_->timers.begin(), shard_->timers.end(),
-                     TimerLater{});
-      if (wall) {
-        // Armed wall timers do NOT hold the in-flight count: the
-        // controller must be able to see "idle except for armed
-        // timers" to trigger the distributed time jump, and a timer
-        // pinning in_flight above zero would deadlock that very
-        // observation. The armed count is published separately.
-        ++shard_->timers_armed;
-      } else {
-        ++shard_->pending_sends;
-      }
+    TimerEntry t;
+    t.due = wall ? rt_->wall_now_us() + delay * rt_->tick_us_
+                 : shard_->clock + delay;
+    t.seq = shard_->timer_seq++;
+    t.msg = std::move(msg);
+    shard_->timers.push_back(std::move(t));
+    std::push_heap(shard_->timers.begin(), shard_->timers.end(),
+                   TimerLater{});
+    if (wall) {
+      // Armed wall timers do NOT hold the in-flight count: the
+      // controller must be able to see "idle except for armed timers"
+      // to trigger the distributed time jump, and a timer pinning
+      // in_flight above zero would deadlock that very observation. The
+      // armed count is published separately.
+      ++shard_->timers_armed;
     } else {
-      // Protocols only arm timers at the handling processor today, but
-      // the Context contract allows any p: ship the relative delay and
-      // let the owner anchor it to its own clock. The event holds
-      // in-flight from here until the timer fires. (A hosted runtime
-      // has a single shard, so it never takes this branch.)
       ++shard_->pending_sends;
-      RuntimeEvent ev;
-      ev.kind = RuntimeEvent::Kind::kTimer;
-      ev.msg = std::move(msg);
-      ev.delay = delay;
-      shard_->stage(dst_shard, std::move(ev));
     }
   }
 
@@ -425,27 +413,11 @@ bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
   bool ran = false;
   for (;;) {
     // 1. Generation boundary: admit the mailbox behind the previous
-    //    generation's output. Timer registrations are anchored to this
-    //    clock now; the rest joins `ready` in arrival order. Other
-    //    threads' pushes therefore wait at most one generation, not
-    //    until the pass runs dry.
+    //    generation's output, in arrival order. Other threads' pushes
+    //    therefore wait at most one generation, not until the pass runs
+    //    dry.
     if (shard.mailbox.drain(shard.batch)) {
-      for (auto& ev : shard.batch) {
-        if (ev.kind == RuntimeEvent::Kind::kTimer) {
-          // Only cross-shard send_local ships timers, and a hosted
-          // runtime has a single shard.
-          DCNT_CHECK(!wall);
-          TimerEntry t;
-          t.seq = shard.timer_seq++;
-          t.msg = std::move(ev.msg);
-          t.due = shard.clock + ev.delay;
-          shard.timers.push_back(std::move(t));
-          std::push_heap(shard.timers.begin(), shard.timers.end(),
-                         TimerLater{});
-        } else {
-          shard.ready.push_back(std::move(ev));
-        }
-      }
+      for (auto& ev : shard.batch) shard.ready.push_back(std::move(ev));
     }
     // 2. Run one generation front to back while handlers append the
     //    next one to the emptied `ready`. A FIFO whose appends go to

@@ -44,7 +44,12 @@ class RuntimePort final : public traffic::LoadPort {
     cv_.notify_all();
   }
 
-  void quiesce() override { rt_.wait_quiescent(); }
+  void quiesce() override {
+    rt_.wait_quiescent();
+    if (options_.quiesce_between_ops) {
+      rt_.protocol().check_quiescent(rt_.ops_started());
+    }
+  }
   void reset_metrics() override { rt_.reset_metrics(); }
 
  private:

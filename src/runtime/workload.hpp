@@ -3,9 +3,10 @@
 // owns the closed and open loops, the duration budget, warmup, tail
 // recording and history capture. This adapter maps schedule entries to
 // initiators (and keys), issues them with begin_inc / begin_op, and
-// parks the calling thread between the driver's phases. Any initiator
-// sequence works (harness/schedule.hpp generates round-robin, uniform
-// and Zipf ones).
+// parks the calling thread between the driver's phases; under
+// quiesce_between_ops every settle also runs check_quiescent. Any
+// initiator sequence works (harness/schedule.hpp generates round-robin,
+// uniform and Zipf ones).
 #pragma once
 
 #include <cstdint>

@@ -36,6 +36,8 @@ class Context {
 
   /// Schedule a local wake-up for processor p after `delay` ticks,
   /// delivered as a Message with local=true (not counted as traffic).
+  /// p is the processor whose handler is running: a timer is local to
+  /// its processor (the threaded runtime checks it).
   virtual void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
                           SimTime delay) = 0;
 

@@ -225,6 +225,7 @@ void Simulator::complete(OpId op, Value value) {
   slot = value;
   responded_at_[static_cast<std::size_t>(op)] = now_;
   ++completed_;
+  if (completion_) completion_(op, value);
 }
 
 bool Simulator::step() {

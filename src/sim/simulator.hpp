@@ -20,6 +20,7 @@
 // between processors. Local wake-ups (send_local) are likewise uncounted.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -60,15 +61,22 @@ struct SimConfig {
 
 class Simulator final : private Context {
  public:
+  /// Runs inside the completing handler, so it must not start an op: a
+  /// driver notes the completion and issues after step() returns.
+  using CompletionFn = std::function<void(OpId op, Value value)>;
+
   Simulator(std::unique_ptr<CounterProtocol> protocol, SimConfig config);
 
-  /// Deep snapshot (protocol cloned; queue, rng, metrics, trace copied).
+  /// Deep snapshot (protocol cloned; queue, rng, metrics, trace copied;
+  /// never the completion hook, so dry runs stay hook-free).
   Simulator(const Simulator& other);
   /// Same as restore(other); kept assignment-shaped for value semantics.
   Simulator& operator=(const Simulator& other);
   Simulator(Simulator&&) noexcept = default;
   Simulator& operator=(Simulator&&) noexcept = default;
   ~Simulator() override = default;
+
+  void set_completion(CompletionFn fn) { completion_ = std::move(fn); }
 
   /// Initiate an inc at `origin`; returns the operation's id (0,1,2,...).
   OpId begin_inc(ProcessorId origin);
@@ -204,6 +212,7 @@ class Simulator final : private Context {
   SimTime now_{0};
   std::int64_t seq_{0};
   std::int64_t deliveries_{0};
+  CompletionFn completion_;
 
   // Transient handler context.
   RecordId current_parent_{kNoRecord};

@@ -7,16 +7,15 @@
 namespace dcnt::traffic {
 
 LoadDriver::LoadDriver(LoadPort& port, const DriverOptions& options,
-                       std::size_t ops, std::size_t unit, bool settle_each_op)
+                       std::size_t ops, std::size_t unit)
     : port_(port),
       options_(options),
       total_(options.warmup + ops),
       unit_(std::max<std::size_t>(1, unit)),
-      window_(settle_each_op
+      window_(options.quiesce_between_ops
                   ? 1
                   : std::max<std::size_t>(1, options.concurrency) *
                         std::max<std::size_t>(1, options.inflight)),
-      settle_each_(settle_each_op),
       // Sized by op id: the warmup slots simply stay empty.
       recorder_(total_, options.slo_ns, options.exact_cap) {
   DCNT_CHECK(ops > 0);
@@ -148,7 +147,7 @@ void LoadDriver::run_open_loop() {
 void LoadDriver::drain() {
   for (;;) {
     if (no_more_.load() && done_.load() == issued()) return;
-    if (settle_each_ && closed_ && done_.load() == issued()) {
+    if (options_.quiesce_between_ops && closed_ && done_.load() == issued()) {
       // Sequential schedule: the op's entire message activity settles
       // before the next op starts.
       port_.quiesce();
@@ -175,7 +174,7 @@ bool LoadDriver::on_complete(std::span<const Completion> done) {
       if (options_.history) options_.history->on_response(c.op, t, c.value);
     }
   }
-  const bool settle = settle_each_ && closed_;
+  const bool settle = options_.quiesce_between_ops && closed_;
   if (closed_ && !settle) {
     // Each completed client immediately issues its next unit. One more
     // read, before the first reissue reaches the port, is the invoke of

@@ -1,16 +1,19 @@
-// LoadDriver: the one load policy behind the message-passing harnesses
-// (DESIGN.md §14). The threaded runtime (runtime/workload.hpp) and the
-// socket-cluster controller (harness/cluster.cpp) are thin LoadPorts
-// over it; the driver owns everything about when ops are issued and how
-// they are measured:
+// LoadDriver: the one schedule loop in the repo (DESIGN.md §14). The
+// simulator (harness/runner.cpp), the threaded runtime
+// (runtime/workload.hpp) and the socket-cluster controller
+// (harness/cluster.cpp) are thin LoadPorts over it; the driver owns
+// everything about when ops are issued and how they are measured:
 //   - closed loop: a window of concurrency * inflight issuance units,
 //     refilled by one reissue per completion, made inside on_complete
 //     on the completing thread;
+//   - settling (LoadPolicy::quiesce_between_ops): the paper's
+//     sequential schedule, one unit at a time with the port quiesced
+//     after each, issued from the driver thread;
 //   - completion spans: a port reports completions in spans (the
 //     cluster controller: one decoded kCompleteBatch frame; the
-//     runtime: one op). A span costs at most two clock reads however
-//     long it is: one stamps every response, one the invoke of every
-//     reissue;
+//     simulator: every completion of one delivery; the runtime: one
+//     op). A span costs at most two clock reads however long it is: one
+//     stamps every response, one the invoke of every reissue;
 //   - open loop: the driver thread walks the ArrivalTimeline, issuing
 //     late rather than skipping when it falls behind. The recorder gets
 //     each op's scheduled time (coordinated-omission-free), the history
@@ -26,9 +29,9 @@
 // initiators and keys through schedule_slot and returns the OpId its
 // substrate assigned.
 // on_complete may run on any thread, concurrently: the driver's
-// counters are atomics. Wide issue units (batched keyed Starts) and
-// settling after every op (the sequential schedule) need a
-// single-threaded port, the cluster controller.
+// counters are atomics. Wide issue units (batched keyed Starts, the
+// simulator's batches) need a single-threaded port: the simulator or
+// the cluster controller.
 #pragma once
 
 #include <algorithm>
@@ -65,6 +68,10 @@ struct LoadPolicy {
   /// Runs with more op slots than this record latency into the HDR
   /// histogram instead of exact per-op storage.
   std::size_t exact_cap{TailRecorder::kDefaultExactCap};
+  /// Quiesce the port after every issuance unit before issuing the next
+  /// (a window of one unit): the paper's sequential schedule, where an
+  /// op's entire message activity settles before the next starts.
+  bool quiesce_between_ops{false};
 };
 
 struct DriverOptions : LoadPolicy {
@@ -134,7 +141,7 @@ class LoadDriver {
  public:
   /// `ops` measured entries follow options.warmup warmup entries.
   LoadDriver(LoadPort& port, const DriverOptions& options, std::size_t ops,
-             std::size_t unit = 1, bool settle_each_op = false);
+             std::size_t unit = 1);
 
   /// Warmup, measured phase, drain, final quiesce.
   DriverResult run();
@@ -165,7 +172,6 @@ class LoadDriver {
   const std::size_t total_;  ///< warmup + measured entries
   const std::size_t unit_;
   const std::size_t window_;  ///< closed-loop units in flight
-  const bool settle_each_;
   TailRecorder recorder_;
 
   // The current phase; written by the driver thread before the phase's

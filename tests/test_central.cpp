@@ -45,13 +45,17 @@ TEST(CentralCounter, HolderIsTheBottleneckWithThetaNLoad) {
 }
 
 TEST(CentralCounter, ConcurrentBatchesStillDistinct) {
-  SimConfig cfg;
-  cfg.seed = 12;
-  cfg.delay = DelayModel::uniform(1, 9);
-  Simulator sim(std::make_unique<CentralCounter>(32), cfg);
-  const auto batches = make_batches(schedule_sequential(32), 8);
-  const RunResult result = run_concurrent(sim, batches);
-  EXPECT_TRUE(result.values_ok);
+  // Width 5 leaves a short last batch of 2: it must still be issued.
+  for (const std::size_t width : {std::size_t{8}, std::size_t{5}}) {
+    SimConfig cfg;
+    cfg.seed = 12;
+    cfg.delay = DelayModel::uniform(1, 9);
+    Simulator sim(std::make_unique<CentralCounter>(32), cfg);
+    const RunResult result =
+        run_concurrent(sim, schedule_sequential(32), width);
+    EXPECT_TRUE(result.values_ok) << width;
+    EXPECT_EQ(result.values.size(), 32u) << width;
+  }
 }
 
 TEST(CentralCounter, CheckQuiescentValidatesValue) {

@@ -52,9 +52,8 @@ TEST_P(CombiningParamTest, ConcurrentBatchesGiveDistinctValues) {
   cfg.seed = static_cast<std::uint64_t>(n * 31 + fanout);
   cfg.delay = DelayModel::uniform(1, 12);
   Simulator sim = make_sim(n, fanout, cfg);
-  const auto batches =
-      make_batches(schedule_sequential(n), static_cast<std::size_t>(batch));
-  const RunResult result = run_concurrent(sim, batches);
+  const RunResult result = run_concurrent(sim, schedule_sequential(n),
+                                          static_cast<std::size_t>(batch));
   EXPECT_TRUE(result.values_ok);
 }
 
@@ -69,8 +68,7 @@ TEST(CombiningTree, CombiningFiresUnderConcurrency) {
   cfg.seed = 5;
   cfg.delay = DelayModel::uniform(1, 20);
   Simulator sim = make_sim(64, 2, cfg);
-  const auto batches = make_batches(schedule_sequential(64), 64);
-  run_concurrent(sim, batches);
+  run_concurrent(sim, schedule_sequential(64), 64);
   EXPECT_GT(combining_of(sim).combined_requests(), 0);
 }
 
@@ -89,7 +87,7 @@ TEST(CombiningTree, CombiningReducesRootTraffic) {
   const std::int64_t root_load_seq = seq.metrics().load(root_pid);
 
   Simulator conc = make_sim(n, 2, cfg);
-  run_concurrent(conc, make_batches(schedule_sequential(n), n));
+  run_concurrent(conc, schedule_sequential(n), n);
   const std::int64_t root_load_conc = conc.metrics().load(root_pid);
 
   EXPECT_LT(root_load_conc, root_load_seq);
@@ -110,7 +108,7 @@ TEST(CombiningTree, RepeatOriginsConcurrent) {
   Simulator sim = make_sim(8, 2, cfg);
   Rng rng(4);
   const auto order = schedule_uniform(8, 60, rng);
-  const RunResult result = run_concurrent(sim, make_batches(order, 20));
+  const RunResult result = run_concurrent(sim, order, 20);
   EXPECT_TRUE(result.values_ok);
 }
 

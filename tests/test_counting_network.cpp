@@ -69,7 +69,7 @@ TEST_P(CountingNetworkParamTest, StepPropertyUnderConcurrency) {
   // enforces the exact step property at every quiescent point.
   Rng rng(static_cast<std::uint64_t>(seed) + 99);
   const auto order = schedule_uniform(n, 3 * n, rng);
-  const RunResult result = run_concurrent(sim, make_batches(order, n / 2));
+  const RunResult result = run_concurrent(sim, order, n / 2);
   EXPECT_TRUE(result.values_ok);
   sim.counter().check_quiescent(sim.ops_completed());
 }
@@ -152,7 +152,7 @@ TEST_P(PeriodicParamTest, CountsUnderConcurrency) {
   Rng rng(static_cast<std::uint64_t>(seed) + 3);
   const auto order = schedule_uniform(n, 4 * n, rng);
   const RunResult result =
-      run_concurrent(sim, make_batches(order, static_cast<std::size_t>(n)));
+      run_concurrent(sim, order, static_cast<std::size_t>(n));
   EXPECT_TRUE(result.values_ok);
   sim.counter().check_quiescent(sim.ops_completed());
 }

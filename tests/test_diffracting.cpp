@@ -54,8 +54,7 @@ TEST_P(DiffractingParamTest, ConcurrentDistinctValues) {
   cfg.seed = static_cast<std::uint64_t>(seed);
   cfg.delay = DelayModel::uniform(1, 4);
   Simulator sim = make_sim(params, cfg);
-  const auto batches = make_batches(schedule_sequential(64), 32);
-  const RunResult result = run_concurrent(sim, batches);
+  const RunResult result = run_concurrent(sim, schedule_sequential(64), 32);
   EXPECT_TRUE(result.values_ok);
   sim.counter().check_quiescent(sim.ops_completed());
 }
@@ -75,7 +74,7 @@ TEST(DiffractingTree, DiffractionFiresUnderConcurrency) {
   cfg.seed = 8;
   cfg.delay = DelayModel::uniform(1, 3);
   Simulator sim = make_sim(params, cfg);
-  run_concurrent(sim, make_batches(schedule_sequential(128), 128));
+  run_concurrent(sim, schedule_sequential(128), 128);
   EXPECT_GT(tree_of(sim).diffracted_pairs(), 0);
 }
 
@@ -95,7 +94,7 @@ TEST(DiffractingTree, DiffractionRelievesRootToggle) {
       seq.metrics().load(tree_of(seq).toggle_pid(0));
 
   Simulator conc = make_sim(params, cfg);
-  run_concurrent(conc, make_batches(schedule_sequential(128), 128));
+  run_concurrent(conc, schedule_sequential(128), 128);
   const std::int64_t conc_toggle_load =
       conc.metrics().load(tree_of(conc).toggle_pid(0));
 

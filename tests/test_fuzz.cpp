@@ -74,7 +74,7 @@ TEST_P(FuzzCounters, ConcurrentPermutationInvariant) {
     const auto order =
         schedule_uniform(actual_n, meta.next_in(4, 80), order_rng);
     const auto batch = static_cast<std::size_t>(meta.next_in(2, 16));
-    const RunResult result = run_concurrent(sim, make_batches(order, batch));
+    const RunResult result = run_concurrent(sim, order, batch);
     ASSERT_TRUE(result.values_ok) << to_string(kind);
   }
 }

@@ -96,8 +96,7 @@ TEST_P(AllCountersTest, ConcurrentWhenSupported) {
   cfg.delay = DelayModel::uniform(1, 9);
   Simulator sim(make_counter(GetParam(), 24), cfg);
   const auto n = static_cast<std::int64_t>(sim.num_processors());
-  const auto batches = make_batches(schedule_sequential(n), 8);
-  const RunResult result = run_concurrent(sim, batches);
+  const RunResult result = run_concurrent(sim, schedule_sequential(n), 8);
   EXPECT_TRUE(result.values_ok) << to_string(GetParam());
 }
 

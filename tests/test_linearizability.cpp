@@ -3,7 +3,7 @@
 // the paper's tree) are linearizable; counting networks are famously
 // only quiescently consistent — a stalled token lets a later-starting
 // token fetch a smaller value.
-#include "analysis/linearizability.hpp"
+#include "concurrent/history.hpp"
 
 #include <gtest/gtest.h>
 

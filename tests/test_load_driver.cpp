@@ -125,7 +125,9 @@ class FakePort final : public LoadPort {
 DriverResult run_driver(FakePort& port, const DriverOptions& options,
                         std::size_t ops, std::size_t unit = 1,
                         bool settle = false) {
-  LoadDriver driver(port, options, ops, unit, settle);
+  DriverOptions with_settle = options;
+  with_settle.quiesce_between_ops = settle;
+  LoadDriver driver(port, with_settle, ops, unit);
   port.driver = &driver;
   return driver.run();
 }

@@ -225,8 +225,8 @@ TEST(MessageArgs, InlineCapacityCoversEveryKindBehindTheTransport) {
     for (std::int64_t i = 0; i < 8 * n; ++i) {
       order.push_back(static_cast<ProcessorId>(i % n));
     }
-    const RunResult res = run_concurrent(
-        sim, make_batches(order, supports_concurrency(kind) ? 16 : 1));
+    const RunResult res =
+        run_concurrent(sim, order, supports_concurrency(kind) ? 16 : 1);
     EXPECT_TRUE(res.values_ok) << to_string(kind);
     const std::int64_t args = sim.metrics().max_message_words() - 1;
     EXPECT_LE(args, static_cast<std::int64_t>(kCap)) << to_string(kind);

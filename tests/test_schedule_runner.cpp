@@ -70,13 +70,6 @@ TEST(Schedule, SingleOrigin) {
   EXPECT_EQ(order, (std::vector<ProcessorId>{5, 5, 5}));
 }
 
-TEST(Runner, MakeBatches) {
-  const auto batches = make_batches({0, 1, 2, 3, 4}, 2);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0], (std::vector<ProcessorId>{0, 1}));
-  EXPECT_EQ(batches[2], (std::vector<ProcessorId>{4}));
-}
-
 TEST(Runner, SequentialReportsLoads) {
   Simulator sim(std::make_unique<CentralCounter>(8), {});
   const RunResult result = run_sequential(sim, schedule_sequential(8));

@@ -4,9 +4,13 @@
 
 #include <limits>
 #include <memory>
+#include <ostream>
 
+#include "core/tree_service.hpp"
+#include "harness/factory.hpp"
 #include "harness/runner.hpp"
 #include "harness/schedule.hpp"
+#include "harness/throughput.hpp"
 #include "sim/simulator.hpp"
 
 namespace dcnt {
@@ -249,6 +253,81 @@ TEST(TreeCounter, MultipleIncsPerProcessorAlsoWork) {
   const RunResult result = run_sequential(sim, order);
   EXPECT_TRUE(result.values_ok);
   EXPECT_EQ(tree_of(sim).value(), 200);
+}
+
+/// The counts of one closed-window run in the fixed-delay simulator.
+struct WindowRun {
+  std::int64_t total_messages;
+  std::int64_t max_load;
+  std::int64_t forwarded;  ///< TreeServiceStats::forwarded_messages
+  bool operator==(const WindowRun&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const WindowRun& r) {
+    return os << r.total_messages << "/" << r.max_load << "/" << r.forwarded;
+  }
+};
+
+/// 16 closed-loop clients x `inflight` ops each over 1,296 round-robin
+/// incs at seed 7: the same LoadOptions run_throughput takes.
+ThroughputOptions window_options(std::size_t inflight) {
+  ThroughputOptions options;
+  options.concurrency = 16;
+  options.inflight = inflight;
+  options.ops = 1296;
+  options.seed = 7;
+  options.workers = 1;
+  return options;
+}
+
+/// window_options driven through the simulator's port, one delivery
+/// tick per message.
+WindowRun run_window(CounterKind kind, std::size_t inflight) {
+  const ThroughputOptions options = window_options(inflight);
+  SimConfig cfg;
+  cfg.seed = options.seed;
+  cfg.delay = DelayModel::fixed_delay(1);
+  Simulator sim(make_counter(kind, 81), cfg);
+  const auto n = static_cast<std::int64_t>(sim.num_processors());
+  const RunResult result = run_load(
+      sim,
+      make_initiators(options.initiators, options.zipf_s, n,
+                      static_cast<std::int64_t>(options.ops), options.seed),
+      options.driver_options());
+  EXPECT_TRUE(result.values_ok);
+  EXPECT_EQ(result.values.size(), options.ops);
+  const LinearizabilityReport lin = check_linearizable(counter_history(sim));
+  EXPECT_TRUE(lin.linearizable) << lin.violations << " violations";
+  const auto* tree = dynamic_cast<const TreeService*>(&sim.counter());
+  return {result.total_messages, result.max_load,
+          tree != nullptr ? tree->stats().forwarded_messages.load() : 0};
+}
+
+TEST(TreeCounter, ClosedWindowsInTheSimulatorPinTheOverlapCost) {
+  // ROADMAP item 1's "before" numbers: the tree's forwarding grows with
+  // the window (F = ops in flight per client) because a retiree forwards
+  // only to its immediate successor. The item's fix updates the tree
+  // rows. Central is one more input: whatever the window, an inc costs
+  // one request and one reply unless it starts at the centre (one op in
+  // n), and the threaded runtime counts the same.
+  const std::int64_t central = 2 * (1296 - 1296 / 81);
+  const struct {
+    CounterKind kind;
+    std::size_t inflight;
+    WindowRun want;
+  } cases[] = {
+      {CounterKind::kTree, 1, {17306, 596, 4746}},
+      {CounterKind::kTree, 16, {87570, 3063, 75064}},
+      {CounterKind::kCentral, 16, {central, central, 0}},
+  };
+  for (const auto& c : cases) {
+    const WindowRun run = run_window(c.kind, c.inflight);
+    EXPECT_EQ(run, c.want) << to_string(c.kind) << " F=" << c.inflight;
+    // Runs are a pure function of (protocol, seed).
+    EXPECT_EQ(run_window(c.kind, c.inflight), run);
+  }
+  EXPECT_EQ(run_throughput(make_counter(CounterKind::kCentral, 81),
+                           window_options(16))
+                .total_messages,
+            central);
 }
 
 }  // namespace
