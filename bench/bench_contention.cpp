@@ -8,7 +8,6 @@
 //
 // Flags: --sizes=81,256,1024 --seed=6
 #include <iostream>
-#include <sstream>
 
 #include "bench_util.hpp"
 #include "analysis/concentration.hpp"
@@ -22,22 +21,12 @@
 
 using namespace dcnt;
 
-namespace {
-std::vector<std::int64_t> parse_sizes(const std::string& text) {
-  std::vector<std::int64_t> sizes;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) sizes.push_back(std::stoll(item));
-  return sizes;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   const Flags flags = parse_bench_flags(
       argc, argv,
       "CONC: load concentration across counter implementations",
       {"seed", "sizes"});
-  const auto sizes = parse_sizes(flags.get_string("sizes", "81,256,1024"));
+  const auto sizes = parse_int_list(flags.get_string("sizes", "81,256,1024"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 6));
 
   Table table({"counter", "n", "max_load", "max/mean", "gini", "top1%",

@@ -72,13 +72,13 @@
 // inc/read criterion for shm-sharded) and ENFORCED linearizable; a
 // placement that cannot pin on this host reports pin=0 rather than
 // failing. --counters also accepts shm-* names directly (closed sweep,
-// placement from --placement/--pin), e.g.
-//   bench_throughput --counters=shm-atomic,shm-flat --pin
+// placement from --placement), e.g.
+//   bench_throughput --counters=shm-atomic,shm-flat --placement=compact
 // Flags: --shm_counters=shm-atomic,shm-flat,shm-funnel,shm-sharded
 //        --shm_threads_list=1,2,4 --shm_inflight_list=1,64
 //        --shm_placements=none,compact --shm_msg_counters=tree,central,
 //        combining --shm_ops=32768 --shm_rate=200000
-//        --placement=none|compact --pin (= compact)
+//        --placement=none|compact
 #include <algorithm>
 #include <iostream>
 #include <map>
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
       {"amplitude", "conc_counters", "conc_workers", "concurrency",
        "counters", "dist", "duration", "duty", "exact_cap", "inflight_list",
        "n", "open_counters", "open_ops_list", "open_rate", "open_workers",
-       "ops_factor", "out", "period", "pin", "placement", "quick", "rates",
+       "ops_factor", "out", "period", "placement", "quick", "rates",
        "seed", "shape", "shm_counters", "shm_inflight_list",
        "shm_msg_counters", "shm_ops", "shm_placements", "shm_rate",
        "shm_threads_list", "slo_us", "threads", "warmup", "workers_list",
@@ -164,10 +164,8 @@ int main(int argc, char** argv) {
                              : "tree,central,combining,diffracting"));
   const auto conc_workers =
       static_cast<std::size_t>(flags.get_int("conc_workers", quick ? 2 : 4));
-  // SHM re-ranking sweep: --pin is shorthand for --placement compact;
-  // an explicit --placement wins.
-  const Placement placement = placement_from_string(flags.get_string(
-      "placement", flags.get_bool("pin", false) ? "compact" : "none"));
+  const Placement placement =
+      placement_from_string(flags.get_string("placement", "none"));
   const auto shm_counters = parse_string_list(flags.get_string(
       "shm_counters", "shm-atomic,shm-flat,shm-funnel,shm-sharded"));
   const auto shm_threads_list = parse_int_list(

@@ -3,8 +3,8 @@
 //
 //   $ ./examples/dcount_cli --counter=tree --n=81 --workload=permutation
 //   $ ./examples/dcount_cli --counter=central --n=256 --topology=ring
-//   $ ./examples/dcount_cli --counter=counting-net --n=64 \
-//         --workload=zipf --zipf=0.9 --ops=500 --delay=heavy --seed=7
+//   $ ./examples/dcount_cli --counter=counting-net --n=64 --workload=zipf
+//         --zipf=0.9 --ops=500 --delay=heavy --seed=7
 //
 // Flags (all optional):
 //   --counter=tree|static-tree|central|combining|counting-net|

@@ -64,7 +64,7 @@ TreeAuditReport audit_tree_run(const Simulator& sim) {
     for (const auto& ev : counter->retirement_log()) {
       ++retirements_per_op[ev.op];
     }
-    const auto& per_op = sim.metrics().per_op_messages();
+    const auto& per_op = sim.per_op_messages();
     std::int64_t worst = 0;
     std::int64_t worst_budget = 0;
     bool ok = true;

@@ -19,14 +19,11 @@ TreeService::TreeService(TreeServiceParams params)
                      : params.age_threshold),
       count_handover_in_age_(params.count_handover_in_age),
       self_healing_(params.self_healing),
-      inc_retry_timeout_(params.inc_retry_timeout),
-      inc_retry_max_timeout_(params.inc_retry_max_timeout),
-      inc_retry_limit_(params.inc_retry_limit) {
+      inc_retry_timeout_(params.inc_retry_timeout) {
   DCNT_CHECK(threshold_ > 0);
   if (self_healing_) {
     DCNT_CHECK(inc_retry_timeout_ >= 1);
-    DCNT_CHECK(inc_retry_max_timeout_ >= inc_retry_timeout_);
-    DCNT_CHECK(inc_retry_limit_ >= 1);
+    DCNT_CHECK(TreeServiceParams::kIncRetryMaxTimeout >= inc_retry_timeout_);
   }
   const std::int64_t n = layout_.n();
   procs_.resize(static_cast<std::size_t>(n));
@@ -807,7 +804,7 @@ void TreeService::handle_inc_retry(Context& ctx, ProcessorId self,
   const std::int64_t serial = msg.args.at(0);
   if (ps.out_serial != serial) return;  // answered in the meantime
   ++stats_.timeouts_fired;
-  DCNT_CHECK_MSG(ps.out_attempts < inc_retry_limit_,
+  DCNT_CHECK_MSG(ps.out_attempts < TreeServiceParams::kIncRetryLimit,
                  "origin retry limit exhausted; operation lost");
   ++ps.out_attempts;
   ++stats_.retransmissions;
@@ -819,7 +816,8 @@ void TreeService::handle_inc_retry(Context& ctx, ProcessorId self,
   m.args = {self, layout_.leaf_parent(self), serial};
   m.args.insert(m.args.end(), ps.out_args.begin(), ps.out_args.end());
   ctx.send(std::move(m));
-  ps.out_timeout = std::min(ps.out_timeout * 2, inc_retry_max_timeout_);
+  ps.out_timeout =
+      std::min(ps.out_timeout * 2, TreeServiceParams::kIncRetryMaxTimeout);
   ctx.send_local(self, kTagIncRetry, {serial}, ps.out_timeout);
 }
 

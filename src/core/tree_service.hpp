@@ -65,10 +65,10 @@ struct TreeServiceParams {
   /// first re-send of an unanswered operation.
   SimTime inc_retry_timeout{64};
   /// Backoff cap for the origin retry timer (doubles per attempt).
-  SimTime inc_retry_max_timeout{1024};
+  static constexpr SimTime kIncRetryMaxTimeout = 1024;
   /// Attempts (1 original + retries) before the origin gives up — which
   /// aborts loudly, since a counter op must not vanish.
-  int inc_retry_limit{40};
+  static constexpr int kIncRetryLimit = 40;
 };
 
 /// Housekeeping counters; exposed for lemma audits and benches.
@@ -316,8 +316,6 @@ class TreeService : public CounterProtocol {
   bool count_handover_in_age_;
   bool self_healing_;
   SimTime inc_retry_timeout_;
-  SimTime inc_retry_max_timeout_;
-  int inc_retry_limit_;
   std::vector<ProcState> procs_;
   /// Committed incumbent per inner node (kNoProcessor while in handover).
   std::vector<ProcessorId> incumbent_;

@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_set>
 #include <utility>
 
 #include "concurrent/history.hpp"
@@ -20,6 +19,7 @@
 #include "net/event_loop.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "sim/metrics.hpp"
 #include "support/check.hpp"
 #include "traffic/driver.hpp"
 
@@ -153,11 +153,12 @@ class Controller final : public traffic::LoadPort {
   /// Reused by every kCompleteBatch decode.
   CompleteBatchFrame complete_scratch_;
   /// Keyed-stats collection (multi-key mode, after the final barrier):
-  /// nodes whose last chunk is still outstanding and the hot key's
-  /// merged per-processor load.
+  /// nodes whose last chunk is still outstanding.
   std::size_t keyed_stats_pending_{0};
-  std::vector<std::int64_t> hot_key_load_;
-  std::unordered_set<KeyId> keys_touched_;
+  /// The cluster's load ledger: the final barrier's per-processor rows
+  /// and the keyed slices, each reported by the processor's one owner,
+  /// so accumulating them is an exact merge.
+  Metrics ledger_;
 
   Phase phase_{Phase::kHandshake};
   WallClock::time_point deadline_;
@@ -391,13 +392,8 @@ void Controller::on_complete(std::span<const Completion> done) {
 void Controller::collect_keyed_stats() {
   phase_ = Phase::kKeyedStats;
   keyed_stats_pending_ = opt_.nodes;
-  hot_key_load_.assign(static_cast<std::size_t>(n_), 0);
   broadcast(encode_keyed_stats_request());
   while (keyed_stats_pending_ > 0) pump(50);
-  for (const std::int64_t load : hot_key_load_) {
-    out_.hot_key_max_load = std::max(out_.hot_key_max_load, load);
-  }
-  out_.keys_touched = keys_touched_.size();
 }
 
 void Controller::on_keyed_stats(const KeyedStatsFrame& ks) {
@@ -405,17 +401,10 @@ void Controller::on_keyed_stats(const KeyedStatsFrame& ks) {
   DCNT_CHECK(ks.node_id < opt_.nodes);
   DCNT_CHECK(keyed_stats_pending_ > 0);
   for (const KeyProcLoad& load : ks.loads) {
-    // Each (key, processor) slice is reported by exactly one node — the
-    // processor's owner — so accumulation is an exact merge.
     DCNT_CHECK(load.pid >= 0 && load.pid < n_);
     DCNT_CHECK(static_cast<std::uint32_t>(load.pid) % opt_.nodes ==
                ks.node_id);
-    keys_touched_.insert(load.key);
-    if (load.key == out_.hot_key) {
-      hot_key_load_[static_cast<std::size_t>(load.pid)] +=
-          load.sent + load.received;
-      out_.hot_key_messages += load.sent;
-    }
+    ledger_.add_load(load.pid, KeyLoad{load.sent, load.received}, load.key);
   }
   if (ks.last) {
     // LRU counters ride in every chunk of a node's report; count them
@@ -443,6 +432,7 @@ ClusterResult Controller::run() {
     auto probe = make_counter(counter_kind_from_string(opt_.counter),
                               opt_.min_processors);
     n_ = static_cast<std::int64_t>(probe->num_processors());
+    ledger_ = Metrics(probe->num_processors());
     if (opt_.nodes > 1) {
       DCNT_CHECK_MSG(probe->shard_safe(),
                      "multi-node cluster requires a shard-safe protocol");
@@ -553,7 +543,6 @@ ClusterResult Controller::run() {
   }
 
   // Merge the final barrier's per-node reports.
-  out_.load.assign(static_cast<std::size_t>(n_), 0);
   for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
     const StatsFrame& s = *round_[id];
     out_.wire_msgs_sent += s.wire_msgs_sent;
@@ -569,15 +558,11 @@ ClusterResult Controller::run() {
     for (const ProcLoad& load : s.loads) {
       DCNT_CHECK(load.pid >= 0 && load.pid < n_);
       DCNT_CHECK(static_cast<std::uint32_t>(load.pid) % opt_.nodes == id);
-      out_.load[static_cast<std::size_t>(load.pid)] = load.sent + load.received;
-      out_.total_messages += load.sent;
+      ledger_.add_load(load.pid, KeyLoad{load.sent, load.received});
     }
   }
-  const auto top = std::max_element(out_.load.begin(), out_.load.end());
-  if (*top > 0) {
-    out_.max_load = *top;
-    out_.bottleneck = static_cast<ProcessorId>(top - out_.load.begin());
-  }
+  fill_loads(out_, ledger_);
+  for (ProcessorId p = 0; p < n_; ++p) out_.load.push_back(ledger_.load(p));
   out_.values = std::move(values_);
   out_.key_of_op = std::move(key_of_op_);
   if (history) {

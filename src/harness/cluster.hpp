@@ -14,9 +14,9 @@
 // quiesce is the distributed barrier: StatsRequest/Stats rounds until
 // two consecutive rounds show identical per-node progress, no unacked
 // envelopes or armed timers anywhere, and — on the reliable TCP plane —
-// wire sends equal to wire receives. Afterwards it merges the
-// per-processor loads (exact: each processor is owned by one node) and
-// verifies the values with the shared verifier (harness/result.hpp).
+// wire sends equal to wire receives. Afterwards it merges the nodes'
+// loads into one Metrics (exact: each processor is owned by one node)
+// and verifies the values with the shared verifier (harness/result.hpp).
 //
 // The node binary is found via ClusterOptions::node_binary, then the
 // DCNT_NODE_BIN environment variable, then next to /proc/self/exe

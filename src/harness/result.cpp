@@ -93,6 +93,15 @@ void verify_values(HarnessResult& out, const std::vector<Value>& values,
   }
 }
 
+void fill_loads(HarnessResult& out, const Metrics& metrics) {
+  out.total_messages = metrics.total_messages();
+  out.max_load = metrics.max_load();
+  out.bottleneck = metrics.bottleneck();
+  out.keys_touched = metrics.key_loads().size();
+  out.hot_key_max_load = metrics.key_max_load(out.hot_key);
+  out.hot_key_messages = metrics.key_total_messages(out.hot_key);
+}
+
 void fill_linearizability(HarnessResult& out,
                           const LinearizabilityReport& report) {
   out.lin_checked = true;

@@ -10,8 +10,8 @@
 // observable contract (a global or per-key permutation) and picks the
 // hot key, and fill_linearizability runs the checker over a captured
 // history. The paper's currency — total messages, max_p m_p and its
-// bottleneck processor — sits in the same fields whichever substrate
-// ran the incs.
+// bottleneck processor — is filled from a Metrics by fill_loads,
+// whichever substrate ran the incs.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "concurrent/history.hpp"
+#include "sim/metrics.hpp"
 #include "sim/types.hpp"
 #include "traffic/driver.hpp"
 
@@ -154,6 +155,10 @@ void fill_run(HarnessResult& out, const traffic::DriverResult& run);
 void verify_values(HarnessResult& out, const std::vector<Value>& values,
                    const std::vector<KeyId>& key_of_op = {},
                    Value first = 0);
+
+/// The load fields from the run's Metrics (bottleneck 0 when nothing
+/// moved); keyed runs also get keys_touched and out.hot_key's load.
+void fill_loads(HarnessResult& out, const Metrics& metrics);
 
 /// Records a linearizability verdict over the run's measured history.
 void fill_linearizability(HarnessResult& out,

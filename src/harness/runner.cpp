@@ -1,6 +1,5 @@
 #include "harness/runner.hpp"
 
-#include "harness/result.hpp"
 #include "support/check.hpp"
 
 namespace dcnt {
@@ -53,7 +52,7 @@ class SimPort final : public traffic::LoadPort {
     }
   }
 
-  void reset_metrics() override { sim_.mutable_metrics().reset(); }
+  void reset_metrics() override { sim_.reset_metrics(); }
 
  private:
   Simulator& sim_;
@@ -85,13 +84,8 @@ RunResult run_load(Simulator& sim, const std::vector<ProcessorId>& order,
     DCNT_CHECK_MSG(result.has_value(), "inc did not complete at quiescence");
     res.values.push_back(*result);
   }
-  HarnessResult check;
-  verify_values(check, res.values, {}, first);
-  res.values_ok = check.values_ok;
-  res.max_load = sim.metrics().max_load();
-  res.bottleneck = sim.metrics().bottleneck();
-  res.total_messages = sim.metrics().total_messages();
-  // Every message is sent once and received once.
+  verify_values(res, res.values, {}, first);
+  fill_loads(res, sim.metrics());
   res.mean_load = 2.0 * static_cast<double>(res.total_messages) /
                   static_cast<double>(sim.num_processors());
   return res;

@@ -20,19 +20,19 @@
 #include <vector>
 
 #include "concurrent/history.hpp"
+#include "harness/result.hpp"
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
 #include "traffic/driver.hpp"
 
 namespace dcnt {
 
-struct RunResult {
+/// The shared result schema (values_ok and the load fields filled) plus
+/// the values themselves and the mean load.
+struct RunResult : HarnessResult {
   std::vector<Value> values;  ///< from the run's first op id (warmup first)
-  std::int64_t max_load{0};
-  ProcessorId bottleneck{kNoProcessor};
-  std::int64_t total_messages{0};
+  /// 2 * total_messages / n: every message is sent once and received once.
   double mean_load{0.0};
-  bool values_ok{false};
 };
 
 struct RunOptions {

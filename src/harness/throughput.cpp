@@ -78,20 +78,10 @@ ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
                          check_linearizable(history->snapshot(options.warmup)));
   }
 
-  const Metrics metrics = rt.merged_metrics();
-  out.total_messages = metrics.total_messages();
-  out.max_load = metrics.max_load();
-  out.bottleneck = metrics.bottleneck();
-  out.mean_load = 2.0 * static_cast<double>(metrics.total_messages()) /
-                  static_cast<double>(n);
+  fill_loads(out, rt.merged_metrics());
   out.pinned_workers = rt.pinned_workers();
   out.placement_supported = rt.placement_supported();
   if (keyed) {
-    out.keys_touched = metrics.key_loads().size();
-    if (out.hot_key != kNoKey) {
-      out.hot_key_max_load = metrics.key_max_load(out.hot_key);
-      out.hot_key_messages = metrics.key_total_messages(out.hot_key);
-    }
     const auto& fabric =
         static_cast<const service::MultiCounter&>(rt.protocol());
     const auto lru = fabric.lru_stats();

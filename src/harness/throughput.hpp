@@ -50,10 +50,10 @@ struct ThroughputOptions : LoadOptions {
 
 struct ThroughputResult : HarnessResult {
   std::size_t workers{0};
-  double mean_load{0.0};
   /// Placement outcome: the policy asked for, how many workers actually
   /// pinned, and whether pinning was possible at all on this host (the
-  /// "--pin applies or cleanly reports unsupported" contract).
+  /// "compact placement applies or cleanly reports unsupported"
+  /// contract).
   std::string placement{"none"};
   std::size_t pinned_workers{0};
   bool placement_supported{true};

@@ -388,12 +388,7 @@ void Node::send_stats() {
   }
   for (ProcessorId p = static_cast<ProcessorId>(cfg_.node_id); p < n_;
        p += static_cast<ProcessorId>(cfg_.num_nodes)) {
-    ProcLoad load;
-    load.pid = p;
-    load.sent = metrics.sent(p);
-    load.received = metrics.received(p);
-    load.words = metrics.word_load(p);
-    s.loads.push_back(load);
+    s.loads.push_back(ProcLoad{p, metrics.sent(p), metrics.received(p)});
   }
   loop_.send(ctrl_conn_, encode_stats(s));
 }

@@ -267,7 +267,6 @@ std::vector<std::uint8_t> encode_stats(const StatsFrame& f) {
     put_i32(out, l.pid);
     put_i64(out, l.sent);
     put_i64(out, l.received);
-    put_i64(out, l.words);
   }
   finish_frame(out, start);
   return out;
@@ -407,12 +406,11 @@ bool decode_stats(const FrameView& frame, StatsFrame* out) {
   out->messages_abandoned = r.i64();
   out->wire_write_syscalls = r.i64();
   out->frames_rejected = r.i64();
-  out->loads.resize(r.count(28));
+  out->loads.resize(r.count(20));
   for (ProcLoad& l : out->loads) {
     l.pid = r.i32();
     l.sent = r.i64();
     l.received = r.i64();
-    l.words = r.i64();
   }
   return r.done();
 }

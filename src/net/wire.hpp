@@ -30,9 +30,10 @@
 // reliable transport. The header checks (FrameView's version and type,
 // FrameReader's length bound) still abort.
 //
-// Versioning: kWireVersion is 3 since the frame vocabulary was unified,
-// and FrameView accepts only that version — every node and controller
-// is built from one tree, so no peer ever speaks another.
+// Versioning: kWireVersion is 4 since the Stats row dropped its word
+// count (3 unified the frame vocabulary), and FrameView accepts only
+// that version — every node and controller is built from one tree, so
+// no peer ever speaks another.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,7 @@
 
 namespace dcnt::net {
 
-inline constexpr std::uint8_t kWireVersion = 3;
+inline constexpr std::uint8_t kWireVersion = 4;
 /// Upper bound on one frame's payload; protects against a corrupt
 /// length word committing us to a gigabyte read.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -135,14 +136,13 @@ struct CompleteBatchFrame {
 /// above it.
 inline constexpr std::size_t kBatchEntryCap = kMaxFramePayload / 32;
 
-/// Per-processor load triple; only processors the reporting node owns
+/// Per-processor load row; only processors the reporting node owns
 /// appear, so the controller's merge is exact (each processor is owned
 /// by exactly one node).
 struct ProcLoad {
   ProcessorId pid{kNoProcessor};
   std::int64_t sent{0};
   std::int64_t received{0};
-  std::int64_t words{0};
 };
 
 struct StatsFrame {

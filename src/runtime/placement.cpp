@@ -88,7 +88,7 @@ std::string to_string(Placement p) {
 
 Placement placement_from_string(const std::string& name) {
   if (name.empty() || name == "none") return Placement::kNone;
-  if (name == "compact" || name == "pin") return Placement::kCompact;
+  if (name == "compact") return Placement::kCompact;
   DCNT_CHECK_MSG(false, "unknown placement (expected none or compact)");
   return Placement::kNone;
 }

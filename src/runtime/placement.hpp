@@ -9,7 +9,6 @@
 //   --placement none     leave scheduling to the kernel (default)
 //   --placement compact  fill SMT siblings / cores in topology order —
 //                        communicating shards share cache levels
-//   --pin                shorthand for compact
 //
 // Topology comes from sysfs (core_id / physical_package_id per online
 // CPU); where sysfs or pthread_setaffinity_np is unavailable the plan
@@ -31,8 +30,8 @@ enum class Placement {
 };
 
 std::string to_string(Placement p);
-/// "none" / "compact" ("pin" is an alias); anything else aborts with the
-/// accepted vocabulary.
+/// "none" / "compact"; anything else aborts with the accepted
+/// vocabulary.
 Placement placement_from_string(const std::string& name);
 
 /// One logical CPU as sysfs describes it. core_id/package_id fall back

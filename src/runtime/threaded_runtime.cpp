@@ -116,7 +116,7 @@ class ThreadedRuntime::WorkerCtx final : public Context {
     DCNT_CHECK(!msg.local);
     if (msg.op == kNoOp) msg.op = current_op_;
     if (msg.src != msg.dst) {
-      shard_->metrics.on_send(msg.src, msg.op, msg.size_words(), msg.key);
+      shard_->metrics.on_send(msg.src, msg.size_words(), msg.key);
     }
     if (!rt_->owns(msg.dst)) {
       // Another node's processor: stage for the remote sink. The send

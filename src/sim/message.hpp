@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <initializer_list>
 #include <iterator>
 #include <span>
@@ -87,8 +86,8 @@ class MessageArgs {
   /// True while the words live in the Message itself (no heap block).
   bool is_inline() const { return cap_ == kInline; }
 
-  std::int64_t* data() { return is_inline() ? inline_ : heap(); }
-  const std::int64_t* data() const { return is_inline() ? inline_ : heap(); }
+  std::int64_t* data() { return is_inline() ? inline_ : heap_; }
+  const std::int64_t* data() const { return is_inline() ? inline_ : heap_; }
   iterator begin() { return data(); }
   iterator end() { return data() + size_; }
   const_iterator begin() const { return data(); }
@@ -165,7 +164,7 @@ class MessageArgs {
     auto* block = new std::int64_t[n];
     std::copy(begin(), end(), block);
     release();
-    set_heap(block);
+    heap_ = block;
     cap_ = static_cast<std::uint32_t>(n);
   }
   /// Opens `n` uninitialised words at index `at_idx`, shifting the tail.
@@ -175,7 +174,10 @@ class MessageArgs {
     size_ += static_cast<std::uint32_t>(n);
   }
   void release() {
-    if (!is_inline()) delete[] heap();
+    if (!is_inline()) {
+      delete[] heap_;
+      inline_[0] = 0;  // the inline words are the active member again
+    }
     cap_ = kInline;
   }
   /// Takes `other`'s words, leaving it empty and inline. Requires this
@@ -185,27 +187,22 @@ class MessageArgs {
     if (other.is_inline()) {
       std::copy(other.inline_, other.inline_ + other.size_, inline_);
     } else {
-      set_heap(other.heap());
+      heap_ = other.heap_;
       cap_ = other.cap_;
+      other.inline_[0] = 0;
       other.cap_ = kInline;
     }
     other.size_ = 0;
   }
 
-  /// A spilled object keeps its block pointer in the first inline
-  /// word; memcpy is the defined way to store a pointer there.
-  std::int64_t* heap() const {
-    std::int64_t* block = nullptr;
-    std::memcpy(&block, inline_, sizeof block);
-    return block;
-  }
-  void set_heap(std::int64_t* block) {
-    std::memcpy(inline_, &block, sizeof block);
-  }
-
   std::uint32_t size_{0};
   std::uint32_t cap_{kInline};
-  std::int64_t inline_[kInline]{};
+  /// A spilled object keeps its block pointer where the inline words
+  /// were: heap_ is the active member exactly while !is_inline().
+  union {
+    std::int64_t inline_[kInline]{};
+    std::int64_t* heap_;
+  };
 };
 
 struct Message {

@@ -11,18 +11,13 @@ Metrics::Metrics(std::size_t num_processors)
       received_(num_processors, 0),
       words_(num_processors, 0) {}
 
-void Metrics::on_send(ProcessorId p, OpId op, std::size_t words, KeyId key) {
+void Metrics::on_send(ProcessorId p, std::size_t words, KeyId key) {
   ++sent_.at(to_idx(p));
   ++total_messages_;
   total_words_ += static_cast<std::int64_t>(words);
   words_.at(to_idx(p)) += static_cast<std::int64_t>(words);
   max_message_words_ =
       std::max(max_message_words_, static_cast<std::int64_t>(words));
-  if (op >= 0) {
-    const auto idx = static_cast<std::size_t>(op);
-    if (idx >= per_op_messages_.size()) per_op_messages_.resize(idx + 1, 0);
-    ++per_op_messages_[idx];
-  }
   if (key != kNoKey) ++key_loads_[key][p].sent;
 }
 
@@ -91,23 +86,24 @@ void Metrics::merge_from(const Metrics& other) {
     received_[i] += other.received_[i];
     words_[i] += other.words_[i];
   }
-  if (other.per_op_messages_.size() > per_op_messages_.size()) {
-    per_op_messages_.resize(other.per_op_messages_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.per_op_messages_.size(); ++i) {
-    per_op_messages_[i] += other.per_op_messages_[i];
-  }
   total_messages_ += other.total_messages_;
   total_words_ += other.total_words_;
   max_message_words_ = std::max(max_message_words_, other.max_message_words_);
   for (const auto& [key, per_proc] : other.key_loads_) {
-    auto& mine = key_loads_[key];
-    for (const auto& [p, kl] : per_proc) {
-      auto& slot = mine[p];
-      slot.sent += kl.sent;
-      slot.received += kl.received;
-    }
+    for (const auto& [p, kl] : per_proc) add_load(p, kl, key);
   }
+}
+
+void Metrics::add_load(ProcessorId p, KeyLoad load, KeyId key) {
+  if (key != kNoKey) {
+    auto& slot = key_loads_[key][p];
+    slot.sent += load.sent;
+    slot.received += load.received;
+    return;
+  }
+  sent_.at(to_idx(p)) += load.sent;
+  received_.at(to_idx(p)) += load.received;
+  total_messages_ += load.sent;
 }
 
 void Metrics::reset() {
@@ -115,7 +111,6 @@ void Metrics::reset() {
   std::fill(received_.begin(), received_.end(), 0);
   std::fill(words_.begin(), words_.end(), 0);
   max_message_words_ = 0;
-  per_op_messages_.clear();
   key_loads_.clear();
   total_messages_ = 0;
   total_words_ = 0;

@@ -3,7 +3,8 @@
 // This is the quantity the paper's theorems are about: m_p, the number
 // of messages processor p sends or receives over an operation sequence
 // (§3, "Definitions"). The simulator updates these counters on every
-// non-local message; protocols cannot forget to count.
+// non-local message; protocols cannot forget to count. It is the one
+// load ledger of every substrate: per-processor and per-key loads only.
 //
 // Cache-line audit (DESIGN.md §16): the counters here are plain int64
 // vectors, not atomics, on purpose — every Metrics instance has exactly
@@ -46,7 +47,7 @@ class Metrics {
   /// `key` attributes the message to one counter of the multi-key
   /// fabric; kNoKey (the default, and what all pre-fabric callers pass)
   /// keeps the global counters only.
-  void on_send(ProcessorId p, OpId op, std::size_t words, KeyId key = kNoKey);
+  void on_send(ProcessorId p, std::size_t words, KeyId key = kNoKey);
   void on_receive(ProcessorId p, std::size_t words, KeyId key = kNoKey);
 
   std::size_t num_processors() const { return sent_.size(); }
@@ -83,11 +84,6 @@ class Metrics {
   /// All loads as a Summary (for percentiles / histograms).
   Summary load_summary() const;
 
-  /// Messages attributed to each operation, by OpId (grown on demand).
-  const std::vector<std::int64_t>& per_op_messages() const {
-    return per_op_messages_;
-  }
-
   /// Per-key per-processor loads (empty unless keyed traffic ran).
   const KeyLoadMap& key_loads() const { return key_loads_; }
   /// max_p m_p^k — the paper's bottleneck restricted to key k's traffic.
@@ -102,6 +98,10 @@ class Metrics {
   /// whichever backend produced it.
   void merge_from(const Metrics& other);
 
+  /// Adds a reported row (the cluster controller's merge): p's overall
+  /// load (kNoKey), or its slice of `key`, already part of the former.
+  void add_load(ProcessorId p, KeyLoad load, KeyId key = kNoKey);
+
   void reset();
 
  private:
@@ -110,7 +110,6 @@ class Metrics {
   std::vector<std::int64_t> sent_;
   std::vector<std::int64_t> received_;
   std::vector<std::int64_t> words_;
-  std::vector<std::int64_t> per_op_messages_;
   KeyLoadMap key_loads_;
   std::int64_t total_messages_{0};
   std::int64_t total_words_{0};

@@ -40,6 +40,7 @@ Simulator::Simulator(const Simulator& other)
       queue_(other.queue_),
       channel_last_(other.channel_last_),
       metrics_(other.metrics_),
+      per_op_messages_(other.per_op_messages_),
       trace_(other.trace_),
       results_(other.results_),
       invoked_at_(other.invoked_at_),
@@ -75,6 +76,7 @@ void Simulator::restore(const Simulator& other) {
   queue_ = other.queue_;
   channel_last_ = other.channel_last_;
   metrics_ = other.metrics_;
+  per_op_messages_ = other.per_op_messages_;
   trace_ = other.trace_;
   results_ = other.results_;
   invoked_at_ = other.invoked_at_;
@@ -86,6 +88,19 @@ void Simulator::restore(const Simulator& other) {
   current_parent_ = kNoRecord;
   current_op_ = kNoOp;
   in_handler_ = false;
+}
+
+void Simulator::reset_metrics() {
+  metrics_.reset();
+  per_op_messages_.clear();
+}
+
+void Simulator::charge_send(ProcessorId p, const Message& msg) {
+  metrics_.on_send(p, msg.size_words(), msg.key);
+  if (msg.op < 0) return;  // kNoOp: protocol-internal, unattributed
+  const auto idx = static_cast<std::size_t>(msg.op);
+  if (idx >= per_op_messages_.size()) per_op_messages_.resize(idx + 1, 0);
+  ++per_op_messages_[idx];
 }
 
 OpId Simulator::begin_inc(ProcessorId origin) {
@@ -142,7 +157,7 @@ void Simulator::send(Message msg) {
           : msg.dst;
   RecordId rec = kNoRecord;
   if (counted) {
-    metrics_.on_send(msg.src, msg.op, msg.size_words(), msg.key);
+    charge_send(msg.src, msg);
     Message hop_view = msg;
     hop_view.dst = first_hop;  // trace records physical hops
     rec = trace_.on_send(current_parent_, hop_view, msg.op, now_);
@@ -302,7 +317,7 @@ void Simulator::deliver(Event ev) {
     DCNT_CHECK_MSG(ev.ttl > 0, "routing loop (ttl exhausted)");
     const ProcessorId next =
         config_.topology->next_hop(ev.at, ev.msg.dst);
-    metrics_.on_send(ev.at, ev.msg.op, ev.msg.size_words(), ev.msg.key);
+    charge_send(ev.at, ev.msg);
     RecordId rec = kNoRecord;
     if (trace_.enabled()) {
       Message hop_view = ev.msg;

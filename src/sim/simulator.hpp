@@ -145,7 +145,12 @@ class Simulator final : private Context {
   const FaultPlane& fault_plane() const { return faults_; }
 
   const Metrics& metrics() const { return metrics_; }
-  Metrics& mutable_metrics() { return metrics_; }
+  /// Messages charged to each op, by OpId: the §4 audits' per-op budget.
+  const std::vector<std::int64_t>& per_op_messages() const {
+    return per_op_messages_;
+  }
+  /// Zeroes metrics() and per_op_messages() (a driver's warmup boundary).
+  void reset_metrics();
   const Trace& trace() const { return trace_; }
   Trace& mutable_trace() { return trace_; }
   const CounterProtocol& counter() const { return *protocol_; }
@@ -187,6 +192,8 @@ class Simulator final : private Context {
   void raw_enqueue(Message msg, ProcessorId hop_src, ProcessorId hop_dst,
                    RecordId record, RecordId cause, std::int64_t ttl);
   void deliver(Event ev);
+  /// Charges one counted hop that `p` sends: its load and its op's count.
+  void charge_send(ProcessorId p, const Message& msg);
   static std::uint64_t channel_key(ProcessorId src, ProcessorId dst) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
            static_cast<std::uint32_t>(dst);
@@ -204,6 +211,7 @@ class Simulator final : private Context {
   std::vector<Event> queue_;
   std::unordered_map<std::uint64_t, SimTime> channel_last_;
   Metrics metrics_;
+  std::vector<std::int64_t> per_op_messages_;
   Trace trace_;
   std::vector<std::optional<Value>> results_;
   std::vector<SimTime> invoked_at_;

@@ -357,6 +357,7 @@ TEST(Cluster, KeyedTcpMatchesInprocPerKeyBottleneck) {
     EXPECT_EQ(cluster.keys_touched, inproc.keys_touched);
     EXPECT_EQ(cluster.total_messages, inproc.total_messages);
     EXPECT_EQ(cluster.max_load, inproc.max_load);
+    EXPECT_EQ(cluster.bottleneck, inproc.bottleneck);
   }
 }
 

@@ -66,7 +66,7 @@ TEST(Concentration, CentralCounterFarMoreConcentratedThanTree) {
 
 TEST(Concentration, MetricsOverloadMatchesVectorOverload) {
   Metrics metrics(4);
-  metrics.on_send(0, 0, 1);
+  metrics.on_send(0, 1);
   metrics.on_receive(1, 1);
   metrics.on_receive(1, 1);
   const auto from_metrics = concentration(metrics);

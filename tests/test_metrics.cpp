@@ -7,9 +7,9 @@ namespace {
 
 TEST(Metrics, CountsSendsAndReceives) {
   Metrics m(4);
-  m.on_send(0, 0, 2);
+  m.on_send(0, 2);
   m.on_receive(1, 1);
-  m.on_send(1, 0, 3);
+  m.on_send(1, 3);
   m.on_receive(2, 1);
   EXPECT_EQ(m.sent(0), 1);
   EXPECT_EQ(m.received(0), 0);
@@ -23,34 +23,16 @@ TEST(Metrics, CountsSendsAndReceives) {
 
 TEST(Metrics, BottleneckIsArgmax) {
   Metrics m(3);
-  m.on_send(2, kNoOp, 1);
-  m.on_send(2, kNoOp, 1);
-  m.on_send(1, kNoOp, 1);
+  m.on_send(2, 1);
+  m.on_send(2, 1);
+  m.on_send(1, 1);
   EXPECT_EQ(m.max_load(), 2);
   EXPECT_EQ(m.bottleneck(), 2);
 }
 
-TEST(Metrics, PerOpAttribution) {
-  Metrics m(2);
-  m.on_send(0, 0, 1);
-  m.on_send(0, 0, 1);
-  m.on_send(1, 2, 1);  // op ids may skip (op 1 sent nothing)
-  ASSERT_EQ(m.per_op_messages().size(), 3u);
-  EXPECT_EQ(m.per_op_messages()[0], 2);
-  EXPECT_EQ(m.per_op_messages()[1], 0);
-  EXPECT_EQ(m.per_op_messages()[2], 1);
-}
-
-TEST(Metrics, NoOpTrafficNotAttributed) {
-  Metrics m(2);
-  m.on_send(0, kNoOp, 1);
-  EXPECT_TRUE(m.per_op_messages().empty());
-  EXPECT_EQ(m.total_messages(), 1);
-}
-
 TEST(Metrics, LoadSummaryMatchesLoads) {
   Metrics m(3);
-  m.on_send(0, kNoOp, 1);
+  m.on_send(0, 1);
   m.on_receive(1, 1);
   m.on_receive(1, 1);
   const Summary s = m.load_summary();
@@ -61,9 +43,9 @@ TEST(Metrics, LoadSummaryMatchesLoads) {
 
 TEST(Metrics, WordLoadsTrackPayloadPerProcessor) {
   Metrics m(3);
-  m.on_send(0, 0, 5);     // 0 sends 5 words
+  m.on_send(0, 5);     // 0 sends 5 words
   m.on_receive(1, 5);     // 1 receives them
-  m.on_send(1, 0, 2);
+  m.on_send(1, 2);
   m.on_receive(2, 2);
   EXPECT_EQ(m.word_load(0), 5);
   EXPECT_EQ(m.word_load(1), 7);
@@ -74,21 +56,20 @@ TEST(Metrics, WordLoadsTrackPayloadPerProcessor) {
 
 TEST(Metrics, ResetClearsEverything) {
   Metrics m(2);
-  m.on_send(0, 0, 1);
+  m.on_send(0, 1);
   m.on_receive(1, 1);
   m.reset();
   EXPECT_EQ(m.total_messages(), 0);
   EXPECT_EQ(m.load(0), 0);
   EXPECT_EQ(m.load(1), 0);
-  EXPECT_TRUE(m.per_op_messages().empty());
 }
 
 TEST(Metrics, KeyedSendsTrackPerKeySlices) {
   Metrics m(4);
-  m.on_send(0, 0, 2, /*key=*/7);
+  m.on_send(0, 2, /*key=*/7);
   m.on_receive(1, 2, /*key=*/7);
-  m.on_send(0, 1, 1, /*key=*/9);
-  m.on_send(2, 2, 1);  // unkeyed: global only
+  m.on_send(0, 1, /*key=*/9);
+  m.on_send(2, 1);  // unkeyed: global only
   EXPECT_EQ(m.key_max_load(7), 1);
   EXPECT_EQ(m.key_total_messages(7), 1);
   EXPECT_EQ(m.key_total_messages(9), 1);
@@ -110,16 +91,16 @@ TEST(Metrics, KeyedMergeIsAssociative) {
   const auto make = [](int which) {
     Metrics m(4);
     if (which == 0) {
-      m.on_send(0, 0, 1, 5);
+      m.on_send(0, 1, 5);
       m.on_receive(1, 1, 5);
-      m.on_send(2, 1, 1, 6);
+      m.on_send(2, 1, 6);
     } else if (which == 1) {
-      m.on_send(1, 2, 1, 5);
-      m.on_send(3, 3, 2, 8);
+      m.on_send(1, 1, 5);
+      m.on_send(3, 2, 8);
     } else {
       m.on_receive(0, 1, 6);
       m.on_receive(3, 2, 8);
-      m.on_send(1, 4, 1, 5);
+      m.on_send(1, 1, 5);
     }
     return m;
   };
@@ -150,15 +131,43 @@ TEST(Metrics, KeyedMergeIsAssociative) {
   EXPECT_EQ(left.max_load(), right.max_load());
 }
 
+TEST(Metrics, AddLoadRebuildsAReportedLedger) {
+  // The cluster controller rebuilds its nodes' ledgers from the rows
+  // they report: one overall row per processor plus the keyed slices of
+  // those same loads, which must not count twice.
+  Metrics node(3);
+  node.on_send(0, 1, /*key=*/4);
+  node.on_receive(1, 1, /*key=*/4);
+  node.on_send(1, 1);
+  node.on_receive(2, 1);
+  Metrics rebuilt(3);
+  for (ProcessorId p = 0; p < 3; ++p) {
+    rebuilt.add_load(p, KeyLoad{node.sent(p), node.received(p)});
+  }
+  for (const auto& [key, per_proc] : node.key_loads()) {
+    for (const auto& [p, slice] : per_proc) rebuilt.add_load(p, slice, key);
+  }
+  for (ProcessorId p = 0; p < 3; ++p) {
+    EXPECT_EQ(rebuilt.load(p), node.load(p)) << p;
+  }
+  EXPECT_EQ(rebuilt.total_messages(), 2);
+  EXPECT_EQ(rebuilt.max_load(), 2);
+  EXPECT_EQ(rebuilt.bottleneck(), 1);
+  ASSERT_EQ(rebuilt.key_loads().size(), 1u);
+  EXPECT_EQ(rebuilt.key_max_load(4), 1);
+  EXPECT_EQ(rebuilt.key_total_messages(4), 1);
+  EXPECT_EQ(rebuilt.total_words(), 0);  // rows carry no words
+}
+
 TEST(Metrics, ResetClearsKeyedSlices) {
   Metrics m(2);
-  m.on_send(0, 0, 1, 3);
+  m.on_send(0, 1, 3);
   m.reset();
   EXPECT_EQ(m.key_max_load(3), 0);
   // Post-reset keyed traffic is absolute, not baseline-relative: the
   // cluster's metrics reset zeroes the slices in place so per-key
   // reports need no baseline subtraction.
-  m.on_send(0, 1, 1, 3);
+  m.on_send(0, 1, 3);
   EXPECT_EQ(m.key_total_messages(3), 1);
 }
 

@@ -34,7 +34,9 @@ TEST_P(QuorumSystemTest, QuorumsAreValidSortedSubsets) {
       for (std::size_t j = 0; j < q.size(); ++j) {
         EXPECT_GE(q[j], 0);
         EXPECT_LT(q[j], system->universe_size());
-        if (j > 0) EXPECT_LT(q[j - 1], q[j]) << system->name();
+        if (j > 0) {
+          EXPECT_LT(q[j - 1], q[j]) << system->name();
+        }
       }
     }
   }

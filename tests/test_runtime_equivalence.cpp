@@ -54,9 +54,6 @@ void expect_backends_agree(CounterKind kind, std::int64_t min_n,
     EXPECT_EQ(rt_result.metrics.word_load(p), sim.metrics().word_load(p))
         << "p=" << p;
   }
-  // Per-op message attribution must agree operation by operation.
-  EXPECT_EQ(rt_result.metrics.per_op_messages(),
-            sim.metrics().per_op_messages());
 }
 
 TEST(RuntimeEquivalence, CentralMatchesSimulatorExactly) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "baselines/central.hpp"
 
@@ -98,6 +100,45 @@ Simulator make_sim(std::int64_t n, int hops, SimConfig cfg) {
   return Simulator(std::make_unique<HopCounter>(n, hops), cfg);
 }
 
+// Two processors; op i sends script[i] messages from its origin to the
+// other processor and completes when the last one lands (at once when
+// script[i] is 0).
+class ScriptedSends final : public CounterProtocol {
+ public:
+  explicit ScriptedSends(std::vector<int> script)
+      : script_(std::move(script)) {}
+
+  std::size_t num_processors() const override { return 2; }
+
+  void start_inc(Context& ctx, ProcessorId origin, OpId op) override {
+    const int sends = script_.at(static_cast<std::size_t>(op));
+    if (sends == 0) ctx.complete(op, value_++);
+    for (int i = 0; i < sends; ++i) {
+      Message m;
+      m.src = origin;
+      m.dst = 1 - origin;
+      m.tag = 1;
+      ctx.send(std::move(m));
+    }
+  }
+
+  void on_message(Context& ctx, const Message& msg) override {
+    if (++landed_[msg.op] == script_.at(static_cast<std::size_t>(msg.op))) {
+      ctx.complete(msg.op, value_++);
+    }
+  }
+
+  std::unique_ptr<CounterProtocol> clone_counter() const override {
+    return std::make_unique<ScriptedSends>(*this);
+  }
+  std::string name() const override { return "scripted"; }
+
+ private:
+  std::vector<int> script_;
+  std::map<OpId, int> landed_;
+  Value value_{0};
+};
+
 TEST(Simulator, CompletesSequentialIncs) {
   Simulator sim = make_sim(4, 2, {});
   for (int i = 0; i < 8; ++i) {
@@ -125,6 +166,41 @@ TEST(Simulator, MetricsCountEachMessageOnce) {
   std::int64_t loads = 0;
   for (ProcessorId p = 0; p < 4; ++p) loads += sim.metrics().load(p);
   EXPECT_EQ(loads, 6);  // each message: one send + one receive
+}
+
+TEST(Simulator, PerOpAttribution) {
+  Simulator sim(std::make_unique<ScriptedSends>(std::vector<int>{2, 0, 1}),
+                {});
+  sim.begin_inc(0);
+  sim.begin_inc(0);
+  sim.begin_inc(1);  // op ids may skip (op 1 sent nothing)
+  sim.run_until_quiescent();
+  ASSERT_EQ(sim.per_op_messages().size(), 3u);
+  EXPECT_EQ(sim.per_op_messages()[0], 2);
+  EXPECT_EQ(sim.per_op_messages()[1], 0);
+  EXPECT_EQ(sim.per_op_messages()[2], 1);
+  EXPECT_EQ(sim.metrics().total_messages(), 3);
+}
+
+TEST(Simulator, SendsInheritTheirHandlersOp) {
+  // A send that names no op is charged to the op whose handler sent it,
+  // in start_inc and on_message alike: every hop of 2 -> 3 -> 0 -> 2
+  // belongs to op 0, so no simulator traffic goes unattributed.
+  Simulator sim = make_sim(4, 1, {});
+  sim.begin_inc(2);
+  sim.run_until_quiescent();
+  EXPECT_EQ(sim.per_op_messages(), std::vector<std::int64_t>{3});
+  EXPECT_EQ(sim.metrics().total_messages(), 3);
+}
+
+TEST(Simulator, ResetMetricsClearsPerOpCounts) {
+  Simulator sim = make_sim(4, 1, {});
+  sim.begin_inc(2);
+  sim.run_until_quiescent();
+  sim.reset_metrics();
+  EXPECT_EQ(sim.metrics().total_messages(), 0);
+  EXPECT_EQ(sim.metrics().load(2), 0);
+  EXPECT_TRUE(sim.per_op_messages().empty());
 }
 
 TEST(Simulator, DeterministicForSameSeed) {
@@ -316,6 +392,7 @@ TEST(Simulator, RestoreReproducesSnapshotExactly) {
   EXPECT_EQ(scratch.metrics().total_messages(),
             fresh.metrics().total_messages());
   EXPECT_EQ(scratch.metrics().max_load(), fresh.metrics().max_load());
+  EXPECT_EQ(scratch.per_op_messages(), fresh.per_op_messages());
   EXPECT_EQ(scratch.deliveries(), fresh.deliveries());
   EXPECT_EQ(scratch.trace().records().size(), fresh.trace().records().size());
 }

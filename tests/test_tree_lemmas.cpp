@@ -103,7 +103,7 @@ TEST(GrowOldLemma, RetirementFreeOpsAreCheap) {
   for (const auto& ev : tc->retirement_log()) {
     if (ev.op >= 0) op_retired[static_cast<std::size_t>(ev.op)] = true;
   }
-  const auto& per_op = sim.metrics().per_op_messages();
+  const auto& per_op = sim.per_op_messages();
   std::int64_t checked = 0;
   for (std::size_t op = 0; op < per_op.size(); ++op) {
     if (op_retired[op]) continue;

@@ -84,8 +84,8 @@ std::vector<std::vector<std::uint8_t>> every_body_frame() {
   StatsFrame stats;
   stats.node_id = 1;
   stats.frames_rejected = 2;
-  stats.loads.push_back(ProcLoad{1, 2, 3, 4});
-  stats.loads.push_back(ProcLoad{3, 0, 1, 2});
+  stats.loads.push_back(ProcLoad{1, 2, 3});
+  stats.loads.push_back(ProcLoad{3, 0, 1});
   KeyedStatsFrame ks;
   ks.node_id = 3;
   for (int i = 0; i < 4; ++i) ks.loads.push_back(KeyProcLoad{i, i, i, i});
@@ -162,8 +162,8 @@ TEST(Wire, StatsRoundTrip) {
   in.messages_abandoned = 1;
   in.wire_write_syscalls = 9;
   in.frames_rejected = 5;
-  in.loads.push_back(ProcLoad{2, 10, 11, 40});
-  in.loads.push_back(ProcLoad{6, 0, 1, 2});
+  in.loads.push_back(ProcLoad{2, 10, 11});
+  in.loads.push_back(ProcLoad{6, 0, 1});
   StatsFrame out;
   ASSERT_TRUE(decode_stats(view(encode_stats(in)), &out));
   EXPECT_EQ(out.node_id, 2u);
@@ -176,8 +176,10 @@ TEST(Wire, StatsRoundTrip) {
   EXPECT_EQ(out.frames_rejected, 5);
   ASSERT_EQ(out.loads.size(), 2u);
   EXPECT_EQ(out.loads[0].pid, 2);
+  EXPECT_EQ(out.loads[0].sent, 10);
   EXPECT_EQ(out.loads[0].received, 11);
-  EXPECT_EQ(out.loads[1].words, 2);
+  EXPECT_EQ(out.loads[1].pid, 6);
+  EXPECT_EQ(out.loads[1].received, 1);
 }
 
 TEST(Wire, BodylessFrames) {
@@ -241,8 +243,8 @@ TEST(Wire, FrameReaderHandlesSplitAcrossFeeds) {
 
 TEST(Wire, RejectsForeignVersion) {
   // Only kWireVersion decodes: a later version and the retired versions
-  // 1 and 2 all abort.
-  for (const int version : {kWireVersion + 1, 2, 1}) {
+  // 1, 2 and 3 all abort.
+  for (const int version : {kWireVersion + 1, 3, 2, 1}) {
     auto frame = encode_ready(ReadyFrame{0});
     frame[4] = static_cast<std::uint8_t>(version);  // after the length word
     EXPECT_DEATH(FrameView(frame.data() + 4, frame.size() - 4),
@@ -345,7 +347,7 @@ Message golden_message() {
 TEST(Wire, PlainMessageGoldenBytes) {
   const std::vector<std::uint8_t> expected = {
       0x2a, 0, 0, 0,           // payload length 42
-      kWireVersion, 6,         // version, kMsg
+      4, 6,                    // version, kMsg
       1, 0, 0, 0,              // src
       2, 0, 0, 0,              // dst
       3, 0, 0, 0,              // tag
@@ -361,7 +363,7 @@ TEST(Wire, KeyedMessageGoldenBytes) {
   msg.key = 0x0102;
   const std::vector<std::uint8_t> expected = {
       0x32, 0, 0, 0,                 // payload length 50
-      kWireVersion, 12,              // version, kKeyedMsg
+      4, 12,                         // version, kKeyedMsg
       0x02, 0x01, 0, 0, 0, 0, 0, 0,  // key
       1, 0, 0, 0,                    // src
       2, 0, 0, 0,                    // dst
