@@ -5,6 +5,9 @@
 //   * The counter value lives at the root's current incumbent processor.
 //   * An inc initiated at leaf p climbs the tree as an "inc from p"
 //     message; the root answers p directly with the value and increments.
+//     Incs that overlap combine: a role climbs with what reached it
+//     since its last dry point, up to 3 incs per message, and the root
+//     still answers each origin directly (PROTOCOL.md).
 //   * Every inner node tracks its *age* — messages sent or received
 //     since its current incumbent took the job. Crossing the threshold
 //     (default 4k; configurable, ablated in bench_ablation) makes it
@@ -67,6 +70,8 @@ class TreeCounter final : public TreeService {
     return state.at(0)++;
   }
   std::vector<std::int64_t> initial_root_state() const override { return {0}; }
+  /// An inc carries no arguments, so overlapping incs combine.
+  bool combinable() const override { return true; }
   void check_root_state(std::size_t ops_completed,
                         const std::vector<std::int64_t>& state) const override;
 };

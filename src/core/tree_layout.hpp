@@ -65,10 +65,19 @@ class TreeLayout {
   ProcessorId successor(NodeId node, ProcessorId cur) const;
 
  private:
+  /// k^i for i in [0, k].
+  std::int64_t k_pow(int i) const {
+    return k_pow_[static_cast<std::size_t>(i)];
+  }
+  /// Id of the first level-k node.
+  NodeId leaf_parent_offset() const {
+    return level_offset_[static_cast<std::size_t>(k_)];
+  }
+
   int k_;
   std::int64_t n_;
   std::int64_t num_inner_;
-  std::int64_t k_pow_k_;
+  std::vector<std::int64_t> k_pow_;
   // level_offset_[i] = id of first node on level i, for i in [0, k+1]
   // (the last entry equals num_inner_).
   std::vector<std::int64_t> level_offset_;

@@ -60,6 +60,7 @@ void TreeService::finish_init() {
   Role* root = find_role(root_ps, 0);
   DCNT_CHECK(root != nullptr);
   root->state = initial_root_state();
+  combine_ = combinable() && !self_healing_;
   initialized_ = true;
 }
 
@@ -142,7 +143,17 @@ void TreeService::on_message(Context& ctx, const Message& msg) {
       return;
 
     case kTagInc:
+    case kTagMulti:
       route_node_message(ctx, self, msg.args.at(1), msg);
+      return;
+
+    case kTagFlush:
+      // The role's dry point. A role given up since the flush was armed
+      // was flushed by retire(), so nothing waits for this one.
+      if (Role* role = find_role(ps, msg.args.at(0))) {
+        role->flush_armed = false;
+        flush_role(ctx, self, *role);
+      }
       return;
 
     case kTagNewId: {
@@ -273,25 +284,31 @@ void TreeService::handle_role_message(Context& ctx, ProcessorId self,
     handle_backup_ack(ctx, self, role, msg);
     return;
   }
-  if (msg.tag == kTagInc) {
+  if (msg.tag == kTagInc || msg.tag == kTagMulti) {
     const auto origin = static_cast<ProcessorId>(msg.args.at(0));
     if (role.node == 0 && self_healing_) {
       handle_root_op(ctx, self, role, msg);
       return;
     }
-    if (role.node == 0) {
-      const Value reply_value = root_apply(
-          role.state, std::span<const std::int64_t>(msg.args).subspan(2));
-      Message reply;
-      reply.src = self;
-      reply.dst = origin;
-      reply.tag = kTagValue;
-      // Carry the op explicitly: when a stashed inc is drained during a
-      // handover commit, the ambient op is the handover's, not the
-      // inc's.
-      reply.op = msg.op;
-      reply.args = {reply_value};
-      ctx.send(std::move(reply));
+    if (msg.tag == kTagMulti) {
+      // Ops in message order; each later one packs op * n + origin.
+      const std::int64_t n = layout_.n();
+      const auto take = [&](ProcessorId from, OpId op) {
+        if (role.node == 0) {
+          reply_from_root(ctx, self, role, from, op, {});
+        } else {
+          buffer_inc(ctx, self, role, from, op);
+        }
+      };
+      take(origin, msg.op);
+      for (std::size_t i = 2; i < msg.args.size(); ++i) {
+        take(static_cast<ProcessorId>(msg.args[i] % n), msg.args[i] / n);
+      }
+    } else if (role.node == 0) {
+      reply_from_root(ctx, self, role, origin, msg.op,
+                      std::span<const std::int64_t>(msg.args).subspan(2));
+    } else if (combine_) {
+      buffer_inc(ctx, self, role, origin, msg.op);
     } else {
       Message up = msg;  // preserves op and op_args
       up.src = self;
@@ -321,6 +338,50 @@ void TreeService::handle_role_message(Context& ctx, ProcessorId self,
     DCNT_CHECK_MSG(found, "kTagNewId from a non-neighbour");
   }
   bump_age(ctx, self, role, 1, msg.op);
+}
+
+void TreeService::reply_from_root(Context& ctx, ProcessorId self, Role& role,
+                                  ProcessorId origin, OpId op,
+                                  std::span<const std::int64_t> op_args) {
+  Message reply;
+  reply.src = self;
+  reply.dst = origin;
+  reply.tag = kTagValue;
+  // Carry the op explicitly: when a stashed inc is drained during a
+  // handover commit, the ambient op is the handover's, not the inc's.
+  reply.op = op;
+  reply.args = {root_apply(role.state, op_args)};
+  ctx.send(std::move(reply));
+}
+
+void TreeService::buffer_inc(Context& ctx, ProcessorId self, Role& role,
+                             ProcessorId origin, OpId op) {
+  role.buffer[static_cast<std::size_t>(role.buffered++)] = {origin, op};
+  if (role.buffered == kMaxCombine) {
+    flush_role(ctx, self, role);
+  } else if (!role.flush_armed) {
+    role.flush_armed = true;
+    ctx.defer(self, kTagFlush, {role.node});
+  }
+}
+
+void TreeService::flush_role(Context& ctx, ProcessorId self, Role& role) {
+  if (role.buffered == 0) return;
+  const BufferedInc& first = role.buffer[0];
+  Message up;
+  up.src = self;
+  up.dst = role.parent_pid;
+  // A lone inc climbs exactly as it would without combining.
+  up.tag = role.buffered == 1 ? kTagInc : kTagMulti;
+  up.op = first.op;
+  up.args = {first.origin, layout_.parent(role.node)};
+  for (int i = 1; i < role.buffered; ++i) {
+    const BufferedInc& b = role.buffer[static_cast<std::size_t>(i)];
+    DCNT_CHECK(b.op >= 0);
+    up.args.push_back(b.op * layout_.n() + b.origin);
+  }
+  role.buffered = 0;
+  ctx.send(std::move(up));
 }
 
 void TreeService::bump_age(Context& ctx, ProcessorId self, Role& role,
@@ -362,6 +423,9 @@ void TreeService::retire(Context& ctx, ProcessorId self, NodeId node,
     return;
   }
   if (succ == layout_.pool_begin(node)) ++stats_.pool_wraps;
+  // Buffered incs climb before the handover, so the successor never
+  // inherits them.
+  flush_role(ctx, self, *live);
 
   // Drop the role, remember where it went. The role's buffers move out
   // first; its handover messages are built from them below.
@@ -483,7 +547,9 @@ void TreeService::drain_stash(Context& ctx, ProcessorId self, NodeId node) {
   auto& ps = procs_[static_cast<std::size_t>(self)];
   std::vector<Message> parked;
   for (auto it = ps.stash.begin(); it != ps.stash.end();) {
-    const NodeId target = it->tag == kTagInc ? it->args.at(1) : it->args.at(0);
+    const NodeId target = it->tag == kTagInc || it->tag == kTagMulti
+                              ? it->args.at(1)
+                              : it->args.at(0);
     if (target == node) {
       parked.push_back(std::move(*it));
       it = ps.stash.erase(it);
@@ -914,6 +980,15 @@ void TreeService::check_quiescent(std::size_t ops_completed) const {
     DCNT_CHECK_MSG(live_stash_ == 0, "stashed messages at quiescence");
   }
   DCNT_CHECK_MSG(incumbent_[0] != kNoProcessor, "root in flight");
+  if (combine_) {
+    // Roles live only at their incumbents once no handover is pending.
+    for (NodeId node = 1; node < layout_.num_inner(); ++node) {
+      const ProcessorId pid = incumbent_[static_cast<std::size_t>(node)];
+      const Role* role = find_role(procs_[static_cast<std::size_t>(pid)], node);
+      DCNT_CHECK_MSG(role != nullptr && role->buffered == 0,
+                     "buffered incs at quiescence");
+    }
+  }
   check_root_state(ops_completed, root_state());
 }
 
@@ -940,6 +1015,7 @@ void TreeService::deep_check() const {
     DCNT_CHECK(pid != kNoProcessor);
     const Role* role = find_role(procs_[static_cast<std::size_t>(pid)], node);
     DCNT_CHECK(role != nullptr);
+    DCNT_CHECK(role->buffered == 0);
     const NodeId up = layout_.parent(node);
     if (up == kNoNode) {
       DCNT_CHECK(role->parent_pid == kNoProcessor);

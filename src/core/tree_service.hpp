@@ -26,9 +26,14 @@
 // with k+1 short messages and notifying parent and children with k+1
 // more. Misdirected messages are forwarded by ex-incumbents; messages
 // that beat their own handover are stashed until it commits. All extra
-// messages are counted.
+// messages are counted. A combinable service (the counter) packs the
+// incs that reach a non-root role between two of its dry points
+// (Context::defer) into one climb of at most kMaxCombine, and the root
+// answers every origin directly, so overlapping incs stop multiplying
+// the messages in flight to a role.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -139,6 +144,13 @@ class TreeService : public CounterProtocol {
   static constexpr std::int32_t kTagBackupAck = 7; ///< [0, seq]
   static constexpr std::int32_t kTagPromote = 8;   ///< [node, dead_pid]
   static constexpr std::int32_t kTagIncRetry = 9;  ///< local [serial]: origin retry timer
+  // Combining tags (combinable() services only; see PROTOCOL.md).
+  static constexpr std::int32_t kTagMulti = 10;  ///< [origin_1, target_node, op_2*n+origin_2, (op_3*n+origin_3)]; op_1 in msg.op
+  static constexpr std::int32_t kTagFlush = 11;  ///< local, deferred [node]: the role's dry point
+  /// Most incs one climb carries: one kTagMulti is then at most 4 words,
+  /// which still fits MessageArgs::kInline behind the reliable
+  /// transport's 2-word envelope.
+  static constexpr int kMaxCombine = 3;
 
   // CounterProtocol:
   std::size_t num_processors() const override;
@@ -180,6 +192,10 @@ class TreeService : public CounterProtocol {
                            std::span<const std::int64_t> op_args) = 0;
   /// Root state before any operation.
   virtual std::vector<std::int64_t> initial_root_state() const = 0;
+  /// True when operations carry no arguments, so that the incs reaching
+  /// a role between two of its dry points may climb as one message
+  /// (kTagMulti). Read once, by finish_init(). Default: no combining.
+  virtual bool combinable() const { return false; }
   /// Service-specific quiescent invariant on the root state (default:
   /// none).
   virtual void check_root_state(std::size_t ops_completed,
@@ -217,12 +233,22 @@ class TreeService : public CounterProtocol {
     Value value{0};
     OpId op{kNoOp};
   };
+  /// An inc waiting at a non-root role for the role's next flush.
+  struct BufferedInc {
+    ProcessorId origin{kNoProcessor};
+    OpId op{kNoOp};
+  };
   /// State of one inner-node role held by a processor.
   struct Role {
     NodeId node{kNoNode};
     ProcessorId parent_pid{kNoProcessor};  // kNoProcessor for the root
     std::vector<ProcessorId> child_pids;   // inner incumbents or leaf ids
     std::int64_t age{0};
+    // Combining (non-root roles of a combinable service): incs received
+    // since the last flush, and whether a kTagFlush is deferred.
+    std::array<BufferedInc, kMaxCombine> buffer{};
+    int buffered{0};
+    bool flush_armed{false};
     std::vector<std::int64_t> state;  // root only
     // Self-healing root bookkeeping (empty unless node == 0 and
     // self_healing is on).
@@ -286,6 +312,16 @@ class TreeService : public CounterProtocol {
                           const Message& msg);
   void bump_age(Context& ctx, ProcessorId self, Role& role,
                 std::int64_t amount, OpId op);
+  /// The root applies one op and answers its origin directly.
+  void reply_from_root(Context& ctx, ProcessorId self, Role& role,
+                       ProcessorId origin, OpId op,
+                       std::span<const std::int64_t> op_args);
+  /// Adds one inc to a non-root role's buffer: flushes when it is full,
+  /// else arms the role's dry-point flush.
+  void buffer_inc(Context& ctx, ProcessorId self, Role& role,
+                  ProcessorId origin, OpId op);
+  /// Sends the buffered incs up as one kTagInc or kTagMulti.
+  void flush_role(Context& ctx, ProcessorId self, Role& role);
   void retire(Context& ctx, ProcessorId self, NodeId node, OpId op);
   void commit_takeover(Context& ctx, ProcessorId self, PendingTakeover pt);
   void drain_stash(Context& ctx, ProcessorId self, NodeId node);
@@ -315,6 +351,8 @@ class TreeService : public CounterProtocol {
   std::int64_t threshold_;
   bool count_handover_in_age_;
   bool self_healing_;
+  /// combinable() && !self_healing_, fixed by finish_init().
+  bool combine_{false};
   SimTime inc_retry_timeout_;
   std::vector<ProcState> procs_;
   /// Committed incumbent per inner node (kNoProcessor while in handover).

@@ -81,6 +81,10 @@ struct ThreadedRuntime::Shard {
   std::int64_t pending_sends{0};
   std::int64_t finished{0};
   std::size_t events_since_flush{0};
+  /// Context::defer messages, run when the current generation ends
+  /// (run_deferred). Each holds an in-flight count, as a logical timer
+  /// does. Reused, so steady-state deferral allocates nothing.
+  std::vector<RuntimeEvent> deferred;
   std::vector<TimerEntry> timers;  ///< min-heap (TimerLater)
   std::uint64_t timer_seq{0};
   /// Armed wall-clock timers (hosting, where the shard is driven by
@@ -174,6 +178,23 @@ class ThreadedRuntime::WorkerCtx final : public Context {
     } else {
       ++shard_->pending_sends;
     }
+  }
+
+  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override {
+    DCNT_CHECK_MSG(in_handler_, "defer() outside a handler");
+    DCNT_CHECK(p >= 0 && static_cast<std::size_t>(p) < rt_->num_processors());
+    DCNT_CHECK_MSG(rt_->owns(p) && &*rt_->shards_[rt_->shard_of(p)] == shard_,
+                   "defer at a processor another shard owns");
+    RuntimeEvent ev;
+    ev.kind = RuntimeEvent::Kind::kMessage;
+    ev.msg.src = p;
+    ev.msg.dst = p;
+    ev.msg.tag = tag;
+    ev.msg.op = current_op_;
+    ev.msg.args = std::move(args);
+    ev.msg.local = true;
+    shard_->deferred.push_back(std::move(ev));
+    ++shard_->pending_sends;
   }
 
   void complete(OpId op, Value value) override {
@@ -389,7 +410,25 @@ void ThreadedRuntime::process_event(Shard& shard, WorkerCtx& ctx,
   ++shard.clock;
   ++shard.finished;
   ++shard.events_since_flush;
-  shard.events_processed.fetch_add(1, std::memory_order_relaxed);
+  // Single writer: a plain load and store, not a locked RMW per event.
+  shard.events_processed.store(
+      shard.events_processed.load(std::memory_order_relaxed) + 1,
+      std::memory_order_relaxed);
+}
+
+void ThreadedRuntime::run_deferred(Shard& shard, WorkerCtx& ctx) {
+  // Only what was deferred before this dry point runs at it; a handler
+  // here that defers again waits for the next one.
+  const std::size_t due = shard.deferred.size();
+  for (std::size_t i = 0; i < due; ++i) {
+    // Moved out first: the handler may append to `deferred`.
+    RuntimeEvent ev = std::move(shard.deferred[i]);
+    process_event(shard, ctx, ev);
+    if (shard.events_since_flush >= config_.flush_batch) flush_shard(shard);
+  }
+  shard.deferred.erase(shard.deferred.begin(),
+                       shard.deferred.begin() +
+                           static_cast<std::ptrdiff_t>(due));
 }
 
 void ThreadedRuntime::fire_timer(Shard& shard, WorkerCtx& ctx) {
@@ -455,10 +494,21 @@ bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
         }
       }
       shard.running.clear();
+      //    Then the generation's dry point: everything it sent is
+      //    handled in the next generation anyway, so running its
+      //    deferred messages here adds no hop. (Waiting until both
+      //    queues are empty would starve them under a closed loop.)
+      run_deferred(shard, ctx);
       ran = true;
       continue;
     }
-    // 3. Both queues are empty: a timer whose deadline the advancing
+    if (!shard.deferred.empty()) {
+      // Deferred by a timer or by the previous dry point's handlers.
+      run_deferred(shard, ctx);
+      ran = true;
+      continue;
+    }
+    // 3. All queues are empty: a timer whose deadline the advancing
     //    clock has passed seeds the next generation.
     if (!shard.timers.empty() &&
         shard.timers.front().due <= (wall ? wall_now_us() : shard.clock)) {

@@ -56,7 +56,10 @@
 //     processes); send_local timers fire when that clock reaches their
 //     deadline, or immediately once the worker runs dry (mirroring the
 //     simulator's idle time-jump). Wall-clock latency is measured by
-//     the workload driver (workload.hpp), not by now().
+//     the workload driver (workload.hpp), not by now(). A deferred
+//     message (Context::defer) runs when its shard's current
+//     generation ends, where the simulator runs it after the events
+//     already due at the current tick.
 //   - topology routing, fault injection and FIFO-channel floors: the
 //     runtime is the fault-free fully-connected model on real cores.
 //   - global determinism. One worker processes its own mailbox in FIFO
@@ -318,12 +321,15 @@ class ThreadedRuntime {
   }
   void worker_main(std::size_t worker);
   /// One non-blocking pass over a shard: generation by generation,
-  /// drain the mailbox and run the ready events; when both are empty,
-  /// fire a due timer; exit dry and flush. The shared body of the
+  /// drain the mailbox, run the ready events, then the messages they
+  /// deferred; when all three are empty, fire a due timer; exit dry and
+  /// flush. The shared body of the
   /// threaded worker loop and the inline drive() entry point. Returns
   /// whether any event was processed.
   bool run_shard_pass(Shard& shard, WorkerCtx& ctx);
   void process_event(Shard& shard, WorkerCtx& ctx, RuntimeEvent& ev);
+  /// Runs the messages deferred (Context::defer) before this call.
+  void run_deferred(Shard& shard, WorkerCtx& ctx);
   /// Pops and runs the earliest armed timer.
   void fire_timer(Shard& shard, WorkerCtx& ctx);
   /// Applies a shard's deferred in-flight accounting: pending sends are

@@ -8,9 +8,9 @@ namespace {
 
 /// Context wrapper handed to inner-protocol handlers: rotates processor
 /// ids back into fabric space, stamps msg.key on network sends, carries
-/// the key as a leading argument word on local wake-ups (local messages
-/// never cross the wire, so they have no keyed envelope), and counts
-/// completions against the key's directory entry.
+/// the key as a leading argument word on local wake-ups and deferred
+/// messages (local messages never cross the wire, so they have no keyed
+/// envelope), and counts completions against the key's directory entry.
 class KeyCtx final : public Context {
  public:
   KeyCtx(Context& base, KeyId key, ProcessorId offset, std::int64_t n,
@@ -28,6 +28,11 @@ class KeyCtx final : public Context {
                   MessageArgs args, SimTime delay) override {
     args.insert(args.begin(), static_cast<std::int64_t>(key_));
     base_.send_local(rotate(p), tag, std::move(args), delay);
+  }
+
+  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override {
+    args.insert(args.begin(), static_cast<std::int64_t>(key_));
+    base_.defer(rotate(p), tag, std::move(args));
   }
 
   void complete(OpId op, Value value) override {

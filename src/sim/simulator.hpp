@@ -17,7 +17,9 @@
 // Self-addressed sends (src == dst) are delivered through the queue for
 // uniformity but are NOT counted: a processor talking to itself is a
 // local operation, not network traffic, and the paper counts messages
-// between processors. Local wake-ups (send_local) are likewise uncounted.
+// between processors. Local wake-ups (send_local) and deferred messages
+// (defer: an event due now, behind everything already due now) are
+// likewise uncounted, and neither draws a delay.
 #pragma once
 
 #include <functional>
@@ -163,6 +165,7 @@ class Simulator final : private Context {
   void send(Message msg) override;
   void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
                   SimTime delay) override;
+  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override;
   void complete(OpId op, Value value) override;
   SimTime now() const override { return now_; }
   Rng& rng() override { return rng_; }
@@ -191,6 +194,9 @@ class Simulator final : private Context {
   /// (used for the second copy of a duplicated hop).
   void raw_enqueue(Message msg, ProcessorId hop_src, ProcessorId hop_dst,
                    RecordId record, RecordId cause, std::int64_t ttl);
+  /// Queues a local message for p at `due` (send_local and defer).
+  void enqueue_local(ProcessorId p, std::int32_t tag, MessageArgs args,
+                     SimTime due);
   void deliver(Event ev);
   /// Charges one counted hop that `p` sends: its load and its op's count.
   void charge_send(ProcessorId p, const Message& msg);

@@ -43,10 +43,18 @@ TEST(Explore, TreeCounterSingleIncAllSchedules) {
   Simulator base(std::make_unique<TreeCounter>(params), {});
   const ExploreResult result = explore_schedules(base, {5});
   EXPECT_FALSE(result.truncated);
-  // One inc is a chain: exactly one schedule, k+2 messages.
+  // One inc is a chain: exactly one schedule, k+2 messages. Each of the
+  // k non-root roles on the path buffers the inc and flushes it at its
+  // dry point, a local event of its own, so the chain is k+2 deliveries
+  // plus k flushes long; a flush is never pending next to another
+  // event, so the schedule stays unique.
   EXPECT_EQ(result.paths, 1);
-  EXPECT_EQ(result.max_depth, 4);
+  EXPECT_EQ(result.max_depth, 4 + params.k);
   EXPECT_EQ(result.distinct_outcomes, 1);
+  Simulator sim(base);
+  sim.begin_inc(5);
+  sim.run_until_quiescent();
+  EXPECT_EQ(sim.metrics().total_messages(), params.k + 2);
 }
 
 TEST(Explore, TreeCounterTwoConcurrentIncsExhaustive) {

@@ -49,6 +49,8 @@ TEST(PerfSmoke, ThroughputCentralMatchesCheckedInBaseline) {
 
 // The tree's totals vary with delivery interleavings, but stay inside a
 // band around the k=3, T=12 baseline; the structural fields are exact.
+// (The exact identity is the self-driven W=1 run that
+// ThreadedRuntime.SelfDrivenSingleWorkerRunIsDeterministic pins.)
 TEST(PerfSmoke, ThroughputTreeStaysInTheBaselineBand) {
   ThroughputOptions options;
   options.workers = 4;
@@ -61,10 +63,14 @@ TEST(PerfSmoke, ThroughputTreeStaysInTheBaselineBand) {
       run_throughput(make_counter(CounterKind::kTree, 81), options);
   ASSERT_TRUE(res.values_ok);
   EXPECT_EQ(res.n, 81u);
-  // Roughly 13 messages per op in the baseline; allow the interleaving
-  // band observed across seeds and worker counts (~±10%).
-  EXPECT_GT(res.total_messages, 7'000);
-  EXPECT_LT(res.total_messages, 10'500);
+  // Roughly 8 messages per op with overlapping incs combined. How many
+  // combine depends on the interleaving: on a 4-core host, seeds 1-12
+  // (3 runs each) gave 4,853-5,182 at W=2 and 5,269-5,760 at W=4, and
+  // 4,638-5,595 at W=4 with three such sweeps sharing the host. The
+  // band is 1.5x wide around those W >= 2 runs, ~10% past each end. A
+  // single shard combines more (3,877-4,125 at W=1).
+  EXPECT_GT(res.total_messages, 4'200);
+  EXPECT_LT(res.total_messages, 6'300);
   EXPECT_GT(res.max_load, 0);
 }
 

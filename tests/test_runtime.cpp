@@ -305,6 +305,107 @@ TEST(ThreadedRuntime, TimersFireViaIdleClockJump) {
   EXPECT_EQ(rt.merged_metrics().total_messages(), 0);
 }
 
+// Each op at processor p: the start sends self-messages M1 and M2 (one
+// generation); M1 defers D1 and sends M3 (the next generation); D1
+// defers D2, which completes the op. Each processor logs only its own
+// deliveries, so the protocol is shard-safe.
+struct DeferLog final : CounterProtocol {
+  enum : std::int32_t { kM1 = 1, kM2, kM3, kD1, kD2 };
+  explicit DeferLog(std::size_t n) : logs(n) {}
+  std::vector<std::vector<std::int32_t>> logs;
+
+  static void to_self(Context& ctx, ProcessorId p, std::int32_t tag) {
+    Message m;
+    m.src = p;
+    m.dst = p;
+    m.tag = tag;
+    ctx.send(std::move(m));
+  }
+  std::size_t num_processors() const override { return logs.size(); }
+  void start_inc(Context& ctx, ProcessorId origin, OpId /*op*/) override {
+    to_self(ctx, origin, kM1);
+    to_self(ctx, origin, kM2);
+  }
+  void on_message(Context& ctx, const Message& msg) override {
+    logs[static_cast<std::size_t>(msg.dst)].push_back(msg.tag);
+    if (msg.tag == kM1) {
+      ctx.defer(msg.dst, kD1, {});
+      to_self(ctx, msg.dst, kM3);
+    } else if (msg.tag == kD1) {
+      EXPECT_TRUE(msg.local);
+      ctx.defer(msg.dst, kD2, {});
+    } else if (msg.tag == kD2) {
+      ctx.complete(msg.op, 0);
+    }
+  }
+  std::unique_ptr<CounterProtocol> clone_counter() const override {
+    return std::make_unique<DeferLog>(*this);
+  }
+  std::string name() const override { return "defer-log"; }
+  bool shard_safe() const override { return true; }
+};
+
+/// What DeferLog must show at every processor after one op there: D1
+/// after M2 (its own generation) and before M3 (the next one).
+void expect_deferred_at_generation_end(const ThreadedRuntime& rt) {
+  const auto& proto = dynamic_cast<const DeferLog&>(rt.protocol());
+  const std::vector<std::int32_t> want = {DeferLog::kM1, DeferLog::kM2,
+                                          DeferLog::kD1, DeferLog::kM3,
+                                          DeferLog::kD2};
+  for (std::size_t p = 0; p < proto.logs.size(); ++p) {
+    EXPECT_EQ(proto.logs[p], want) << "p=" << p;
+  }
+  // Self-sends and deferred messages are free; each op handled a start,
+  // three self-messages and two deferred messages.
+  EXPECT_EQ(rt.merged_metrics().total_messages(), 0);
+  EXPECT_EQ(rt.events_processed(),
+            6 * static_cast<std::int64_t>(proto.logs.size()));
+}
+
+TEST(ThreadedRuntime, DeferRunsAtTheEndOfTheGenerationOnItsShard) {
+  for (const std::size_t workers : {1u, 4u}) {
+    RuntimeConfig config;
+    config.workers = workers;
+    config.active_shards = workers;
+    config.max_ops = 8;
+    ThreadedRuntime rt(std::make_unique<DeferLog>(8), config);
+    for (ProcessorId p = 0; p < 8; ++p) rt.begin_inc(p);
+    rt.wait_quiescent();
+    // The ops complete in D2, deferred twice: quiescence waited for it.
+    EXPECT_EQ(rt.ops_completed(), 8u) << "W=" << workers;
+    expect_deferred_at_generation_end(rt);
+  }
+}
+
+TEST(ThreadedRuntime, HostedDriveRunsDeferredMessagesBeforeReturningDry) {
+  RuntimeConfig config;
+  config.workers = 1;
+  config.max_ops = 4;
+  config.hosting = NodeHosting{1, 0, 200};
+  ThreadedRuntime rt(std::make_unique<DeferLog>(4), config);
+  for (ProcessorId p = 0; p < 4; ++p) rt.begin_inc(p);
+  while (rt.in_flight() > 0) rt.drive();
+  EXPECT_EQ(rt.ops_completed(), 4u);
+  expect_deferred_at_generation_end(rt);
+}
+
+// Role buffers and their deferred flushes under real concurrency: a
+// closed tree window on four shards. run_throughput checks quiescence,
+// which includes "no role holds a buffered inc".
+TEST(ThreadedRuntime, TreeClosedWindowCombinesOnFourShards) {
+  ThroughputOptions options;
+  options.workers = 4;
+  options.ops = 2048;
+  options.concurrency = 16;
+  options.inflight = 4;
+  options.seed = 5;
+  options.initiators = "roundrobin";
+  const ThroughputResult res =
+      run_throughput(make_counter(CounterKind::kTree, 81), options);
+  EXPECT_TRUE(res.values_ok);
+  EXPECT_EQ(res.ops, 2048u);
+}
+
 // A shard runs its events in generations, and its ready queue is only
 // as wide as the widest generation. In a closed loop that width is set
 // by the in-flight window, so the high-water mark must stay a small
@@ -399,6 +500,8 @@ TEST(ThreadedRuntime, SelfDrivenSingleWorkerRunIsDeterministic) {
   struct Outcome {
     std::vector<Value> values;
     std::vector<std::int64_t> loads;
+    std::int64_t total_messages{0};
+    std::int64_t max_load{0};
   };
   const auto run_once = [&] {
     RuntimeConfig config;
@@ -428,6 +531,8 @@ TEST(ThreadedRuntime, SelfDrivenSingleWorkerRunIsDeterministic) {
     for (std::size_t p = 0; p < n; ++p) {
       out.loads.push_back(m.load(static_cast<ProcessorId>(p)));
     }
+    out.total_messages = m.total_messages();
+    out.max_load = m.max_load();
     return out;
   };
   const Outcome first = run_once();
@@ -435,6 +540,10 @@ TEST(ThreadedRuntime, SelfDrivenSingleWorkerRunIsDeterministic) {
   ASSERT_EQ(first.values.size(), kOps);
   EXPECT_EQ(first.values, second.values);
   EXPECT_EQ(first.loads, second.loads);
+  // Deterministic, so exact: the tree with its overlapping incs
+  // combined at each role's dry point (the end of a generation).
+  EXPECT_EQ(first.total_messages, 37417);
+  EXPECT_EQ(first.max_load, 1102);
   std::vector<Value> sorted = first.values;
   std::sort(sorted.begin(), sorted.end());
   for (std::size_t i = 0; i < kOps; ++i) {
@@ -470,6 +579,35 @@ TEST(ThreadedRuntimeDeathTest, RejectsShardUnsafeProtocolAtMultipleWorkers) {
   single.workers = 1;
   ThreadedRuntime rt(make_counter(CounterKind::kQuorumMajority, 8), single);
   EXPECT_EQ(rt.workers(), 1u);
+}
+
+/// Defers at the other processor of two: a contract violation once the
+/// two live on different shards.
+struct DeferElsewhere final : CounterProtocol {
+  std::size_t num_processors() const override { return 2; }
+  void start_inc(Context& ctx, ProcessorId origin, OpId /*op*/) override {
+    ctx.defer(1 - origin, 1, {});
+  }
+  void on_message(Context& /*ctx*/, const Message& /*msg*/) override {}
+  std::unique_ptr<CounterProtocol> clone_counter() const override {
+    return std::make_unique<DeferElsewhere>(*this);
+  }
+  std::string name() const override { return "defer-elsewhere"; }
+  bool shard_safe() const override { return true; }
+};
+
+TEST(ThreadedRuntimeDeathTest, DeferAtAnotherShardsProcessorAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  RuntimeConfig config;
+  config.workers = 2;
+  config.active_shards = 2;
+  EXPECT_DEATH(
+      {
+        ThreadedRuntime rt(std::make_unique<DeferElsewhere>(), config);
+        rt.begin_inc(0);
+        rt.wait_quiescent();
+      },
+      "another shard owns");
 }
 
 TEST(ThreadedRuntimeDeathTest, HostingRequiresOneWorkerAndAValidNodeId) {

@@ -139,6 +139,128 @@ class ScriptedSends final : public CounterProtocol {
   Value value_{0};
 };
 
+// Processor 0 sends A and B to processor 1 at once. A's handler defers
+// D at processor 1 (when asked to) and sends C back; C completes the
+// op. The log shows where the deferred message runs.
+class DeferProbe final : public CounterProtocol {
+ public:
+  explicit DeferProbe(bool use_defer) : use_defer_(use_defer) {}
+
+  static constexpr std::int32_t kTagA = 1;
+  static constexpr std::int32_t kTagB = 2;
+  static constexpr std::int32_t kTagC = 3;
+  static constexpr std::int32_t kTagD = 4;  // deferred [7]
+
+  struct Entry {
+    std::int32_t tag;
+    SimTime at;
+    bool operator==(const Entry&) const = default;
+  };
+
+  std::size_t num_processors() const override { return 2; }
+
+  void start_inc(Context& ctx, ProcessorId origin, OpId /*op*/) override {
+    for (const std::int32_t tag : {kTagA, kTagB}) {
+      Message m;
+      m.src = origin;
+      m.dst = 1 - origin;
+      m.tag = tag;
+      ctx.send(std::move(m));
+    }
+  }
+
+  void on_message(Context& ctx, const Message& msg) override {
+    log_.push_back({msg.tag, ctx.now()});
+    if (msg.tag == kTagA) {
+      if (use_defer_) ctx.defer(msg.dst, kTagD, {7});
+      Message m;
+      m.src = msg.dst;
+      m.dst = msg.src;
+      m.tag = kTagC;
+      ctx.send(std::move(m));
+    } else if (msg.tag == kTagC) {
+      ctx.complete(msg.op, 0);
+    } else if (msg.tag == kTagD) {
+      EXPECT_TRUE(msg.local);
+      EXPECT_EQ(msg.dst, 1);
+      EXPECT_EQ(msg.args.at(0), 7);
+    }
+  }
+
+  std::unique_ptr<CounterProtocol> clone_counter() const override {
+    return std::make_unique<DeferProbe>(*this);
+  }
+  std::string name() const override { return "defer-probe"; }
+
+  const std::vector<Entry>& log() const { return log_; }
+
+ private:
+  bool use_defer_;
+  std::vector<Entry> log_;
+};
+
+const DeferProbe& probe_of(const Simulator& sim) {
+  return dynamic_cast<const DeferProbe&>(sim.counter());
+}
+
+TEST(Simulator, DeferredMessageRunsAfterEverythingDueNow) {
+  // Fixed delay 1: A and B are both due at tick 1, C at tick 2. D is
+  // deferred while A runs, so it runs after B (already due at tick 1)
+  // and before C (due later), at tick 1 itself.
+  SimConfig cfg;
+  cfg.delay = DelayModel::fixed_delay(1);
+  Simulator sim(std::make_unique<DeferProbe>(true), cfg);
+  const OpId op = sim.begin_inc(0);
+  sim.run_until_quiescent();
+  ASSERT_TRUE(sim.result(op).has_value());
+  using E = DeferProbe::Entry;
+  EXPECT_EQ(probe_of(sim).log(),
+            (std::vector<E>{{DeferProbe::kTagA, 1},
+                            {DeferProbe::kTagB, 1},
+                            {DeferProbe::kTagD, 1},
+                            {DeferProbe::kTagC, 2}}));
+  // D is a delivery but not traffic: three messages, all charged to op.
+  EXPECT_EQ(sim.deliveries(), 4);
+  EXPECT_EQ(sim.metrics().total_messages(), 3);
+  EXPECT_EQ(sim.per_op_messages(), std::vector<std::int64_t>{3});
+}
+
+TEST(Simulator, DeferredMessagesDrawNoDelay) {
+  // Random delays: a run with the deferred message must see every other
+  // delivery at exactly the tick the run without it does, so defer()
+  // consumed no draw. D itself runs at A's tick, and nothing due at
+  // that tick runs after it.
+  for (const std::uint64_t seed : {1u, 9u, 23u}) {
+    SimConfig cfg;
+    cfg.seed = seed;
+    cfg.delay = DelayModel::uniform(1, 20);
+    std::vector<DeferProbe::Entry> runs[2];
+    for (const bool use_defer : {false, true}) {
+      Simulator sim(std::make_unique<DeferProbe>(use_defer), cfg);
+      for (int i = 0; i < 4; ++i) sim.begin_inc(0);
+      sim.run_until_quiescent();
+      EXPECT_EQ(sim.metrics().total_messages(), 12) << seed;
+      runs[use_defer ? 1 : 0] = probe_of(sim).log();
+    }
+    std::vector<DeferProbe::Entry> without_d;
+    for (std::size_t i = 0; i < runs[1].size(); ++i) {
+      const DeferProbe::Entry e = runs[1][i];
+      if (e.tag != DeferProbe::kTagD) {
+        without_d.push_back(e);
+        continue;
+      }
+      // The A it belongs to ran at the same tick; later entries are
+      // strictly later.
+      for (std::size_t j = i + 1; j < runs[1].size(); ++j) {
+        if (runs[1][j].tag != DeferProbe::kTagD) {
+          EXPECT_GT(runs[1][j].at, e.at) << seed;
+        }
+      }
+    }
+    EXPECT_EQ(without_d, runs[0]) << seed;
+  }
+}
+
 TEST(Simulator, CompletesSequentialIncs) {
   Simulator sim = make_sim(4, 2, {});
   for (int i = 0; i < 8; ++i) {

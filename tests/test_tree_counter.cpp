@@ -255,6 +255,185 @@ TEST(TreeCounter, MultipleIncsPerProcessorAlsoWork) {
   EXPECT_EQ(tree_of(sim).value(), 200);
 }
 
+// --- combining, driven handler by handler ---------------------------------
+//
+// A fake Context lets these tests hand a role exactly the messages a
+// schedule would, and read back what it sends and defers.
+
+class CombineCtx final : public Context {
+ public:
+  void send(Message msg) override { sent.push_back(std::move(msg)); }
+  void send_local(ProcessorId, std::int32_t, MessageArgs, SimTime) override {
+    ADD_FAILURE() << "the fault-free tree arms no timer";
+  }
+  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override {
+    Message msg;
+    msg.src = p;
+    msg.dst = p;
+    msg.tag = tag;
+    msg.args = std::move(args);
+    msg.local = true;
+    deferred.push_back(std::move(msg));
+  }
+  void complete(OpId, Value) override {}
+  SimTime now() const override { return 0; }
+  Rng& rng() override { return rng_; }
+
+  /// Delivers and forgets the deferred messages queued so far.
+  void run_deferred(TreeCounter& tree) {
+    std::vector<Message> due;
+    due.swap(deferred);
+    for (const Message& m : due) tree.on_message(*this, m);
+  }
+
+  std::vector<Message> sent;
+  std::vector<Message> deferred;
+
+ private:
+  Rng rng_{1};
+};
+
+/// An inc (one op) or a multi (2-3 ops) for `target`, as `src` sends it.
+Message climb(const TreeCounter& tree, ProcessorId src, ProcessorId dst,
+              NodeId target,
+              std::vector<std::pair<ProcessorId, OpId>> ops) {
+  Message m;
+  m.src = src;
+  m.dst = dst;
+  m.tag = ops.size() == 1 ? TreeService::kTagInc : TreeService::kTagMulti;
+  m.op = ops[0].second;
+  m.args = {ops[0].first, target};
+  for (std::size_t i = 1; i < ops.size(); ++i) {
+    m.args.push_back(ops[i].second * tree.layout().n() + ops[i].first);
+  }
+  return m;
+}
+
+TEST(TreeCounter, MultiAtTheRootAnswersEachOriginWithConsecutiveValues) {
+  TreeCounterParams params;
+  params.k = 2;  // n = 8, threshold 4k = 8: the root retires at age 8
+  TreeCounter tree(params);
+  const ProcessorId root = tree.incumbent(0);
+  const ProcessorId child = tree.incumbent(2);
+  CombineCtx ctx;
+  // A 2-op and a 3-op multi, then an inc: values in message order, each
+  // reply straight to its origin under its own op.
+  tree.on_message(ctx, climb(tree, child, root, 0, {{3, 10}, {5, 11}}));
+  tree.on_message(ctx,
+                  climb(tree, child, root, 0, {{6, 12}, {2, 13}, {7, 14}}));
+  tree.on_message(ctx, climb(tree, child, root, 0, {{4, 15}}));
+  ASSERT_EQ(ctx.sent.size(), 6u);
+  const std::pair<ProcessorId, OpId> want[] = {
+      {3, 10}, {5, 11}, {6, 12}, {2, 13}, {7, 14}, {4, 15}};
+  for (std::size_t i = 0; i < ctx.sent.size(); ++i) {
+    const Message& reply = ctx.sent[i];
+    EXPECT_EQ(reply.tag, TreeService::kTagValue) << i;
+    EXPECT_EQ(reply.src, root) << i;
+    EXPECT_EQ(reply.dst, want[i].first) << i;
+    EXPECT_EQ(reply.op, want[i].second) << i;
+    EXPECT_EQ(reply.args.at(0), static_cast<Value>(i)) << i;
+  }
+  EXPECT_TRUE(ctx.deferred.empty());  // the root never buffers
+  EXPECT_EQ(tree.value(), 6);
+  // A multi ages the root by 2, like any received message: three
+  // messages (6 ops) leave it at 6; a fourth retires it.
+  EXPECT_EQ(tree.stats().retirements_total, 0);
+  tree.on_message(ctx, climb(tree, child, root, 0, {{1, 16}, {0, 17}}));
+  EXPECT_EQ(tree.stats().retirements_total, 1);
+  EXPECT_EQ(ctx.sent[6].args.at(0), 6);
+  EXPECT_EQ(ctx.sent[7].args.at(0), 7);
+}
+
+TEST(TreeCounter, RoleFlushesWhenFullAndOnRetirement) {
+  TreeCounterParams params;
+  params.k = 2;
+  TreeCounter tree(params);
+  // Node 2 sits on level 1, whose pools hold k processors: level-k
+  // pools hold one, so those roles only ever hand over to themselves.
+  const NodeId node = 2;
+  const ProcessorId self = tree.incumbent(node);
+  const ProcessorId parent = tree.incumbent(tree.layout().parent(node));
+  CombineCtx ctx;
+  // Incs 1-3 fill the buffer: one flush as a 3-op multi, one armed
+  // dry point. Inc 4 buffers again and ages the role to 8, so it
+  // retires, and its buffer climbs before the handover.
+  for (OpId op = 0; op < 4; ++op) {
+    const ProcessorId from = tree.incumbent(tree.layout().child(node, op % 2));
+    tree.on_message(ctx, climb(tree, from, self, node, {{0, op}}));
+  }
+  EXPECT_EQ(ctx.deferred.size(), 1u);
+  ASSERT_GE(ctx.sent.size(), 3u);
+  EXPECT_EQ(ctx.sent[0].tag, TreeService::kTagMulti);
+  EXPECT_EQ(ctx.sent[0].dst, parent);
+  EXPECT_EQ(ctx.sent[0].op, 0);
+  EXPECT_EQ(ctx.sent[0].args.at(1), tree.layout().parent(node));
+  EXPECT_EQ(ctx.sent[0].args.size(), 4u);
+  EXPECT_EQ(ctx.sent[1].tag, TreeService::kTagInc);
+  EXPECT_EQ(ctx.sent[1].op, 3);
+  EXPECT_EQ(ctx.sent[2].tag, TreeService::kTagTakeOver);
+  EXPECT_EQ(tree.stats().retirements_total, 1);
+  // The armed flush finds the role gone and sends nothing.
+  const std::size_t sent = ctx.sent.size();
+  ctx.run_deferred(tree);
+  EXPECT_EQ(ctx.sent.size(), sent);
+}
+
+TEST(TreeCounter, MultiIsForwardedByARetireeAndStashedAcrossAHandover) {
+  TreeCounterParams params;
+  params.k = 2;
+  TreeCounter tree(params);
+  const NodeId node = 2;  // level 1: a pool of k processors
+  const ProcessorId old_pid = tree.incumbent(node);
+  const ProcessorId from = tree.incumbent(tree.layout().child(node, 0));
+  const ProcessorId parent = tree.incumbent(tree.layout().parent(node));
+  CombineCtx ctx;
+  // Retire the role with four lone incs, each flushed at its dry point.
+  for (OpId op = 0; op < 4; ++op) {
+    tree.on_message(ctx, climb(tree, from, old_pid, node, {{0, op}}));
+    ctx.run_deferred(tree);
+  }
+  ASSERT_EQ(tree.stats().retirements_total, 1);
+  const ProcessorId new_pid = tree.layout().successor(node, old_pid);
+  std::vector<Message> handover;
+  for (const Message& m : ctx.sent) {
+    if (m.dst == new_pid) handover.push_back(m);
+  }
+  ASSERT_EQ(handover.size(), 3u);  // TakeOver + k ChildInfo
+  ctx.sent.clear();
+
+  // A multi still in flight to the retiree is forwarded whole.
+  const Message late = climb(tree, from, old_pid, node, {{1, 4}, {0, 5}});
+  tree.on_message(ctx, late);
+  ASSERT_EQ(ctx.sent.size(), 1u);
+  const Message fwd = ctx.sent[0];
+  EXPECT_EQ(fwd.tag, TreeService::kTagMulti);
+  EXPECT_EQ(fwd.src, old_pid);
+  EXPECT_EQ(fwd.dst, new_pid);
+  EXPECT_EQ(fwd.op, late.op);
+  EXPECT_EQ(fwd.args, late.args);
+  EXPECT_EQ(tree.stats().forwarded_messages, 1);
+  ctx.sent.clear();
+
+  // It beats the handover to the successor: stashed, then drained into
+  // the committed role's buffer, and flushed at its dry point.
+  tree.on_message(ctx, fwd);
+  EXPECT_EQ(tree.stats().orphan_stashes, 1);
+  EXPECT_TRUE(ctx.sent.empty());
+  for (const Message& m : handover) tree.on_message(ctx, m);
+  EXPECT_EQ(tree.incumbent(node), new_pid);
+  EXPECT_TRUE(ctx.sent.empty());
+  ASSERT_EQ(ctx.deferred.size(), 1u);
+  ctx.run_deferred(tree);
+  ASSERT_EQ(ctx.sent.size(), 1u);
+  EXPECT_EQ(ctx.sent[0].tag, TreeService::kTagMulti);
+  EXPECT_EQ(ctx.sent[0].src, new_pid);
+  EXPECT_EQ(ctx.sent[0].dst, parent);
+  EXPECT_EQ(ctx.sent[0].op, 4);
+  EXPECT_EQ(ctx.sent[0].args.at(0), 1);
+  EXPECT_EQ(ctx.sent[0].args.at(1), tree.layout().parent(node));
+  EXPECT_EQ(ctx.sent[0].args.at(2), 5 * tree.layout().n() + 0);
+}
+
 /// The counts of one closed-window run in the fixed-delay simulator.
 struct WindowRun {
   std::int64_t total_messages;
@@ -302,20 +481,22 @@ WindowRun run_window(CounterKind kind, std::size_t inflight) {
 }
 
 TEST(TreeCounter, ClosedWindowsInTheSimulatorPinTheOverlapCost) {
-  // ROADMAP item 1's "before" numbers: the tree's forwarding grows with
-  // the window (F = ops in flight per client) because a retiree forwards
-  // only to its immediate successor. The item's fix updates the tree
-  // rows. Central is one more input: whatever the window, an inc costs
-  // one request and one reply unless it starts at the centre (one op in
-  // n), and the threaded runtime counts the same.
+  // The tree's forwarding grows with the window (F = ops in flight per
+  // client): a retiree forwards only to its immediate successor, and
+  // every inc in flight to a role can land on a retiree. Combining at
+  // each role's dry point (at most 3 incs per climb) bounds what is in
+  // flight to a role, so F=16 costs about 2.4x F=1 in max_load (5.1x
+  // without combining). Central is one more input: whatever the window,
+  // an inc costs one request and one reply unless it starts at the
+  // centre (one op in n), and the threaded runtime counts the same.
   const std::int64_t central = 2 * (1296 - 1296 / 81);
   const struct {
     CounterKind kind;
     std::size_t inflight;
     WindowRun want;
   } cases[] = {
-      {CounterKind::kTree, 1, {17306, 596, 4746}},
-      {CounterKind::kTree, 16, {87570, 3063, 75064}},
+      {CounterKind::kTree, 1, {7912, 266, 704}},
+      {CounterKind::kTree, 16, {18280, 643, 11988}},
       {CounterKind::kCentral, 16, {central, central, 0}},
   };
   for (const auto& c : cases) {
