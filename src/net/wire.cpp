@@ -1,6 +1,8 @@
 #include "net/wire.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "support/check.hpp"
 
@@ -8,29 +10,43 @@ namespace dcnt::net {
 
 namespace {
 
-// Explicit little-endian byte shuffling: the cluster only spans
-// localhost today, but the wire format should not silently depend on
-// host endianness.
+// The wire is little-endian. The cluster only spans localhost today,
+// but the format should not silently depend on host endianness: a
+// little-endian host copies whole words, any other host shuffles bytes.
+
+/// Writes v's sizeof(T) bytes at `at`, least significant first.
+template <class T>
+void store_le(std::uint8_t* at, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+template <class T>
+void put_le(std::vector<std::uint8_t>& out, T v) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  store_le(out.data() + at, v);
+}
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
 }
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  put_le(out, v);
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  put_le(out, v);
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  put_le(out, v);
 }
 
 void put_i32(std::vector<std::uint8_t>& out, std::int32_t v) {
@@ -56,10 +72,7 @@ std::size_t begin_frame(std::vector<std::uint8_t>& out, FrameType type) {
 std::size_t finish_frame(std::vector<std::uint8_t>& out, std::size_t start) {
   const std::size_t payload = out.size() - start - 4;
   DCNT_CHECK_MSG(payload <= kMaxFramePayload, "frame payload too large");
-  for (int i = 0; i < 4; ++i) {
-    out[start + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(payload >> (8 * i));
-  }
+  store_le(out.data() + start, static_cast<std::uint32_t>(payload));
   return out.size() - start;
 }
 
@@ -108,7 +121,11 @@ class BodyReader {
       return 0;
     }
     std::uint64_t v = 0;
-    for (std::size_t i = n; i-- > 0;) v = (v << 8) | data_[pos_ + i];
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_ + pos_, n);
+    } else {
+      for (std::size_t i = n; i-- > 0;) v = (v << 8) | data_[pos_ + i];
+    }
     pos_ += n;
     return v;
   }

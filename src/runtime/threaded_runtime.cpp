@@ -81,7 +81,8 @@ struct ThreadedRuntime::Shard {
   std::int64_t pending_sends{0};
   std::int64_t finished{0};
   std::size_t events_since_flush{0};
-  /// Context::defer messages, run when the current generation ends
+  /// Context::defer messages, run at the shard's dry point: once a
+  /// mailbox drain finds nothing and no generation is left
   /// (run_deferred). Each holds an in-flight count, as a logical timer
   /// does. Reused, so steady-state deferral allocates nothing.
   std::vector<RuntimeEvent> deferred;
@@ -494,21 +495,18 @@ bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
         }
       }
       shard.running.clear();
-      //    Then the generation's dry point: everything it sent is
-      //    handled in the next generation anyway, so running its
-      //    deferred messages here adds no hop. (Waiting until both
-      //    queues are empty would starve them under a closed loop.)
-      run_deferred(shard, ctx);
       ran = true;
       continue;
     }
+    // 3. The dry point: the drain found no mail and no generation is
+    //    left, so the deferred messages run now, after the whole busy
+    //    period that produced them (and before any timer).
     if (!shard.deferred.empty()) {
-      // Deferred by a timer or by the previous dry point's handlers.
       run_deferred(shard, ctx);
       ran = true;
       continue;
     }
-    // 3. All queues are empty: a timer whose deadline the advancing
+    // 4. All queues are empty: a timer whose deadline the advancing
     //    clock has passed seeds the next generation.
     if (!shard.timers.empty() &&
         shard.timers.front().due <= (wall ? wall_now_us() : shard.clock)) {
@@ -542,13 +540,13 @@ void ThreadedRuntime::worker_main(std::size_t worker) {
     // Recheck the mailbox after any productive pass before idling.
     if (run_shard_pass(shard, ctx)) continue;
     if (!shard.timers.empty()) {
-      // 3. Logical timers: jump the clock (the simulator does the same
+      // 5. Logical timers: jump the clock (the simulator does the same
       //    across its global queue) so windows/timeouts fire rather
       //    than deadlock a drained system.
       shard.clock = shard.timers.front().due;
       continue;
     }
-    // 4. Nothing to do: sleep until mail or stop.
+    // 6. Nothing to do: sleep until mail or stop.
     shard.mailbox.wait(stop_);
   }
   tl_worker_runtime = nullptr;

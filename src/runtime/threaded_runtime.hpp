@@ -57,9 +57,11 @@
 //     deadline, or immediately once the worker runs dry (mirroring the
 //     simulator's idle time-jump). Wall-clock latency is measured by
 //     the workload driver (workload.hpp), not by now(). A deferred
-//     message (Context::defer) runs when its shard's current
-//     generation ends, where the simulator runs it after the events
-//     already due at the current tick.
+//     message (Context::defer) runs at its shard's dry point: once a
+//     mailbox drain finds nothing and no generation is left, so it
+//     waits at most the shard's current busy period (and runs before
+//     any timer). The simulator runs it after the events already due
+//     at the current tick, which is its own dry point.
 //   - topology routing, fault injection and FIFO-channel floors: the
 //     runtime is the fault-free fully-connected model on real cores.
 //   - global determinism. One worker processes its own mailbox in FIFO
@@ -321,14 +323,15 @@ class ThreadedRuntime {
   }
   void worker_main(std::size_t worker);
   /// One non-blocking pass over a shard: generation by generation,
-  /// drain the mailbox, run the ready events, then the messages they
-  /// deferred; when all three are empty, fire a due timer; exit dry and
-  /// flush. The shared body of the
-  /// threaded worker loop and the inline drive() entry point. Returns
-  /// whether any event was processed.
+  /// drain the mailbox and run the ready events; when both are empty,
+  /// run the deferred messages (the dry point); when all three are
+  /// empty, fire a due timer; exit dry and flush. The shared body of
+  /// the threaded worker loop and the inline drive() entry point.
+  /// Returns whether any event was processed.
   bool run_shard_pass(Shard& shard, WorkerCtx& ctx);
   void process_event(Shard& shard, WorkerCtx& ctx, RuntimeEvent& ev);
-  /// Runs the messages deferred (Context::defer) before this call.
+  /// Runs the messages deferred (Context::defer) before this call: the
+  /// shard's dry point.
   void run_deferred(Shard& shard, WorkerCtx& ctx);
   /// Pops and runs the earliest armed timer.
   void fire_timer(Shard& shard, WorkerCtx& ctx);

@@ -42,10 +42,11 @@ class Context {
                           SimTime delay) = 0;
 
   /// Deliver a local message to p at p's next dry point: after the
-  /// events already due now (the simulator) or at the end of the
-  /// current generation (the threaded runtime), with no delay and no
-  /// load. p is the processor whose handler is running, as for
-  /// send_local. Lets a handler batch what arrives in one burst.
+  /// events already due now (the simulator), or once p's shard has no
+  /// mail and no ready event left, i.e. at the end of its current busy
+  /// period (the threaded runtime), with no delay and no load. p is the
+  /// processor whose handler is running, as for send_local. Lets a
+  /// handler batch what arrives in one burst.
   virtual void defer(ProcessorId p, std::int32_t tag, MessageArgs args) = 0;
 
   /// Report that operation `op` completed with `value` at its initiator.

@@ -157,12 +157,15 @@ std::int64_t LogHistogram::percentile(double q) const {
   const std::int64_t rank = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::ceil(clamped / 100.0 *
                                              static_cast<double>(total))));
-  std::int64_t cum = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  std::size_t i = 0;
+  for (std::int64_t cum = 0; i < buckets_.size(); ++i) {
     cum += buckets_[i].load(std::memory_order_relaxed);
-    if (cum >= rank) return bucket_mid(i);
+    if (cum >= rank) break;
   }
-  return bucket_mid(top_index_);
+  // A bucket's midpoint may lie past the values it holds: clamp it to
+  // the exact extremes, so no percentile reads above max or below min.
+  return std::max(std::min(bucket_mid(std::min(i, top_index_)), max()),
+                  min());
 }
 
 }  // namespace dcnt::traffic

@@ -73,8 +73,8 @@ class LogHistogram {
 
   /// Nearest-rank percentile over the buckets, q in [0, 100]: the
   /// midpoint of the bucket holding the rank-ceil(q/100 * count) sample
-  /// (exact for values < kSubCount, within half a bucket otherwise).
-  /// 0 when empty.
+  /// (exact for values < kSubCount, within half a bucket otherwise),
+  /// clamped to [min(), max()]. 0 when empty.
   std::int64_t percentile(double q) const;
 
   std::int64_t max_value() const { return max_value_; }

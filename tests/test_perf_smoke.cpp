@@ -63,14 +63,15 @@ TEST(PerfSmoke, ThroughputTreeStaysInTheBaselineBand) {
       run_throughput(make_counter(CounterKind::kTree, 81), options);
   ASSERT_TRUE(res.values_ok);
   EXPECT_EQ(res.n, 81u);
-  // Roughly 8 messages per op with overlapping incs combined. How many
-  // combine depends on the interleaving: on a 4-core host, seeds 1-12
-  // (3 runs each) gave 4,853-5,182 at W=2 and 5,269-5,760 at W=4, and
-  // 4,638-5,595 at W=4 with three such sweeps sharing the host. The
-  // band is 1.5x wide around those W >= 2 runs, ~10% past each end. A
-  // single shard combines more (3,877-4,125 at W=1).
-  EXPECT_GT(res.total_messages, 4'200);
-  EXPECT_LT(res.total_messages, 6'300);
+  // Roughly 7 messages per op with overlapping incs combined over each
+  // shard's busy period. How many combine depends on the interleaving:
+  // on a 4-core host, seeds 1-40 gave 3,871-4,104 at W=2 and
+  // 4,057-4,922 at W=4 (3 runs per seed), and seeds 1-12 gave
+  // 3,841-4,865 at W=4 with three such sweeps sharing the host. The band is 1.5x wide around
+  // those W >= 2 runs, ~10% below and ~5% above. A single shard
+  // combines more (3,059-3,095 at W=1).
+  EXPECT_GT(res.total_messages, 3'400);
+  EXPECT_LT(res.total_messages, 5'200);
   EXPECT_GT(res.max_load, 0);
 }
 

@@ -346,11 +346,12 @@ struct DeferLog final : CounterProtocol {
 };
 
 /// What DeferLog must show at every processor after one op there: D1
-/// after M2 (its own generation) and before M3 (the next one).
-void expect_deferred_at_generation_end(const ThreadedRuntime& rt) {
+/// after M3, because the shard only runs dry once every generation is
+/// done, and D2 at the dry point after D1's.
+void expect_deferred_at_dry_point(const ThreadedRuntime& rt) {
   const auto& proto = dynamic_cast<const DeferLog&>(rt.protocol());
   const std::vector<std::int32_t> want = {DeferLog::kM1, DeferLog::kM2,
-                                          DeferLog::kD1, DeferLog::kM3,
+                                          DeferLog::kM3, DeferLog::kD1,
                                           DeferLog::kD2};
   for (std::size_t p = 0; p < proto.logs.size(); ++p) {
     EXPECT_EQ(proto.logs[p], want) << "p=" << p;
@@ -362,7 +363,7 @@ void expect_deferred_at_generation_end(const ThreadedRuntime& rt) {
             6 * static_cast<std::int64_t>(proto.logs.size()));
 }
 
-TEST(ThreadedRuntime, DeferRunsAtTheEndOfTheGenerationOnItsShard) {
+TEST(ThreadedRuntime, DeferRunsWhenItsShardRunsDry) {
   for (const std::size_t workers : {1u, 4u}) {
     RuntimeConfig config;
     config.workers = workers;
@@ -373,7 +374,7 @@ TEST(ThreadedRuntime, DeferRunsAtTheEndOfTheGenerationOnItsShard) {
     rt.wait_quiescent();
     // The ops complete in D2, deferred twice: quiescence waited for it.
     EXPECT_EQ(rt.ops_completed(), 8u) << "W=" << workers;
-    expect_deferred_at_generation_end(rt);
+    expect_deferred_at_dry_point(rt);
   }
 }
 
@@ -386,7 +387,134 @@ TEST(ThreadedRuntime, HostedDriveRunsDeferredMessagesBeforeReturningDry) {
   for (ProcessorId p = 0; p < 4; ++p) rt.begin_inc(p);
   while (rt.in_flight() > 0) rt.drive();
   EXPECT_EQ(rt.ops_completed(), 4u);
-  expect_deferred_at_generation_end(rt);
+  expect_deferred_at_dry_point(rt);
+}
+
+// A busy shard postpones a deferred message until its busy period ends,
+// never longer: processor 0 defers D and then keeps its one-worker shard
+// busy with a chain of self-sends, one generation per link. D runs
+// once, after the last link, and completes the op.
+struct DeferBehindChain final : CounterProtocol {
+  enum : std::int32_t { kLink = 1, kD };
+  static constexpr std::int64_t kLinks = 1000;
+  std::vector<std::int32_t> log;
+
+  std::size_t num_processors() const override { return 1; }
+  void start_inc(Context& ctx, ProcessorId origin, OpId /*op*/) override {
+    ctx.defer(origin, kD, {});
+    link(ctx, origin, kLinks);
+  }
+  static void link(Context& ctx, ProcessorId p, std::int64_t left) {
+    Message m;
+    m.src = p;
+    m.dst = p;
+    m.tag = kLink;
+    m.args = {left};
+    ctx.send(std::move(m));
+  }
+  void on_message(Context& ctx, const Message& msg) override {
+    log.push_back(msg.tag);
+    if (msg.tag == kLink && msg.args[0] > 1) {
+      link(ctx, msg.dst, msg.args[0] - 1);
+    } else if (msg.tag == kD) {
+      ctx.complete(msg.op, 0);
+    }
+  }
+  std::unique_ptr<CounterProtocol> clone_counter() const override {
+    return std::make_unique<DeferBehindChain>(*this);
+  }
+  std::string name() const override { return "defer-behind-chain"; }
+};
+
+TEST(ThreadedRuntime, DeferWaitsForTheBusyPeriodOfASelfSendChain) {
+  RuntimeConfig config;
+  config.workers = 1;
+  config.max_ops = 1;
+  ThreadedRuntime rt(std::make_unique<DeferBehindChain>(), config);
+  const OpId op = rt.begin_inc(0);
+  rt.wait_quiescent();
+  ASSERT_TRUE(rt.result(op).has_value());
+  const auto& proto = dynamic_cast<const DeferBehindChain&>(rt.protocol());
+  std::vector<std::int32_t> want(DeferBehindChain::kLinks,
+                                 DeferBehindChain::kLink);
+  want.push_back(DeferBehindChain::kD);
+  EXPECT_EQ(proto.log, want);
+  EXPECT_EQ(rt.events_processed(), DeferBehindChain::kLinks + 2);
+}
+
+// Mail from another shard keeps a shard busy too, and the deferred
+// message is not starved by it: processor 0 (shard 0) defers D, asks
+// processor 1 (shard 1) for a burst of messages and spins on self-sends
+// until the whole burst is in. The spin admits the burst through the
+// mailbox at generation boundaries; D runs once, after the last burst
+// message, and wait_quiescent returns.
+struct DeferBehindBurst final : CounterProtocol {
+  enum : std::int32_t { kGo = 1, kSpin, kBurst, kD };
+  static constexpr std::int64_t kBurstSize = 1000;
+  // Processor 0's state: only shard 0 touches it.
+  std::int64_t bursts_in{0};
+  std::int64_t bursts_at_d{-1};
+  std::int64_t d_runs{0};
+
+  static Message to(ProcessorId src, ProcessorId dst, std::int32_t tag) {
+    Message m;
+    m.src = src;
+    m.dst = dst;
+    m.tag = tag;
+    return m;
+  }
+  std::size_t num_processors() const override { return 2; }
+  void start_inc(Context& ctx, ProcessorId origin, OpId /*op*/) override {
+    ctx.defer(origin, kD, {});
+    ctx.send(to(origin, 1, kGo));
+    ctx.send(to(origin, origin, kSpin));
+  }
+  void on_message(Context& ctx, const Message& msg) override {
+    switch (msg.tag) {
+      case kGo:
+        for (std::int64_t i = 0; i < kBurstSize; ++i) {
+          ctx.send(to(1, 0, kBurst));
+        }
+        break;
+      case kSpin:
+        if (bursts_in < kBurstSize) ctx.send(to(0, 0, kSpin));
+        break;
+      case kBurst:
+        ++bursts_in;
+        break;
+      case kD:
+        ++d_runs;
+        bursts_at_d = bursts_in;
+        ctx.complete(msg.op, 0);
+        break;
+      default:
+        break;
+    }
+  }
+  std::unique_ptr<CounterProtocol> clone_counter() const override {
+    return std::make_unique<DeferBehindBurst>(*this);
+  }
+  std::string name() const override { return "defer-behind-burst"; }
+  bool shard_safe() const override { return true; }
+};
+
+TEST(ThreadedRuntime, DeferWaitsForACrossShardBurstAndIsNotStarved) {
+  RuntimeConfig config;
+  config.workers = 2;
+  config.active_shards = 2;
+  config.max_ops = 1;
+  ThreadedRuntime rt(std::make_unique<DeferBehindBurst>(), config);
+  ASSERT_EQ(rt.shard_of(0), 0u);
+  ASSERT_EQ(rt.shard_of(1), 1u);
+  const OpId op = rt.begin_inc(0);
+  rt.wait_quiescent();
+  ASSERT_TRUE(rt.result(op).has_value());
+  const auto& proto = dynamic_cast<const DeferBehindBurst&>(rt.protocol());
+  EXPECT_EQ(proto.d_runs, 1);
+  EXPECT_EQ(proto.bursts_at_d, DeferBehindBurst::kBurstSize);
+  // The go and the burst crossed shards; the spin and D are free.
+  EXPECT_EQ(rt.merged_metrics().total_messages(),
+            1 + DeferBehindBurst::kBurstSize);
 }
 
 // Role buffers and their deferred flushes under real concurrency: a
@@ -541,9 +669,10 @@ TEST(ThreadedRuntime, SelfDrivenSingleWorkerRunIsDeterministic) {
   EXPECT_EQ(first.values, second.values);
   EXPECT_EQ(first.loads, second.loads);
   // Deterministic, so exact: the tree with its overlapping incs
-  // combined at each role's dry point (the end of a generation).
-  EXPECT_EQ(first.total_messages, 37417);
-  EXPECT_EQ(first.max_load, 1102);
+  // combined at each role's dry point (the end of its shard's busy
+  // period).
+  EXPECT_EQ(first.total_messages, 35213);
+  EXPECT_EQ(first.max_load, 1081);
   std::vector<Value> sorted = first.values;
   std::sort(sorted.begin(), sorted.end());
   for (std::size_t i = 0; i < kOps; ++i) {

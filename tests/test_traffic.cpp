@@ -183,6 +183,22 @@ TEST(LogHistogram, OverflowSaturatesIntoTopBucket) {
   EXPECT_EQ(same.count(), 5);
 }
 
+// A bucket's midpoint can lie past the one value it holds; percentiles
+// are clamped to the exact extremes, so p99 never reads above max.
+TEST(LogHistogram, PercentilesStayWithinTheRecordedExtremes) {
+  const std::int64_t v = 1'000'003;  // in a bucket 8,192 wide
+  const std::size_t idx = LogHistogram::bucket_index(v);
+  ASSERT_GT(LogHistogram::bucket_high(idx) - LogHistogram::bucket_low(idx),
+            1000);
+  ASSERT_NE(LogHistogram::bucket_mid(idx), v);
+  LogHistogram hist;
+  hist.record(v);
+  EXPECT_EQ(hist.max(), v);
+  EXPECT_EQ(hist.percentile(50), v);
+  EXPECT_EQ(hist.percentile(99), v);
+  EXPECT_EQ(hist.percentile(100), v);
+}
+
 // Negative recordings clamp to zero (a completion racing a clock step
 // must not underflow the first bucket).
 TEST(LogHistogram, NegativeValuesClampToZero) {

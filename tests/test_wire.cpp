@@ -375,6 +375,38 @@ TEST(Wire, KeyedMessageGoldenBytes) {
   EXPECT_EQ(encode_message(msg), expected);
 }
 
+TEST(Wire, StartBatchGoldenBytes) {
+  StartBatchFrame f;
+  f.ops.push_back(StartBatchEntry{7, 2, kNoKey});
+  f.ops.push_back(StartBatchEntry{8, 5, 0x0102});
+  const std::vector<std::uint8_t> expected = {
+      0x2e, 0, 0, 0,                 // payload length 46
+      4, 4,                          // version, kStartBatch
+      2, 0, 0, 0,                    // count
+      7, 0, 0, 0, 0, 0, 0, 0,        // ops[0].op
+      2, 0, 0, 0,                    // ops[0].origin
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // ops[0].key = kNoKey
+      8, 0, 0, 0, 0, 0, 0, 0,        // ops[1].op
+      5, 0, 0, 0,                    // ops[1].origin
+      0x02, 0x01, 0, 0, 0, 0, 0, 0};  // ops[1].key
+  EXPECT_EQ(encode_start_batch(f), expected);
+}
+
+TEST(Wire, CompleteBatchGoldenBytes) {
+  CompleteBatchFrame f;
+  f.completions.push_back(CompleteBatchEntry{7, 0x0102});
+  f.completions.push_back(CompleteBatchEntry{8, -5});
+  const std::vector<std::uint8_t> expected = {
+      0x26, 0, 0, 0,                 // payload length 38
+      4, 5,                          // version, kCompleteBatch
+      2, 0, 0, 0,                    // count
+      7, 0, 0, 0, 0, 0, 0, 0,        // completions[0].op
+      0x02, 0x01, 0, 0, 0, 0, 0, 0,  // completions[0].value
+      8, 0, 0, 0, 0, 0, 0, 0,        // completions[1].op
+      0xfb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};  // value = -5
+  EXPECT_EQ(encode_complete_batch(f), expected);
+}
+
 // --- the keyed fabric's frames and the batched RPC --------------------------
 
 TEST(Wire, KeyedMessageRoundTrip) {
