@@ -21,7 +21,6 @@
 // Flags: --sizes=64,256,1024 --seed=5 --batch=32
 #include <iostream>
 
-#include "analysis/latency.hpp"
 #include "bench_util.hpp"
 #include "analysis/report.hpp"
 #include "harness/factory.hpp"
@@ -51,9 +50,8 @@ int main(int argc, char** argv) {
       cfg.delay = DelayModel::uniform(1, 8);
       Simulator sim(make_counter(kind, n), cfg);
       const auto actual_n = static_cast<std::int64_t>(sim.num_processors());
-      run_sequential(sim, schedule_sequential(actual_n));
+      const RunResult run = run_sequential(sim, schedule_sequential(actual_n));
       const LoadReport report = make_load_report(sim);
-      const LatencyReport latency = latency_report(sim);
       table.row()
           .add(to_string(kind))
           .add(actual_n)
@@ -63,7 +61,7 @@ int main(int argc, char** argv) {
           .add(report.mean_load, 2)
           .add(report.p99)
           .add(report.total_messages)
-          .add(latency.mean, 1);
+          .add(run.mean_us, 1);
     }
   }
   table.print(std::cout,

@@ -98,7 +98,6 @@ int main(int argc, char** argv) {
 
   const RunResult result = run_sequential(sim, order);
   const LoadReport report = make_load_report(sim);
-  const LatencyReport latency = latency_report(sim);
   const ConcentrationReport conc = concentration(sim.metrics());
 
   std::printf("values ok        : %s (0..%zu, in order)\n",
@@ -112,8 +111,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(report.p99));
   std::printf("concentration    : gini %.3f, top-1%% share %.3f\n", conc.gini,
               conc.top1_share);
-  std::printf("latency (sim t)  : mean %.1f, p99 %lld\n", latency.mean,
-              static_cast<long long>(latency.p99));
+  std::printf("latency (sim t)  : mean %.1f, p99 %lld\n", result.mean_us,
+              static_cast<long long>(result.p99_us));
   std::printf("traffic          : %lld messages, %lld words\n",
               static_cast<long long>(report.total_messages),
               static_cast<long long>(report.total_words));

@@ -357,6 +357,7 @@ void TreeService::reply_from_root(Context& ctx, ProcessorId self, Role& role,
 void TreeService::buffer_inc(Context& ctx, ProcessorId self, Role& role,
                              ProcessorId origin, OpId op) {
   role.buffer[static_cast<std::size_t>(role.buffered++)] = {origin, op};
+  ++live_buffered_;
   if (role.buffered == kMaxCombine) {
     flush_role(ctx, self, role);
   } else if (!role.flush_armed) {
@@ -380,6 +381,7 @@ void TreeService::flush_role(Context& ctx, ProcessorId self, Role& role) {
     DCNT_CHECK(b.op >= 0);
     up.args.push_back(b.op * layout_.n() + b.origin);
   }
+  live_buffered_ += -role.buffered;
   role.buffered = 0;
   ctx.send(std::move(up));
 }
@@ -415,6 +417,8 @@ void TreeService::retire(Context& ctx, ProcessorId self, NodeId node,
       std::find_if(ps.roles.begin(), ps.roles.end(),
                    [node](const Role& r) { return r.node == node; });
   DCNT_CHECK(live != ps.roles.end());
+  DCNT_CHECK_MSG(incumbent_[static_cast<std::size_t>(node)] == self,
+                 "a role retired away from its incumbent");
   if (succ == self) {
     // Degenerate pool of size 1 (level-k nodes under aggressive
     // thresholds): "retire" to ourselves — just reset the age.
@@ -980,15 +984,7 @@ void TreeService::check_quiescent(std::size_t ops_completed) const {
     DCNT_CHECK_MSG(live_stash_ == 0, "stashed messages at quiescence");
   }
   DCNT_CHECK_MSG(incumbent_[0] != kNoProcessor, "root in flight");
-  if (combine_) {
-    // Roles live only at their incumbents once no handover is pending.
-    for (NodeId node = 1; node < layout_.num_inner(); ++node) {
-      const ProcessorId pid = incumbent_[static_cast<std::size_t>(node)];
-      const Role* role = find_role(procs_[static_cast<std::size_t>(pid)], node);
-      DCNT_CHECK_MSG(role != nullptr && role->buffered == 0,
-                     "buffered incs at quiescence");
-    }
-  }
+  DCNT_CHECK_MSG(live_buffered_ == 0, "buffered incs at quiescence");
   check_root_state(ops_completed, root_state());
 }
 

@@ -363,6 +363,8 @@ class TreeService : public CounterProtocol {
   // arbitrary processors, read only at quiescence).
   RelaxedCounter live_pending_{0};
   RelaxedCounter live_stash_{0};
+  /// Incs buffered in every role's combining buffer.
+  RelaxedCounter live_buffered_{0};
   /// True once on_shard_start ran: handlers may execute concurrently,
   /// so the (optional) retirement log stops recording.
   bool shard_mode_{false};

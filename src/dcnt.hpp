@@ -58,7 +58,6 @@
 #include "analysis/dag.hpp"
 #include "analysis/explore.hpp"
 #include "analysis/hotspot.hpp"
-#include "analysis/latency.hpp"
 #include "analysis/report.hpp"
 #include "analysis/tree_profile.hpp"
 #include "analysis/weights.hpp"

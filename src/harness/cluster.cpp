@@ -234,8 +234,7 @@ OpId Controller::issue(std::size_t entry) {
 
 void Controller::wait(std::int64_t until_ns) {
   const std::int64_t left_ns =
-      until_ns == kForever ? 50'000'000
-                           : until_ns - traffic::TailRecorder::now_ns();
+      until_ns == kForever ? 50'000'000 : until_ns - now_ns();
   pump(static_cast<int>(
       std::clamp<std::int64_t>((left_ns + 999'999) / 1'000'000, 0, 50)));
 }

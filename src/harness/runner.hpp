@@ -12,8 +12,12 @@
 // Concurrent mode (settled batches of simultaneous initiations) and
 // closed windows (run_load) are out-of-model extensions; there the
 // verifier only requires the returned values to be a permutation of
-// 0..m-1. Runs stay a pure function of (protocol, seed): run_load
-// rejects the open loop and the duration cut, which read the clock.
+// 0..m-1.
+//
+// The driver reads the simulator's clock, one tick as 1 us: RunResult's
+// *_us latencies are ticks, and open-loop rates and duration cuts are
+// paced in ticks, so every run stays a pure function of (protocol,
+// seed). Sequential and batched runs record every op's latency exactly.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +31,8 @@
 
 namespace dcnt {
 
-/// The shared result schema (values_ok and the load fields filled) plus
-/// the values themselves and the mean load.
+/// The shared result schema (values_ok, the driver's fields in ticks and
+/// the load fields filled) plus the values themselves and the mean load.
 struct RunResult : HarnessResult {
   std::vector<Value> values;  ///< from the run's first op id (warmup first)
   /// 2 * total_messages / n: every message is sent once and received once.
@@ -45,9 +49,10 @@ struct RunOptions {
 };
 
 /// The simulator's load-driver entry: runs `order` (a begin_inc per
-/// entry, warmup first) in units of `unit` under the closed-loop policy
-/// `load`, and aborts unless the run's values are a permutation. Op ids
-/// and values count on from the ops `sim` had already run.
+/// entry, warmup first) in units of `unit` under the policy `load`
+/// (no history: counter_history is the exact one), and aborts unless
+/// the run's values are a permutation. Op ids and values count on from
+/// the ops `sim` had already run.
 RunResult run_load(Simulator& sim, const std::vector<ProcessorId>& order,
                    const traffic::DriverOptions& load, std::size_t unit = 1,
                    const RunOptions& options = {});

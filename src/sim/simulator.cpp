@@ -266,6 +266,12 @@ bool Simulator::step() {
   return true;
 }
 
+bool Simulator::step_until(SimTime t) {
+  if (!queue_.empty() && queue_.front().deliver_time <= t) return step();
+  now_ = std::max(now_, t);
+  return false;
+}
+
 void Simulator::step_specific(std::size_t index) {
   DCNT_CHECK(index < queue_.size());
   // FIFO channels constrain realizable orders via delivery-time floors;

@@ -96,6 +96,10 @@ class Simulator final : private Context {
   /// Deliver the next pending message. Returns false when idle.
   bool step();
 
+  /// step() if the next pending message is due by `t`; otherwise moves
+  /// the clock to `t` (never back) and returns false.
+  bool step_until(SimTime t);
+
   /// Deliver the `index`-th pending message (0 <= index <
   /// pending_messages(), ordered by send sequence) regardless of its
   /// scheduled time — the asynchronous model permits any order, and the

@@ -63,7 +63,7 @@ void LoadDriver::run_phase(std::size_t end, bool measured, bool closed) {
   credits_ = 0;
   no_more_.store(false);
   if (measured) {
-    first_issue_ns_ = TailRecorder::now_ns();
+    first_issue_ns_ = port_.now_ns();
     if (options_.duration_s > 0.0) {
       deadline_ns_ = first_issue_ns_ +
                      static_cast<std::int64_t>(options_.duration_s * 1e9);
@@ -84,7 +84,7 @@ void LoadDriver::run_phase(std::size_t end, bool measured, bool closed) {
 bool LoadDriver::issue_unit_now() {
   // One stamp serves the deadline check and the unit's send time, which
   // for a unit no completion waited for IS its scheduled time.
-  const std::int64_t t = TailRecorder::now_ns();
+  const std::int64_t t = port_.now_ns();
   return issue_unit(t, t);
 }
 
@@ -131,11 +131,11 @@ void LoadDriver::run_open_loop() {
     // behind, never skipped: the scheduled-time stamp charges the
     // lateness to the op. The history gets the actual send time; a
     // backdated invoke would tighten intervals unsoundly.
-    const std::int64_t now = TailRecorder::now_ns();
+    const std::int64_t now = port_.now_ns();
     for (; more() && first_issue_ns_ + offset <= now;
          offset = timeline.next_ns()) {
       cursor_.fetch_add(1);
-      const std::int64_t sent = TailRecorder::now_ns();
+      const std::int64_t sent = port_.now_ns();
       const OpId op = port_.issue(entry++);
       stamp(op, first_issue_ns_ + offset, sent);
     }
@@ -168,7 +168,7 @@ bool LoadDriver::on_complete(std::span<const Completion> done) {
   // true response; it is also the scheduled time of every reissue.
   std::int64_t t = 0;
   if (measured) {
-    t = TailRecorder::now_ns();
+    t = port_.now_ns();
     for (const Completion& c : done) {
       recorder_.on_complete(c.op, t);
       if (options_.history) options_.history->on_response(c.op, t, c.value);
@@ -181,7 +181,7 @@ bool LoadDriver::on_complete(std::span<const Completion> done) {
     // them all: at or before each true send, and after t so a client's
     // consecutive ops stay ordered in the history.
     const std::int64_t sent =
-        measured ? std::max(TailRecorder::now_ns(), t + 1) : 0;
+        measured ? std::max(port_.now_ns(), t + 1) : 0;
     for (std::size_t i = 0; i < done.size(); ++i) {
       // Wider units reissue once a whole unit's worth of slots has
       // freed, or when nothing else is in flight (the span's earlier

@@ -23,8 +23,11 @@
 //   - warmup: closed-loop, unrecorded, then one quiesce and one metrics
 //     reset before the first measured issue;
 //   - the finish condition, the TailRecorder, the HistoryBuffer stamps
-//     and the wall clock: first measured issue to last measured
+//     and the run's span: first measured issue to last measured
 //     completion.
+// Every stamp, deadline and arrival reads the port's clock
+// (LoadPort::now_ns): steady_clock on the runtime and the cluster,
+// simulated time in the simulator, where one tick reads as 1 us.
 // The port maps schedule entries 0..warmup+ops-1 (warmup first) to
 // initiators and keys through schedule_slot and returns the OpId its
 // substrate assigned.
@@ -62,8 +65,8 @@ struct LoadPolicy {
   /// cold-start costs (thread wakeups, buffer growth, page faults,
   /// connection setup) never pollute the numbers.
   std::size_t warmup{0};
-  /// If > 0: measured-phase wall-clock budget in seconds; the op count
-  /// becomes a cap rather than a target.
+  /// If > 0: measured-phase budget in seconds of the port's clock; the
+  /// op count becomes a cap rather than a target.
   double duration_s{0.0};
   /// Runs with more op slots than this record latency into the HDR
   /// histogram instead of exact per-op storage.
@@ -121,12 +124,16 @@ class LoadPort {
   static constexpr std::int64_t kForever =
       std::numeric_limits<std::int64_t>::max();
 
+  /// The clock of every stamp, deadline and arrival of a run, in ns
+  /// since an epoch it never reads as 0 (the stamps' "none"):
+  /// steady_clock unless the port keeps its own time.
+  virtual std::int64_t now_ns() const { return TailRecorder::now_ns(); }
   /// Starts schedule entry `entry`; returns its OpId (warmup ops take
   /// the first ids, as on every fresh substrate).
   virtual OpId issue(std::size_t entry) = 0;
-  /// Blocks until `until_ns` (TailRecorder::now_ns; kForever = none)
-  /// or until on_complete returned true; a single-threaded port
-  /// delivers completions from here. Returning early is always allowed.
+  /// Blocks until now_ns() reaches `until_ns` (kForever = none) or
+  /// until on_complete returned true; a single-threaded port delivers
+  /// completions from here. Returning early is always allowed.
   virtual void wait(std::int64_t until_ns) = 0;
   /// Returns once nothing is in flight anywhere.
   virtual void quiesce() = 0;

@@ -47,7 +47,7 @@ function(expect_stdout name program)
   set(failed "${failed}" PARENT_SCOPE)
 endfunction()
 
-foreach(bench diffraction figures generality lemmas linearizability
+foreach(bench ablation diffraction figures generality lemmas linearizability
               lower_bound quorum rounds skew topology)
   expect_stdout(bench_${bench} "${BENCH_DIR}/bench_${bench}")
 endforeach()

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,9 +25,11 @@ namespace {
 
 /// Issues hand out consecutive OpIds; each wait() completes one op in
 /// flight (FIFO, or LIFO when asked) with its id as the value, as a span
-/// of one, or sleeps to the deadline when nothing is in flight. In
-/// burst mode a wait() completes every op in flight as one span, the way
-/// the cluster controller hands over a decoded kCompleteBatch frame.
+/// of one, or moves the clock to the deadline when nothing is in
+/// flight. In burst mode a wait() completes every op in flight as one
+/// span, the way the cluster controller hands over a decoded
+/// kCompleteBatch frame. The clock is logical: only service_time, stall
+/// and an idle wait() move it, so every run is exact.
 class FakePort final : public LoadPort {
  public:
   enum class Kind { kIssue, kComplete, kQuiesce, kReset };
@@ -41,10 +42,11 @@ class FakePort final : public LoadPort {
   LoadDriver* driver{nullptr};
   bool lifo{false};
   bool burst{false};
-  /// Sleep inside every completion (drives a duration cut).
-  std::chrono::microseconds service_time{0};
-  /// Sleep inside the issue of entry `stall_entry` (the driver falls
-  /// behind).
+  /// Clock advance of every completing wait(); more than 0, so an op
+  /// always completes after the reissue stamp of its predecessor.
+  std::chrono::microseconds service_time{1};
+  /// Clock advance inside the issue of entry `stall_entry` (the driver
+  /// falls behind).
   std::chrono::milliseconds stall{0};
   std::size_t stall_entry{0};
 
@@ -63,15 +65,16 @@ class FakePort final : public LoadPort {
     log.push_back({Kind::kIssue, entry, op});
     in_flight.push_back(op);
     max_in_flight = std::max(max_in_flight, in_flight.size());
-    if (entry == stall_entry) std::this_thread::sleep_for(stall);
+    if (entry == stall_entry) advance(stall);
     return op;
   }
+
+  std::int64_t now_ns() const override { return now_ns_; }
 
   void wait(std::int64_t until_ns) override {
     if (in_flight.empty()) {
       if (until_ns == kForever) throw std::logic_error("waiting on nothing");
-      std::this_thread::sleep_until(std::chrono::steady_clock::time_point(
-          std::chrono::nanoseconds(until_ns)));
+      now_ns_ = std::max(now_ns_, until_ns);
       return;
     }
     std::vector<Completion> done;
@@ -87,7 +90,7 @@ class FakePort final : public LoadPort {
       done.push_back({in_flight.front(), in_flight.front()});
       in_flight.pop_front();
     }
-    std::this_thread::sleep_for(service_time);
+    advance(service_time);
     for (const Completion& c : done) {
       log.push_back({Kind::kComplete, 0, c.op});
     }
@@ -118,6 +121,9 @@ class FakePort final : public LoadPort {
   }
 
  private:
+  void advance(std::chrono::nanoseconds d) { now_ns_ += d.count(); }
+
+  std::int64_t now_ns_{1};  ///< 0 reads as "no stamp"
   OpId next_op_{0};
   int span_{-1};
 };
@@ -218,8 +224,9 @@ TEST(LoadDriver, DurationCutCompletesAnIdContiguousPrefix) {
   options.warmup = kWarmup;
   options.duration_s = 0.01;
   const DriverResult run = run_driver(port, options, kOps);
-  ASSERT_GT(run.ops, 0u);
-  ASSERT_LT(run.ops, kOps);
+  // A completion every 20 us refills the window of 8 until the one at
+  // the 10 ms budget: 8 + 499 measured ops.
+  ASSERT_EQ(run.ops, 507u);
   std::vector<OpId> done = port.completed();
   ASSERT_EQ(done.size(), kWarmup + run.ops);
   std::sort(done.begin(), done.end());
@@ -247,8 +254,9 @@ TEST(LoadDriver, OpenLoopIssuesExactlyTheScheduledArrivals) {
   const DriverResult run = run_driver(port, options, kCap);
   EXPECT_EQ(run.ops, count_arrivals(shape, kDuration, kCap));
   EXPECT_EQ(run.traffic.count, static_cast<std::int64_t>(run.ops));
-  // Stamped at send time, the second op would show microseconds.
-  EXPECT_GE(run.traffic.max_us, 19'900.0);
+  // The first arrival completes 1 us after the 20 ms stall; stamped at
+  // send time, the second op would show microseconds.
+  EXPECT_EQ(run.traffic.max_us, 20'001.0);
 }
 
 TEST(LoadDriver, OpenLoopBurstPhasesFollowTheScheduledArrival) {

@@ -1,31 +1,45 @@
-// Latency reports and the per-level tree profile.
+// Simulator latency (the load driver on the simulator's clock, one tick
+// as 1 us) and the per-level tree profile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
+#include <vector>
 
-#include "analysis/latency.hpp"
 #include "analysis/tree_profile.hpp"
 #include "baselines/central.hpp"
 #include "core/bound.hpp"
 #include "core/tree_counter.hpp"
+#include "harness/factory.hpp"
 #include "harness/runner.hpp"
 #include "harness/schedule.hpp"
 #include "sim/simulator.hpp"
+#include "support/stats.hpp"
+#include "traffic/shape.hpp"
 
 namespace dcnt {
 namespace {
+
+/// Every field fill_traffic copies, for run-to-run equality.
+auto latency_fields(const RunResult& r) {
+  return std::tuple(r.ops, r.mean_us, r.p50_us, r.p95_us, r.p99_us,
+                    r.p999_us, r.p9999_us, r.max_us, r.slo_den, r.slo_ok,
+                    r.hdr_recorder, r.values);
+}
 
 TEST(Latency, FixedDelayCentralRoundTrip) {
   SimConfig cfg;
   cfg.delay = DelayModel::fixed_delay(3);
   Simulator sim(std::make_unique<CentralCounter>(8, 0), cfg);
-  run_sequential(sim, schedule_reverse(8));  // holder goes last
-  const LatencyReport report = latency_report(sim);
-  EXPECT_EQ(report.ops, 8);
+  // The holder goes last.
+  const RunResult run = run_sequential(sim, schedule_reverse(8));
+  EXPECT_EQ(run.ops, 8u);
+  EXPECT_EQ(run.slo_den, 8);
   // Remote incs: request 3 + reply 3 = 6 ticks; the holder's own is 0.
-  EXPECT_EQ(report.max, 6);
-  EXPECT_EQ(report.p50, 6);
-  EXPECT_NEAR(report.mean, 6.0 * 7 / 8, 1e-9);
+  EXPECT_EQ(run.max_us, 6.0);
+  EXPECT_EQ(run.p50_us, 6.0);
+  EXPECT_NEAR(run.mean_us, 6.0 * 7 / 8, 1e-9);
 }
 
 TEST(Latency, TreeDeeperThanCentral) {
@@ -34,20 +48,108 @@ TEST(Latency, TreeDeeperThanCentral) {
   TreeCounterParams params;
   params.k = 3;
   Simulator tree(std::make_unique<TreeCounter>(params), cfg);
-  run_sequential(tree, schedule_sequential(81));
   Simulator central(std::make_unique<CentralCounter>(81), cfg);
-  run_sequential(central, schedule_sequential(81));
   // Theta(k) hops vs one round trip — the price of spreading load.
-  EXPECT_GT(latency_report(tree).mean, latency_report(central).mean);
+  EXPECT_GT(run_sequential(tree, schedule_sequential(81)).mean_us,
+            run_sequential(central, schedule_sequential(81)).mean_us);
 }
 
-TEST(Latency, SummaryMatchesReport) {
-  Simulator sim(std::make_unique<CentralCounter>(4), {});
-  run_sequential(sim, schedule_sequential(4));
-  const Summary summary = latency_summary(sim);
-  const LatencyReport report = latency_report(sim);
-  EXPECT_EQ(static_cast<std::int64_t>(summary.count()), report.ops);
-  EXPECT_EQ(summary.max(), report.max);
+TEST(Latency, DriverTicksAreTheSimulatorsOpTimes) {
+  // The simulator is the latency reference: whatever the window, the
+  // driver charges each op exactly op_responded_at - op_invoked_at. The
+  // SLO sweep pins the whole distribution, one CDF step at a time.
+  for (const std::size_t window : {std::size_t{1}, std::size_t{16}}) {
+    const auto run = [&](std::int64_t slo_ticks, Summary* ticks) {
+      SimConfig cfg;
+      cfg.seed = 11;
+      cfg.delay = DelayModel::uniform(1, 8);
+      Simulator sim(make_counter(CounterKind::kTree, 81), cfg);
+      traffic::DriverOptions load;
+      load.concurrency = window;
+      load.slo_ns = slo_ticks * 1000;
+      const RunResult result = run_load(
+          sim, make_initiators("roundrobin", 0.0, 81, 324, 1), load);
+      if (ticks != nullptr) {
+        for (OpId op = 0; op < static_cast<OpId>(sim.ops_started()); ++op) {
+          ticks->add(sim.op_responded_at(op) - sim.op_invoked_at(op));
+        }
+      }
+      return result;
+    };
+    Summary ticks;
+    const RunResult result = run(0, &ticks);
+    ASSERT_EQ(result.slo_den, 324);
+    EXPECT_FALSE(result.hdr_recorder);
+    EXPECT_DOUBLE_EQ(result.mean_us, ticks.mean()) << window;
+    for (const auto& [got, q] :
+         {std::pair{result.p50_us, 50.0}, std::pair{result.p95_us, 95.0},
+          std::pair{result.p99_us, 99.0}, std::pair{result.max_us, 100.0}}) {
+      EXPECT_EQ(got, static_cast<double>(ticks.percentile(q))) << window;
+    }
+    for (std::int64_t slo = ticks.min(); slo < ticks.max(); ++slo) {
+      const auto within = std::count_if(
+          ticks.samples().begin(), ticks.samples().end(),
+          [&](std::int64_t t) { return t <= slo; });
+      EXPECT_EQ(run(slo, nullptr).slo_ok, within) << window << " " << slo;
+    }
+  }
+}
+
+TEST(Latency, OpenLoopRunsInTicks) {
+  // An arrival every 2 ticks (500k/s of 1 us ticks), three ops in flight:
+  // each arrives on its tick, and a remote op reads exactly request 3 +
+  // reply 3.
+  traffic::DriverOptions load;
+  load.shape.rate = 500'000.0;
+  const std::vector<ProcessorId> order =
+      make_initiators("roundrobin", 0.0, 8, 400, 1);
+  SimConfig cfg;
+  cfg.delay = DelayModel::fixed_delay(3);
+  Simulator sim(std::make_unique<CentralCounter>(8, 0), cfg);
+  const RunResult run = run_load(sim, order, load);
+  ASSERT_EQ(run.ops, order.size());
+  EXPECT_TRUE(run.values_ok);
+  for (OpId op = 0; op < static_cast<OpId>(order.size()); ++op) {
+    EXPECT_EQ(sim.op_invoked_at(op), 2 * op);
+    EXPECT_EQ(sim.op_responded_at(op) - sim.op_invoked_at(op),
+              order[static_cast<std::size_t>(op)] == 0 ? 0 : 6);
+  }
+  EXPECT_EQ(run.max_us, 6.0);
+  EXPECT_EQ(run.mean_us, 6.0 * 7 / 8);
+
+  // Arrivals between ticks go out on the first tick that reaches them,
+  // and random delays leave a run a pure function of (protocol, seed).
+  load.shape.rate = 300'000.0;
+  cfg.delay = DelayModel::uniform(1, 8);
+  const auto again = [&] {
+    Simulator s(std::make_unique<CentralCounter>(8, 0), cfg);
+    const RunResult r = run_load(s, order, load);
+    traffic::ArrivalTimeline timeline(load.shape);
+    for (OpId op = 0; op < static_cast<OpId>(order.size()); ++op) {
+      const std::int64_t arrival_ns = 1000 + timeline.next_ns();
+      EXPECT_EQ(s.op_invoked_at(op), (arrival_ns + 999) / 1000 - 1);
+    }
+    return latency_fields(r);
+  };
+  EXPECT_EQ(again(), again());
+}
+
+TEST(Latency, DurationCutInTicksRunsAnExactPrefix) {
+  // Four clients, every op remote (6 ticks): a window refills at ticks
+  // 0, 6, ..., 96, and the first refill at or past the 100-tick budget
+  // declines, so exactly 17 * 4 ops run, ids 0..67.
+  SimConfig cfg;
+  cfg.delay = DelayModel::fixed_delay(3);
+  Simulator sim(std::make_unique<CentralCounter>(8, 0), cfg);
+  traffic::DriverOptions load;
+  load.concurrency = 4;
+  load.duration_s = 100e-6;
+  const RunResult run = run_load(sim, schedule_single_origin(1, 1000), load);
+  EXPECT_EQ(run.ops, 68u);
+  EXPECT_EQ(sim.ops_started(), 68u);
+  EXPECT_EQ(sim.ops_completed(), 68u);
+  EXPECT_TRUE(run.values_ok);  // a permutation of 0..67
+  EXPECT_EQ(run.max_us, 6.0);
 }
 
 TEST(TreeProfile, RowsAreInternallyConsistent) {
