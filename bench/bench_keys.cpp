@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
 
   // The real cluster: keyed Starts out, coalesced completions back,
   // per-key values verified as exact permutations across 4 processes,
-  // per-key loads merged from chunked kKeyedStats reports. Framing is
+  // per-key loads merged from the nodes' chunked kLoads reports. Framing is
   // per reactor round whatever --batch is, so the batch rows price the
   // driver's issuance unit (reissue once a unit's worth of slots has
   // freed), not frames. The batch=1 rows keep --batch ops in flight per

@@ -42,15 +42,40 @@ TreeService::TreeService(TreeServiceParams params)
     role.node = node;
     const NodeId up = layout_.parent(node);
     role.parent_pid = up == kNoNode ? kNoProcessor : layout_.initial_pid(up);
-    role.child_pids.resize(static_cast<std::size_t>(layout_.k()));
-    for (int c = 0; c < layout_.k(); ++c) {
-      role.child_pids[static_cast<std::size_t>(c)] =
-          layout_.children_are_leaves(node)
-              ? layout_.leaf_child(node, c)
-              : layout_.initial_pid(layout_.child(node, c));
-    }
+    role.child_pids = initial_child_pids(node);
     procs_[static_cast<std::size_t>(pid)].roles.push_back(std::move(role));
     incumbent_[static_cast<std::size_t>(node)] = pid;
+  }
+}
+
+std::vector<ProcessorId> TreeService::initial_child_pids(NodeId node) const {
+  std::vector<ProcessorId> pids(static_cast<std::size_t>(layout_.k()));
+  for (int c = 0; c < layout_.k(); ++c) {
+    pids[static_cast<std::size_t>(c)] =
+        layout_.children_are_leaves(node)
+            ? layout_.leaf_child(node, c)
+            : layout_.initial_pid(layout_.child(node, c));
+  }
+  return pids;
+}
+
+void TreeService::append_journal(MessageArgs& args,
+                                 const std::vector<JournalEntry>& journal) {
+  args.push_back(static_cast<std::int64_t>(journal.size()));
+  for (const auto& e : journal) {
+    args.push_back(e.origin);
+    args.push_back(e.serial);
+    args.push_back(e.value);
+  }
+}
+
+void TreeService::read_journal(const MessageArgs& args, std::size_t& i,
+                               std::vector<JournalEntry>& journal) {
+  journal.resize(static_cast<std::size_t>(args.at(i++)));
+  for (auto& e : journal) {
+    e.origin = static_cast<ProcessorId>(args.at(i++));
+    e.serial = args.at(i++);
+    e.value = args.at(i++);
   }
 }
 
@@ -190,13 +215,7 @@ void TreeService::on_message(Context& ctx, const Message& msg) {
           // Root handover ships the exactly-once machinery too.
           std::size_t i = 2;
           pt->backup_next_seq = msg.args.at(i++);
-          const auto jn = static_cast<std::size_t>(msg.args.at(i++));
-          pt->journal.resize(jn);
-          for (auto& e : pt->journal) {
-            e.origin = static_cast<ProcessorId>(msg.args.at(i++));
-            e.serial = msg.args.at(i++);
-            e.value = msg.args.at(i++);
-          }
+          read_journal(msg.args, i, pt->journal);
           const auto gn = static_cast<std::size_t>(msg.args.at(i++));
           pt->gated.resize(gn);
           for (auto& g : pt->gated) {
@@ -453,12 +472,7 @@ void TreeService::retire(Context& ctx, ProcessorId self, NodeId node,
     m.args = {node, role.parent_pid};
     if (self_healing_ && node == 0) {
       m.args.push_back(role.backup_next_seq);
-      m.args.push_back(static_cast<std::int64_t>(role.journal.size()));
-      for (const auto& e : role.journal) {
-        m.args.push_back(e.origin);
-        m.args.push_back(e.serial);
-        m.args.push_back(e.value);
-      }
+      append_journal(m.args, role.journal);
       m.args.push_back(static_cast<std::int64_t>(role.gated.size()));
       for (const auto& g : role.gated) {
         m.args.push_back(g.origin);
@@ -480,9 +494,15 @@ void TreeService::retire(Context& ctx, ProcessorId self, NodeId node,
     m.args = {node, c, role.child_pids[static_cast<std::size_t>(c)]};
     ctx.send(std::move(m));
   }
+  announce_succession(ctx, self, role, succ);
+}
+
+void TreeService::announce_succession(Context& ctx, ProcessorId self,
+                                      const Role& role, ProcessorId succ) {
   // New-id notifications: parent (unless root — the paper's root "saves
   // the message that would inform the parent") and all children.
-  if (level > 0) {
+  const NodeId node = role.node;
+  if (node != 0) {
     Message m;
     m.src = self;
     m.dst = role.parent_pid;
@@ -490,7 +510,7 @@ void TreeService::retire(Context& ctx, ProcessorId self, NodeId node,
     m.args = {layout_.parent(node), node, succ};
     ctx.send(std::move(m));
   }
-  for (int c = 0; c < k; ++c) {
+  for (int c = 0; c < layout_.k(); ++c) {
     Message m;
     m.src = self;
     m.dst = role.child_pids[static_cast<std::size_t>(c)];
@@ -653,12 +673,8 @@ void TreeService::send_backup(Context& ctx, ProcessorId self, Role& role,
   m.src = self;
   m.dst = backup_target_of(role, self);
   m.tag = kTagBackup;
-  m.args = {0, seq, static_cast<std::int64_t>(role.journal.size())};
-  for (const auto& e : role.journal) {
-    m.args.push_back(e.origin);
-    m.args.push_back(e.serial);
-    m.args.push_back(e.value);
-  }
+  m.args = {0, seq};
+  append_journal(m.args, role.journal);
   for (const ProcessorId pid : role.child_pids) m.args.push_back(pid);
   m.args.insert(m.args.end(), role.state.begin(), role.state.end());
   ++stats_.backups_sent;
@@ -699,13 +715,7 @@ void TreeService::handle_backup(Context& ctx, ProcessorId self,
   auto& ps = procs_[static_cast<std::size_t>(self)];
   if (seq > ps.shadow_seq) {
     std::size_t i = 2;
-    const auto jn = static_cast<std::size_t>(msg.args.at(i++));
-    ps.shadow_journal.resize(jn);
-    for (auto& e : ps.shadow_journal) {
-      e.origin = static_cast<ProcessorId>(msg.args.at(i++));
-      e.serial = msg.args.at(i++);
-      e.value = msg.args.at(i++);
-    }
+    read_journal(msg.args, i, ps.shadow_journal);
     ps.shadow_children.resize(static_cast<std::size_t>(layout_.k()));
     for (auto& pid : ps.shadow_children) {
       pid = static_cast<ProcessorId>(msg.args.at(i++));
@@ -788,12 +798,7 @@ void TreeService::handle_promote(Context& ctx, ProcessorId self,
       // state loses only applied-but-gated work, which the origins will
       // re-submit.
       role.state = initial_root_state();
-      for (int c = 0; c < k; ++c) {
-        role.child_pids[static_cast<std::size_t>(c)] =
-            layout_.children_are_leaves(0)
-                ? layout_.leaf_child(0, c)
-                : layout_.initial_pid(layout_.child(0, c));
-      }
+      role.child_pids = initial_child_pids(0);
     }
   } else {
     // Rebuild links from local knowledge plus the static layout: a role
@@ -815,25 +820,7 @@ void TreeService::handle_promote(Context& ctx, ProcessorId self,
 
   // Announce the succession to the believed neighbours, exactly like a
   // voluntary retirement would have (stale beliefs heal via forwards).
-  if (level > 0) {
-    Message m;
-    m.src = self;
-    m.dst = fresh.parent_pid;
-    m.tag = kTagNewId;
-    m.args = {layout_.parent(node), node, self};
-    ctx.send(std::move(m));
-  }
-  for (int c = 0; c < k; ++c) {
-    Message m;
-    m.src = self;
-    m.dst = fresh.child_pids[static_cast<std::size_t>(c)];
-    m.tag = kTagNewId;
-    const NodeId child_target = layout_.children_are_leaves(node)
-                                    ? kLeafTarget
-                                    : layout_.child(node, c);
-    m.args = {child_target, node, self};
-    ctx.send(std::move(m));
-  }
+  announce_succession(ctx, self, fresh, self);
   if (node == 0) {
     // Seed the next shadow right away.
     const std::int64_t seq = fresh.backup_next_seq++;

@@ -323,11 +323,22 @@ class TreeService : public CounterProtocol {
   /// Sends the buffered incs up as one kTagInc or kTagMulti.
   void flush_role(Context& ctx, ProcessorId self, Role& role);
   void retire(Context& ctx, ProcessorId self, NodeId node, OpId op);
+  /// Tells role's parent (none at the root) and children: succ holds it.
+  void announce_succession(Context& ctx, ProcessorId self, const Role& role,
+                           ProcessorId succ);
+  /// The initial layout's children of `node`: leaf ids or incumbents.
+  std::vector<ProcessorId> initial_child_pids(NodeId node) const;
   void commit_takeover(Context& ctx, ProcessorId self, PendingTakeover pt);
   void drain_stash(Context& ctx, ProcessorId self, NodeId node);
 
   // Self-healing helpers (all no-ops / unreachable with healing off).
   JournalEntry* find_journal(Role& role, ProcessorId origin);
+  /// The journal in a root TakeOver or backup: [n][n x (origin, serial,
+  /// value)]; read_journal decodes it at args[i], advancing i past it.
+  static void append_journal(MessageArgs& args,
+                             const std::vector<JournalEntry>& journal);
+  static void read_journal(const MessageArgs& args, std::size_t& i,
+                           std::vector<JournalEntry>& journal);
   void handle_root_op(Context& ctx, ProcessorId self, Role& role,
                       const Message& msg);
   void handle_backup(Context& ctx, ProcessorId self, const Message& msg);

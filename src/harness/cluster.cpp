@@ -95,7 +95,7 @@ class Controller final : public traffic::LoadPort {
   void reset_metrics() override;
 
  private:
-  enum class Phase { kHandshake, kLoad, kKeyedStats, kShutdown };
+  enum class Phase { kHandshake, kLoad, kShutdown };
 
   bool keyed() const { return opt_.keys > 0; }
   /// Schedule entries per driver issuance unit (framing does not depend
@@ -124,8 +124,8 @@ class Controller final : public traffic::LoadPort {
     DCNT_CHECK_MSG(!starts_staged(), "broadcast with starts still staged");
     for (const int conn : conn_of_node_) loop_.send(conn, frame);
   }
-  void collect_keyed_stats();
-  void on_keyed_stats(const KeyedStatsFrame& ks);
+  /// One chunk of a node's load report, merged into the ledger.
+  void on_loads(const LoadsFrame& report);
   bool rounds_stable() const;
   void check_deadline() const;
 
@@ -133,7 +133,7 @@ class Controller final : public traffic::LoadPort {
   EventLoop loop_;
   ChildReaper reaper_;
   traffic::LoadDriver* driver_{nullptr};
-  /// Filled as the run goes: keyed stats land here before the rest.
+  /// Filled as the run goes.
   ClusterResult out_;
   std::int64_t n_{0};
   std::size_t warmup_{0};   ///< unmeasured ops issued first
@@ -152,12 +152,11 @@ class Controller final : public traffic::LoadPort {
   std::vector<std::uint8_t> start_scratch_;
   /// Reused by every kCompleteBatch decode.
   CompleteBatchFrame complete_scratch_;
-  /// Keyed-stats collection (multi-key mode, after the final barrier):
-  /// nodes whose last chunk is still outstanding.
-  std::size_t keyed_stats_pending_{0};
-  /// The cluster's load ledger: the final barrier's per-processor rows
-  /// and the keyed slices, each reported by the processor's one owner,
-  /// so accumulating them is an exact merge.
+  /// Nodes whose load report has not yet ended in a last chunk.
+  std::size_t reports_pending_{0};
+  /// The cluster's load ledger: every node's report rows, each
+  /// reported by the processor's one owner, so accumulating them is an
+  /// exact merge.
   Metrics ledger_;
 
   Phase phase_{Phase::kHandshake};
@@ -348,11 +347,11 @@ void Controller::on_frame(int conn, const FrameView& frame) {
       on_complete(complete_scratch_.completions);
       return;
     }
-    case FrameType::kKeyedStats: {
-      KeyedStatsFrame ks;
-      DCNT_CHECK_MSG(decode_keyed_stats(frame, &ks),
-                     "malformed KeyedStats at the controller");
-      on_keyed_stats(ks);
+    case FrameType::kLoads: {
+      LoadsFrame report;
+      DCNT_CHECK_MSG(decode_loads(frame, &report),
+                     "malformed Loads at the controller");
+      on_loads(report);
       return;
     }
     case FrameType::kStats: {
@@ -385,34 +384,27 @@ void Controller::on_complete(std::span<const Completion> done) {
   driver_->on_complete(done);
 }
 
-/// One end-of-run collection pass: per-key loads and LRU counters are a
-/// report, not part of the barrier, so they are fetched once after the
-/// cluster is certified idle and before Shutdown.
-void Controller::collect_keyed_stats() {
-  phase_ = Phase::kKeyedStats;
-  keyed_stats_pending_ = opt_.nodes;
-  broadcast(encode_keyed_stats_request());
-  while (keyed_stats_pending_ > 0) pump(50);
-}
-
-void Controller::on_keyed_stats(const KeyedStatsFrame& ks) {
-  DCNT_CHECK(phase_ == Phase::kKeyedStats);
-  DCNT_CHECK(ks.node_id < opt_.nodes);
-  DCNT_CHECK(keyed_stats_pending_ > 0);
-  for (const KeyProcLoad& load : ks.loads) {
-    DCNT_CHECK(load.pid >= 0 && load.pid < n_);
-    DCNT_CHECK(static_cast<std::uint32_t>(load.pid) % opt_.nodes ==
-               ks.node_id);
-    ledger_.add_load(load.pid, KeyLoad{load.sent, load.received}, load.key);
+/// Loads are a report, not part of the barrier: each node sends its
+/// rows once, answering Shutdown after the final barrier certified the
+/// cluster idle.
+void Controller::on_loads(const LoadsFrame& report) {
+  DCNT_CHECK(phase_ == Phase::kShutdown);
+  DCNT_CHECK(report.node_id < opt_.nodes);
+  DCNT_CHECK(reports_pending_ > 0);
+  for (const LoadRow& row : report.rows) {
+    DCNT_CHECK(row.pid >= 0 && row.pid < n_);
+    DCNT_CHECK(static_cast<std::uint32_t>(row.pid) % opt_.nodes ==
+               report.node_id);
+    ledger_.add_load(row.pid, KeyLoad{row.sent, row.received}, row.key);
   }
-  if (ks.last) {
+  if (report.last) {
     // LRU counters ride in every chunk of a node's report; count them
     // once, from the last.
-    out_.lru_hits += ks.lru_hits;
-    out_.lru_misses += ks.lru_misses;
-    out_.lru_evicts += ks.lru_evicts;
-    out_.lru_rehydrates += ks.lru_rehydrates;
-    --keyed_stats_pending_;
+    out_.lru_hits += report.lru_hits;
+    out_.lru_misses += report.lru_misses;
+    out_.lru_evicts += report.lru_evicts;
+    out_.lru_rehydrates += report.lru_rehydrates;
+    --reports_pending_;
   }
 }
 
@@ -523,11 +515,12 @@ ClusterResult Controller::run() {
     out_.keys = opt_.keys;
   }
   verify_values(out_, values_, key_of_op_);
-  if (keyed()) collect_keyed_stats();
 
-  // Orderly teardown: every node flushes and exits 0; the controller
-  // insists on it so a crash shadowed by a successful run still fails.
+  // Orderly teardown: every node answers Shutdown with its load report,
+  // flushes and exits 0; the controller insists on it so a crash
+  // shadowed by a successful run still fails.
   phase_ = Phase::kShutdown;
+  reports_pending_ = opt_.nodes;
   broadcast(encode_shutdown());
   while (loop_.open_connections() > 0) {
     check_deadline();
@@ -541,7 +534,7 @@ ClusterResult Controller::run() {
     pid = 0;  // reaped; the ChildReaper must not touch it
   }
 
-  // Merge the final barrier's per-node reports.
+  // The final barrier's transport counters, summed over the nodes.
   for (std::uint32_t id = 0; id < opt_.nodes; ++id) {
     const StatsFrame& s = *round_[id];
     out_.wire_msgs_sent += s.wire_msgs_sent;
@@ -554,12 +547,9 @@ ClusterResult Controller::run() {
     out_.messages_abandoned += s.messages_abandoned;
     out_.wire_write_syscalls += s.wire_write_syscalls;
     out_.frames_rejected += s.frames_rejected;
-    for (const ProcLoad& load : s.loads) {
-      DCNT_CHECK(load.pid >= 0 && load.pid < n_);
-      DCNT_CHECK(static_cast<std::uint32_t>(load.pid) % opt_.nodes == id);
-      ledger_.add_load(load.pid, KeyLoad{load.sent, load.received});
-    }
   }
+  DCNT_CHECK_MSG(reports_pending_ == 0,
+                 "a node exited without finishing its load report");
   fill_loads(out_, ledger_);
   for (ProcessorId p = 0; p < n_; ++p) out_.load.push_back(ledger_.load(p));
   out_.values = std::move(values_);

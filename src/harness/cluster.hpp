@@ -14,9 +14,12 @@
 // quiesce is the distributed barrier: StatsRequest/Stats rounds until
 // two consecutive rounds show identical per-node progress, no unacked
 // envelopes or armed timers anywhere, and — on the reliable TCP plane —
-// wire sends equal to wire receives. Afterwards it merges the nodes'
-// loads into one Metrics (exact: each processor is owned by one node)
-// and verifies the values with the shared verifier (harness/result.hpp).
+// wire sends equal to wire receives. Afterwards it verifies the values
+// with the shared verifier (harness/result.hpp) and sends Shutdown;
+// each node answers with its one load report (kLoads chunks: its
+// processors' m_p and, with keys, their per-key slices), which the
+// controller merges into one Metrics (exact: each processor is owned by
+// one node) while it tears the cluster down.
 //
 // The node binary is found via ClusterOptions::node_binary, then the
 // DCNT_NODE_BIN environment variable, then next to /proc/self/exe

@@ -68,7 +68,7 @@ class Node {
   void settle();
   WireCounters wire_counters() const;
   void send_stats();
-  void send_keyed_stats();
+  void send_loads();
   void time_jump();
   void handle_reset();
   /// Kernel wait for the next reactor round: until the earliest armed
@@ -115,8 +115,8 @@ class Node {
   /// reports deltas against these so warmup traffic never shows up in
   /// the measured stats. events_processed stays monotone (a constant
   /// offset), so the controller's stability barrier is unaffected.
-  /// Processor loads need no baseline: the runtime's shard metrics are
-  /// zeroed in place at reset.
+  /// Loads need no baseline: the runtime's shard metrics are zeroed in
+  /// place at reset.
   struct Baseline {
     std::int64_t events{0};
     WireCounters wire;
@@ -244,9 +244,6 @@ void Node::on_ctrl_frame(const FrameView& frame) {
     case FrameType::kStatsRequest:
       send_stats();
       return;
-    case FrameType::kKeyedStatsRequest:
-      send_keyed_stats();
-      return;
     case FrameType::kTimeJump:
       time_jump();
       return;
@@ -254,6 +251,7 @@ void Node::on_ctrl_frame(const FrameView& frame) {
       handle_reset();
       return;
     case FrameType::kShutdown:
+      send_loads();
       shutdown_ = true;
       return;
     default:
@@ -359,10 +357,10 @@ WireCounters Node::wire_counters() const {
 // barrier. It is built at a dry point, so every message counted as
 // received has been fully processed. Wire data still in the kernel (or
 // in a peer's queue) is caught by the controller's global
-// sent==received check instead, never by a single node.
+// sent==received check instead, never by a single node. Loads are not
+// part of it: they leave once, in the report that answers Shutdown.
 void Node::send_stats() {
   settle();
-  const Metrics metrics = runtime_->merged_metrics();
   const WireCounters w = wire_counters();
   StatsFrame s;
   s.node_id = cfg_.node_id;
@@ -386,52 +384,50 @@ void Node::send_stats() {
         rs.duplicates_suppressed - base_.duplicates_suppressed;
     s.messages_abandoned = rs.messages_abandoned - base_.messages_abandoned;
   }
-  for (ProcessorId p = static_cast<ProcessorId>(cfg_.node_id); p < n_;
-       p += static_cast<ProcessorId>(cfg_.num_nodes)) {
-    s.loads.push_back(ProcLoad{p, metrics.sent(p), metrics.received(p)});
-  }
   loop_.send(ctrl_conn_, encode_stats(s));
 }
 
-/// End-of-run per-key report (multi-key mode): at a dry point, stream
-/// this node's (key, processor) load slices to the controller in
-/// kKeyedStats chunks, sorted by (key, pid) and capped at
-/// kKeyedStatsChunk entries each so a 100k-key run never exceeds
-/// kMaxFramePayload. The LRU tier counters ride in every chunk (the
-/// controller reads them from the last). Per-key loads are reported as
-/// absolute post-reset values — reset_metrics zeroed the key maps in
-/// place, so no baseline subtraction is needed.
-void Node::send_keyed_stats() {
-  DCNT_CHECK_MSG(fabric_ != nullptr,
-                 "keyed stats requested from a node without --keys");
+/// The node's one load report, its answer to Shutdown: at a dry point,
+/// every owned processor's overall load (key kNoKey) and, in multi-key
+/// mode, every (key, processor) slice, sorted by (key, pid) and sent in
+/// kLoads chunks of at most kLoadsChunk rows so a 100k-key run never
+/// exceeds kMaxFramePayload. The LRU tier counters ride in every chunk
+/// (the controller reads them from the last). Loads are absolute
+/// post-reset values: reset_metrics zeroed them in place, so no
+/// baseline subtraction is needed.
+void Node::send_loads() {
   settle();
   const Metrics metrics = runtime_->merged_metrics();
-  std::vector<KeyProcLoad> flat;
+  std::vector<LoadRow> rows;
+  for (ProcessorId p = static_cast<ProcessorId>(cfg_.node_id); p < n_;
+       p += static_cast<ProcessorId>(cfg_.num_nodes)) {
+    rows.push_back(LoadRow{kNoKey, p, metrics.sent(p), metrics.received(p)});
+  }
   for (const auto& [key, per_proc] : metrics.key_loads()) {
     for (const auto& [pid, load] : per_proc) {
-      flat.push_back(KeyProcLoad{key, pid, load.sent, load.received});
+      rows.push_back(LoadRow{key, pid, load.sent, load.received});
     }
   }
-  std::sort(flat.begin(), flat.end(),
-            [](const KeyProcLoad& a, const KeyProcLoad& b) {
-              return a.key != b.key ? a.key < b.key : a.pid < b.pid;
-            });
-  const service::KeyDirectoryStats lru = fabric_->lru_stats();
+  std::sort(rows.begin(), rows.end(), [](const LoadRow& a, const LoadRow& b) {
+    return a.key != b.key ? a.key < b.key : a.pid < b.pid;
+  });
+  const service::KeyDirectoryStats lru =
+      fabric_ != nullptr ? fabric_->lru_stats() : service::KeyDirectoryStats{};
   std::size_t sent = 0;
   do {
-    KeyedStatsFrame chunk;
+    LoadsFrame chunk;
     chunk.node_id = cfg_.node_id;
     chunk.lru_hits = lru.hits;
     chunk.lru_misses = lru.misses;
     chunk.lru_evicts = lru.evicts;
     chunk.lru_rehydrates = lru.rehydrates;
-    const std::size_t take = std::min(kKeyedStatsChunk, flat.size() - sent);
-    chunk.loads.assign(flat.begin() + static_cast<std::ptrdiff_t>(sent),
-                       flat.begin() + static_cast<std::ptrdiff_t>(sent + take));
+    const std::size_t take = std::min(kLoadsChunk, rows.size() - sent);
+    chunk.rows.assign(rows.begin() + static_cast<std::ptrdiff_t>(sent),
+                      rows.begin() + static_cast<std::ptrdiff_t>(sent + take));
     sent += take;
-    chunk.last = sent == flat.size();
-    loop_.send(ctrl_conn_, encode_keyed_stats(chunk));
-  } while (sent < flat.size());  // zero slices still sends one last-chunk
+    chunk.last = sent == rows.size();
+    loop_.send(ctrl_conn_, encode_loads(chunk));
+  } while (sent < rows.size());  // no rows still sends one last chunk
 }
 
 void Node::time_jump() {
@@ -519,7 +515,7 @@ int Node::run() {
     drain();
     loop_.run_once(wait_ms());
   }
-  // Flush queued control/data bytes (the final Stats reply) before the
+  // Flush queued control/data bytes (the load report) before the
   // destructors close the sockets.
   while (loop_.backlog()) loop_.run_once(10);
   return 0;

@@ -32,13 +32,15 @@
 // message; on a tcp link or the control connection nothing can replace
 // it, so the node aborts naming the frame type.
 //
-// Time: the node keeps the runtime's logical clock (one tick per
-// handled event), and maps Context::send_local delays to wall-clock
-// timers at `tick_us` microseconds per tick — a distributed node cannot
-// detect global idleness to jump its clock, so timeouts are honest
-// durations here. When a timer fires, the clock jumps to at least the
-// timer's logical due time, preserving the deadline arithmetic
-// protocols do against now().
+// Time: a Context::send_local delay becomes a wall-clock timer due
+// `delay * tick_us` microseconds after it was armed — a distributed
+// node cannot detect global idleness to jump its clock, so timeouts are
+// honest durations here. The shard's logical clock (Context::now())
+// still counts one tick per handled event; firing a timer does not move
+// it, and no protocol reads it. The only shortcut is the controller's:
+// once the whole cluster is idle except for armed timers it sends
+// kTimeJump, and the node fires them without waiting out their
+// deadlines.
 //
 // Threading: one thread per node. It runs the epoll reactor and, in
 // the same loop, drives the node's single protocol shard inline
@@ -48,13 +50,15 @@
 // the shard, and runs the shard until dry; handler output goes straight
 // into the reactor's per-peer outbound queues and leaves coalesced at
 // the next round boundary, and the round's completions leave as one
-// kCompleteBatch frame (split only past kBatchEntryCap entries). Stats requests, metric resets and time
-// jumps are handled at a dry point of the same thread (staged events
-// injected, the shard driven until dry, outbound queues flushed), so a
-// stats reply counts only fully processed messages. Nothing is shared
-// between threads, so there are no atomics, fences or cross-thread
-// queues here. More shards or reactor threads per node were measured
-// and lost to this layout (DESIGN.md §12).
+// kCompleteBatch frame (split only past kBatchEntryCap entries). Stats
+// requests, metric resets and Shutdown are handled at a dry point of
+// the same thread (staged events injected, the shard driven until dry,
+// outbound queues flushed), so a stats reply or the load report counts
+// only fully processed messages; a time jump is staged for the next
+// drain round. Nothing is shared between threads, so there are no
+// atomics, fences or cross-thread queues here. More shards or reactor
+// threads per node were measured and lost to this layout (DESIGN.md
+// §12).
 #pragma once
 
 #include <cstdint>
@@ -87,9 +91,10 @@ struct NodeConfig {
   /// > 0: multi-key mode — wrap the counter in a service/MultiCounter
   /// fabric of this many keys. Every kStartBatch entry then carries a
   /// key (kNoKey otherwise), messages between peers travel as kKeyedMsg
-  /// frames, and the node answers kKeyedStatsRequest with per-key
-  /// loads. The fabric's routing seed is the shared `seed`, identical on
-  /// every node, so key -> rotation agrees cluster-wide.
+  /// frames, and the load report that answers kShutdown adds per-key
+  /// rows and the LRU counters. The fabric's routing seed is the shared
+  /// `seed`, identical on every node, so key -> rotation agrees
+  /// cluster-wide.
   std::int64_t keys{0};
   /// LRU capacity for live per-key instances (multi-key mode;
   /// 0 = unbounded). Requires a service-evictable inner counter.

@@ -279,12 +279,6 @@ std::vector<std::uint8_t> encode_stats(const StatsFrame& f) {
   put_i64(out, f.messages_abandoned);
   put_i64(out, f.wire_write_syscalls);
   put_i64(out, f.frames_rejected);
-  put_u32(out, static_cast<std::uint32_t>(f.loads.size()));
-  for (const ProcLoad& l : f.loads) {
-    put_i32(out, l.pid);
-    put_i64(out, l.sent);
-    put_i64(out, l.received);
-  }
   finish_frame(out, start);
   return out;
 }
@@ -301,19 +295,18 @@ std::vector<std::uint8_t> encode_metrics_reset() {
   return bodyless(FrameType::kMetricsReset);
 }
 
-std::vector<std::uint8_t> encode_keyed_stats(const KeyedStatsFrame& f) {
-  DCNT_CHECK_MSG(f.loads.size() <= kKeyedStatsChunk,
-                 "keyed stats chunk too large");
+std::vector<std::uint8_t> encode_loads(const LoadsFrame& f) {
+  DCNT_CHECK_MSG(f.rows.size() <= kLoadsChunk, "load report chunk too large");
   std::vector<std::uint8_t> out;
-  const std::size_t start = begin_frame(out, FrameType::kKeyedStats);
+  const std::size_t start = begin_frame(out, FrameType::kLoads);
   put_u32(out, f.node_id);
   put_u8(out, f.last ? 1 : 0);
   put_i64(out, f.lru_hits);
   put_i64(out, f.lru_misses);
   put_i64(out, f.lru_evicts);
   put_i64(out, f.lru_rehydrates);
-  put_u32(out, static_cast<std::uint32_t>(f.loads.size()));
-  for (const KeyProcLoad& l : f.loads) {
+  put_u32(out, static_cast<std::uint32_t>(f.rows.size()));
+  for (const LoadRow& l : f.rows) {
     put_i64(out, l.key);
     put_i32(out, l.pid);
     put_i64(out, l.sent);
@@ -321,10 +314,6 @@ std::vector<std::uint8_t> encode_keyed_stats(const KeyedStatsFrame& f) {
   }
   finish_frame(out, start);
   return out;
-}
-
-std::vector<std::uint8_t> encode_keyed_stats_request() {
-  return bodyless(FrameType::kKeyedStatsRequest);
 }
 
 FrameView::FrameView(const std::uint8_t* data, std::size_t size)
@@ -337,7 +326,7 @@ FrameType FrameView::type() const {
   const std::uint8_t t = data_[1];
   DCNT_CHECK_MSG(
       t >= static_cast<std::uint8_t>(FrameType::kHello) &&
-          t <= static_cast<std::uint8_t>(FrameType::kKeyedStatsRequest),
+          t <= static_cast<std::uint8_t>(FrameType::kLoads),
       "unknown frame type");
   return static_cast<FrameType>(t);
 }
@@ -423,17 +412,11 @@ bool decode_stats(const FrameView& frame, StatsFrame* out) {
   out->messages_abandoned = r.i64();
   out->wire_write_syscalls = r.i64();
   out->frames_rejected = r.i64();
-  out->loads.resize(r.count(20));
-  for (ProcLoad& l : out->loads) {
-    l.pid = r.i32();
-    l.sent = r.i64();
-    l.received = r.i64();
-  }
   return r.done();
 }
 
-bool decode_keyed_stats(const FrameView& frame, KeyedStatsFrame* out) {
-  BodyReader r(frame, FrameType::kKeyedStats);
+bool decode_loads(const FrameView& frame, LoadsFrame* out) {
+  BodyReader r(frame, FrameType::kLoads);
   out->node_id = r.u32();
   const std::uint8_t last = r.u8();
   r.require(last <= 1);
@@ -442,14 +425,14 @@ bool decode_keyed_stats(const FrameView& frame, KeyedStatsFrame* out) {
   out->lru_misses = r.i64();
   out->lru_evicts = r.i64();
   out->lru_rehydrates = r.i64();
-  out->loads.resize(r.count(28));
-  r.require(out->loads.size() <= kKeyedStatsChunk);
-  for (KeyProcLoad& l : out->loads) {
+  out->rows.resize(r.count(28));
+  r.require(out->rows.size() <= kLoadsChunk);
+  for (LoadRow& l : out->rows) {
     l.key = r.i64();
     l.pid = r.i32();
     l.sent = r.i64();
     l.received = r.i64();
-    r.require(l.key >= 0 && l.pid >= 0);
+    r.require(l.key >= kNoKey && l.pid >= 0);
   }
   return r.done();
 }

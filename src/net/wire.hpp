@@ -18,7 +18,9 @@
 // Hello/Peers/Ready for the mesh handshake, StartBatch/CompleteBatch
 // for the initiator RPC (every op, plain or keyed, one entry of a
 // batch), StatsRequest/Stats for the distributed-quiescence barrier and
-// metrics collection, Shutdown to end a node.
+// its transport counters, and Shutdown to end a node, which answers it
+// with its one load report (Loads): every owned processor's m_p and,
+// with keys, each processor's slice of each key.
 //
 // Trust model: decoders reject, callers choose the policy. Every body
 // decoder is bounds-checked and returns false on malformed input
@@ -30,10 +32,11 @@
 // reliable transport. The header checks (FrameView's version and type,
 // FrameReader's length bound) still abort.
 //
-// Versioning: kWireVersion is 4 since the Stats row dropped its word
-// count (3 unified the frame vocabulary), and FrameView accepts only
-// that version — every node and controller is built from one tree, so
-// no peer ever speaks another.
+// Versioning: kWireVersion is 5 since the loads left Stats for the one
+// Loads report (4 dropped the Stats row's word count, 3 unified the
+// frame vocabulary), and FrameView accepts only that version — every
+// node and controller is built from one tree, so no peer ever speaks
+// another.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +49,7 @@
 
 namespace dcnt::net {
 
-inline constexpr std::uint8_t kWireVersion = 4;
+inline constexpr std::uint8_t kWireVersion = 5;
 /// Upper bound on one frame's payload; protects against a corrupt
 /// length word committing us to a gigabyte read.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
@@ -64,8 +67,8 @@ enum class FrameType : std::uint8_t {
   kCompleteBatch = 5,
   kMsg = 6,       ///< node -> node: one protocol Message
   kStatsRequest = 7,  ///< controller -> node: report counters now
-  kStats = 8,         ///< node -> controller: counters + per-proc loads
-  kShutdown = 9,      ///< controller -> node: flush stats reply and exit
+  kStats = 8,         ///< node -> controller: progress + transport counters
+  kShutdown = 9,      ///< controller -> node: send the load report and exit
   /// controller -> node: the cluster is idle except for armed timers;
   /// fire them now instead of waiting out their wall deadlines. The
   /// distributed analogue of the simulator's idle clock-jump — only the
@@ -80,13 +83,11 @@ enum class FrameType : std::uint8_t {
   /// to — the multi-key fabric's data plane. append_message picks it
   /// whenever msg.key != kNoKey.
   kKeyedMsg = 12,
-  /// node -> controller: per-key per-processor loads + LRU tier
-  /// counters, chunked so 100k-key runs never exceed kMaxFramePayload.
-  kKeyedStats = 13,
-  /// controller -> node: report keyed stats now (sent once, after the
-  /// final quiescence barrier — per-key loads are an end-of-run report,
-  /// not part of the barrier).
-  kKeyedStatsRequest = 14,
+  /// node -> controller: the node's load report, its answer to
+  /// kShutdown — per-processor and per-(key, processor) loads plus the
+  /// LRU tier counters, chunked so 100k-key runs never exceed
+  /// kMaxFramePayload.
+  kLoads = 13,
 };
 
 struct HelloFrame {
@@ -130,20 +131,11 @@ struct CompleteBatchFrame {
 /// Max entries per kStartBatch or kCompleteBatch frame. A reactor
 /// round's starts, or a drain round's completions, can outnumber what
 /// one frame holds (a window of 80,000 ops in flight), so senders split
-/// them at this cap, as kKeyedStatsChunk splits keyed stats. An entry
+/// them at this cap, as kLoadsChunk splits a load report. An entry
 /// is at most 20 bytes, so a full frame stays at 640 KiB, well under
 /// kMaxFramePayload. Encoders check the cap; decoders reject counts
 /// above it.
 inline constexpr std::size_t kBatchEntryCap = kMaxFramePayload / 32;
-
-/// Per-processor load row; only processors the reporting node owns
-/// appear, so the controller's merge is exact (each processor is owned
-/// by exactly one node).
-struct ProcLoad {
-  ProcessorId pid{kNoProcessor};
-  std::int64_t sent{0};
-  std::int64_t received{0};
-};
 
 struct StatsFrame {
   std::uint32_t node_id{0};
@@ -176,34 +168,36 @@ struct StatsFrame {
   /// Malformed data-plane frames the node dropped (UDP mode; a TCP node
   /// aborts instead). Never re-baselined: a rejection is a fault.
   std::int64_t frames_rejected{0};
-  std::vector<ProcLoad> loads;
 };
 
-/// One (key, processor) load slice inside a kKeyedStats chunk.
-struct KeyProcLoad {
-  KeyId key{0};
+/// One row of a load report: processor `pid`'s overall load when `key`
+/// is kNoKey, else its slice of that key. Only processors the reporting
+/// node owns appear, so the controller's merge is exact (each processor
+/// is owned by exactly one node).
+struct LoadRow {
+  KeyId key{kNoKey};
   ProcessorId pid{kNoProcessor};
   std::int64_t sent{0};
   std::int64_t received{0};
 };
 
-/// One chunk of a node's per-key report. Chunked because a 100k-key run
+/// One chunk of a node's load report. Chunked because a 100k-key run
 /// has too many (key, processor) slices for a single frame; `last`
-/// marks the final chunk. The LRU counters ride in every chunk (the
-/// controller reads them from the last one).
-struct KeyedStatsFrame {
+/// marks the final chunk. The LRU counters (zero without keys) ride in
+/// every chunk; the controller reads them from the last one.
+struct LoadsFrame {
   std::uint32_t node_id{0};
   bool last{true};
   std::int64_t lru_hits{0};
   std::int64_t lru_misses{0};
   std::int64_t lru_evicts{0};
   std::int64_t lru_rehydrates{0};
-  std::vector<KeyProcLoad> loads;
+  std::vector<LoadRow> rows;
 };
 
-/// Max (key, processor) slices per kKeyedStats chunk: 28 bytes each,
-/// comfortably under kMaxFramePayload with header room to spare.
-inline constexpr std::size_t kKeyedStatsChunk = 16384;
+/// Max rows per kLoads chunk: 28 bytes each, comfortably under
+/// kMaxFramePayload with header room to spare.
+inline constexpr std::size_t kLoadsChunk = 16384;
 
 // --- encoding -------------------------------------------------------------
 
@@ -218,8 +212,7 @@ std::vector<std::uint8_t> encode_stats(const StatsFrame& f);
 std::vector<std::uint8_t> encode_shutdown();
 std::vector<std::uint8_t> encode_time_jump();
 std::vector<std::uint8_t> encode_metrics_reset();
-std::vector<std::uint8_t> encode_keyed_stats(const KeyedStatsFrame& f);
-std::vector<std::uint8_t> encode_keyed_stats_request();
+std::vector<std::uint8_t> encode_loads(const LoadsFrame& f);
 
 // append_* are the zero-allocation hot paths: they encode one complete
 // frame (length word included) straight onto the end of `out` — a
@@ -270,7 +263,7 @@ bool decode_complete_batch(const FrameView& frame, CompleteBatchFrame* out);
 /// Both kMsg and kKeyedMsg; a plain frame decodes with key = kNoKey.
 bool decode_message(const FrameView& frame, Message* out);
 bool decode_stats(const FrameView& frame, StatsFrame* out);
-bool decode_keyed_stats(const FrameView& frame, KeyedStatsFrame* out);
+bool decode_loads(const FrameView& frame, LoadsFrame* out);
 
 /// Incremental frame extractor for a TCP byte stream (also used one
 /// datagram at a time for UDP, where the kernel preserves boundaries).

@@ -237,8 +237,7 @@ TEST(Cluster, KeyedFourNodesTcpBatched) {
   // The multi-key fabric across 4 real processes: batched keyed Starts
   // (kStartBatch) out, coalesced kCompleteBatch replies back, per-key
   // values verified as exact permutations of 0..ops_k-1 inside
-  // run_cluster, per-key loads merged from the chunked kKeyedStats
-  // reports.
+  // run_cluster, per-key loads merged from the chunked kLoads reports.
   ClusterOptions opt = base_options();
   opt.counter = "central";
   opt.min_processors = 16;
@@ -359,6 +358,45 @@ TEST(Cluster, KeyedTcpMatchesInprocPerKeyBottleneck) {
     EXPECT_EQ(cluster.max_load, inproc.max_load);
     EXPECT_EQ(cluster.bottleneck, inproc.bottleneck);
   }
+}
+
+TEST(Cluster, LoadReportSpanningSeveralChunksMatchesInproc) {
+  // One op per key on 20,000 round-robin keys: each key moves messages
+  // at its origin and at its rotated holder, so the single node's load
+  // report has about two rows per key, several kLoadsChunk chunks. The
+  // merged ledger must equal the in-process run's row for row.
+  LoadOptions load;
+  load.ops = 20'000;
+  load.concurrency = 16;
+  load.inflight = 16;
+  load.seed = 7;
+  load.keys = 20'000;
+  load.key_dist = "roundrobin";
+
+  ThroughputOptions topt;
+  static_cast<LoadOptions&>(topt) = load;
+  topt.workers = 2;
+  const ThroughputResult inproc =
+      run_throughput(make_counter(CounterKind::kCentral, 16), topt);
+
+  ClusterOptions copt = base_options();
+  static_cast<LoadOptions&>(copt) = load;
+  copt.counter = "central";
+  copt.min_processors = 16;
+  copt.nodes = 1;
+  const ClusterResult cluster = run_cluster(copt);
+
+  EXPECT_TRUE(cluster.values_ok);
+  // Every touched key is at least one row of the one node's report.
+  EXPECT_GT(cluster.keys_touched, kLoadsChunk);
+  EXPECT_EQ(cluster.keys_touched, inproc.keys_touched);
+  EXPECT_EQ(cluster.hot_key, inproc.hot_key);
+  EXPECT_EQ(cluster.hot_key_ops, inproc.hot_key_ops);
+  EXPECT_EQ(cluster.hot_key_max_load, inproc.hot_key_max_load);
+  EXPECT_EQ(cluster.hot_key_messages, inproc.hot_key_messages);
+  EXPECT_EQ(cluster.total_messages, inproc.total_messages);
+  EXPECT_EQ(cluster.max_load, inproc.max_load);
+  EXPECT_EQ(cluster.bottleneck, inproc.bottleneck);
 }
 
 TEST(Cluster, KeyedUdpLossyKeepsEnvelopeKeyed) {

@@ -51,9 +51,9 @@ bool decode_any(const FrameView& v) {
       StatsFrame out;
       return decode_stats(v, &out);
     }
-    case FrameType::kKeyedStats: {
-      KeyedStatsFrame out;
-      return decode_keyed_stats(v, &out);
+    case FrameType::kLoads: {
+      LoadsFrame out;
+      return decode_loads(v, &out);
     }
     default:
       ADD_FAILURE() << "no body decoder for type " << static_cast<int>(v.type());
@@ -84,11 +84,10 @@ std::vector<std::vector<std::uint8_t>> every_body_frame() {
   StatsFrame stats;
   stats.node_id = 1;
   stats.frames_rejected = 2;
-  stats.loads.push_back(ProcLoad{1, 2, 3});
-  stats.loads.push_back(ProcLoad{3, 0, 1});
-  KeyedStatsFrame ks;
-  ks.node_id = 3;
-  for (int i = 0; i < 4; ++i) ks.loads.push_back(KeyProcLoad{i, i, i, i});
+  LoadsFrame loads;
+  loads.node_id = 3;
+  loads.rows.push_back(LoadRow{kNoKey, 3, 7, 8});
+  for (int i = 0; i < 4; ++i) loads.rows.push_back(LoadRow{i, i, i, i});
   return {encode_hello(HelloFrame{7, 40001, 40002}),
           encode_peers(peers),
           encode_ready(ReadyFrame{3}),
@@ -97,7 +96,7 @@ std::vector<std::vector<std::uint8_t>> every_body_frame() {
           encode_message(msg),
           encode_message(keyed),
           encode_stats(stats),
-          encode_keyed_stats(ks)};
+          encode_loads(loads)};
 }
 
 TEST(Wire, HelloRoundTrip) {
@@ -162,8 +161,6 @@ TEST(Wire, StatsRoundTrip) {
   in.messages_abandoned = 1;
   in.wire_write_syscalls = 9;
   in.frames_rejected = 5;
-  in.loads.push_back(ProcLoad{2, 10, 11});
-  in.loads.push_back(ProcLoad{6, 0, 1});
   StatsFrame out;
   ASSERT_TRUE(decode_stats(view(encode_stats(in)), &out));
   EXPECT_EQ(out.node_id, 2u);
@@ -174,19 +171,19 @@ TEST(Wire, StatsRoundTrip) {
   EXPECT_EQ(out.retransmissions, 4);
   EXPECT_EQ(out.wire_write_syscalls, 9);
   EXPECT_EQ(out.frames_rejected, 5);
-  ASSERT_EQ(out.loads.size(), 2u);
-  EXPECT_EQ(out.loads[0].pid, 2);
-  EXPECT_EQ(out.loads[0].sent, 10);
-  EXPECT_EQ(out.loads[0].received, 11);
-  EXPECT_EQ(out.loads[1].pid, 6);
-  EXPECT_EQ(out.loads[1].received, 1);
+  // The barrier probe carries counters only: 4 + 13 x 8 body bytes.
+  EXPECT_EQ(view(encode_stats(in)).body_size(), 108u);
 }
 
 TEST(Wire, BodylessFrames) {
   EXPECT_EQ(view(encode_stats_request()).type(), FrameType::kStatsRequest);
   EXPECT_EQ(view(encode_shutdown()).type(), FrameType::kShutdown);
-  EXPECT_EQ(view(encode_keyed_stats_request()).type(),
-            FrameType::kKeyedStatsRequest);
+  EXPECT_EQ(view(encode_time_jump()).type(), FrameType::kTimeJump);
+  EXPECT_EQ(view(encode_metrics_reset()).type(), FrameType::kMetricsReset);
+  for (const auto& frame : {encode_stats_request(), encode_shutdown(),
+                            encode_time_jump(), encode_metrics_reset()}) {
+    EXPECT_EQ(view(frame).body_size(), 0u);
+  }
 }
 
 TEST(Wire, FrameReaderReassemblesByteAtATime) {
@@ -243,8 +240,8 @@ TEST(Wire, FrameReaderHandlesSplitAcrossFeeds) {
 
 TEST(Wire, RejectsForeignVersion) {
   // Only kWireVersion decodes: a later version and the retired versions
-  // 1, 2 and 3 all abort.
-  for (const int version : {kWireVersion + 1, 3, 2, 1}) {
+  // 1 to 4 all abort.
+  for (const int version : {kWireVersion + 1, 4, 3, 2, 1}) {
     auto frame = encode_ready(ReadyFrame{0});
     frame[4] = static_cast<std::uint8_t>(version);  // after the length word
     EXPECT_DEATH(FrameView(frame.data() + 4, frame.size() - 4),
@@ -254,7 +251,7 @@ TEST(Wire, RejectsForeignVersion) {
 
 TEST(Wire, RejectsUnknownType) {
   for (const int type :
-       {0, static_cast<int>(FrameType::kKeyedStatsRequest) + 1, 200}) {
+       {0, static_cast<int>(FrameType::kLoads) + 1, 200}) {
     auto frame = encode_ready(ReadyFrame{0});
     frame[5] = static_cast<std::uint8_t>(type);  // type byte
     const FrameView v(frame.data() + 4, frame.size() - 4);
@@ -347,7 +344,7 @@ Message golden_message() {
 TEST(Wire, PlainMessageGoldenBytes) {
   const std::vector<std::uint8_t> expected = {
       0x2a, 0, 0, 0,           // payload length 42
-      4, 6,                    // version, kMsg
+      5, 6,                    // version, kMsg
       1, 0, 0, 0,              // src
       2, 0, 0, 0,              // dst
       3, 0, 0, 0,              // tag
@@ -363,7 +360,7 @@ TEST(Wire, KeyedMessageGoldenBytes) {
   msg.key = 0x0102;
   const std::vector<std::uint8_t> expected = {
       0x32, 0, 0, 0,                 // payload length 50
-      4, 12,                         // version, kKeyedMsg
+      5, 12,                         // version, kKeyedMsg
       0x02, 0x01, 0, 0, 0, 0, 0, 0,  // key
       1, 0, 0, 0,                    // src
       2, 0, 0, 0,                    // dst
@@ -381,7 +378,7 @@ TEST(Wire, StartBatchGoldenBytes) {
   f.ops.push_back(StartBatchEntry{8, 5, 0x0102});
   const std::vector<std::uint8_t> expected = {
       0x2e, 0, 0, 0,                 // payload length 46
-      4, 4,                          // version, kStartBatch
+      5, 4,                          // version, kStartBatch
       2, 0, 0, 0,                    // count
       7, 0, 0, 0, 0, 0, 0, 0,        // ops[0].op
       2, 0, 0, 0,                    // ops[0].origin
@@ -398,7 +395,7 @@ TEST(Wire, CompleteBatchGoldenBytes) {
   f.completions.push_back(CompleteBatchEntry{8, -5});
   const std::vector<std::uint8_t> expected = {
       0x26, 0, 0, 0,                 // payload length 38
-      4, 5,                          // version, kCompleteBatch
+      5, 5,                          // version, kCompleteBatch
       2, 0, 0, 0,                    // count
       7, 0, 0, 0, 0, 0, 0, 0,        // completions[0].op
       0x02, 0x01, 0, 0, 0, 0, 0, 0,  // completions[0].value
@@ -467,25 +464,77 @@ TEST(Wire, CompleteBatchRoundTrip) {
   EXPECT_EQ(appended, encoded);
 }
 
-TEST(Wire, KeyedStatsRoundTrip) {
-  KeyedStatsFrame in;
+TEST(Wire, LoadsRoundTripWithOverallAndKeyedRows) {
+  LoadsFrame in;
   in.node_id = 2;
   in.last = false;
   in.lru_hits = 10;
   in.lru_misses = 4;
   in.lru_evicts = 3;
   in.lru_rehydrates = 1;
-  in.loads.push_back(KeyProcLoad{0, 1, 5, 6});
-  in.loads.push_back(KeyProcLoad{99'999, 14, 1, 0});
-  KeyedStatsFrame out;
-  ASSERT_TRUE(decode_keyed_stats(view(encode_keyed_stats(in)), &out));
+  in.rows.push_back(LoadRow{kNoKey, 2, 40, 41});  // p2's overall load
+  in.rows.push_back(LoadRow{0, 2, 5, 6});
+  in.rows.push_back(LoadRow{99'999, 14, 1, 0});
+  LoadsFrame out;
+  ASSERT_TRUE(decode_loads(view(encode_loads(in)), &out));
   EXPECT_EQ(out.node_id, 2u);
   EXPECT_FALSE(out.last);
   EXPECT_EQ(out.lru_hits, 10);
+  EXPECT_EQ(out.lru_misses, 4);
+  EXPECT_EQ(out.lru_evicts, 3);
   EXPECT_EQ(out.lru_rehydrates, 1);
-  ASSERT_EQ(out.loads.size(), 2u);
-  EXPECT_EQ(out.loads[1].key, 99'999);
-  EXPECT_EQ(out.loads[1].pid, 14);
+  ASSERT_EQ(out.rows.size(), 3u);
+  for (std::size_t i = 0; i < in.rows.size(); ++i) {
+    EXPECT_EQ(out.rows[i].key, in.rows[i].key) << i;
+    EXPECT_EQ(out.rows[i].pid, in.rows[i].pid) << i;
+    EXPECT_EQ(out.rows[i].sent, in.rows[i].sent) << i;
+    EXPECT_EQ(out.rows[i].received, in.rows[i].received) << i;
+  }
+  // A report with no rows is one last chunk (a node with no processors).
+  in.rows.clear();
+  in.last = true;
+  ASSERT_TRUE(decode_loads(view(encode_loads(in)), &out));
+  EXPECT_TRUE(out.last);
+  EXPECT_TRUE(out.rows.empty());
+}
+
+TEST(Wire, LoadsRejectOutOfRangeFields) {
+  LoadsFrame in;
+  in.rows.push_back(LoadRow{3, 1, 2, 2});
+  LoadsFrame out;
+  ASSERT_TRUE(decode_loads(view(encode_loads(in)), &out));
+
+  LoadsFrame bad = in;
+  bad.rows[0].key = kNoKey - 1;
+  EXPECT_FALSE(decode_loads(view(encode_loads(bad)), &out));
+  bad = in;
+  bad.rows[0].pid = -1;
+  EXPECT_FALSE(decode_loads(view(encode_loads(bad)), &out));
+
+  // `last` is the byte after node_id (offset 4 + 2 + 4); only 0 and 1
+  // are flags.
+  auto flagged = encode_loads(in);
+  flagged[10] = 2;
+  EXPECT_FALSE(decode_loads(view(flagged), &out));
+
+  // A chunk of exactly the cap decodes; one more row, its count patched
+  // to match, does not, and the encoder refuses to build it.
+  LoadsFrame full;
+  full.rows.assign(kLoadsChunk, LoadRow{0, 0, 1, 1});
+  auto encoded = encode_loads(full);
+  EXPECT_LE(encoded.size() - 4, kMaxFramePayload);
+  ASSERT_TRUE(decode_loads(view(encoded), &out));
+  EXPECT_EQ(out.rows.size(), kLoadsChunk);
+  // count follows node_id(4), last(1) and the four LRU counters (32).
+  constexpr std::size_t kCountAt = 4 + 2 + 4 + 1 + 32;
+  encoded.resize(encoded.size() + 28, 0);
+  const auto count = static_cast<std::uint32_t>(kLoadsChunk + 1);
+  for (std::size_t i = 0; i < 4; ++i) {
+    encoded[kCountAt + i] = static_cast<std::uint8_t>(count >> (8 * i));
+  }
+  EXPECT_FALSE(decode_loads(view(encoded), &out));
+  full.rows.push_back(full.rows.back());
+  EXPECT_DEATH(encode_loads(full), "load report chunk too large");
 }
 
 // Every proper prefix of every frame's body, and the body with one
