@@ -111,7 +111,7 @@ const TreeService::Role* TreeService::find_role(const ProcState& ps,
 TreeService::PendingTakeover* TreeService::find_pending(ProcState& ps,
                                                         NodeId node) {
   for (auto& pt : ps.pending) {
-    if (pt.node == node) return &pt;
+    if (pt.role.node == node) return &pt;
   }
   return nullptr;
 }
@@ -200,9 +200,9 @@ void TreeService::on_message(Context& ctx, const Message& msg) {
       PendingTakeover* pt = find_pending(ps, node);
       if (pt == nullptr) {
         PendingTakeover fresh;
-        fresh.node = node;
-        fresh.child_pids.assign(static_cast<std::size_t>(layout_.k()),
-                                kNoProcessor);
+        fresh.role.node = node;
+        fresh.role.child_pids.assign(static_cast<std::size_t>(layout_.k()),
+                                     kNoProcessor);
         ps.pending.push_back(std::move(fresh));
         ++live_pending_;
         pt = &ps.pending.back();
@@ -210,33 +210,35 @@ void TreeService::on_message(Context& ctx, const Message& msg) {
       if (msg.tag == kTagTakeOver) {
         DCNT_CHECK(!pt->has_main);
         pt->has_main = true;
-        pt->parent_pid = static_cast<ProcessorId>(msg.args.at(1));
+        Role& role = pt->role;
+        role.parent_pid = static_cast<ProcessorId>(msg.args.at(1));
         if (self_healing_ && node == 0) {
           // Root handover ships the exactly-once machinery too.
           std::size_t i = 2;
-          pt->backup_next_seq = msg.args.at(i++);
-          read_journal(msg.args, i, pt->journal);
+          role.backup_next_seq = msg.args.at(i++);
+          read_journal(msg.args, i, role.journal);
           const auto gn = static_cast<std::size_t>(msg.args.at(i++));
-          pt->gated.resize(gn);
-          for (auto& g : pt->gated) {
+          role.gated.resize(gn);
+          for (auto& g : role.gated) {
             g.origin = static_cast<ProcessorId>(msg.args.at(i++));
             g.serial = msg.args.at(i++);
             g.value = msg.args.at(i++);
             g.op = msg.args.at(i++);
           }
-          pt->state.assign(msg.args.begin() + static_cast<std::ptrdiff_t>(i),
-                           msg.args.end());
+          role.state.assign(msg.args.begin() + static_cast<std::ptrdiff_t>(i),
+                            msg.args.end());
         } else {
-          pt->state.assign(msg.args.begin() + 2, msg.args.end());
+          role.state.assign(msg.args.begin() + 2, msg.args.end());
         }
       } else {
         const auto idx = static_cast<std::size_t>(msg.args.at(1));
-        DCNT_CHECK(pt->child_pids.at(idx) == kNoProcessor);
-        pt->child_pids[idx] = static_cast<ProcessorId>(msg.args.at(2));
+        std::vector<ProcessorId>& child_pids = pt->role.child_pids;
+        DCNT_CHECK(child_pids.at(idx) == kNoProcessor);
+        child_pids[idx] = static_cast<ProcessorId>(msg.args.at(2));
         ++pt->children_received;
       }
       if (pt->has_main && pt->children_received == layout_.k()) {
-        PendingTakeover done = std::move(*pt);
+        Role done = std::move(pt->role);
         ps.pending.erase(ps.pending.begin() + (pt - ps.pending.data()));
         --live_pending_;
         commit_takeover(ctx, self, std::move(done));
@@ -381,7 +383,7 @@ void TreeService::buffer_inc(Context& ctx, ProcessorId self, Role& role,
     flush_role(ctx, self, role);
   } else if (!role.flush_armed) {
     role.flush_armed = true;
-    ctx.defer(self, kTagFlush, {role.node});
+    ctx.send_local(self, kTagFlush, {role.node}, 0);
   }
 }
 
@@ -524,35 +526,26 @@ void TreeService::announce_succession(Context& ctx, ProcessorId self,
 }
 
 void TreeService::commit_takeover(Context& ctx, ProcessorId self,
-                                  PendingTakeover pt) {
+                                  Role role) {
   auto& ps = procs_[static_cast<std::size_t>(self)];
-  DCNT_CHECK_MSG(find_role(ps, pt.node) == nullptr,
+  const NodeId node = role.node;
+  DCNT_CHECK_MSG(find_role(ps, node) == nullptr,
                  "takeover for a role we already hold");
-  Role role;
-  role.node = pt.node;
-  role.parent_pid = pt.parent_pid;
-  role.child_pids = std::move(pt.child_pids);
-  role.state = std::move(pt.state);
   role.age = count_handover_in_age_ ? layout_.k() + 1 : 0;
-  if (self_healing_ && pt.node == 0) {
-    role.journal = std::move(pt.journal);
-    role.gated = std::move(pt.gated);
-    role.backup_next_seq = pt.backup_next_seq;
+  if (self_healing_ && node == 0) {
     // We were the previous root's backup target; now we are the primary.
     ps.shadow_seq = -1;
-    ps.shadow_state.clear();
-    ps.shadow_children.clear();
-    ps.shadow_journal.clear();
+    ps.shadow = Role{};
   }
   // If we once held this role (pool wrap-around), we are no longer a
   // forwarder for it.
   auto fwd = std::find_if(ps.forwards.begin(), ps.forwards.end(),
-                          [&](const auto& f) { return f.first == pt.node; });
+                          [&](const auto& f) { return f.first == node; });
   if (fwd != ps.forwards.end()) ps.forwards.erase(fwd);
   ps.roles.push_back(std::move(role));
-  incumbent_[static_cast<std::size_t>(pt.node)] = self;
+  incumbent_[static_cast<std::size_t>(node)] = self;
 
-  if (self_healing_ && pt.node == 0) {
+  if (self_healing_ && node == 0) {
     // First act as the new primary: a full backup to *our* pool
     // successor. It seeds the next shadow immediately (so a crash right
     // after this handover still finds a replica) and any gated replies
@@ -564,7 +557,7 @@ void TreeService::commit_takeover(Context& ctx, ProcessorId self,
   }
 
   // Drain messages that arrived for this role during the handover.
-  drain_stash(ctx, self, pt.node);
+  drain_stash(ctx, self, node);
 }
 
 void TreeService::drain_stash(Context& ctx, ProcessorId self, NodeId node) {
@@ -715,12 +708,12 @@ void TreeService::handle_backup(Context& ctx, ProcessorId self,
   auto& ps = procs_[static_cast<std::size_t>(self)];
   if (seq > ps.shadow_seq) {
     std::size_t i = 2;
-    read_journal(msg.args, i, ps.shadow_journal);
-    ps.shadow_children.resize(static_cast<std::size_t>(layout_.k()));
-    for (auto& pid : ps.shadow_children) {
+    read_journal(msg.args, i, ps.shadow.journal);
+    ps.shadow.child_pids.resize(static_cast<std::size_t>(layout_.k()));
+    for (auto& pid : ps.shadow.child_pids) {
       pid = static_cast<ProcessorId>(msg.args.at(i++));
     }
-    ps.shadow_state.assign(msg.args.begin() + static_cast<std::ptrdiff_t>(i),
+    ps.shadow.state.assign(msg.args.begin() + static_cast<std::ptrdiff_t>(i),
                            msg.args.end());
     ps.shadow_seq = seq;
   }
@@ -783,14 +776,12 @@ void TreeService::handle_promote(Context& ctx, ProcessorId self,
   if (node == 0) {
     role.parent_pid = kNoProcessor;
     if (ps.shadow_seq >= 0) {
-      role.state = std::move(ps.shadow_state);
-      role.child_pids = std::move(ps.shadow_children);
-      role.journal = std::move(ps.shadow_journal);
+      // The last backup's state, children and journal; no parent, age 0.
+      role = std::move(ps.shadow);
+      role.node = node;
       role.backup_next_seq = ps.shadow_seq + 1;
       ps.shadow_seq = -1;
-      ps.shadow_state.clear();
-      ps.shadow_children.clear();
-      ps.shadow_journal.clear();
+      ps.shadow = Role{};
     } else {
       // The incumbent died before any backup reached us. With f = 1 the
       // promote target is the dead root's backup target, so no released

@@ -27,10 +27,10 @@
 // more. Misdirected messages are forwarded by ex-incumbents; messages
 // that beat their own handover are stashed until it commits. All extra
 // messages are counted. A combinable service (the counter) packs the
-// incs that reach a non-root role between two of its dry points
-// (Context::defer) into one climb of at most kMaxCombine, and the root
-// answers every origin directly, so overlapping incs stop multiplying
-// the messages in flight to a role.
+// incs that reach a non-root role between two of its dry points (a
+// delay-0 Context::send_local) into one climb of at most kMaxCombine,
+// and the root answers every origin directly, so overlapping incs stop
+// multiplying the messages in flight to a role.
 #pragma once
 
 #include <array>
@@ -146,7 +146,7 @@ class TreeService : public CounterProtocol {
   static constexpr std::int32_t kTagIncRetry = 9;  ///< local [serial]: origin retry timer
   // Combining tags (combinable() services only; see PROTOCOL.md).
   static constexpr std::int32_t kTagMulti = 10;  ///< [origin_1, target_node, op_2*n+origin_2, (op_3*n+origin_3)]; op_1 in msg.op
-  static constexpr std::int32_t kTagFlush = 11;  ///< local, deferred [node]: the role's dry point
+  static constexpr std::int32_t kTagFlush = 11;  ///< local, delay 0 [node]: the role's dry point
   /// Most incs one climb carries: one kTagMulti is then at most 4 words,
   /// which still fits MessageArgs::kInline behind the reliable
   /// transport's 2-word envelope.
@@ -245,7 +245,7 @@ class TreeService : public CounterProtocol {
     std::vector<ProcessorId> child_pids;   // inner incumbents or leaf ids
     std::int64_t age{0};
     // Combining (non-root roles of a combinable service): incs received
-    // since the last flush, and whether a kTagFlush is deferred.
+    // since the last flush, and whether a kTagFlush is pending.
     std::array<BufferedInc, kMaxCombine> buffer{};
     int buffered{0};
     bool flush_armed{false};
@@ -259,18 +259,13 @@ class TreeService : public CounterProtocol {
     /// Re-targeted past a suspect when the successor itself dies.
     ProcessorId backup_target{kNoProcessor};
   };
-  /// Handover being assembled at the successor.
+  /// Handover being assembled at the successor: the role it will hold
+  /// (node, links, state and, for the healing root, its exactly-once
+  /// machinery) as the handover messages fill it in.
   struct PendingTakeover {
-    NodeId node{kNoNode};
+    Role role;
     bool has_main{false};  // kTagTakeOver arrived
     int children_received{0};
-    ProcessorId parent_pid{kNoProcessor};
-    std::vector<ProcessorId> child_pids;
-    std::vector<std::int64_t> state;
-    // Healing root handover blob (node 0 with self_healing on).
-    std::vector<JournalEntry> journal;
-    std::vector<GatedReply> gated;
-    std::int64_t backup_next_seq{0};
   };
   struct ProcState {
     /// Incumbent of this leaf's parent node, as this leaf believes.
@@ -293,12 +288,11 @@ class TreeService : public CounterProtocol {
     /// Peers this processor has declared unreachable (f = 1 keeps this
     /// tiny); pool walks skip them.
     std::vector<ProcessorId> suspects;
-    /// Shadow of the root role, maintained from kTagBackup messages
-    /// while this processor is the root's backup target. seq -1 = none.
+    /// Shadow of the root role (its state, child_pids and journal),
+    /// maintained from kTagBackup messages while this processor is the
+    /// root's backup target. seq -1 = none.
     std::int64_t shadow_seq{-1};
-    std::vector<std::int64_t> shadow_state;
-    std::vector<ProcessorId> shadow_children;
-    std::vector<JournalEntry> shadow_journal;
+    Role shadow;
   };
 
   Role* find_role(ProcState& ps, NodeId node);
@@ -328,7 +322,7 @@ class TreeService : public CounterProtocol {
                            ProcessorId succ);
   /// The initial layout's children of `node`: leaf ids or incumbents.
   std::vector<ProcessorId> initial_child_pids(NodeId node) const;
-  void commit_takeover(Context& ctx, ProcessorId self, PendingTakeover pt);
+  void commit_takeover(Context& ctx, ProcessorId self, Role role);
   void drain_stash(Context& ctx, ProcessorId self, NodeId node);
 
   // Self-healing helpers (all no-ops / unreachable with healing off).

@@ -128,11 +128,7 @@ class ReliableTransport final : public CounterProtocol {
                     MessageArgs args, SimTime delay) override {
       real_.send_local(p, tag, std::move(args), delay);
     }
-    void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override {
-      real_.defer(p, tag, std::move(args));
-    }
     void complete(OpId op, Value value) override { real_.complete(op, value); }
-    SimTime now() const override { return real_.now(); }
     Rng& rng() override { return real_.rng(); }
 
    private:

@@ -82,15 +82,11 @@ void EventLoop::send(int conn, const std::vector<std::uint8_t>& frame) {
   DCNT_CHECK_MSG(connected(conn), "send on a closed connection");
   Connection& c = *connections_[static_cast<std::size_t>(conn)];
   c.outbound.insert(c.outbound.end(), frame.begin(), frame.end());
-  ++frames_sent_;
-  bytes_sent_ += static_cast<std::int64_t>(frame.size());
 }
 
 void EventLoop::send(int conn, std::vector<std::uint8_t>&& frame) {
   DCNT_CHECK_MSG(connected(conn), "send on a closed connection");
   Connection& c = *connections_[static_cast<std::size_t>(conn)];
-  ++frames_sent_;
-  bytes_sent_ += static_cast<std::int64_t>(frame.size());
   if (c.outbound.empty()) {
     // Adopt the buffer; the caller's (now cleared) vector inherits
     // whatever capacity the queue had.
@@ -105,8 +101,6 @@ std::size_t EventLoop::send_message(int conn, const Message& msg) {
   DCNT_CHECK_MSG(connected(conn), "send on a closed connection");
   Connection& c = *connections_[static_cast<std::size_t>(conn)];
   const std::size_t n = append_message(c.outbound, msg);
-  ++frames_sent_;
-  bytes_sent_ += static_cast<std::int64_t>(n);
   return n;
 }
 
@@ -115,7 +109,6 @@ bool EventLoop::send_datagram(std::uint16_t port,
   DCNT_CHECK_MSG(udp_.valid(), "no UDP socket registered");
   const bool ok = udp_send(udp_, port, frame.data(), frame.size());
   ++write_syscalls_;
-  if (ok) ++datagrams_sent_;
   return ok;
 }
 
@@ -178,7 +171,6 @@ std::size_t EventLoop::deliver_frames(int conn) {
   std::vector<std::uint8_t> payload;
   // A callback may close the connection mid-batch; re-check.
   while (c.open && c.reader.pop(payload)) {
-    ++frames_received_;
     ++delivered;
     c.on_frame(conn, FrameView(payload.data(), payload.size()));
   }
@@ -192,7 +184,6 @@ std::size_t EventLoop::read_ready(int conn) {
   for (;;) {
     const ssize_t n = ::recv(c.sock.fd(), buf, sizeof(buf), 0);
     if (n > 0) {
-      bytes_received_ += n;
       c.reader.feed(buf, static_cast<std::size_t>(n));
       continue;
     }
@@ -239,7 +230,6 @@ std::size_t EventLoop::drain_udp() {
     // payload. A datagram truncated by the kernel would fail the
     // FrameView checks; buffers are sized to prevent that.
     if (n < 6) continue;  // runt datagram: treat as line noise
-    ++datagrams_received_;
     FrameReader one;
     one.feed(buf, static_cast<std::size_t>(n));
     std::vector<std::uint8_t> payload;

@@ -15,8 +15,8 @@
 // The hot data-plane path is allocation-free: send_message() encodes
 // the frame directly into the connection's outbound queue (no
 // per-message temporary), and send_datagram_message() reuses one
-// scratch buffer. write_syscalls() counts actual kernel writes, so
-// bytes_sent()/write_syscalls() measures the coalescing.
+// scratch buffer. write_syscalls() counts actual kernel writes; the
+// bytes a caller queued per write syscall measure the coalescing.
 //
 // epoll keeps the interest set in the kernel and returns only ready
 // fds, so a wakeup costs O(ready), and EPOLLOUT is toggled only when
@@ -88,17 +88,6 @@ class EventLoop {
   /// of frames delivered to callbacks.
   std::size_t run_once(int timeout_ms);
 
-  const Socket& udp_socket() const { return udp_; }
-
-  std::int64_t frames_sent() const { return frames_sent_; }
-  std::int64_t frames_received() const { return frames_received_; }
-  std::int64_t bytes_sent() const { return bytes_sent_; }
-  std::int64_t bytes_received() const { return bytes_received_; }
-  /// Datagram counters are split out: the data plane reports them
-  /// separately from control traffic.
-  std::int64_t datagrams_sent() const { return datagrams_sent_; }
-  std::int64_t datagrams_received() const { return datagrams_received_; }
-
   /// Sends one frame as a datagram to 127.0.0.1:port via the UDP
   /// socket. Returns false when the kernel dropped it (counted by the
   /// caller as loss).
@@ -110,8 +99,7 @@ class EventLoop {
   std::size_t send_datagram_message(std::uint16_t port, const Message& msg);
 
   /// Kernel write syscalls actually issued (TCP send() calls that moved
-  /// bytes + UDP sendto() calls). bytes_sent()/write_syscalls() is the
-  /// observable for frame coalescing.
+  /// bytes + UDP sendto() calls): the observable for frame coalescing.
   std::int64_t write_syscalls() const { return write_syscalls_; }
 
  private:
@@ -153,17 +141,9 @@ class EventLoop {
   Socket udp_;
   DatagramFn on_datagram_;
 
-  std::int64_t frames_sent_{0};
-  std::int64_t frames_received_{0};
-  std::int64_t bytes_sent_{0};
-  std::int64_t bytes_received_{0};
-  std::int64_t datagrams_sent_{0};
-  std::int64_t datagrams_received_{0};
   std::int64_t write_syscalls_{0};
   /// Reused by send_datagram_message.
   std::vector<std::uint8_t> dgram_scratch_;
-  /// Reused by deliver_frames.
-  std::vector<std::uint8_t> frame_scratch_;
 };
 
 }  // namespace dcnt::net

@@ -69,7 +69,6 @@ class Node {
   WireCounters wire_counters() const;
   void send_stats();
   void send_loads();
-  void time_jump();
   void handle_reset();
   /// Kernel wait for the next reactor round: until the earliest armed
   /// wall timer is due, or indefinitely when none is armed.
@@ -245,7 +244,14 @@ void Node::on_ctrl_frame(const FrameView& frame) {
       send_stats();
       return;
     case FrameType::kTimeJump:
-      time_jump();
+      // The controller has certified the cluster idle (stable events,
+      // no unacked envelopes, no wire traffic in flight), which is
+      // exactly when the simulator would jump its clock: every timer
+      // armed now becomes due and fires in the next drain round. Timers
+      // re-armed by the cascades keep their wall deadlines; the
+      // controller jumps again if the cluster settles with timers still
+      // pending.
+      runtime_->expire_timers();
       return;
     case FrameType::kMetricsReset:
       handle_reset();
@@ -428,20 +434,6 @@ void Node::send_loads() {
     chunk.last = sent == rows.size();
     loop_.send(ctrl_conn_, encode_loads(chunk));
   } while (sent < rows.size());  // no rows still sends one last chunk
-}
-
-void Node::time_jump() {
-  // Fire the timers armed at this instant without waiting out their
-  // wall deadlines — the controller has certified the cluster idle
-  // (stable events, no unacked envelopes, no wire traffic in flight),
-  // which is exactly when the simulator would jump its clock. The shard
-  // fires the timers armed when the marker is handled in the next drain
-  // round (timers re-armed by the cascades keep their wall deadlines;
-  // the controller re-evaluates and jumps again if the cluster settles
-  // with timers still pending).
-  RuntimeEvent ev;
-  ev.kind = RuntimeEvent::Kind::kFireTimers;
-  inject_buf_.push_back(std::move(ev));
 }
 
 void Node::handle_reset() {

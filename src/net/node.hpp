@@ -32,15 +32,15 @@
 // message; on a tcp link or the control connection nothing can replace
 // it, so the node aborts naming the frame type.
 //
-// Time: a Context::send_local delay becomes a wall-clock timer due
-// `delay * tick_us` microseconds after it was armed — a distributed
+// Time: a Context::send_local delay d >= 1 becomes a wall-clock timer
+// due `d * tick_us` microseconds after it was armed — a distributed
 // node cannot detect global idleness to jump its clock, so timeouts are
-// honest durations here. The shard's logical clock (Context::now())
-// still counts one tick per handled event; firing a timer does not move
-// it, and no protocol reads it. The only shortcut is the controller's:
-// once the whole cluster is idle except for armed timers it sends
-// kTimeJump, and the node fires them without waiting out their
-// deadlines.
+// honest durations here — and delay 0 runs at the shard's dry point,
+// which waits only for the node's current busy period, never for wall
+// clock. The only shortcut is the controller's: once the whole cluster
+// is idle except for armed timers it sends kTimeJump, and the node
+// makes every timer armed at that instant due at once
+// (ThreadedRuntime::expire_timers), so the next drain round fires them.
 //
 // Threading: one thread per node. It runs the epoll reactor and, in
 // the same loop, drives the node's single protocol shard inline
@@ -54,8 +54,8 @@
 // requests, metric resets and Shutdown are handled at a dry point of
 // the same thread (staged events injected, the shard driven until dry,
 // outbound queues flushed), so a stats reply or the load report counts
-// only fully processed messages; a time jump is staged for the next
-// drain round. Nothing is shared between threads, so there are no
+// only fully processed messages; the timers a time jump makes due fire
+// in the next drain round. Nothing is shared between threads, so there are no
 // atomics, fences or cross-thread queues here. More shards or reactor
 // threads per node were measured and lost to this layout (DESIGN.md
 // §12).

@@ -43,16 +43,12 @@
 namespace dcnt {
 
 /// One unit of work for a worker: a delivered message or an operation
-/// start. Timers never cross shards (send_local arms them at the
-/// handler's own processor), so none travels as an event.
+/// start. Local messages never cross shards (send_local keeps them at
+/// the handler's own processor), so none travels as a mailbox event.
 struct RuntimeEvent {
   enum class Kind : std::uint8_t {
-    kMessage,  ///< deliver msg to msg.dst (network or self-addressed)
+    kMessage,  ///< deliver msg to msg.dst (network, self-addressed, local)
     kStart,    ///< run start_inc/start_op at msg.dst for msg.op
-    /// Fire every armed timer on the receiving shard immediately (the
-    /// distributed time jump: only the cluster controller can certify
-    /// global idleness, so the node injects this on its command).
-    kFireTimers,
   };
   Kind kind{Kind::kMessage};
   Message msg;

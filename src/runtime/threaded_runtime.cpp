@@ -81,19 +81,20 @@ struct ThreadedRuntime::Shard {
   std::int64_t pending_sends{0};
   std::int64_t finished{0};
   std::size_t events_since_flush{0};
-  /// Context::defer messages, run at the shard's dry point: once a
+  /// Delay-0 send_local messages, run at the shard's dry point: once a
   /// mailbox drain finds nothing and no generation is left
-  /// (run_deferred). Each holds an in-flight count, as a logical timer
-  /// does. Reused, so steady-state deferral allocates nothing.
+  /// (run_deferred), before any due timer. Each holds an in-flight
+  /// count, as a logical timer does. Reused, so steady-state deferral
+  /// allocates nothing.
   std::vector<RuntimeEvent> deferred;
   std::vector<TimerEntry> timers;  ///< min-heap (TimerLater)
   std::uint64_t timer_seq{0};
   /// Armed wall-clock timers (hosting, where the shard is driven by
   /// its owner thread and this is read only there).
   std::int64_t timers_armed{0};
-  /// Logical clock: advances by one per processed event, and jumps to
-  /// the earliest timer deadline when the worker runs dry (the
-  /// simulator's idle time-jump, per worker).
+  /// Logical clock (in-process timers only): advances by one per
+  /// processed event, and jumps to the earliest timer deadline when the
+  /// worker runs dry (the simulator's idle time-jump, per worker).
   SimTime clock{0};
   Rng rng;
   Metrics metrics;
@@ -148,24 +149,31 @@ class ThreadedRuntime::WorkerCtx final : public Context {
                   SimTime delay) override {
     DCNT_CHECK_MSG(in_handler_, "send_local() outside a handler");
     DCNT_CHECK(p >= 0 && static_cast<std::size_t>(p) < rt_->num_processors());
-    DCNT_CHECK(delay >= 1);
-    Message msg;
-    msg.src = p;
-    msg.dst = p;
-    msg.tag = tag;
-    msg.op = current_op_;
-    msg.args = std::move(args);
-    msg.local = true;
+    DCNT_CHECK(delay >= 0);
     // The Context contract: p is the handler's own processor, so the
-    // timer is armed on this shard against this shard's clock.
+    // message waits on this shard (its dry point, or a timer against
+    // this shard's clock).
     DCNT_CHECK_MSG(rt_->owns(p) && &*rt_->shards_[rt_->shard_of(p)] == shard_,
                    "send_local at a processor another shard owns");
+    RuntimeEvent ev;
+    ev.kind = RuntimeEvent::Kind::kMessage;
+    ev.msg.src = p;
+    ev.msg.dst = p;
+    ev.msg.tag = tag;
+    ev.msg.op = current_op_;
+    ev.msg.args = std::move(args);
+    ev.msg.local = true;
+    if (delay == 0) {
+      shard_->deferred.push_back(std::move(ev));
+      ++shard_->pending_sends;
+      return;
+    }
     const bool wall = rt_->hosted_;
     TimerEntry t;
     t.due = wall ? rt_->wall_now_us() + delay * rt_->tick_us_
                  : shard_->clock + delay;
     t.seq = shard_->timer_seq++;
-    t.msg = std::move(msg);
+    t.msg = std::move(ev.msg);
     shard_->timers.push_back(std::move(t));
     std::push_heap(shard_->timers.begin(), shard_->timers.end(),
                    TimerLater{});
@@ -179,23 +187,6 @@ class ThreadedRuntime::WorkerCtx final : public Context {
     } else {
       ++shard_->pending_sends;
     }
-  }
-
-  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override {
-    DCNT_CHECK_MSG(in_handler_, "defer() outside a handler");
-    DCNT_CHECK(p >= 0 && static_cast<std::size_t>(p) < rt_->num_processors());
-    DCNT_CHECK_MSG(rt_->owns(p) && &*rt_->shards_[rt_->shard_of(p)] == shard_,
-                   "defer at a processor another shard owns");
-    RuntimeEvent ev;
-    ev.kind = RuntimeEvent::Kind::kMessage;
-    ev.msg.src = p;
-    ev.msg.dst = p;
-    ev.msg.tag = tag;
-    ev.msg.op = current_op_;
-    ev.msg.args = std::move(args);
-    ev.msg.local = true;
-    shard_->deferred.push_back(std::move(ev));
-    ++shard_->pending_sends;
   }
 
   void complete(OpId op, Value value) override {
@@ -212,7 +203,6 @@ class ThreadedRuntime::WorkerCtx final : public Context {
     if (rt_->completion_) rt_->completion_(op, value);
   }
 
-  SimTime now() const override { return shard_->clock; }
   Rng& rng() override { return shard_->rng; }
 
   void run(const RuntimeEvent& ev) {
@@ -471,25 +461,7 @@ bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
           std::max(shard.ready_high_water, shard.ready.size());
       std::swap(shard.running, shard.ready);
       for (RuntimeEvent& ev : shard.running) {
-        if (ev.kind == RuntimeEvent::Kind::kFireTimers) {
-          // The distributed time jump: the controller certified global
-          // idleness, so every armed deadline is unreachable any other
-          // way. Budget = the count at the marker, not "until empty":
-          // a fired retransmit handler re-arms its next attempt, and
-          // firing that too would melt the backoff schedule. The
-          // marker itself is bookkeeping, not progress — finished++
-          // (balancing its injection hold) without events_processed.
-          std::size_t budget = shard.timers.size();
-          while (budget-- > 0) {
-            fire_timer(shard, ctx);
-            if (shard.events_since_flush >= config_.flush_batch) {
-              flush_shard(shard);
-            }
-          }
-          ++shard.finished;
-        } else {
-          process_event(shard, ctx, ev);
-        }
+        process_event(shard, ctx, ev);
         if (shard.events_since_flush >= config_.flush_batch) {
           flush_shard(shard);
         }
@@ -499,7 +471,7 @@ bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
       continue;
     }
     // 3. The dry point: the drain found no mail and no generation is
-    //    left, so the deferred messages run now, after the whole busy
+    //    left, so the delay-0 messages run now, after the whole busy
     //    period that produced them (and before any timer).
     if (!shard.deferred.empty()) {
       run_deferred(shard, ctx);
@@ -564,6 +536,20 @@ bool ThreadedRuntime::drive() {
   const bool any = run_shard_pass(*shards_[0], *inline_ctx_);
   tl_worker_runtime = nullptr;
   return any;
+}
+
+void ThreadedRuntime::expire_timers() {
+  DCNT_CHECK_MSG(hosted_, "expire_timers() is only for hosted runtimes");
+  Shard& shard = *shards_[0];
+  if (shard.timers.empty()) return;
+  // One shift for all keeps the heap valid and the firing order; the
+  // latest deadline lands on now, so every armed timer is due and any
+  // timer armed from here on is later than all of them.
+  SimTime latest = shard.timers.front().due;
+  for (const TimerEntry& t : shard.timers) latest = std::max(latest, t.due);
+  const SimTime shift = latest - wall_now_us();
+  if (shift <= 0) return;
+  for (TimerEntry& t : shard.timers) t.due -= shift;
 }
 
 std::int64_t ThreadedRuntime::inline_timer_wait_us() const {

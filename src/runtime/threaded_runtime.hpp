@@ -52,16 +52,16 @@
 //   - semantics hooks: start_inc/start_op runs at the origin's worker;
 //     complete() fires at whichever worker runs the completing handler.
 // What deliberately does not:
-//   - time. now() is the worker's logical clock (one tick per event it
-//     processes); send_local timers fire when that clock reaches their
-//     deadline, or immediately once the worker runs dry (mirroring the
-//     simulator's idle time-jump). Wall-clock latency is measured by
-//     the workload driver (workload.hpp), not by now(). A deferred
-//     message (Context::defer) runs at its shard's dry point: once a
-//     mailbox drain finds nothing and no generation is left, so it
-//     waits at most the shard's current busy period (and runs before
-//     any timer). The simulator runs it after the events already due
-//     at the current tick, which is its own dry point.
+//   - time. Protocols read no clock. A send_local timer counts its
+//     delay on the worker's logical clock (one tick per event it
+//     processes) and fires when that clock reaches its deadline, or
+//     immediately once the worker runs dry (mirroring the simulator's
+//     idle time-jump). Wall-clock latency is measured by the workload
+//     driver (workload.hpp). A delay-0 send_local runs at its shard's
+//     dry point: once a mailbox drain finds nothing and no generation
+//     is left, so it waits at most the shard's current busy period (and
+//     runs before any timer). The simulator runs it after the events
+//     already due at the current tick, which is its own dry point.
 //   - topology routing, fault injection and FIFO-channel floors: the
 //     runtime is the fault-free fully-connected model on real cores.
 //   - global determinism. One worker processes its own mailbox in FIFO
@@ -154,8 +154,8 @@ struct RuntimeConfig {
   /// timers do NOT hold the in-flight count (reported separately so the
   /// controller can tell "working" from "armed"), the owner clamps its
   /// kernel wait to the next deadline (inline_timer_wait_us), and the
-  /// distributed idle-jump arrives as an injected kFireTimers event once
-  /// the controller has certified global idleness.
+  /// distributed idle-jump is an expire_timers() call once the
+  /// controller has certified global idleness.
   std::optional<NodeHosting> hosting;
   /// Core placement for the worker threads (runtime/placement.hpp):
   /// kNone leaves scheduling to the kernel; kCompact pins each worker at
@@ -209,11 +209,11 @@ class ThreadedRuntime {
   }
 
   /// Cluster-mode event injection: hands a batch of externally-produced
-  /// events (wire arrivals, controller-assigned op starts, kFireTimers
-  /// markers) to one shard's mailbox. The in-flight add happens before
-  /// the push, so a quiescence observer can never see zero while the
-  /// batch is invisible. Clears `evs` retaining capacity. Callable from
-  /// any non-worker thread.
+  /// events (wire arrivals, controller-assigned op starts) to one
+  /// shard's mailbox. The in-flight add happens before the push, so a
+  /// quiescence observer can never see zero while the batch is
+  /// invisible. Clears `evs` retaining capacity. Callable from any
+  /// non-worker thread.
   void inject(std::size_t shard, std::vector<RuntimeEvent>& evs);
 
   /// Cluster mode: the controller assigns global OpIds, so ops hosted
@@ -222,11 +222,10 @@ class ThreadedRuntime {
   void register_external_op(OpId op);
 
   /// Monotone progress counter: every handled event (message delivery,
-  /// op start, timer firing) across all shards. kFireTimers markers
-  /// are bookkeeping, not progress, and do not count. Exact once the
-  /// reader has observed in_flight() == 0 (the acq_rel chain through
-  /// the in-flight counter orders every worker's bump before that
-  /// observation); merely advisory while work is moving.
+  /// op start, local message or timer firing) across all shards. Exact
+  /// once the reader has observed in_flight() == 0 (the acq_rel chain
+  /// through the in-flight counter orders every worker's bump before
+  /// that observation); merely advisory while work is moving.
   std::int64_t events_processed() const;
   /// The most events any shard has run in one generation since
   /// construction: the high-water mark of its ready queue, owner-written
@@ -297,6 +296,12 @@ class ThreadedRuntime {
   /// see inline_timer_wait_us). Returns whether any event was
   /// processed.
   bool drive();
+  /// Hosting only, owner thread only: the distributed time jump. Makes
+  /// every timer armed now due now, in its deadline order, so the next
+  /// drive() fires them; timers armed after this call keep their wall
+  /// deadlines (a fired retransmission re-arms its next attempt, and
+  /// firing that too would melt the backoff schedule).
+  void expire_timers();
   /// Hosting only, owner thread only: microseconds until the
   /// earliest armed wall timer would fire, 0 if already due, -1 if no
   /// timer is armed. The driving loop clamps its kernel wait to this.
@@ -324,14 +329,14 @@ class ThreadedRuntime {
   void worker_main(std::size_t worker);
   /// One non-blocking pass over a shard: generation by generation,
   /// drain the mailbox and run the ready events; when both are empty,
-  /// run the deferred messages (the dry point); when all three are
+  /// run the delay-0 messages (the dry point); when all three are
   /// empty, fire a due timer; exit dry and flush. The shared body of
   /// the threaded worker loop and the inline drive() entry point.
   /// Returns whether any event was processed.
   bool run_shard_pass(Shard& shard, WorkerCtx& ctx);
   void process_event(Shard& shard, WorkerCtx& ctx, RuntimeEvent& ev);
-  /// Runs the messages deferred (Context::defer) before this call: the
-  /// shard's dry point.
+  /// Runs the delay-0 messages sent before this call: the shard's dry
+  /// point.
   void run_deferred(Shard& shard, WorkerCtx& ctx);
   /// Pops and runs the earliest armed timer.
   void fire_timer(Shard& shard, WorkerCtx& ctx);

@@ -8,9 +8,9 @@ namespace {
 
 /// Context wrapper handed to inner-protocol handlers: rotates processor
 /// ids back into fabric space, stamps msg.key on network sends, carries
-/// the key as a leading argument word on local wake-ups and deferred
-/// messages (local messages never cross the wire, so they have no keyed
-/// envelope), and counts completions against the key's directory entry.
+/// the key as a leading argument word on local messages (they never
+/// cross the wire, so they have no keyed envelope), and counts
+/// completions against the key's directory entry.
 class KeyCtx final : public Context {
  public:
   KeyCtx(Context& base, KeyId key, ProcessorId offset, std::int64_t n,
@@ -30,17 +30,11 @@ class KeyCtx final : public Context {
     base_.send_local(rotate(p), tag, std::move(args), delay);
   }
 
-  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override {
-    args.insert(args.begin(), static_cast<std::int64_t>(key_));
-    base_.defer(rotate(p), tag, std::move(args));
-  }
-
   void complete(OpId op, Value value) override {
     completed_.fetch_add(1, std::memory_order_relaxed);
     base_.complete(op, value);
   }
 
-  SimTime now() const override { return base_.now(); }
   Rng& rng() override { return base_.rng(); }
 
  private:
@@ -99,7 +93,7 @@ void MultiCounter::on_message(Context& ctx, const Message& msg) {
   KeyId key = kNoKey;
   Message inner = msg;
   if (msg.local) {
-    // Local wake-ups carry the key as their first argument word.
+    // Local messages carry the key as their first argument word.
     DCNT_CHECK_MSG(!msg.args.empty(), "keyless local message in the fabric");
     key = static_cast<KeyId>(msg.args.front());
     inner.args.erase(inner.args.begin());

@@ -8,10 +8,15 @@
 // only p's slice of the state; the tests enforce the observable
 // consequence (delivery-order invariance of all results and loads).
 //
-// Value semantics (clone()) are load-bearing: the lower-bound adversary
-// (§3 of the paper) snapshots the whole system to dry-run candidate
-// operations before committing to the one with the longest
-// communication list.
+// Value semantics (CounterProtocol::clone_counter()) are load-bearing:
+// the lower-bound adversary (§3 of the paper) snapshots the whole
+// system to dry-run candidate operations before committing to the one
+// with the longest communication list.
+//
+// There is no clock in the model (§2): a handler sends messages, which
+// count, and computes locally for free. Context::send_local is the one
+// way to schedule local work, either after a delay (a timer) or at the
+// processor's next dry point (delay 0).
 #pragma once
 
 #include <cstdint>
@@ -34,26 +39,25 @@ class Context {
   /// 0 <= src,dst < num_processors. Counted in all load metrics.
   virtual void send(Message msg) = 0;
 
-  /// Schedule a local wake-up for processor p after `delay` ticks,
-  /// delivered as a Message with local=true (not counted as traffic).
-  /// p is the processor whose handler is running: a timer is local to
-  /// its processor (the threaded runtime checks it).
+  /// Deliver a free local message (local=true: no load, no delay draw)
+  /// to p at p's first dry point at least `delay` >= 0 ticks from now;
+  /// delay 0 means p's next dry point, which lets a handler batch what
+  /// arrives in one burst. A tick is one simulated time unit (the
+  /// simulator), one handled event of p's shard (the in-process
+  /// threaded runtime), or tick_us of wall clock (a cluster node). A
+  /// dry point is where p has nothing else to run: in the simulator,
+  /// after the events already due at the current time; in the runtime,
+  /// once p's shard has no mail and no ready event left. The order
+  /// between a delay-0 message and a timer due at the same dry point is
+  /// not specified (the runtime runs delay-0 messages first, the
+  /// simulator runs both in arming order). p is the processor whose
+  /// handler is running: local work stays at its processor (the
+  /// threaded runtime checks it).
   virtual void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
                           SimTime delay) = 0;
 
-  /// Deliver a local message to p at p's next dry point: after the
-  /// events already due now (the simulator), or once p's shard has no
-  /// mail and no ready event left, i.e. at the end of its current busy
-  /// period (the threaded runtime), with no delay and no load. p is the
-  /// processor whose handler is running, as for send_local. Lets a
-  /// handler batch what arrives in one burst.
-  virtual void defer(ProcessorId p, std::int32_t tag, MessageArgs args) = 0;
-
   /// Report that operation `op` completed with `value` at its initiator.
   virtual void complete(OpId op, Value value) = 0;
-
-  /// Current simulated time.
-  virtual SimTime now() const = 0;
 
   /// Per-simulation random stream (cloned with the simulator).
   virtual class Rng& rng() = 0;
@@ -68,15 +72,13 @@ class Protocol {
   /// Deliver one message to its destination processor.
   virtual void on_message(Context& ctx, const Message& msg) = 0;
 
-  /// Deep-copy the entire distributed state.
-  virtual std::unique_ptr<Protocol> clone() const = 0;
-
   /// In-place state copy from a same-type protocol, reusing this
   /// object's already-allocated buffers — the cheap half of the
   /// simulator's snapshot/restore fast path. Returns false when
   /// `other`'s dynamic type is not this one's (the caller then falls
-  /// back to clone()). Implement via dcnt::protocol_assign; the default
-  /// declines so value-semantic correctness never depends on it.
+  /// back to CounterProtocol::clone_counter()). Implement via
+  /// dcnt::protocol_assign; the default declines so value-semantic
+  /// correctness never depends on it.
   virtual bool try_assign_from(const Protocol& other) {
     (void)other;
     return false;
@@ -167,8 +169,8 @@ class CounterProtocol : public Protocol {
     start_inc(ctx, origin, op);
   }
 
+  /// Deep-copy the entire distributed state.
   virtual std::unique_ptr<CounterProtocol> clone_counter() const = 0;
-  std::unique_ptr<Protocol> clone() const final { return clone_counter(); }
 };
 
 /// Canonical try_assign_from body: copy-assign when the dynamic types

@@ -172,20 +172,7 @@ void Simulator::send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
                            SimTime delay) {
   DCNT_CHECK_MSG(in_handler_, "send_local() outside a handler");
   DCNT_CHECK(p >= 0 && static_cast<std::size_t>(p) < num_processors());
-  DCNT_CHECK(delay >= 1);
-  enqueue_local(p, tag, std::move(args), now_ + delay);
-}
-
-void Simulator::defer(ProcessorId p, std::int32_t tag, MessageArgs args) {
-  DCNT_CHECK_MSG(in_handler_, "defer() outside a handler");
-  DCNT_CHECK(p >= 0 && static_cast<std::size_t>(p) < num_processors());
-  // Due now with a fresh seq: after every event already due at now_,
-  // before any later one.
-  enqueue_local(p, tag, std::move(args), now_);
-}
-
-void Simulator::enqueue_local(ProcessorId p, std::int32_t tag,
-                              MessageArgs args, SimTime due) {
+  DCNT_CHECK(delay >= 0);
   Message msg;
   msg.src = p;
   msg.dst = p;
@@ -194,7 +181,9 @@ void Simulator::enqueue_local(ProcessorId p, std::int32_t tag,
   msg.args = std::move(args);
   msg.local = true;
   Event ev;
-  ev.deliver_time = due;
+  // A fresh seq: after every event already due then, before any later
+  // one (delay 0: behind everything due now, p's dry point).
+  ev.deliver_time = now_ + delay;
   ev.seq = seq_++;
   ev.record = kNoRecord;
   ev.cause = current_parent_;

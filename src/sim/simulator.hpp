@@ -17,9 +17,10 @@
 // Self-addressed sends (src == dst) are delivered through the queue for
 // uniformity but are NOT counted: a processor talking to itself is a
 // local operation, not network traffic, and the paper counts messages
-// between processors. Local wake-ups (send_local) and deferred messages
-// (defer: an event due now, behind everything already due now) are
-// likewise uncounted, and neither draws a delay.
+// between processors. Local messages (send_local) are likewise
+// uncounted and draw no delay: one with delay d is an event due at
+// now + d, and delay 0 (the dry point) is an event due now, behind
+// everything already due now.
 #pragma once
 
 #include <functional>
@@ -164,14 +165,14 @@ class Simulator final : private Context {
   std::size_t num_processors() const { return protocol_->num_processors(); }
   const SimConfig& config() const { return config_; }
   std::int64_t deliveries() const { return deliveries_; }
+  /// Current simulated time (the drivers' clock; protocols read none).
+  SimTime now() const { return now_; }
 
   // Context interface (used by protocol handlers).
   void send(Message msg) override;
   void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
                   SimTime delay) override;
-  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override;
   void complete(OpId op, Value value) override;
-  SimTime now() const override { return now_; }
   Rng& rng() override { return rng_; }
 
  private:
@@ -198,9 +199,6 @@ class Simulator final : private Context {
   /// (used for the second copy of a duplicated hop).
   void raw_enqueue(Message msg, ProcessorId hop_src, ProcessorId hop_dst,
                    RecordId record, RecordId cause, std::int64_t ttl);
-  /// Queues a local message for p at `due` (send_local and defer).
-  void enqueue_local(ProcessorId p, std::int32_t tag, MessageArgs args,
-                     SimTime due);
   void deliver(Event ev);
   /// Charges one counted hop that `p` sends: its load and its op's count.
   void charge_send(ProcessorId p, const Message& msg);

@@ -1,7 +1,7 @@
 // A copyable counter with atomic mutation, for protocol bookkeeping
 // that crosses processor boundaries.
 //
-// Protocol objects are values: clone()/try_assign_from copy-assign the
+// Protocol objects are values: clone_counter()/try_assign_from copy the
 // whole distributed state, so raw std::atomic members are off the table
 // (atomics are neither copyable nor assignable). At the same time the
 // threaded runtime (src/runtime/) executes handlers for different

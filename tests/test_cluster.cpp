@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -441,6 +442,36 @@ TEST(Cluster, UdpCleanChannelHasNoRetransmissions) {
   // Loopback datagrams under tiny load essentially never drop; allow
   // the odd kernel hiccup but require the common case.
   EXPECT_LE(r.messages_abandoned, 0);
+}
+
+TEST(Cluster, TimeJumpEndsBarriersThatOnlyStaleTimersHold) {
+  // One node keeps every message inside it, so none can be lost. With a
+  // one-second tick each acked envelope still leaves its ack timer armed
+  // 16 s out (the default ack_timeout of 16 ticks), so every quiescence
+  // barrier can end only through the controller's time jump: without it
+  // the run would wait out the stale timers.
+  ClusterOptions opt = base_options();
+  opt.counter = "central";
+  opt.min_processors = 16;
+  opt.nodes = 1;
+  opt.ops = 32;
+  opt.concurrency = 4;
+  opt.udp = true;
+  opt.drop_probability = 0.0;
+  opt.tick_us = 1'000'000;
+  opt.timeout_seconds = 60.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const ClusterResult r = run_cluster(opt);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  EXPECT_TRUE(r.values_ok);
+  EXPECT_LT(seconds, 5.0);
+  EXPECT_EQ(r.retransmissions, 0);
+  // Round-robin origins: 2 of the 32 incs start at the holder. Each of
+  // the other 30 costs its two messages plus their two acks.
+  EXPECT_EQ(r.total_messages, 4 * 30);
+  EXPECT_EQ(r.max_load, 4 * 30);
 }
 
 TEST(Cluster, StartsLeaveAsOneFramePerNodePerReactorRound) {

@@ -307,27 +307,15 @@ class RecordingCtx final : public Context {
     timers.push_back(std::move(msg));
     (void)delay;
   }
-  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override {
-    Message msg;
-    msg.src = p;
-    msg.dst = p;
-    msg.tag = tag;
-    msg.args = std::move(args);
-    msg.local = true;
-    deferred.push_back(std::move(msg));
-  }
   void complete(OpId op, Value value) override {
     (void)op;
     (void)value;
   }
-  SimTime now() const override { return time; }
   Rng& rng() override { return rng_; }
 
   bool blackhole{false};
-  SimTime time{0};
   std::vector<Message> sent;
   std::vector<Message> timers;
-  std::vector<Message> deferred;
 
  private:
   Rng rng_{1};

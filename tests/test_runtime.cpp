@@ -306,8 +306,8 @@ TEST(ThreadedRuntime, TimersFireViaIdleClockJump) {
 }
 
 // Each op at processor p: the start sends self-messages M1 and M2 (one
-// generation); M1 defers D1 and sends M3 (the next generation); D1
-// defers D2, which completes the op. Each processor logs only its own
+// generation); M1 defers D1 (a delay-0 send_local) and sends M3 (the
+// next generation); D1 defers D2, which completes the op. Each processor logs only its own
 // deliveries, so the protocol is shard-safe.
 struct DeferLog final : CounterProtocol {
   enum : std::int32_t { kM1 = 1, kM2, kM3, kD1, kD2 };
@@ -329,11 +329,11 @@ struct DeferLog final : CounterProtocol {
   void on_message(Context& ctx, const Message& msg) override {
     logs[static_cast<std::size_t>(msg.dst)].push_back(msg.tag);
     if (msg.tag == kM1) {
-      ctx.defer(msg.dst, kD1, {});
+      ctx.send_local(msg.dst, kD1, {}, 0);
       to_self(ctx, msg.dst, kM3);
     } else if (msg.tag == kD1) {
       EXPECT_TRUE(msg.local);
-      ctx.defer(msg.dst, kD2, {});
+      ctx.send_local(msg.dst, kD2, {}, 0);
     } else if (msg.tag == kD2) {
       ctx.complete(msg.op, 0);
     }
@@ -401,7 +401,7 @@ struct DeferBehindChain final : CounterProtocol {
 
   std::size_t num_processors() const override { return 1; }
   void start_inc(Context& ctx, ProcessorId origin, OpId /*op*/) override {
-    ctx.defer(origin, kD, {});
+    ctx.send_local(origin, kD, {}, 0);
     link(ctx, origin, kLinks);
   }
   static void link(Context& ctx, ProcessorId p, std::int64_t left) {
@@ -465,7 +465,7 @@ struct DeferBehindBurst final : CounterProtocol {
   }
   std::size_t num_processors() const override { return 2; }
   void start_inc(Context& ctx, ProcessorId origin, OpId /*op*/) override {
-    ctx.defer(origin, kD, {});
+    ctx.send_local(origin, kD, {}, 0);
     ctx.send(to(origin, 1, kGo));
     ctx.send(to(origin, origin, kSpin));
   }
@@ -715,7 +715,7 @@ TEST(ThreadedRuntimeDeathTest, RejectsShardUnsafeProtocolAtMultipleWorkers) {
 struct DeferElsewhere final : CounterProtocol {
   std::size_t num_processors() const override { return 2; }
   void start_inc(Context& ctx, ProcessorId origin, OpId /*op*/) override {
-    ctx.defer(1 - origin, 1, {});
+    ctx.send_local(1 - origin, 1, {}, 0);
   }
   void on_message(Context& /*ctx*/, const Message& /*msg*/) override {}
   std::unique_ptr<CounterProtocol> clone_counter() const override {

@@ -84,34 +84,56 @@ TEST(Service, BareIncCountsOnKeyZero) {
 // The fabric's core claim, measured: a key's instance is the unmodified
 // inner protocol rotated by offset(key), so its per-key loads must be
 // exactly a single-counter run's loads with every processor shifted by
-// the offset.
-TEST(Service, PerKeyLoadsMatchRotatedSingleCounter) {
-  const std::int64_t n = 16;
+// the offset. Checked for a counter that sends no local message
+// (central), one whose roles flush at their dry point (tree: a delay-0
+// send_local) and one whose combining window is a timer (combining).
+// The last two run KeyCtx's local path: the key rides as the first
+// argument word of every local message and the fabric strips it on
+// delivery.
+class ServiceByKind : public ::testing::TestWithParam<CounterKind> {};
+
+TEST_P(ServiceByKind, PerKeyLoadsMatchRotatedSingleCounter) {
+  const CounterKind kind = GetParam();
   const std::uint64_t seed = 11;
   const std::vector<KeyId> keys = {3, 70000, 9};
   const std::size_t ops_per_key = 8;
 
-  Simulator fabric_sim(make_fabric(n, seed), SimConfig{});
+  service::MultiCounterOptions opt;
+  opt.seed = seed;
+  Simulator fabric_sim(std::make_unique<service::MultiCounter>(
+                           make_counter(kind, 16), opt),
+                       SimConfig{});
+  const auto n = static_cast<ProcessorId>(fabric_sim.num_processors());
   const auto fabric_view = [&fabric_sim] {
     return dynamic_cast<const service::MultiCounter*>(&fabric_sim.counter());
   };
+  std::vector<OpId> ops;
   for (std::size_t i = 0; i < ops_per_key; ++i) {
     for (const KeyId key : keys) {
-      fabric_sim.begin_op(static_cast<ProcessorId>((3 * i) % n), {key});
+      ops.push_back(
+          fabric_sim.begin_op(static_cast<ProcessorId>((3 * i) % n), {key}));
       fabric_sim.run_until_quiescent();
     }
   }
+  // Each key counts 0..ops_per_key-1 in its own order.
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(fabric_sim.result(ops[i]),
+              static_cast<Value>(i / keys.size()))
+        << "op " << i;
+  }
+  fabric_sim.counter().check_quiescent(ops.size());
 
   for (const KeyId key : keys) {
     const ProcessorId offset = fabric_view()->offset_of(key);
-    // Replay this key's schedule on a plain central counter with the
-    // origins mapped to inner coordinates.
-    Simulator solo(std::make_unique<CentralCounter>(n), SimConfig{});
+    // Replay this key's schedule on the plain counter with the origins
+    // mapped to inner coordinates.
+    Simulator solo(make_counter(kind, 16), SimConfig{});
     for (std::size_t i = 0; i < ops_per_key; ++i) {
       const auto fabric_origin = static_cast<ProcessorId>((3 * i) % n);
       solo.begin_inc(static_cast<ProcessorId>((fabric_origin - offset + n) % n));
       solo.run_until_quiescent();
     }
+    EXPECT_GT(solo.metrics().total_messages(), 0) << "key " << key;
     EXPECT_EQ(fabric_sim.metrics().key_max_load(key), solo.metrics().max_load())
         << "key " << key;
     EXPECT_EQ(fabric_sim.metrics().key_total_messages(key),
@@ -129,6 +151,14 @@ TEST(Service, PerKeyLoadsMatchRotatedSingleCounter) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Counters, ServiceByKind,
+    ::testing::Values(CounterKind::kCentral, CounterKind::kTree,
+                      CounterKind::kCombining),
+    [](const ::testing::TestParamInfo<CounterKind>& info) {
+      return to_string(info.param);
+    });
 
 TEST(Service, LruEvictsToDurableValueAndRehydrates) {
   Simulator sim(make_fabric(8, 1, /*capacity=*/2), SimConfig{});

@@ -140,11 +140,15 @@ class ScriptedSends final : public CounterProtocol {
 };
 
 // Processor 0 sends A and B to processor 1 at once. A's handler defers
-// D at processor 1 (when asked to) and sends C back; C completes the
-// op. The log shows where the deferred message runs.
+// D at processor 1 (a delay-0 send_local, when asked to) and sends C
+// back; C completes the op. The log shows where the deferred message
+// runs, read off the simulator's clock (protocols have none).
 class DeferProbe final : public CounterProtocol {
  public:
   explicit DeferProbe(bool use_defer) : use_defer_(use_defer) {}
+
+  /// The simulator running this probe, whose clock the log reads.
+  const Simulator* sim{nullptr};
 
   static constexpr std::int32_t kTagA = 1;
   static constexpr std::int32_t kTagB = 2;
@@ -170,9 +174,9 @@ class DeferProbe final : public CounterProtocol {
   }
 
   void on_message(Context& ctx, const Message& msg) override {
-    log_.push_back({msg.tag, ctx.now()});
+    log_.push_back({msg.tag, sim->now()});
     if (msg.tag == kTagA) {
-      if (use_defer_) ctx.defer(msg.dst, kTagD, {7});
+      if (use_defer_) ctx.send_local(msg.dst, kTagD, {7}, 0);
       Message m;
       m.src = msg.dst;
       m.dst = msg.src;
@@ -203,6 +207,10 @@ const DeferProbe& probe_of(const Simulator& sim) {
   return dynamic_cast<const DeferProbe&>(sim.counter());
 }
 
+void attach_clock(Simulator& sim) {
+  dynamic_cast<DeferProbe&>(sim.mutable_counter()).sim = &sim;
+}
+
 TEST(Simulator, DeferredMessageRunsAfterEverythingDueNow) {
   // Fixed delay 1: A and B are both due at tick 1, C at tick 2. D is
   // deferred while A runs, so it runs after B (already due at tick 1)
@@ -210,6 +218,7 @@ TEST(Simulator, DeferredMessageRunsAfterEverythingDueNow) {
   SimConfig cfg;
   cfg.delay = DelayModel::fixed_delay(1);
   Simulator sim(std::make_unique<DeferProbe>(true), cfg);
+  attach_clock(sim);
   const OpId op = sim.begin_inc(0);
   sim.run_until_quiescent();
   ASSERT_TRUE(sim.result(op).has_value());
@@ -227,9 +236,9 @@ TEST(Simulator, DeferredMessageRunsAfterEverythingDueNow) {
 
 TEST(Simulator, DeferredMessagesDrawNoDelay) {
   // Random delays: a run with the deferred message must see every other
-  // delivery at exactly the tick the run without it does, so defer()
-  // consumed no draw. D itself runs at A's tick, and nothing due at
-  // that tick runs after it.
+  // delivery at exactly the tick the run without it does, so a delay-0
+  // send_local consumed no draw. D itself runs at A's tick, and nothing
+  // due at that tick runs after it.
   for (const std::uint64_t seed : {1u, 9u, 23u}) {
     SimConfig cfg;
     cfg.seed = seed;
@@ -237,6 +246,7 @@ TEST(Simulator, DeferredMessagesDrawNoDelay) {
     std::vector<DeferProbe::Entry> runs[2];
     for (const bool use_defer : {false, true}) {
       Simulator sim(std::make_unique<DeferProbe>(use_defer), cfg);
+      attach_clock(sim);
       for (int i = 0; i < 4; ++i) sim.begin_inc(0);
       sim.run_until_quiescent();
       EXPECT_EQ(sim.metrics().total_messages(), 12) << seed;

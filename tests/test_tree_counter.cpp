@@ -258,15 +258,18 @@ TEST(TreeCounter, MultipleIncsPerProcessorAlsoWork) {
 // --- combining, driven handler by handler ---------------------------------
 //
 // A fake Context lets these tests hand a role exactly the messages a
-// schedule would, and read back what it sends and defers.
+// schedule would, and read back what it sends and leaves for its dry
+// point (a delay-0 send_local).
 
 class CombineCtx final : public Context {
  public:
   void send(Message msg) override { sent.push_back(std::move(msg)); }
-  void send_local(ProcessorId, std::int32_t, MessageArgs, SimTime) override {
-    ADD_FAILURE() << "the fault-free tree arms no timer";
-  }
-  void defer(ProcessorId p, std::int32_t tag, MessageArgs args) override {
+  void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
+                  SimTime delay) override {
+    if (delay != 0) {
+      ADD_FAILURE() << "the fault-free tree arms no timer";
+      return;
+    }
     Message msg;
     msg.src = p;
     msg.dst = p;
@@ -276,10 +279,9 @@ class CombineCtx final : public Context {
     deferred.push_back(std::move(msg));
   }
   void complete(OpId, Value) override {}
-  SimTime now() const override { return 0; }
   Rng& rng() override { return rng_; }
 
-  /// Delivers and forgets the deferred messages queued so far.
+  /// Delivers and forgets the dry-point messages queued so far.
   void run_deferred(TreeCounter& tree) {
     std::vector<Message> due;
     due.swap(deferred);
