@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "support/check.hpp"
 
@@ -9,28 +10,60 @@ namespace dcnt {
 
 namespace {
 
-/// Record indices by value, when the values are exactly lo..lo+m-1 for
-/// some lo >= 0, each once; empty otherwise (a gap, a duplicate or a
-/// negative value, which the sort sweep, its running maximum starting
-/// at -1, does not treat as a plain value). 4 bytes per op.
-std::vector<std::uint32_t> index_by_value(
-    const std::vector<CounterOpRecord>& history) {
-  const std::size_t m = history.size();
-  if (m >= std::numeric_limits<std::uint32_t>::max()) return {};
-  const auto [lo, hi] = std::minmax_element(
-      history.begin(), history.end(),
-      [](const CounterOpRecord& a, const CounterOpRecord& b) {
-        return a.value < b.value;
-      });
-  const Value base = lo->value;
-  if (base < 0 || static_cast<std::uint64_t>(hi->value - base) != m - 1) {
+// The linear path reads a history through one of two sources: size()
+// positions, at(i) the record at position i, and completed(r) whether
+// that record is an op of the history.
+
+/// A record vector: every record is an op.
+struct Records {
+  const std::vector<CounterOpRecord>& history;
+  std::size_t size() const { return history.size(); }
+  const CounterOpRecord& at(std::size_t i) const { return history[i]; }
+  static bool completed(const CounterOpRecord& /*r*/) { return true; }
+};
+
+/// A HistoryBuffer's slots from first_op on, read in place; a slot that
+/// never completed is no op (snapshot() leaves it out).
+struct Slots {
+  const concurrent::HistoryBuffer& history;
+  std::size_t first_op;
+  std::size_t size() const {
+    return history.capacity() > first_op ? history.capacity() - first_op : 0;
+  }
+  CounterOpRecord at(std::size_t i) const {
+    return history.record(first_op + i);
+  }
+  static bool completed(const CounterOpRecord& r) { return r.responded != 0; }
+};
+
+/// Positions by value, when the ops' values are exactly lo..lo+m-1 for
+/// some lo >= 0, each once; empty otherwise (no completed op, a gap, a
+/// duplicate or a negative value, which the sort sweep, its running
+/// maximum starting at -1, does not treat as a plain value). 4 bytes
+/// per op.
+template <class Source>
+std::vector<std::uint32_t> index_by_value(const Source& history) {
+  constexpr auto kEmpty = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t size = history.size();
+  if (size >= kEmpty) return {};
+  std::size_t m = 0;
+  Value lo = std::numeric_limits<Value>::max();
+  Value hi = std::numeric_limits<Value>::min();
+  for (std::size_t i = 0; i < size; ++i) {
+    const CounterOpRecord& r = history.at(i);
+    if (!Source::completed(r)) continue;
+    ++m;
+    lo = std::min(lo, r.value);
+    hi = std::max(hi, r.value);
+  }
+  if (m == 0 || lo < 0 || static_cast<std::uint64_t>(hi - lo) != m - 1) {
     return {};
   }
-  constexpr auto kEmpty = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> index(m, kEmpty);
-  for (std::size_t i = 0; i < m; ++i) {
-    std::uint32_t& slot =
-        index[static_cast<std::size_t>(history[i].value - base)];
+  for (std::size_t i = 0; i < size; ++i) {
+    const CounterOpRecord& r = history.at(i);
+    if (!Source::completed(r)) continue;
+    std::uint32_t& slot = index[static_cast<std::size_t>(r.value - lo)];
     // m values in a range of m: a duplicate leaves a gap elsewhere.
     if (slot != kEmpty) return {};
     slot = static_cast<std::uint32_t>(i);
@@ -46,28 +79,28 @@ std::vector<std::uint32_t> index_by_value(
 /// earliest invocation; ties to the smaller op id) and first_a its
 /// running maximum there (the largest value that responded before
 /// inv(first_b)).
-LinearizabilityReport sweep_by_value(
-    const std::vector<CounterOpRecord>& history,
-    const std::vector<std::uint32_t>& index) {
+template <class Source>
+LinearizabilityReport sweep_by_value(const Source& history,
+                                     const std::vector<std::uint32_t>& index) {
   LinearizabilityReport report;
   SimTime earliest_resp = std::numeric_limits<SimTime>::max();
-  const CounterOpRecord* first_b = nullptr;
+  std::optional<CounterOpRecord> first_b;
   for (std::size_t v = index.size(); v-- > 0;) {
-    const CounterOpRecord& b = history[index[v]];
+    const CounterOpRecord& b = history.at(index[v]);
     if (earliest_resp < b.invoked) {
       ++report.violations;
-      if (first_b == nullptr || b.invoked < first_b->invoked ||
+      if (!first_b || b.invoked < first_b->invoked ||
           (b.invoked == first_b->invoked && b.op < first_b->op)) {
-        first_b = &b;
+        first_b = b;
       }
     }
     earliest_resp = std::min(earliest_resp, b.responded);
   }
-  if (first_b == nullptr) return report;
+  if (!first_b) return report;
   report.linearizable = false;
   report.first_b = first_b->op;
   for (std::size_t v = index.size(); v-- > 0;) {
-    const CounterOpRecord& a = history[index[v]];
+    const CounterOpRecord& a = history.at(index[v]);
     if (a.responded < first_b->invoked) {
       report.first_a = a.op;
       break;
@@ -81,9 +114,18 @@ LinearizabilityReport sweep_by_value(
 LinearizabilityReport check_linearizable(
     const std::vector<CounterOpRecord>& history) {
   if (history.empty()) return {};
-  const std::vector<std::uint32_t> index = index_by_value(history);
-  if (!index.empty()) return sweep_by_value(history, index);
+  const Records records{history};
+  const std::vector<std::uint32_t> index = index_by_value(records);
+  if (!index.empty()) return sweep_by_value(records, index);
   return check_linearizable_by_sort(history);
+}
+
+LinearizabilityReport check_linearizable(
+    const concurrent::HistoryBuffer& history, std::size_t first_op) {
+  const Slots slots{history, first_op};
+  const std::vector<std::uint32_t> index = index_by_value(slots);
+  if (!index.empty()) return sweep_by_value(slots, index);
+  return check_linearizable_by_sort(history.snapshot(first_op));
 }
 
 LinearizabilityReport check_linearizable_by_sort(
@@ -234,17 +276,11 @@ std::vector<CounterOpRecord> HistoryBuffer::snapshot(
   std::vector<CounterOpRecord> out;
   out.reserve(slots_.size() > first_op ? slots_.size() - first_op : 0);
   for (std::size_t i = first_op; i < slots_.size(); ++i) {
-    const Slot& s = slots_[i];
-    const std::int64_t resp = s.responded.load(std::memory_order_acquire);
-    if (resp == 0) continue;  // never completed (or never issued)
-    const std::int64_t inv = s.invoked.load(std::memory_order_acquire);
-    DCNT_CHECK_MSG(inv != 0, "history slot completed but never invoked");
-    CounterOpRecord rec;
-    rec.op = static_cast<OpId>(i);
-    rec.invoked = inv;
-    rec.responded = resp;
-    rec.value = s.value.load(std::memory_order_relaxed);
-    out.push_back(rec);
+    const CounterOpRecord rec = record(i);
+    if (rec.responded == 0) continue;
+    // Field by field: GCC copies `rec` whole through the stack, which
+    // made this loop almost twice as slow.
+    out.push_back({rec.op, rec.invoked, rec.responded, rec.value});
   }
   return out;
 }

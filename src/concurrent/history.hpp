@@ -29,6 +29,14 @@
 // completion callback (so slightly *after* the true response), which
 // can only widen intervals and weaken resp(A) < inv(B) constraints —
 // the check may miss a borderline violation, never fabricate one.
+//
+// Reading a buffer back: the harnesses that own one and only need the
+// verdict (run_throughput, run_cluster, the shm ticket path) check it
+// in place with check_linearizable(buffer, first_op), which reads the
+// slots and allocates only its 4 B/op value index. snapshot() copies
+// the completed slots into 32 B/op records; it stays for the callers
+// that need records: the shm inc/read path (check_inc_read_linearizable
+// takes two record sets), the perfbench trial, and the tests.
 #pragma once
 
 #include <atomic>
@@ -36,6 +44,7 @@
 #include <vector>
 
 #include "sim/types.hpp"
+#include "support/check.hpp"
 
 namespace dcnt {
 
@@ -135,6 +144,19 @@ class HistoryBuffer {
   /// that makes the relaxed value stores visible).
   std::vector<CounterOpRecord> snapshot(std::size_t first_op = 0) const;
 
+  /// Op `op`'s record (op < capacity()), read from its slot under the
+  /// same rule; responded == 0 when it never completed. Inline and
+  /// unchecked: the in-place check reads every slot through it.
+  CounterOpRecord record(std::size_t op) const {
+    const Slot& s = slots_[op];
+    const auto id = static_cast<OpId>(op);
+    const std::int64_t resp = s.responded.load(std::memory_order_acquire);
+    if (resp == 0) return {id, 0, 0, 0};  // never completed (or issued)
+    const std::int64_t inv = s.invoked.load(std::memory_order_acquire);
+    DCNT_CHECK_MSG(inv != 0, "history slot completed but never invoked");
+    return {id, inv, resp, s.value.load(std::memory_order_relaxed)};
+  }
+
  private:
   struct Slot {
     std::atomic<std::int64_t> invoked{0};
@@ -150,4 +172,12 @@ class HistoryBuffer {
 };
 
 }  // namespace concurrent
+
+/// check_linearizable(history.snapshot(first_op)), read in place: the
+/// linear path sweeps the buffer's slots through the same value index,
+/// without the copy; only gapped or duplicated values take a snapshot
+/// for the sort sweep.
+LinearizabilityReport check_linearizable(
+    const concurrent::HistoryBuffer& history, std::size_t first_op = 0);
+
 }  // namespace dcnt

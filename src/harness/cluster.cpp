@@ -555,7 +555,7 @@ ClusterResult Controller::run() {
   out_.values = std::move(values_);
   out_.key_of_op = std::move(key_of_op_);
   if (history) {
-    fill_linearizability(out_, check_linearizable(history->snapshot(warmup_)));
+    fill_linearizability(out_, check_linearizable(*history, warmup_));
   }
   return std::move(out_);
 }

@@ -54,27 +54,36 @@ void verify_values(HarnessResult& out, const std::vector<Value>& values,
                    const std::vector<KeyId>& key_of_op, Value first) {
   const bool keyed = !key_of_op.empty();
   DCNT_CHECK(!keyed || key_of_op.size() == values.size());
-  const auto key = [&](std::size_t i) {
-    return keyed ? key_of_op[i] : KeyId{0};
-  };
   // Each key's values must be exactly first..first+ops_k-1: give every
   // key a window of ops_k slots in one bitmap and claim each value's
-  // slot once. Linear in the op count (no sort), plain runs being one key.
-  std::unordered_map<KeyId, std::pair<std::size_t, std::size_t>> window;
-  for (std::size_t i = 0; i < values.size(); ++i) ++window[key(i)].second;
-  std::size_t start = 0;
-  for (auto& [k, w] : window) {
-    w.first = start;
-    start += w.second;
-  }
+  // slot once. Linear in the op count (no sort); a plain run is one
+  // window, the whole bitmap.
   std::vector<bool> seen(values.size(), false);
+  const auto claim = [&](std::size_t base, std::size_t count, Value value) {
+    const Value v = value - first;
+    if (v < 0 || static_cast<std::size_t>(v) >= count) return false;
+    const std::size_t slot = base + static_cast<std::size_t>(v);
+    if (seen[slot]) return false;
+    seen[slot] = true;
+    return true;
+  };
   out.values_ok = true;
-  for (std::size_t i = 0; i < values.size() && out.values_ok; ++i) {
-    const auto& [base, count] = window[key(i)];
-    const Value v = values[i] - first;
-    out.values_ok = v >= 0 && static_cast<std::size_t>(v) < count &&
-                    !seen[base + static_cast<std::size_t>(v)];
-    if (out.values_ok) seen[base + static_cast<std::size_t>(v)] = true;
+  if (keyed) {
+    std::unordered_map<KeyId, std::pair<std::size_t, std::size_t>> window;
+    for (const KeyId k : key_of_op) ++window[k].second;
+    std::size_t start = 0;
+    for (auto& [k, w] : window) {
+      w.first = start;
+      start += w.second;
+    }
+    for (std::size_t i = 0; i < values.size() && out.values_ok; ++i) {
+      const auto& [base, count] = window[key_of_op[i]];
+      out.values_ok = claim(base, count, values[i]);
+    }
+  } else {
+    for (std::size_t i = 0; i < values.size() && out.values_ok; ++i) {
+      out.values_ok = claim(0, values.size(), values[i]);
+    }
   }
   DCNT_CHECK_MSG(out.values_ok,
                  keyed ? "some key's values are not a permutation of 0..ops_k-1"

@@ -74,8 +74,7 @@ ThroughputResult run_throughput(std::unique_ptr<CounterProtocol> protocol,
   rt.protocol().check_quiescent(total);
   // Measured ops only: warmup slots never completed in the buffer.
   if (history) {
-    fill_linearizability(out,
-                         check_linearizable(history->snapshot(options.warmup)));
+    fill_linearizability(out, check_linearizable(*history, options.warmup));
   }
 
   fill_loads(out, rt.merged_metrics());

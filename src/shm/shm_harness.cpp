@@ -235,7 +235,7 @@ ThroughputResult run_shm_throughput(ShmKind kind, const ShmOptions& options) {
   }
 
   fill_linearizability(
-      out, tickets ? check_linearizable(history.snapshot())
+      out, tickets ? check_linearizable(history)
                    : check_inc_read_linearizable(history.snapshot(), reads));
   return out;
 }

@@ -8,7 +8,10 @@
 //     the runtime's reused buffers have grown;
 //   - the paper's tree (k=3, n=81) driven closed-loop on one worker
 //     allocates less than once per operation in steady state (what is
-//     left is per handover, not per message).
+//     left is per handover, not per message);
+//   - the linearizability verdict over a HistoryBuffer read in place
+//     allocates once (its value index), where snapshot() and the
+//     record check allocate twice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <string>
 #include <utility>
 
+#include "concurrent/history.hpp"
 #include "harness/factory.hpp"
 #include "runtime/threaded_runtime.hpp"
 #include "sim/message.hpp"
@@ -198,6 +202,27 @@ TEST(Allocations, SelfDrivenTreeRunAllocatesLessThanOncePerOp) {
       static_cast<double>(allocs_end - allocs_half) / (kOps - kOps / 2);
   std::cout << "steady-state allocations per op: " << per_op << "\n";
   EXPECT_LT(per_op, 1.0);
+}
+
+TEST(Allocations, InPlaceVerdictAllocatesOnlyItsValueIndex) {
+  // A contiguous history: op i returns value i within [2i+1, 2i+2].
+  constexpr std::size_t kOps = 100000;
+  concurrent::HistoryBuffer history(kOps);
+  for (std::size_t i = 0; i < kOps; ++i) {
+    const auto op = static_cast<OpId>(i);
+    history.on_invoke(op, 2 * op + 1);
+    history.on_response(op, 2 * op + 2, op);
+  }
+  const std::int64_t before = t_allocs;
+  const LinearizabilityReport in_place = check_linearizable(history);
+  EXPECT_EQ(t_allocs - before, 1);  // the 4 B/op value index
+  EXPECT_TRUE(in_place.linearizable);
+
+  // The record path copies the slots first: two allocations.
+  const std::int64_t before_copy = t_allocs;
+  const LinearizabilityReport copied = check_linearizable(history.snapshot());
+  EXPECT_EQ(t_allocs - before_copy, 2);
+  EXPECT_TRUE(copied.linearizable);
 }
 
 }  // namespace

@@ -185,6 +185,61 @@ TEST(Checker, LinearPathMatchesTheSortPath) {
   EXPECT_GT(violating, 500);
 }
 
+TEST(Checker, InPlacePathMatchesTheSnapshotPath) {
+  // The verdict read from a HistoryBuffer's slots must equal the record
+  // path's over snapshot(first_op), field for field. The ops below
+  // first_op (values that would duplicate) and slots that never
+  // completed are not in the history; coarse stamps tie; gapped and
+  // duplicated values take the sort sweep.
+  Rng rng(20261019);
+  int violating = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto mutation = static_cast<Mutation>(trial % 4);
+    const std::size_t m = 1 + rng.next_below(trial % 5 == 0 ? 400 : 40);
+    const std::vector<CounterOpRecord> ops = random_history(rng, m, mutation);
+    // Stamps divided by `coarse` tie; the +1 keeps them off the
+    // buffer's never-invoked sentinel 0.
+    const auto coarse = static_cast<SimTime>(1 + 10 * rng.next_below(3));
+    const auto stamp = [&](SimTime t) { return 1 + t / coarse; };
+    const std::size_t first_op = rng.next_below(4);
+    concurrent::HistoryBuffer buffer(first_op + 2 * m + 1);
+    std::size_t next = 0;
+    for (std::size_t slot = 0; slot < buffer.capacity(); ++slot) {
+      const auto op = static_cast<OpId>(slot);
+      if (slot < first_op) {
+        buffer.on_invoke(op, 1);
+        buffer.on_response(op, 2, ops[0].value);
+        continue;
+      }
+      if (next == m) break;  // the rest were never issued
+      // Leave a slot never completed (invoked or not) while there is
+      // room for the ops still to place.
+      if (buffer.capacity() - slot > m - next && rng.next_below(8) == 0) {
+        if (rng.next_below(2) == 0) buffer.on_invoke(op, stamp(ops[0].invoked));
+        continue;
+      }
+      const CounterOpRecord& r = ops[next++];
+      buffer.on_invoke(op, stamp(r.invoked));
+      buffer.on_response(op, stamp(r.responded), r.value);
+    }
+    ASSERT_EQ(next, m) << "trial " << trial;
+    const LinearizabilityReport in_place = check_linearizable(buffer, first_op);
+    const LinearizabilityReport ref =
+        check_linearizable(buffer.snapshot(first_op));
+    ASSERT_EQ(in_place.linearizable, ref.linearizable) << "trial " << trial;
+    ASSERT_EQ(in_place.violations, ref.violations) << "trial " << trial;
+    ASSERT_EQ(in_place.duplicate_values, ref.duplicate_values)
+        << "trial " << trial;
+    ASSERT_EQ(in_place.first_a, ref.first_a) << "trial " << trial;
+    ASSERT_EQ(in_place.first_b, ref.first_b) << "trial " << trial;
+    if (mutation == Mutation::kNone) {
+      EXPECT_TRUE(in_place.linearizable) << "trial " << trial;
+    }
+    if (!in_place.linearizable) ++violating;
+  }
+  EXPECT_GT(violating, 500);
+}
+
 // Staggered driver: operations are invoked while earlier ones are
 // still in flight (a few deliveries apart), so real-time precedence
 // pairs straddle live traffic — the regime where linearizability and
