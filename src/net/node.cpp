@@ -237,7 +237,14 @@ void Node::on_ctrl_frame(const FrameView& frame) {
     case FrameType::kStartBatch: {
       // One frame, one or many ops: split into individual Start events.
       admit(decode_start_batch(frame, &start_buf_), frame, false);
-      for (const StartBatchEntry& e : start_buf_.ops) stage_start(e);
+      OpId last = kNoOp;
+      for (const StartBatchEntry& e : start_buf_.ops) {
+        stage_start(e);
+        last = std::max(last, e.op);
+      }
+      // One watermark raise per frame covers every op in it; the starts
+      // reach the runtime only at the next drain, after this.
+      if (last != kNoOp) runtime_->register_external_op(last);
       return;
     }
     case FrameType::kStatsRequest:
@@ -292,7 +299,7 @@ void Node::stage_start(const StartBatchEntry& start) {
                  "Start frame routed to the wrong node");
   DCNT_CHECK_MSG((start.key != kNoKey) == keyed_,
                  "Start key does not match the node's key mode");
-  runtime_->register_external_op(start.op);
+  DCNT_CHECK(start.op >= 0);
   RuntimeEvent ev;
   ev.kind = RuntimeEvent::Kind::kStart;
   ev.msg.src = start.origin;

@@ -50,6 +50,9 @@ struct ThreadedRuntime::Shard {
   /// a line with the tail of `mailbox` (whose pending_/owner_waiting_
   /// producers hammer from other threads).
   alignas(64) std::atomic<std::int64_t> events_processed{0};
+  /// Ops this shard completed; same writer and readers as
+  /// events_processed, so it shares its line.
+  std::atomic<std::size_t> ops_completed{0};
 
   // Owner-thread-only state below. alignas: `batch` starts a fresh
   // line so the owner's hottest private state (drain target, ready
@@ -199,7 +202,9 @@ class ThreadedRuntime::WorkerCtx final : public Context {
                    "operation completed twice");
     rt_->results_[static_cast<std::size_t>(op)] = value;
     done.store(1, std::memory_order_release);
-    rt_->completed_.fetch_add(1, std::memory_order_acq_rel);
+    shard_->ops_completed.store(
+        shard_->ops_completed.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
     if (rt_->completion_) rt_->completion_(op, value);
   }
 
@@ -587,6 +592,14 @@ std::int64_t ThreadedRuntime::events_processed() const {
   std::int64_t sum = 0;
   for (const auto& shard : shards_) {
     sum += shard->events_processed.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+std::size_t ThreadedRuntime::ops_completed() const {
+  std::size_t sum = 0;
+  for (const auto& shard : shards_) {
+    sum += shard->ops_completed.load(std::memory_order_relaxed);
   }
   return sum;
 }

@@ -268,9 +268,10 @@ class ThreadedRuntime {
   std::size_t ops_started() const {
     return next_op_.load(std::memory_order_acquire);
   }
-  std::size_t ops_completed() const {
-    return completed_.load(std::memory_order_acquire);
-  }
+  /// Ops completed across all shards, each shard's count written by its
+  /// owner alone. Exact once the reader has observed quiescence, like
+  /// events_processed(); advisory while work is moving.
+  std::size_t ops_completed() const;
   /// The op's value, or nullopt while it is still running.
   std::optional<Value> result(OpId op) const;
 
@@ -381,14 +382,12 @@ class ThreadedRuntime {
   /// alignas: in_flight_ is RMWed by every worker once per flush while
   /// stop_ is polled by every worker once per loop pass — sharing a
   /// line would make the ledger's write traffic invalidate every
-  /// worker's stop poll. next_op_ (issuing threads) and completed_
-  /// (completing workers) have disjoint writer sets, so they get their
-  /// own lines too rather than bouncing each other.
+  /// worker's stop poll. next_op_ (issuing threads) gets its own line
+  /// too.
   alignas(64) std::atomic<std::int64_t> in_flight_{0};
   alignas(64) std::atomic<bool> stop_{false};
 
   alignas(64) std::atomic<std::size_t> next_op_{0};
-  alignas(64) std::atomic<std::size_t> completed_{0};
   /// Slot per op, pre-sized to max_ops: distinct ops never contend.
   std::vector<Value> results_;
   std::vector<std::atomic<std::uint8_t>> done_;

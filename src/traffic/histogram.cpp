@@ -14,20 +14,6 @@ int bit_width_i64(std::int64_t v) {
   return 64 - __builtin_clzll(static_cast<unsigned long long>(v));
 }
 
-void atomic_store_min(std::atomic<std::int64_t>& slot, std::int64_t v) {
-  std::int64_t cur = slot.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_store_max(std::atomic<std::int64_t>& slot, std::int64_t v) {
-  std::int64_t cur = slot.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 std::size_t LogHistogram::bucket_index(std::int64_t value) {
@@ -74,80 +60,48 @@ LogHistogram::LogHistogram(std::int64_t max_value)
   DCNT_CHECK_MSG(max_value >= kSubCount, "LogHistogram range is too small");
 }
 
-LogHistogram::LogHistogram(const LogHistogram& other)
-    : max_value_(other.max_value_),
-      top_index_(other.top_index_),
-      buckets_(other.buckets_.size()) {
-  *this = other;
-}
-
-LogHistogram& LogHistogram::operator=(const LogHistogram& other) {
-  if (this == &other) return *this;
-  DCNT_CHECK(max_value_ == other.max_value_);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].store(other.buckets_[i].load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  }
-  count_.store(other.count_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  sum_.store(other.sum_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  overflow_.store(other.overflow_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  min_.store(other.min_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  max_.store(other.max_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  return *this;
-}
-
 void LogHistogram::record(std::int64_t value, std::int64_t count) {
   DCNT_CHECK(count > 0);
   const std::int64_t v = std::max<std::int64_t>(value, 0);
   std::size_t idx;
   if (v > max_value_) {
     idx = top_index_;
-    overflow_.fetch_add(count, std::memory_order_relaxed);
+    overflow_ += count;
   } else {
     idx = bucket_index(v);
   }
-  buckets_[idx].fetch_add(count, std::memory_order_relaxed);
-  count_.fetch_add(count, std::memory_order_relaxed);
-  sum_.fetch_add(v * count, std::memory_order_relaxed);
-  atomic_store_min(min_, v);
-  atomic_store_max(max_, v);
+  buckets_[idx] += count;
+  count_ += count;
+  sum_ += static_cast<std::uint64_t>(v) * static_cast<std::uint64_t>(count);
+  min_ = std::min(min_, v);
+  max_ = std::max(max_, v);
 }
 
 void LogHistogram::merge(const LogHistogram& other) {
   DCNT_CHECK_MSG(max_value_ == other.max_value_,
                  "merging LogHistograms with different ranges");
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const std::int64_t c = other.buckets_[i].load(std::memory_order_relaxed);
-    if (c != 0) buckets_[i].fetch_add(c, std::memory_order_relaxed);
+    buckets_[i] += other.buckets_[i];
   }
-  count_.fetch_add(other.count_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  overflow_.fetch_add(other.overflow_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  atomic_store_min(min_, other.min_.load(std::memory_order_relaxed));
-  atomic_store_max(max_, other.max_.load(std::memory_order_relaxed));
+  count_ += other.count_;
+  sum_ += other.sum_;
+  overflow_ += other.overflow_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
 }
 
 std::int64_t LogHistogram::min() const {
-  return count() == 0 ? 0 : min_.load(std::memory_order_relaxed);
+  return count_ == 0 ? 0 : min_;
 }
 
 std::int64_t LogHistogram::max() const {
-  return count() == 0 ? -1 : max_.load(std::memory_order_relaxed);
+  return count_ == 0 ? -1 : max_;
 }
 
 double LogHistogram::mean() const {
-  const std::int64_t c = count();
-  if (c == 0) return 0.0;
-  return static_cast<double>(sum_.load(std::memory_order_relaxed)) /
-         static_cast<double>(c);
+  if (count_ == 0) return 0.0;
+  return static_cast<double>(static_cast<std::int64_t>(sum_)) /
+         static_cast<double>(count_);
 }
 
 std::int64_t LogHistogram::percentile(double q) const {
@@ -159,7 +113,7 @@ std::int64_t LogHistogram::percentile(double q) const {
                                              static_cast<double>(total))));
   std::size_t i = 0;
   for (std::int64_t cum = 0; i < buckets_.size(); ++i) {
-    cum += buckets_[i].load(std::memory_order_relaxed);
+    cum += buckets_[i];
     if (cum >= rank) break;
   }
   // A bucket's midpoint may lie past the values it holds: clamp it to

@@ -11,14 +11,14 @@
 // recorded exactly, and the whole structure is a fixed ~7 KB-per-octave
 // array regardless of how many samples land in it.
 //
-// Concurrency: record() is a relaxed fetch_add on one bucket counter
-// (plus CAS loops for the exact min/max), so any number of workers may
-// record into one histogram, and per-worker histograms merge
-// associatively and commutatively by bucket-wise addition — both modes
-// are exercised under TSan (tests/test_traffic.cpp). Reads (percentile,
-// count, mean) are intended for after the run or between phases; a read
-// racing a record sees some valid prefix of the recordings, never torn
-// state.
+// Concurrency: single-writer, like Metrics (DESIGN.md §16). record()
+// is plain arithmetic on one bucket, the count, the sum and the exact
+// min/max; a histogram is written by one thread at a time, and readers
+// are ordered after that thread by the run's own join or quiescence.
+// Threads that record concurrently each keep their own histogram
+// (TailRecorder keeps one per recording thread) and merge them after
+// the run: merge is bucket-wise addition, associative and commutative,
+// so any fold order yields the same counts and percentiles.
 //
 // Saturation: values above max_value() land in the top bucket and bump
 // overflow() instead of growing the array — a stalled run reports "p99
@@ -27,7 +27,6 @@
 // so saturation is visible: max() > max_value() iff overflow() > 0.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -44,12 +43,10 @@ class LogHistogram {
   static constexpr std::int64_t kDefaultMaxValue = std::int64_t{1} << 42;
 
   explicit LogHistogram(std::int64_t max_value = kDefaultMaxValue);
-  LogHistogram(const LogHistogram& other);
-  LogHistogram& operator=(const LogHistogram& other);
 
-  /// Thread-safe (relaxed atomics). Negative values clamp to 0; values
-  /// above max_value() saturate into the top bucket and count as
-  /// overflow. min/max/mean stay exact (they track the raw value).
+  /// Single writer. Negative values clamp to 0; values above
+  /// max_value() saturate into the top bucket and count as overflow.
+  /// min/max/mean stay exact (they track the raw value).
   void record(std::int64_t value) { record(value, 1); }
   void record(std::int64_t value, std::int64_t count);
 
@@ -58,13 +55,9 @@ class LogHistogram {
   /// histograms can be combined in any order.
   void merge(const LogHistogram& other);
 
-  std::int64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  std::int64_t count() const { return count_; }
   /// Recordings that exceeded max_value() and saturated the top bucket.
-  std::int64_t overflow() const {
-    return overflow_.load(std::memory_order_relaxed);
-  }
+  std::int64_t overflow() const { return overflow_; }
   /// Exact extremes over everything recorded (0 / -1 when empty).
   std::int64_t min() const;
   std::int64_t max() const;
@@ -80,7 +73,7 @@ class LogHistogram {
   std::int64_t max_value() const { return max_value_; }
   std::size_t num_buckets() const { return buckets_.size(); }
   std::int64_t bucket_count_at(std::size_t index) const {
-    return buckets_[index].load(std::memory_order_relaxed);
+    return buckets_[index];
   }
 
   // Static bucket geometry (value -> index -> [low, high] and the
@@ -93,12 +86,14 @@ class LogHistogram {
  private:
   std::int64_t max_value_;
   std::size_t top_index_;  ///< bucket_index(max_value_); saturation target
-  std::vector<std::atomic<std::int64_t>> buckets_;
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<std::int64_t> sum_{0};
-  std::atomic<std::int64_t> overflow_{0};
-  std::atomic<std::int64_t> min_{INT64_MAX};
-  std::atomic<std::int64_t> max_{-1};
+  std::vector<std::int64_t> buckets_;
+  std::int64_t count_{0};
+  /// Unsigned so that saturated recordings (up to INT64_MAX each) wrap
+  /// instead of overflowing; mean() is meaningless past 2^63 anyway.
+  std::uint64_t sum_{0};
+  std::int64_t overflow_{0};
+  std::int64_t min_{INT64_MAX};
+  std::int64_t max_{-1};
 };
 
 }  // namespace dcnt::traffic

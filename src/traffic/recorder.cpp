@@ -10,27 +10,32 @@ namespace dcnt::traffic {
 
 namespace {
 
-/// Process-wide thread registry: each thread gets a stable small id on
-/// first recording, folded onto the per-recorder slot array. Collisions
-/// (more than kThreadSlots distinct threads) only blur the per-thread
-/// split, never the totals.
-std::size_t thread_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t id =
+/// Process-wide serials, starting at 1 so 0 can mean "none". Neither is
+/// ever reused: std::thread::id is recycled by the OS, and a recorder's
+/// address by the allocator.
+std::atomic<std::uint64_t> g_next_recorder{1};
+
+std::uint64_t this_thread_serial() {
+  static std::atomic<std::uint64_t> next{1};
+  thread_local const std::uint64_t serial =
       next.fetch_add(1, std::memory_order_relaxed);
-  return id % TailRecorder::kThreadSlots;
+  return serial;
 }
 
 }  // namespace
 
+TailRecorder::Shard::Shard(bool hdr) {
+  if (hdr) hist.emplace();
+}
+
 TailRecorder::TailRecorder(std::size_t max_ops, std::int64_t slo_ns,
                            std::size_t exact_cap)
-    : issue_ns_(max_ops), slo_ns_(slo_ns) {
-  if (max_ops > exact_cap) {
-    hist_ = std::make_unique<LogHistogram>();
-  } else {
-    latency_ns_.assign(max_ops, -1);
-  }
+    : issue_ns_(max_ops),
+      exact_(max_ops <= exact_cap),
+      slo_ns_(slo_ns),
+      serial_(g_next_recorder.fetch_add(1, std::memory_order_relaxed)) {
+  if (exact_) latency_ns_.assign(max_ops, -1);
+  shards_.push_back(std::make_unique<Shard>(!exact_));
 }
 
 std::int64_t TailRecorder::now_ns() {
@@ -40,9 +45,39 @@ std::int64_t TailRecorder::now_ns() {
 }
 
 void TailRecorder::enable_phases() {
-  DCNT_CHECK_MSG(recorded_.load(std::memory_order_relaxed) == 0,
-                 "enable_phases must precede recording");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& shard : shards_) {
+      DCNT_CHECK_MSG(shard->recorded == 0,
+                     "enable_phases must precede recording");
+    }
+  }
   phase_.assign(issue_ns_.size(), 0);
+}
+
+TailRecorder::Shard& TailRecorder::local_shard() {
+  struct Cache {
+    std::uint64_t recorder{0};
+    Shard* shard{nullptr};
+  };
+  thread_local Cache cache;
+  if (cache.recorder != serial_) cache = {serial_, &claim()};
+  return *cache.shard;
+}
+
+TailRecorder::Shard& TailRecorder::claim() {
+  const std::uint64_t me = this_thread_serial();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& shard : shards_) {
+    if (shard->owner == me) return *shard;  // cache held another recorder
+  }
+  if (shards_.front()->owner == 0) {
+    shards_.front()->owner = me;
+    return *shards_.front();
+  }
+  shards_.push_back(std::make_unique<Shard>(!exact_));
+  shards_.back()->owner = me;
+  return *shards_.back();
 }
 
 void TailRecorder::on_issue(OpId op, std::int64_t scheduled_ns) {
@@ -72,73 +107,78 @@ void TailRecorder::on_complete(OpId op, std::int64_t t_ns) {
     std::this_thread::yield();
   }
   const std::int64_t latency = std::max<std::int64_t>(t_ns - scheduled, 0);
-  if (exact_mode()) {
+  Shard& shard = local_shard();
+  if (exact_) {
     latency_ns_[static_cast<std::size_t>(op)] = latency;
   } else {
-    hist_->record(latency);
+    shard.hist->record(latency);
   }
   if (!phase_.empty()) {
     const std::size_t ph = phase_[static_cast<std::size_t>(op)] ? 1 : 0;
-    phase_count_[ph].fetch_add(1, std::memory_order_relaxed);
-    if (slo_ns_ <= 0 || latency <= slo_ns_) {
-      phase_ok_[ph].fetch_add(1, std::memory_order_relaxed);
-    }
+    ++shard.phase_count[ph];
+    if (slo_ns_ <= 0 || latency <= slo_ns_) ++shard.phase_ok[ph];
   }
-  tally(latency);
+  tally(shard, latency);
 }
 
 void TailRecorder::record(std::int64_t latency_ns) {
-  if (exact_mode()) {
+  Shard& shard = local_shard();
+  if (exact_) {
     const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
     DCNT_CHECK_MSG(i < latency_ns_.size(), "exact recorder overflow");
     latency_ns_[i] = std::max<std::int64_t>(latency_ns, 0);
   } else {
-    hist_->record(std::max<std::int64_t>(latency_ns, 0));
+    shard.hist->record(std::max<std::int64_t>(latency_ns, 0));
   }
-  tally(latency_ns);
+  tally(shard, latency_ns);
 }
 
-void TailRecorder::tally(std::int64_t latency_ns) {
-  recorded_.fetch_add(1, std::memory_order_relaxed);
-  if (slo_ns_ <= 0 || latency_ns <= slo_ns_) {
-    slo_ok_.fetch_add(1, std::memory_order_relaxed);
-  }
-  per_thread_[thread_slot()].v.fetch_add(1, std::memory_order_relaxed);
-}
-
-const LogHistogram& TailRecorder::histogram() const {
-  DCNT_CHECK_MSG(hist_ != nullptr, "histogram() is HDR-mode only");
-  return *hist_;
+void TailRecorder::tally(Shard& shard, std::int64_t latency_ns) {
+  ++shard.recorded;
+  if (slo_ns_ <= 0 || latency_ns <= slo_ns_) ++shard.slo_ok;
 }
 
 TrafficStats TailRecorder::stats() const {
   TrafficStats out;
   out.slo_ns = slo_ns_;
-  out.exact = exact_mode();
-  out.count = recorded_.load(std::memory_order_acquire);
-  out.slo_ok = slo_ok_.load(std::memory_order_relaxed);
-  for (const PaddedCount& c : per_thread_) {
-    if (c.v.load(std::memory_order_relaxed) > 0) ++out.record_threads;
+  out.exact = exact_;
+  out.phases = phases_enabled();
+  // HDR mode: the one recording shard's histogram is read in place; a
+  // second one starts a merged copy.
+  const LogHistogram* hist = nullptr;
+  std::optional<LogHistogram> merged;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& shard : shards_) {
+      if (shard->recorded == 0) continue;
+      ++out.record_threads;
+      out.count += shard->recorded;
+      out.slo_ok += shard->slo_ok;
+      out.low_count += shard->phase_count[0];
+      out.low_slo_ok += shard->phase_ok[0];
+      out.high_count += shard->phase_count[1];
+      out.high_slo_ok += shard->phase_ok[1];
+      if (exact_) continue;
+      if (hist == nullptr) {
+        hist = &*shard->hist;
+      } else {
+        if (!merged) hist = &merged.emplace(*hist);
+        merged->merge(*shard->hist);
+      }
+    }
   }
-  if (!phase_.empty()) {
-    out.phases = true;
-    out.low_count = phase_count_[0].load(std::memory_order_relaxed);
-    out.low_slo_ok = phase_ok_[0].load(std::memory_order_relaxed);
-    out.high_count = phase_count_[1].load(std::memory_order_relaxed);
-    out.high_slo_ok = phase_ok_[1].load(std::memory_order_relaxed);
-    if (out.low_count > 0) {
-      out.low_attainment = static_cast<double>(out.low_slo_ok) /
-                           static_cast<double>(out.low_count);
-    }
-    if (out.high_count > 0) {
-      out.high_attainment = static_cast<double>(out.high_slo_ok) /
-                            static_cast<double>(out.high_count);
-    }
+  if (out.low_count > 0) {
+    out.low_attainment = static_cast<double>(out.low_slo_ok) /
+                         static_cast<double>(out.low_count);
+  }
+  if (out.high_count > 0) {
+    out.high_attainment = static_cast<double>(out.high_slo_ok) /
+                          static_cast<double>(out.high_count);
   }
   if (out.count == 0) return out;
   out.slo_attainment =
       static_cast<double>(out.slo_ok) / static_cast<double>(out.count);
-  if (exact_mode()) {
+  if (exact_) {
     // Every writer clamps to >= 0, so -1 is unambiguously "never
     // completed" and skipping it cannot drop a real sample.
     Summary s;
@@ -153,14 +193,14 @@ TrafficStats TailRecorder::stats() const {
     out.p9999_us = static_cast<double>(s.percentile(99.99)) / 1e3;
     out.max_us = static_cast<double>(s.max()) / 1e3;
   } else {
-    out.mean_us = hist_->mean() / 1e3;
-    out.p50_us = static_cast<double>(hist_->percentile(50)) / 1e3;
-    out.p95_us = static_cast<double>(hist_->percentile(95)) / 1e3;
-    out.p99_us = static_cast<double>(hist_->percentile(99)) / 1e3;
-    out.p999_us = static_cast<double>(hist_->percentile(99.9)) / 1e3;
-    out.p9999_us = static_cast<double>(hist_->percentile(99.99)) / 1e3;
-    out.max_us = static_cast<double>(hist_->max()) / 1e3;
-    out.hdr_overflow = hist_->overflow();
+    out.mean_us = hist->mean() / 1e3;
+    out.p50_us = static_cast<double>(hist->percentile(50)) / 1e3;
+    out.p95_us = static_cast<double>(hist->percentile(95)) / 1e3;
+    out.p99_us = static_cast<double>(hist->percentile(99)) / 1e3;
+    out.p999_us = static_cast<double>(hist->percentile(99.9)) / 1e3;
+    out.p9999_us = static_cast<double>(hist->percentile(99.99)) / 1e3;
+    out.max_us = static_cast<double>(hist->max()) / 1e3;
+    out.hdr_overflow = hist->overflow();
   }
   return out;
 }

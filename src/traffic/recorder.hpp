@@ -25,17 +25,25 @@
 // completed would be caught by the harness' permutation check aborting,
 // not silently dropped from the fraction).
 //
-// Per-thread counters: completions are tallied per recording thread
-// (cache-line-padded slots, thread-registered on first use), so a run
-// reports how many threads actually completed ops — the NVSL-harness
-// style per-worker op counter, without threading worker ids through
-// every completion callback.
+// Per-thread shards: each recording thread tallies into its own Shard
+// (the HDR histogram, the completion and SLO counts, the phase split),
+// written by that thread alone with plain arithmetic, so a completion
+// makes no read-modify-write on memory another thread writes. A thread
+// finds its shard through a one-entry thread_local cache keyed by the
+// recorder's process-wide serial; on a miss it registers under a mutex
+// (the first thread claims the shard built at construction, later ones
+// append). stats() merges the shards and reports how many threads
+// recorded. It reads them without synchronisation of its own: call it
+// after the run's join or quiescence has ordered every recording
+// before it, as with Metrics.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -88,7 +96,6 @@ class TailRecorder {
   /// switch to the HDR histogram. 2^16 slots of exact storage is ~1 MB
   /// transient at percentile time — past that, tails come from buckets.
   static constexpr std::size_t kDefaultExactCap = std::size_t{1} << 16;
-  static constexpr std::size_t kThreadSlots = 64;
 
   explicit TailRecorder(std::size_t max_ops, std::int64_t slo_ns = 0,
                         std::size_t exact_cap = kDefaultExactCap);
@@ -96,7 +103,7 @@ class TailRecorder {
   /// steady_clock, nanoseconds since an arbitrary epoch.
   static std::int64_t now_ns();
 
-  bool exact_mode() const { return hist_ == nullptr; }
+  bool exact_mode() const { return exact_; }
   std::int64_t slo_ns() const { return slo_ns_; }
 
   /// Opt into per-phase SLO accounting: allocates one phase byte per op
@@ -122,23 +129,36 @@ class TailRecorder {
   /// issue-store race if needed, then records t_ns - scheduled.
   void on_complete(OpId op, std::int64_t t_ns);
 
-  /// Direct recording of a known latency — the merge path (per-worker
-  /// histograms folding into one) and the tests. Instances use either
-  /// the on_issue/on_complete op API or record(), never both: in exact
-  /// mode record() appends at a cursor that would collide with op
+  /// Direct recording of a known latency, for the tests. Instances use
+  /// either the on_issue/on_complete op API or record(), never both: in
+  /// exact mode record() appends at a cursor that would collide with op
   /// slots.
   void record(std::int64_t latency_ns);
 
   /// Percentiles, SLO attainment and per-thread accounting over
-  /// everything recorded. Call after the run (or between phases).
+  /// everything recorded, merged across the shards. Call after the run
+  /// (or between phases), once every recording thread has been joined
+  /// or the run has quiesced.
   TrafficStats stats() const;
 
-  /// HDR mode only: the underlying histogram (merge target / test
-  /// introspection). Aborts in exact mode.
-  const LogHistogram& histogram() const;
-
  private:
-  void tally(std::int64_t latency_ns);
+  /// One recording thread's tallies, written by that thread alone.
+  /// alignas: shards of different threads never share a line.
+  struct alignas(64) Shard {
+    explicit Shard(bool hdr);
+    std::uint64_t owner{0};  ///< thread serial, 0 = unclaimed; under mu_
+    std::optional<LogHistogram> hist;  ///< HDR mode only
+    std::int64_t recorded{0};
+    std::int64_t slo_ok{0};
+    /// Phase accounting, indexed [low=0, high=1].
+    std::array<std::int64_t, 2> phase_count{};
+    std::array<std::int64_t, 2> phase_ok{};
+  };
+
+  /// The calling thread's shard: the thread_local cache, else claim().
+  Shard& local_shard();
+  Shard& claim();
+  void tally(Shard& shard, std::int64_t latency_ns);
 
   std::vector<std::atomic<std::int64_t>> issue_ns_;  ///< 0 = not issued
   /// enable_phases() only: scheduled-arrival phase per op (1 = high).
@@ -149,27 +169,16 @@ class TailRecorder {
   /// mode.
   std::vector<std::int64_t> latency_ns_;
   std::atomic<std::size_t> cursor_{0};  ///< exact-mode record() appends
-  std::unique_ptr<LogHistogram> hist_;  ///< HDR mode only
+  const bool exact_;
   std::int64_t slo_ns_;
-  /// alignas: slo_ok_/recorded_ (and the phase tallies) are bumped by
-  /// every completing thread, while the vector headers above —
-  /// issue_ns_'s data pointer most of all — are READ on every
-  /// on_issue/on_complete to reach the slot array. On one line each
-  /// completion's tally write would invalidate the header line every
-  /// issuer dereferences; the tallies start their own line instead.
-  /// They stay together with the phase arrays deliberately: one
-  /// completion writes several of them back to back (same writer set),
-  /// so splitting those would only multiply bounced lines.
-  alignas(64) std::atomic<std::int64_t> slo_ok_{0};
-  std::atomic<std::int64_t> recorded_{0};
-  /// Phase accounting, indexed [low=0, high=1].
-  std::array<std::atomic<std::int64_t>, 2> phase_count_{};
-  std::array<std::atomic<std::int64_t>, 2> phase_ok_{};
-
-  struct alignas(64) PaddedCount {
-    std::atomic<std::int64_t> v{0};
-  };
-  std::array<PaddedCount, kThreadSlots> per_thread_{};
+  /// Process-wide and never reused, so a recorder re-created at a
+  /// freed address never matches a stale thread_local cache entry.
+  const std::uint64_t serial_;
+  /// Guards the shard registry (the vector and each owner), not the
+  /// tallies inside the shards. shards_[0] is built with the recorder,
+  /// so a one-thread run allocates nothing once recording starts.
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace dcnt::traffic

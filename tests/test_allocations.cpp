@@ -11,7 +11,10 @@
 //     left is per handover, not per message);
 //   - the linearizability verdict over a HistoryBuffer read in place
 //     allocates once (its value index), where snapshot() and the
-//     record check allocate twice.
+//     record check allocate twice;
+//   - a TailRecorder records without allocating: the first recording
+//     thread claims the shard built at construction, and any later
+//     thread allocates only for its own shard, on its first completion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +24,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "concurrent/history.hpp"
@@ -28,6 +32,7 @@
 #include "runtime/threaded_runtime.hpp"
 #include "sim/message.hpp"
 #include "sim/protocol.hpp"
+#include "traffic/recorder.hpp"
 
 namespace {
 thread_local std::int64_t t_allocs = 0;
@@ -223,6 +228,49 @@ TEST(Allocations, InPlaceVerdictAllocatesOnlyItsValueIndex) {
   const LinearizabilityReport copied = check_linearizable(history.snapshot());
   EXPECT_EQ(t_allocs - before_copy, 2);
   EXPECT_TRUE(copied.linearizable);
+}
+
+/// Issues and completes ops [first, last) on the calling thread.
+void record_ops(traffic::TailRecorder& rec, std::size_t first,
+                std::size_t last) {
+  for (std::size_t i = first; i < last; ++i) {
+    const auto op = static_cast<OpId>(i);
+    rec.on_issue(op, 1'000 + static_cast<std::int64_t>(i));
+    rec.on_complete(op, 5'000 + 3 * static_cast<std::int64_t>(i));
+  }
+}
+
+TEST(Allocations, OneThreadRecordingAllocatesNothingAfterConstruction) {
+  constexpr std::size_t kOps = 4096;
+  for (const std::size_t exact_cap : {kOps, std::size_t{0}}) {
+    traffic::TailRecorder rec(kOps, /*slo_ns=*/2'000, exact_cap);
+    const std::int64_t before = t_allocs;
+    record_ops(rec, 0, kOps);
+    EXPECT_EQ(t_allocs - before, 0) << "exact_cap=" << exact_cap;
+    if (!rec.exact_mode()) {
+      // One shard: stats() reads its histogram in place.
+      const std::int64_t before_stats = t_allocs;
+      EXPECT_EQ(rec.stats().count, static_cast<std::int64_t>(kOps));
+      EXPECT_EQ(t_allocs - before_stats, 0);
+    }
+  }
+}
+
+TEST(Allocations, SteadyStateCompletionOnAnyThreadAllocatesNothing) {
+  constexpr std::size_t kOps = 4096;
+  for (const std::size_t exact_cap : {kOps, std::size_t{0}}) {
+    traffic::TailRecorder rec(kOps, /*slo_ns=*/2'000, exact_cap);
+    record_ops(rec, 0, 1);  // this thread claims the first shard
+    std::int64_t steady = -1;
+    std::thread([&] {
+      record_ops(rec, 1, 2);  // this one registers a shard of its own
+      const std::int64_t before = t_allocs;
+      record_ops(rec, 2, kOps);
+      steady = t_allocs - before;
+    }).join();
+    EXPECT_EQ(steady, 0) << "exact_cap=" << exact_cap;
+    EXPECT_EQ(rec.stats().record_threads, 2u);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // The traffic engine (DESIGN.md §14): HDR histogram geometry and error
 // bounds, recorder mode agreement, arrival-timeline determinism, and
-// the multi-threaded record/merge paths the CI TSan job exercises.
+// the per-thread recording and merge paths the CI TSan job exercises.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -209,57 +211,66 @@ TEST(LogHistogram, NegativeValuesClampToZero) {
   EXPECT_EQ(hist.percentile(50), 0);
 }
 
-// Many threads hammering ONE histogram: totals must be exact (relaxed
-// fetch_add never loses increments) and min/max exact. This is the
-// test the CI TSan job reruns by name.
-TEST(LogHistogram, ConcurrentRecordIntoSharedHistogram) {
+// A histogram has one writer: threads recording concurrently each keep
+// their own and merge after the join. Totals and extremes come out
+// exact; the TSan job reruns this binary to hold the per-thread
+// histograms to that rule.
+TEST(LogHistogram, ConcurrentPerThreadRecordThenMerge) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50'000;
-  LogHistogram hist;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&hist, t] {
-      std::mt19937_64 rng(100 + t);
-      std::uniform_int_distribution<std::int64_t> dist(1, 1 << 24);
-      for (int i = 0; i < kPerThread; ++i) hist.record(dist(rng));
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(hist.count(), kThreads * kPerThread);
-  EXPECT_GE(hist.min(), 1);
-  EXPECT_LE(hist.max(), 1 << 24);
-}
-
-// Per-worker histograms merged after the fact agree exactly with one
-// shared histogram fed the same samples — the merge path the cluster
-// controller would use for per-node recorders.
-TEST(LogHistogram, ConcurrentPerWorkerMergeMatchesShared) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 25'000;
-  LogHistogram shared;
   std::vector<LogHistogram> locals(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&shared, &locals, t] {
-      std::mt19937_64 rng(200 + t);
-      std::uniform_int_distribution<std::int64_t> dist(1, 1 << 20);
-      for (int i = 0; i < kPerThread; ++i) {
-        const std::int64_t v = dist(rng);
-        shared.record(v);
-        locals[static_cast<std::size_t>(t)].record(v);
-      }
+    workers.emplace_back([&locals, t] {
+      std::mt19937_64 rng(100 + t);
+      std::uniform_int_distribution<std::int64_t> dist(1, 1 << 24);
+      LogHistogram& mine = locals[static_cast<std::size_t>(t)];
+      for (int i = 0; i < kPerThread; ++i) mine.record(dist(rng));
     });
   }
   for (auto& w : workers) w.join();
   LogHistogram merged;
   for (const LogHistogram& l : locals) merged.merge(l);
-  EXPECT_EQ(merged.count(), shared.count());
-  EXPECT_EQ(merged.min(), shared.min());
-  EXPECT_EQ(merged.max(), shared.max());
+  EXPECT_EQ(merged.count(), kThreads * kPerThread);
+  EXPECT_GE(merged.min(), 1);
+  EXPECT_LE(merged.max(), 1 << 24);
+}
+
+// Per-thread histograms merged after the fact agree exactly with one
+// histogram fed the same samples by one thread — the fold stats() does
+// over the recorder's shards.
+TEST(LogHistogram, PerThreadMergeMatchesOneHistogram) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 25'000;
+  std::vector<std::vector<std::int64_t>> samples(kThreads);
+  std::vector<LogHistogram> locals(kThreads);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&samples, &locals, t] {
+      std::mt19937_64 rng(200 + t);
+      std::uniform_int_distribution<std::int64_t> dist(1, 1 << 20);
+      const auto i = static_cast<std::size_t>(t);
+      for (int k = 0; k < kPerThread; ++k) {
+        samples[i].push_back(dist(rng));
+        locals[i].record(samples[i].back());
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  LogHistogram one;
+  for (const auto& thread_samples : samples) {
+    for (const std::int64_t v : thread_samples) one.record(v);
+  }
+  LogHistogram merged;
+  for (const LogHistogram& l : locals) merged.merge(l);
+  EXPECT_EQ(merged.count(), one.count());
+  EXPECT_EQ(merged.min(), one.min());
+  EXPECT_EQ(merged.max(), one.max());
+  EXPECT_DOUBLE_EQ(merged.mean(), one.mean());
   for (std::size_t i = 0; i < merged.num_buckets(); ++i) {
-    EXPECT_EQ(merged.bucket_count_at(i), shared.bucket_count_at(i));
+    EXPECT_EQ(merged.bucket_count_at(i), one.bucket_count_at(i));
   }
 }
 
@@ -350,10 +361,197 @@ TEST(TailRecorder, ConcurrentCompletionsAcrossThreads) {
   for (auto& w : workers) w.join();
   const TrafficStats s = rec.stats();
   EXPECT_EQ(s.count, kThreads * static_cast<std::int64_t>(kPerThread));
-  EXPECT_GE(s.record_threads, 1u);
-  EXPECT_LE(s.record_threads, static_cast<std::size_t>(kThreads) + 1);
+  EXPECT_EQ(s.record_threads, static_cast<std::size_t>(kThreads));
   EXPECT_EQ(s.slo_ok, s.count);  // no SLO configured: vacuously met
   EXPECT_DOUBLE_EQ(s.slo_attainment, 1.0);
+}
+
+// Two live recording threads are two threads, however their thread
+// serials relate: a second thread whose serial is 64 past the first's
+// (63 threads recorded elsewhere in between) must not fold onto the
+// first thread's tally.
+TEST(TailRecorder, RecordThreadsCountsEveryLiveThread) {
+  TailRecorder rec(/*max_ops=*/16, /*slo_ns=*/0, /*exact_cap=*/0);
+  std::atomic<bool> a_recorded{false};
+  std::atomic<bool> release_a{false};
+  std::thread a([&] {
+    rec.record(1'000);
+    a_recorded.store(true, std::memory_order_release);
+    while (!release_a.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  });
+  while (!a_recorded.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  TailRecorder other(/*max_ops=*/16, /*slo_ns=*/0, /*exact_cap=*/0);
+  for (int i = 0; i < 63; ++i) {
+    std::thread([&other] { other.record(1); }).join();
+  }
+  std::thread([&rec] { rec.record(2'000); }).join();
+  const TrafficStats s = rec.stats();
+  release_a.store(true, std::memory_order_release);
+  a.join();
+  EXPECT_EQ(s.count, 2);
+  EXPECT_EQ(s.record_threads, 2u);
+  EXPECT_EQ(other.stats().record_threads, 63u);
+}
+
+// ---------------------------------------------------------------------
+// TailRecorder: K recording threads report what one thread would.
+
+void expect_same_stats(const TrafficStats& got, const TrafficStats& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_DOUBLE_EQ(got.mean_us, want.mean_us);
+  EXPECT_DOUBLE_EQ(got.p50_us, want.p50_us);
+  EXPECT_DOUBLE_EQ(got.p95_us, want.p95_us);
+  EXPECT_DOUBLE_EQ(got.p99_us, want.p99_us);
+  EXPECT_DOUBLE_EQ(got.p999_us, want.p999_us);
+  EXPECT_DOUBLE_EQ(got.p9999_us, want.p9999_us);
+  EXPECT_DOUBLE_EQ(got.max_us, want.max_us);
+  EXPECT_EQ(got.slo_ns, want.slo_ns);
+  EXPECT_EQ(got.slo_ok, want.slo_ok);
+  EXPECT_DOUBLE_EQ(got.slo_attainment, want.slo_attainment);
+  EXPECT_EQ(got.hdr_overflow, want.hdr_overflow);
+  EXPECT_EQ(got.exact, want.exact);
+  EXPECT_EQ(got.phases, want.phases);
+  EXPECT_EQ(got.high_count, want.high_count);
+  EXPECT_EQ(got.high_slo_ok, want.high_slo_ok);
+  EXPECT_DOUBLE_EQ(got.high_attainment, want.high_attainment);
+  EXPECT_EQ(got.low_count, want.low_count);
+  EXPECT_EQ(got.low_slo_ok, want.low_slo_ok);
+  EXPECT_DOUBLE_EQ(got.low_attainment, want.low_attainment);
+}
+
+/// One op stream: op i is scheduled at sched[i], completes at done[i],
+/// and belongs to the high phase when high[i].
+struct OpStream {
+  std::vector<std::int64_t> sched, done;
+  std::vector<bool> high;
+};
+
+OpStream make_stream(std::size_t ops, std::uint64_t seed) {
+  OpStream s;
+  std::mt19937_64 rng(seed);
+  // 2^6 ns .. 2^44 ns: past the HDR default range (2^42) at the top.
+  std::uniform_real_distribution<double> log_u(6.0, 44.0);
+  for (std::size_t i = 0; i < ops; ++i) {
+    const std::int64_t sched = 1'000 + static_cast<std::int64_t>(i) * 10;
+    s.sched.push_back(sched);
+    const auto latency = static_cast<std::int64_t>(std::exp2(log_u(rng)));
+    s.done.push_back(sched + latency);
+    s.high.push_back(rng() % 3 == 0);
+  }
+  return s;
+}
+
+/// Issues the whole stream on the calling thread, then completes op i
+/// on thread i % threads (threads == 1: the calling thread itself).
+TrafficStats run_stream(const OpStream& stream, std::size_t exact_cap,
+                        int threads) {
+  const std::size_t ops = stream.sched.size();
+  TailRecorder rec(ops, /*slo_ns=*/1'000'000, exact_cap);
+  rec.enable_phases();
+  for (std::size_t i = 0; i < ops; ++i) {
+    rec.on_issue(static_cast<OpId>(i), stream.sched[i], stream.high[i]);
+  }
+  const auto complete_slice = [&](int t) {
+    for (std::size_t i = static_cast<std::size_t>(t); i < ops;
+         i += static_cast<std::size_t>(threads)) {
+      rec.on_complete(static_cast<OpId>(i), stream.done[i]);
+    }
+  };
+  if (threads == 1) {
+    complete_slice(0);
+  } else {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) workers.emplace_back(complete_slice, t);
+    for (auto& w : workers) w.join();
+  }
+  return rec.stats();
+}
+
+// Disjoint slices of one stream recorded by K threads report every
+// field exactly as one thread recording the whole stream: the shards'
+// merge loses nothing, in either storage mode, with an SLO, the phase
+// split and HDR overflow all in play.
+TEST(TailRecorder, ShardedRecordingMatchesOneThread) {
+  constexpr std::size_t kOps = 6'000;
+  const OpStream stream = make_stream(kOps, 77);
+  for (const std::size_t exact_cap : {kOps, std::size_t{0}}) {
+    const TrafficStats want = run_stream(stream, exact_cap, 1);
+    ASSERT_EQ(want.count, static_cast<std::int64_t>(kOps));
+    ASSERT_EQ(want.record_threads, 1u);
+    ASSERT_TRUE(want.phases);
+    ASSERT_GT(want.high_count, 0);
+    ASSERT_GT(want.slo_ok, 0);
+    ASSERT_LT(want.slo_ok, want.count);
+    if (!want.exact) {
+      ASSERT_GT(want.hdr_overflow, 0);
+    }
+    for (const int threads : {2, 3, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "exact_cap=" << exact_cap << " threads=" << threads);
+      const TrafficStats got = run_stream(stream, exact_cap, threads);
+      expect_same_stats(got, want);
+      EXPECT_EQ(got.record_threads, static_cast<std::size_t>(threads));
+    }
+  }
+}
+
+// One thread alternating between two recorders misses its one-entry
+// shard cache on every switch; it must find its own shard again each
+// time, not register a new one, and each recorder reports its own
+// stream exactly.
+TEST(TailRecorder, ThreadAlternatingBetweenRecordersKeepsOneShardEach) {
+  constexpr std::size_t kOps = 2'000;
+  const OpStream sa = make_stream(kOps, 5);
+  const OpStream sb = make_stream(kOps, 6);
+  for (const std::size_t exact_cap : {kOps, std::size_t{0}}) {
+    const TrafficStats want_a = run_stream(sa, exact_cap, 1);
+    const TrafficStats want_b = run_stream(sb, exact_cap, 1);
+    TailRecorder a(kOps, 1'000'000, exact_cap);
+    TailRecorder b(kOps, 1'000'000, exact_cap);
+    a.enable_phases();
+    b.enable_phases();
+    std::thread([&] {
+      for (std::size_t i = 0; i < kOps; ++i) {
+        const auto op = static_cast<OpId>(i);
+        a.on_issue(op, sa.sched[i], sa.high[i]);
+        b.on_issue(op, sb.sched[i], sb.high[i]);
+        a.on_complete(op, sa.done[i]);
+        b.on_complete(op, sb.done[i]);
+      }
+    }).join();
+    SCOPED_TRACE(testing::Message() << "exact_cap=" << exact_cap);
+    const TrafficStats got_a = a.stats();
+    const TrafficStats got_b = b.stats();
+    expect_same_stats(got_a, want_a);
+    expect_same_stats(got_b, want_b);
+    EXPECT_EQ(got_a.record_threads, 1u);
+    EXPECT_EQ(got_b.record_threads, 1u);
+  }
+}
+
+// A recorder re-created in the same storage is a new recorder to every
+// thread's shard cache: its recordings land in shards it registered,
+// never through a pointer cached for the recorder that lived there
+// before (even when the allocator hands the new shard the old address,
+// the thread must claim it, or a second thread would claim it too).
+TEST(TailRecorder, RecorderRecreatedInSameStorageStartsFresh) {
+  std::optional<TailRecorder> rec;
+  rec.emplace(/*max_ops=*/64, /*slo_ns=*/0, /*exact_cap=*/0);
+  const TailRecorder* first = &*rec;
+  for (int i = 0; i < 10; ++i) rec->record(1'000);
+  EXPECT_EQ(rec->stats().count, 10);
+  rec.emplace(/*max_ops=*/64, /*slo_ns=*/0, /*exact_cap=*/0);
+  ASSERT_EQ(&*rec, first);
+  for (int i = 0; i < 3; ++i) rec->record(2'000);
+  std::thread([&rec] { rec->record(3'000); }).join();
+  const TrafficStats s = rec->stats();
+  EXPECT_EQ(s.count, 4);
+  EXPECT_EQ(s.record_threads, 2u);
+  EXPECT_DOUBLE_EQ(s.max_us, 3.0);
 }
 
 // ---------------------------------------------------------------------
