@@ -74,7 +74,7 @@ void ReliableTransport::start_op(Context& ctx, ProcessorId origin, OpId op,
   inner_->start_op(wrapped, origin, op, args);
 }
 
-void ReliableTransport::send_enveloped(Context& real, Message msg) {
+void ReliableTransport::send_enveloped(Context& real, Message&& msg) {
   if (msg.local || msg.src == msg.dst) {
     // The fault plane never touches local / self-addressed traffic.
     real.send(std::move(msg));
@@ -161,7 +161,9 @@ void ReliableTransport::handle_timer(Context& real, const Message& msg) {
   ++stats_.retransmissions;
   it->next_timeout = std::min(it->next_timeout * 2, params_.max_timeout);
   real.send_local(self, kTagTimer, {peer, seq}, it->next_timeout);
-  real.send(it->envelope);  // same seq: the receiver dedups
+  // Same seq: the receiver dedups. The stored envelope stays for the
+  // next attempt, so the context gets a copy.
+  real.send(Message(it->envelope));
 }
 
 void ReliableTransport::handle_ack(const Message& msg) {

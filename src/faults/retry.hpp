@@ -121,7 +121,7 @@ class ReliableTransport final : public CounterProtocol {
    public:
     EnvelopeCtx(ReliableTransport& transport, Context& real)
         : transport_(transport), real_(real) {}
-    void send(Message msg) override {
+    void send(Message&& msg) override {
       transport_.send_enveloped(real_, std::move(msg));
     }
     void send_local(ProcessorId p, std::int32_t tag,
@@ -160,7 +160,7 @@ class ReliableTransport final : public CounterProtocol {
     std::map<ProcessorId, RxChannel> rx;
   };
 
-  void send_enveloped(Context& real, Message msg);
+  void send_enveloped(Context& real, Message&& msg);
   void handle_timer(Context& real, const Message& msg);
   void handle_ack(const Message& msg);
   void handle_data(Context& real, const Message& msg);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -528,7 +529,11 @@ ClusterResult Controller::run() {
   }
   for (pid_t& pid : reaper_.pids) {
     int status = 0;
-    DCNT_CHECK(::waitpid(pid, &status, 0) == pid);
+    pid_t reaped;
+    do {  // a signal may interrupt the wait; it is not a failure
+      reaped = ::waitpid(pid, &status, 0);
+    } while (reaped < 0 && errno == EINTR);
+    DCNT_CHECK(reaped == pid);
     DCNT_CHECK_MSG(WIFEXITED(status) && WEXITSTATUS(status) == 0,
                    "a node exited abnormally");
     pid = 0;  // reaped; the ChildReaper must not touch it

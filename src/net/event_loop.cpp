@@ -4,7 +4,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 
 #include "support/check.hpp"
 
@@ -247,10 +249,23 @@ std::size_t EventLoop::run_once(int timeout_ms) {
   // write-readiness for the residue).
   flush_all();
   epoll_event events[64];
+  // A signal interrupts the wait (EINTR). Each retry waits only for
+  // what is left of the original timeout: restarting with the full
+  // timeout would let any signal that arrives more often than that (a
+  // profiler's SIGPROF, say) keep the call from ever timing out.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
+  int wait_ms = timeout_ms;
   int ready;
-  do {
-    ready = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-  } while (ready < 0 && errno == EINTR);
+  while ((ready = ::epoll_wait(epoll_fd_, events, 64, wait_ms)) < 0 &&
+         errno == EINTR) {
+    if (timeout_ms < 0) continue;  // no deadline to run out
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return 0;  // timed out between signals
+    wait_ms = static_cast<int>(left.count());
+  }
   DCNT_CHECK(ready >= 0);
   if (ready == 0) return 0;
 

@@ -85,7 +85,8 @@ class EventLoop {
   /// One reactor round: waits up to `timeout_ms` (0 = just poll, -1 =
   /// indefinitely) for readiness, then performs all pending reads,
   /// accepts, datagram deliveries and queued writes. Returns the number
-  /// of frames delivered to callbacks.
+  /// of frames delivered to callbacks. Signals do not stretch the
+  /// wait: one that interrupts it resumes it with only the time left.
   std::size_t run_once(int timeout_ms);
 
   /// Sends one frame as a datagram to 127.0.0.1:port via the UDP

@@ -100,8 +100,9 @@ class Node {
   std::vector<std::uint8_t> complete_scratch_;
   /// Reused by every kStartBatch decode, so a start allocates nothing.
   StartBatchFrame start_buf_;
-  /// Wire-arrived and controller-started events, handed to the shard
-  /// with one inject() per drain round.
+  /// Wire-arrived and controller-started events, built here in place
+  /// and handed to the shard's ready queue with one inject() per drain
+  /// round.
   std::vector<RuntimeEvent> inject_buf_;
 
   bool peers_seen_{false};
@@ -286,11 +287,14 @@ void Node::on_peer_frame(int conn, const FrameView& frame) {
 void Node::stage_wire_message(const FrameView& frame) {
   ++wire_.msgs_received;
   wire_.bytes_received += static_cast<std::int64_t>(frame.body_size()) + 6;
-  RuntimeEvent ev;
-  ev.kind = RuntimeEvent::Kind::kMessage;
-  if (!admit(decode_message(frame, &ev.msg), frame, cfg_.udp)) return;
-  DCNT_CHECK(runtime_->owns(ev.msg.dst));
-  inject_buf_.push_back(std::move(ev));
+  // Decoded straight into its event slot; a rejected frame gives the
+  // slot back.
+  Message& msg = inject_buf_.emplace_back().msg;
+  if (!admit(decode_message(frame, &msg), frame, cfg_.udp)) {
+    inject_buf_.pop_back();
+    return;
+  }
+  DCNT_CHECK(runtime_->owns(msg.dst));
 }
 
 void Node::stage_start(const StartBatchEntry& start) {
@@ -300,13 +304,12 @@ void Node::stage_start(const StartBatchEntry& start) {
   DCNT_CHECK_MSG((start.key != kNoKey) == keyed_,
                  "Start key does not match the node's key mode");
   DCNT_CHECK(start.op >= 0);
-  RuntimeEvent ev;
+  RuntimeEvent& ev = inject_buf_.emplace_back();  // built in place
   ev.kind = RuntimeEvent::Kind::kStart;
   ev.msg.src = start.origin;
   ev.msg.dst = start.origin;
   ev.msg.op = start.op;
   if (keyed_) ev.msg.args.push_back(start.key);  // none = plain inc
-  inject_buf_.push_back(std::move(ev));
 }
 
 bool Node::admit(bool decoded, const FrameView& frame, bool droppable) {
@@ -345,7 +348,7 @@ void Node::maybe_ready() {
 }
 
 void Node::drain() {
-  runtime_->inject(0, inject_buf_);
+  runtime_->inject(inject_buf_);
   runtime_->drive();
   if (complete_buf_.empty()) return;
   complete_scratch_.clear();

@@ -171,30 +171,49 @@ std::vector<std::uint8_t> encode_ready(const ReadyFrame& f) {
 
 namespace {
 
+/// Appends the header and entry count of a batch frame of `n` entries
+/// of `entry_bytes` each, sizing the whole frame with one resize, and
+/// returns where its first entry goes. The batch encoders then store
+/// each field by offset: per entry no resize, no capacity check.
+std::uint8_t* begin_batch_frame(std::vector<std::uint8_t>& out,
+                                FrameType type, std::size_t n,
+                                std::size_t entry_bytes) {
+  const std::size_t payload = 2 + 4 + n * entry_bytes;
+  DCNT_CHECK_MSG(payload <= kMaxFramePayload, "frame payload too large");
+  const std::size_t start = out.size();
+  out.resize(start + 4 + payload);
+  std::uint8_t* at = out.data() + start;
+  store_le(at, static_cast<std::uint32_t>(payload));
+  at[4] = kWireVersion;
+  at[5] = static_cast<std::uint8_t>(type);
+  store_le(at + 6, static_cast<std::uint32_t>(n));
+  return at + 10;
+}
+
 void append_start_batch(std::vector<std::uint8_t>& out,
                         std::span<const StartBatchEntry> ops) {
   DCNT_CHECK_MSG(ops.size() <= kBatchEntryCap, "start batch too large");
-  const std::size_t start = begin_frame(out, FrameType::kStartBatch);
-  put_u32(out, static_cast<std::uint32_t>(ops.size()));
+  std::uint8_t* at =
+      begin_batch_frame(out, FrameType::kStartBatch, ops.size(), 20);
   for (const StartBatchEntry& e : ops) {
-    put_i64(out, e.op);
-    put_i32(out, e.origin);
-    put_i64(out, e.key);
+    store_le(at, static_cast<std::uint64_t>(e.op));
+    store_le(at + 8, static_cast<std::uint32_t>(e.origin));
+    store_le(at + 12, static_cast<std::uint64_t>(e.key));
+    at += 20;
   }
-  finish_frame(out, start);
 }
 
 void append_complete_batch(std::vector<std::uint8_t>& out,
                            std::span<const CompleteBatchEntry> completions) {
   DCNT_CHECK_MSG(completions.size() <= kBatchEntryCap,
                  "complete batch too large");
-  const std::size_t start = begin_frame(out, FrameType::kCompleteBatch);
-  put_u32(out, static_cast<std::uint32_t>(completions.size()));
+  std::uint8_t* at = begin_batch_frame(out, FrameType::kCompleteBatch,
+                                       completions.size(), 16);
   for (const CompleteBatchEntry& e : completions) {
-    put_i64(out, e.op);
-    put_i64(out, e.value);
+    store_le(at, static_cast<std::uint64_t>(e.op));
+    store_le(at + 8, static_cast<std::uint64_t>(e.value));
+    at += 16;
   }
-  finish_frame(out, start);
 }
 
 /// Appends `entries` as frames of at most kBatchEntryCap entries, each

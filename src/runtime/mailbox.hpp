@@ -50,6 +50,11 @@ struct RuntimeEvent {
     kMessage,  ///< deliver msg to msg.dst (network, self-addressed, local)
     kStart,    ///< run start_inc/start_op at msg.dst for msg.op
   };
+  RuntimeEvent() = default;
+  /// Lets a queue emplace an event straight from the message it
+  /// carries, without relying on parenthesized aggregate init.
+  RuntimeEvent(Kind k, Message&& m) : kind(k), msg(std::move(m)) {}
+
   Kind kind{Kind::kMessage};
   Message msg;
 };
@@ -69,7 +74,7 @@ class Mailbox {
  public:
   /// Multi-producer enqueue of a single item. Prefer push_all for
   /// anything that can batch — this is one lock per item.
-  void push(RuntimeEvent ev) {
+  void push(RuntimeEvent&& ev) {
     bool wake_owner;
     {
       std::lock_guard<std::mutex> lock(mu_);

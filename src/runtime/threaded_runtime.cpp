@@ -33,6 +33,30 @@ struct TimerLater {
 thread_local ThreadedRuntime* tl_worker_runtime = nullptr;
 thread_local std::size_t tl_worker_index = 0;
 
+/// Moves every event of `from` behind those of `to`, leaving `from`
+/// empty. An empty `to` takes the whole batch by a swap, so the common
+/// hand-off moves no event at all; both vectors keep their capacity.
+void append_batch(std::vector<RuntimeEvent>& to,
+                  std::vector<RuntimeEvent>& from) {
+  if (to.empty()) {
+    std::swap(to, from);
+  } else {
+    to.insert(to.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  }
+  from.clear();
+}
+
+/// Builds an op start in a freshly emplaced (default) event slot.
+void build_start(RuntimeEvent& ev, ProcessorId origin, OpId op,
+                 MessageArgs&& args) {
+  ev.kind = RuntimeEvent::Kind::kStart;
+  ev.msg.src = origin;
+  ev.msg.dst = origin;
+  ev.msg.op = op;
+  ev.msg.args = std::move(args);
+}
+
 }  // namespace
 
 struct ThreadedRuntime::Shard {
@@ -102,10 +126,12 @@ struct ThreadedRuntime::Shard {
   Rng rng;
   Metrics metrics;
 
-  void stage(std::size_t dst, RuntimeEvent ev) {
+  /// The outbox for shard `dst`, marked dirty: the caller emplaces
+  /// its event there.
+  std::vector<RuntimeEvent>& stage(std::size_t dst) {
     auto& out = outbox[dst];
     if (out.empty()) outbox_dirty.push_back(dst);
-    out.push_back(std::move(ev));
+    return out;
   }
 };
 
@@ -116,7 +142,7 @@ class ThreadedRuntime::WorkerCtx final : public Context {
  public:
   WorkerCtx(ThreadedRuntime* rt, Shard* shard) : rt_(rt), shard_(shard) {}
 
-  void send(Message msg) override {
+  void send(Message&& msg) override {
     DCNT_CHECK_MSG(in_handler_, "send() outside a handler");
     DCNT_CHECK(msg.src >= 0 &&
                static_cast<std::size_t>(msg.src) < rt_->num_processors());
@@ -135,17 +161,14 @@ class ThreadedRuntime::WorkerCtx final : public Context {
       shard_->remote_out.push_back(std::move(msg));
       return;
     }
-    RuntimeEvent ev;
-    ev.kind = RuntimeEvent::Kind::kMessage;
     const std::size_t dst_shard = rt_->shard_of(msg.dst);
-    ev.msg = std::move(msg);
     ++shard_->pending_sends;
-    if (&*rt_->shards_[dst_shard] == shard_) {
-      // Same shard: skip the mailbox, the owner is this thread.
-      shard_->ready.push_back(std::move(ev));
-    } else {
-      shard_->stage(dst_shard, std::move(ev));
-    }
+    // Same shard: skip the mailbox, the owner is this thread. Either
+    // way the event is built once, in its queue.
+    auto& queue = &*rt_->shards_[dst_shard] == shard_
+                      ? shard_->ready
+                      : shard_->stage(dst_shard);
+    queue.emplace_back(RuntimeEvent::Kind::kMessage, std::move(msg));
   }
 
   void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
@@ -158,26 +181,27 @@ class ThreadedRuntime::WorkerCtx final : public Context {
     // this shard's clock).
     DCNT_CHECK_MSG(rt_->owns(p) && &*rt_->shards_[rt_->shard_of(p)] == shard_,
                    "send_local at a processor another shard owns");
-    RuntimeEvent ev;
-    ev.kind = RuntimeEvent::Kind::kMessage;
-    ev.msg.src = p;
-    ev.msg.dst = p;
-    ev.msg.tag = tag;
-    ev.msg.op = current_op_;
-    ev.msg.args = std::move(args);
-    ev.msg.local = true;
+    // The message is built in place, in the deferred queue or the
+    // timer heap.
+    auto build = [&](Message& m) {
+      m.src = p;
+      m.dst = p;
+      m.tag = tag;
+      m.op = current_op_;
+      m.args = std::move(args);
+      m.local = true;
+    };
     if (delay == 0) {
-      shard_->deferred.push_back(std::move(ev));
+      build(shard_->deferred.emplace_back().msg);
       ++shard_->pending_sends;
       return;
     }
     const bool wall = rt_->hosted_;
-    TimerEntry t;
+    TimerEntry& t = shard_->timers.emplace_back();
     t.due = wall ? rt_->wall_now_us() + delay * rt_->tick_us_
                  : shard_->clock + delay;
     t.seq = shard_->timer_seq++;
-    t.msg = std::move(ev.msg);
-    shard_->timers.push_back(std::move(t));
+    build(t.msg);
     std::push_heap(shard_->timers.begin(), shard_->timers.end(),
                    TimerLater{});
     if (wall) {
@@ -299,12 +323,6 @@ OpId ThreadedRuntime::begin_op(ProcessorId origin, MessageArgs args) {
   const std::size_t op = next_op_.fetch_add(1, std::memory_order_acq_rel);
   DCNT_CHECK_MSG(op < config_.max_ops,
                  "operation table full (raise RuntimeConfig::max_ops)");
-  RuntimeEvent ev;
-  ev.kind = RuntimeEvent::Kind::kStart;
-  ev.msg.src = origin;
-  ev.msg.dst = origin;
-  ev.msg.op = static_cast<OpId>(op);
-  ev.msg.args = std::move(args);
   const std::size_t dst_shard = shard_of(origin);
   if (tl_worker_runtime == this) {
     // On a worker thread (completion-driven issuance): defer the
@@ -314,12 +332,12 @@ OpId ThreadedRuntime::begin_op(ProcessorId origin, MessageArgs args) {
     // applies adds-then-subtracts.
     Shard& me = *shards_[tl_worker_index];
     ++me.pending_sends;
-    if (dst_shard == tl_worker_index) {
-      me.ready.push_back(std::move(ev));
-    } else {
-      me.stage(dst_shard, std::move(ev));
-    }
+    auto& queue = dst_shard == tl_worker_index ? me.ready : me.stage(dst_shard);
+    build_start(queue.emplace_back(), origin, static_cast<OpId>(op),
+                std::move(args));
   } else {
+    RuntimeEvent ev;
+    build_start(ev, origin, static_cast<OpId>(op), std::move(args));
     // The increment precedes the push (sequenced-before), so in_flight_
     // can never read zero while this event is invisible.
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
@@ -436,9 +454,8 @@ void ThreadedRuntime::fire_timer(Shard& shard, WorkerCtx& ctx) {
     --shard.timers_armed;
   }
   std::pop_heap(shard.timers.begin(), shard.timers.end(), TimerLater{});
-  RuntimeEvent ev;
-  ev.kind = RuntimeEvent::Kind::kMessage;
-  ev.msg = std::move(shard.timers.back().msg);
+  RuntimeEvent ev(RuntimeEvent::Kind::kMessage,
+                  std::move(shard.timers.back().msg));
   shard.timers.pop_back();
   process_event(shard, ctx, ev);
 }
@@ -450,9 +467,9 @@ bool ThreadedRuntime::run_shard_pass(Shard& shard, WorkerCtx& ctx) {
     // 1. Generation boundary: admit the mailbox behind the previous
     //    generation's output, in arrival order. Other threads' pushes
     //    therefore wait at most one generation, not until the pass runs
-    //    dry.
+    //    dry. An empty `ready` takes the drained batch by a swap.
     if (shard.mailbox.drain(shard.batch)) {
-      for (auto& ev : shard.batch) shard.ready.push_back(std::move(ev));
+      append_batch(shard.ready, shard.batch);
     }
     // 2. Run one generation front to back while handlers append the
     //    next one to the emptied `ready`. A FIFO whose appends go to
@@ -566,14 +583,15 @@ std::int64_t ThreadedRuntime::inline_timer_wait_us() const {
   return wait > 0 ? wait : 0;
 }
 
-void ThreadedRuntime::inject(std::size_t shard, std::vector<RuntimeEvent>& evs) {
+void ThreadedRuntime::inject(std::vector<RuntimeEvent>& evs) {
+  DCNT_CHECK_MSG(hosted_, "inject() is only for hosted runtimes");
   if (evs.empty()) return;
-  DCNT_CHECK(shard < active_shards_);
-  // Add-before-push: in_flight_ can never read zero while the batch is
-  // invisible to the worker.
+  // The caller is the shard's owner, so the batch joins the ready queue
+  // directly: no mailbox lock, and no event is moved when the queue is
+  // empty (the common case, since drive() runs it dry).
   in_flight_.fetch_add(static_cast<std::int64_t>(evs.size()),
                        std::memory_order_acq_rel);
-  shards_[shard]->mailbox.push_all(evs);
+  append_batch(shards_[0]->ready, evs);
 }
 
 void ThreadedRuntime::register_external_op(OpId op) {

@@ -34,7 +34,11 @@
 // queues, outboxes) are reused, and a Message keeps up to
 // MessageArgs::kInline payload words inline (sim/message.hpp), so once
 // the buffers have grown to the window a pass allocates nothing for
-// the messages it moves. What remains is the protocol's own state: the
+// the messages it moves. Nor does it copy them more than it must: a
+// send hands its Message over by rvalue and the event is built once,
+// in the queue it waits in (ready, an outbox, the deferred queue or the
+// timer heap), and a drained mailbox batch joins an empty ready queue
+// by a swap. What remains is the protocol's own state: the
 // W=1 closed-loop tree (k=3, n=81) allocates 0.81 times per inc in
 // steady state, down from 15.1 when every payload was a heap vector
 // (tests/test_allocations.cpp).
@@ -72,9 +76,10 @@
 // Two modes, chosen by one field. Without RuntimeConfig::hosting the
 // runtime is the in-process engine above: W workers, logical-clock
 // timers. With it, the runtime is one node of the socket cluster
-// (src/net/node.cpp): no thread of its own, one shard the caller drives
-// with drive(), the processors p with p % nodes == node_id, wall-clock
-// timers, and messages for other nodes handed to the remote sink.
+// (src/net/node.cpp): no thread of its own, one shard the caller feeds
+// with inject() and drives with drive(), the processors p with
+// p % nodes == node_id, wall-clock timers, and messages for other nodes
+// handed to the remote sink.
 #pragma once
 
 #include <atomic>
@@ -139,8 +144,9 @@ struct RuntimeConfig {
   /// (src/net/node.cpp); unset: the whole protocol runs in this process.
   /// A hosted runtime spawns no thread. The caller's thread is its one
   /// shard and calls drive() whenever events may be pending, so a
-  /// message's receive->handle->send round trip never crosses a thread;
-  /// mailbox injection, remote sink, completion callbacks and the
+  /// message's receive->handle->send round trip never crosses a thread,
+  /// and the caller's inject() feeds the shard's ready queue directly,
+  /// without a mailbox hop. Remote sink, completion callbacks and the
   /// in-flight ledger behave as with a worker. Requires workers == 1.
   ///
   /// It owns only processors with p % nodes == node_id; a handler's
@@ -208,13 +214,15 @@ class ThreadedRuntime {
     return static_cast<std::size_t>(p) % nodes_ == node_id_;
   }
 
-  /// Cluster-mode event injection: hands a batch of externally-produced
-  /// events (wire arrivals, controller-assigned op starts) to one
-  /// shard's mailbox. The in-flight add happens before the push, so a
-  /// quiescence observer can never see zero while the batch is
-  /// invisible. Clears `evs` retaining capacity. Callable from any
-  /// non-worker thread.
-  void inject(std::size_t shard, std::vector<RuntimeEvent>& evs);
+  /// Hosting only, owner thread only: hands a batch of externally
+  /// produced events (wire arrivals, controller-assigned op starts) to
+  /// the shard. The batch counts in in_flight() at once and joins the
+  /// ready queue directly, behind whatever is still ready there, so the
+  /// next drive() runs it in injection order, ahead of the events its
+  /// handlers create. No mailbox lock is taken and, when the ready
+  /// queue is empty, no event is moved: the two vectors swap. Leaves
+  /// `evs` empty (it may come back with another vector's capacity).
+  void inject(std::vector<RuntimeEvent>& evs);
 
   /// Cluster mode: the controller assigns global OpIds, so ops hosted
   /// here arrive with their id already chosen. Raises the internal

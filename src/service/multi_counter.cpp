@@ -17,7 +17,7 @@ class KeyCtx final : public Context {
          std::atomic<std::int64_t>& completed)
       : base_(base), key_(key), offset_(offset), n_(n), completed_(completed) {}
 
-  void send(Message msg) override {
+  void send(Message&& msg) override {
     msg.src = rotate(msg.src);
     msg.dst = rotate(msg.dst);
     msg.key = key_;

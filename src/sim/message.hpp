@@ -20,7 +20,10 @@
 // / NewId are [node, x, y]). test_message_args measures every kind
 // behind the transport and pins this. Copying, moving and sending such
 // a message allocates nothing, which takes the heap off the runtimes'
-// per-message path.
+// per-message path. Nor does it touch words it does not use: the
+// inline words are left uninitialised at construction, and a copy or
+// a move writes only the size() words in use, so a fresh queue slot or
+// a 1-word message costs what its payload costs, not kInline words.
 // It is a compile-time constant on purpose: a wider payload still
 // works (it spills), it just pays one allocation per copy.
 #pragma once
@@ -119,7 +122,11 @@ class MessageArgs {
     const auto n = static_cast<std::size_t>(std::distance(first, last));
     size_ = 0;
     reserve(n);
-    std::copy(first, last, data());
+    if (is_inline()) {
+      copy_inline(first, n, inline_);
+    } else {
+      std::copy(first, last, heap_);
+    }
     size_ = static_cast<std::uint32_t>(n);
   }
   /// Inserts one word before `pos`; returns an iterator to it.
@@ -157,6 +164,13 @@ class MessageArgs {
   }
 
  private:
+  /// Copies the n <= kInline words at `first` to `to`. A loop bounded
+  /// by kInline compiles to a few register moves, where a variable-
+  /// length std::copy would call memmove for every message.
+  template <class It>
+  static void copy_inline(It first, std::size_t n, std::int64_t* to) {
+    for (std::size_t i = 0; i < kInline && i < n; ++i) to[i] = *first++;
+  }
   /// Moves to a heap block of max(n, kInline + 1) words.
   void regrow(std::size_t n) {
     n = std::max(n, kInline + 1);
@@ -185,7 +199,7 @@ class MessageArgs {
   void steal(MessageArgs& other) noexcept {
     size_ = other.size_;
     if (other.is_inline()) {
-      std::copy(other.inline_, other.inline_ + other.size_, inline_);
+      copy_inline(other.inline_, other.size_, inline_);
     } else {
       heap_ = other.heap_;
       cap_ = other.cap_;
@@ -198,9 +212,12 @@ class MessageArgs {
   std::uint32_t size_{0};
   std::uint32_t cap_{kInline};
   /// A spilled object keeps its block pointer where the inline words
-  /// were: heap_ is the active member exactly while !is_inline().
+  /// were: heap_ is the active member exactly while !is_inline(). No
+  /// default member initializer: only the words below size_ are ever
+  /// written or read, so zero-filling all kInline of them on every
+  /// construction and move would be pure waste.
   union {
-    std::int64_t inline_[kInline]{};
+    std::int64_t inline_[kInline];
     std::int64_t* heap_;
   };
 };

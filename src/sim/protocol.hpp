@@ -36,8 +36,12 @@ class Context {
   virtual ~Context() = default;
 
   /// Send a network message from msg.src to msg.dst. Must have
-  /// 0 <= src,dst < num_processors. Counted in all load metrics.
-  virtual void send(Message msg) = 0;
+  /// 0 <= src,dst < num_processors. Counted in all load metrics. The
+  /// context takes ownership of the message and moves it onward, so a
+  /// message costs no copy between the handler and the queue it lands
+  /// in; a sender that keeps the message (a retransmission buffer)
+  /// passes an explicit copy, send(Message(kept)).
+  virtual void send(Message&& msg) = 0;
 
   /// Deliver a free local message (local=true: no load, no delay draw)
   /// to p at p's first dry point at least `delay` >= 0 ticks from now;

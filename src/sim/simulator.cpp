@@ -140,7 +140,7 @@ SimTime Simulator::op_responded_at(OpId op) const {
   return t;
 }
 
-void Simulator::send(Message msg) {
+void Simulator::send(Message&& msg) {
   DCNT_CHECK_MSG(in_handler_, "send() outside a handler");
   DCNT_CHECK(msg.src >= 0 &&
              static_cast<std::size_t>(msg.src) < num_processors());
@@ -158,9 +158,8 @@ void Simulator::send(Message msg) {
   RecordId rec = kNoRecord;
   if (counted) {
     charge_send(msg.src, msg);
-    Message hop_view = msg;
-    hop_view.dst = first_hop;  // trace records physical hops
-    rec = trace_.on_send(current_parent_, hop_view, msg.op, now_);
+    // The trace records physical hops.
+    rec = trace_.on_send(current_parent_, msg.src, first_hop, msg, now_);
   }
   const RecordId cause = rec != kNoRecord ? rec : current_parent_;
   const ProcessorId hop_src = msg.src;
@@ -173,14 +172,7 @@ void Simulator::send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
   DCNT_CHECK_MSG(in_handler_, "send_local() outside a handler");
   DCNT_CHECK(p >= 0 && static_cast<std::size_t>(p) < num_processors());
   DCNT_CHECK(delay >= 0);
-  Message msg;
-  msg.src = p;
-  msg.dst = p;
-  msg.tag = tag;
-  msg.op = current_op_;
-  msg.args = std::move(args);
-  msg.local = true;
-  Event ev;
+  Event& ev = queue_.emplace_back();  // built in place
   // A fresh seq: after every event already due then, before any later
   // one (delay 0: behind everything due now, p's dry point).
   ev.deliver_time = now_ + delay;
@@ -188,12 +180,16 @@ void Simulator::send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
   ev.record = kNoRecord;
   ev.cause = current_parent_;
   ev.at = p;
-  ev.msg = std::move(msg);
-  queue_.push_back(std::move(ev));
+  ev.msg.src = p;
+  ev.msg.dst = p;
+  ev.msg.tag = tag;
+  ev.msg.op = current_op_;
+  ev.msg.args = std::move(args);
+  ev.msg.local = true;
   std::push_heap(queue_.begin(), queue_.end(), EventLater{});
 }
 
-void Simulator::enqueue_hop(Message msg, ProcessorId hop_src,
+void Simulator::enqueue_hop(Message&& msg, ProcessorId hop_src,
                             ProcessorId hop_dst, RecordId record,
                             RecordId cause, std::int64_t ttl) {
   if (faults_.active() && !msg.local && hop_src != hop_dst) {
@@ -205,7 +201,7 @@ void Simulator::enqueue_hop(Message msg, ProcessorId hop_src,
       case FaultPlane::SendFault::kDuplicate:
         // A second copy with its own delay draw. Untraced (record-less)
         // so the causal trace keeps one delivery per send record.
-        raw_enqueue(msg, hop_src, hop_dst, kNoRecord, cause, ttl);
+        raw_enqueue(Message(msg), hop_src, hop_dst, kNoRecord, cause, ttl);
         break;
       case FaultPlane::SendFault::kDeliver:
         break;
@@ -214,24 +210,24 @@ void Simulator::enqueue_hop(Message msg, ProcessorId hop_src,
   raw_enqueue(std::move(msg), hop_src, hop_dst, record, cause, ttl);
 }
 
-void Simulator::raw_enqueue(Message msg, ProcessorId hop_src,
+void Simulator::raw_enqueue(Message&& msg, ProcessorId hop_src,
                             ProcessorId hop_dst, RecordId record,
                             RecordId cause, std::int64_t ttl) {
-  Event ev;
   const SimTime delay = config_.delay.sample_for(rng_, hop_src, hop_dst);
-  ev.deliver_time = now_ + delay;
+  SimTime deliver_time = now_ + delay;
   if (config_.fifo_channels && !msg.local && hop_src != hop_dst) {
     auto& last = channel_last_[channel_key(hop_src, hop_dst)];
-    if (ev.deliver_time < last) ev.deliver_time = last;
-    last = ev.deliver_time;
+    if (deliver_time < last) deliver_time = last;
+    last = deliver_time;
   }
+  Event& ev = queue_.emplace_back();  // built in place
+  ev.deliver_time = deliver_time;
   ev.seq = seq_++;
   ev.record = record;
   ev.cause = cause;
   ev.at = hop_dst;
   ev.ttl = ttl;
   ev.msg = std::move(msg);
-  queue_.push_back(std::move(ev));
   std::push_heap(queue_.begin(), queue_.end(), EventLater{});
 }
 
@@ -328,11 +324,8 @@ void Simulator::deliver(Event ev) {
     charge_send(ev.at, ev.msg);
     RecordId rec = kNoRecord;
     if (trace_.enabled()) {
-      Message hop_view = ev.msg;
-      hop_view.src = ev.at;
-      hop_view.dst = next;
       rec = trace_.on_send(ev.record != kNoRecord ? ev.record : ev.cause,
-                           hop_view, ev.msg.op, now_);
+                           ev.at, next, ev.msg, now_);
     }
     const RecordId cause = rec != kNoRecord ? rec : ev.cause;
     const ProcessorId hop_src = ev.at;

@@ -169,7 +169,7 @@ class Simulator final : private Context {
   SimTime now() const { return now_; }
 
   // Context interface (used by protocol handlers).
-  void send(Message msg) override;
+  void send(Message&& msg) override;
   void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
                   SimTime delay) override;
   void complete(OpId op, Value value) override;
@@ -193,11 +193,11 @@ class Simulator final : private Context {
     }
   };
 
-  void enqueue_hop(Message msg, ProcessorId hop_src, ProcessorId hop_dst,
+  void enqueue_hop(Message&& msg, ProcessorId hop_src, ProcessorId hop_dst,
                    RecordId record, RecordId cause, std::int64_t ttl);
   /// Event-queue mechanics of enqueue_hop, bypassing the fault plane
   /// (used for the second copy of a duplicated hop).
-  void raw_enqueue(Message msg, ProcessorId hop_src, ProcessorId hop_dst,
+  void raw_enqueue(Message&& msg, ProcessorId hop_src, ProcessorId hop_dst,
                    RecordId record, RecordId cause, std::int64_t ttl);
   void deliver(Event ev);
   /// Charges one counted hop that `p` sends: its load and its op's count.

@@ -5,16 +5,16 @@
 
 namespace dcnt {
 
-RecordId Trace::on_send(RecordId parent, const Message& msg, OpId op,
-                        SimTime send_time) {
+RecordId Trace::on_send(RecordId parent, ProcessorId src, ProcessorId dst,
+                        const Message& msg, SimTime send_time) {
   if (!enabled_) return kNoRecord;
   MessageRecord rec;
   rec.id = static_cast<RecordId>(records_.size());
   rec.parent = parent;
-  rec.src = msg.src;
-  rec.dst = msg.dst;
+  rec.src = src;
+  rec.dst = dst;
   rec.tag = msg.tag;
-  rec.op = op;
+  rec.op = msg.op;
   rec.send_time = send_time;
   rec.deliver_time = -1;
   rec.words = msg.size_words();

@@ -38,9 +38,11 @@ class Trace {
 
   bool enabled() const { return enabled_; }
 
-  /// Records a send; returns its RecordId (kNoRecord when disabled).
-  RecordId on_send(RecordId parent, const struct Message& msg, OpId op,
-                   SimTime send_time);
+  /// Records a send of `msg` over the hop src -> dst (a routed message's
+  /// hops differ from its endpoints); the record takes msg's tag, op
+  /// and size. Returns its RecordId (kNoRecord when disabled).
+  RecordId on_send(RecordId parent, ProcessorId src, ProcessorId dst,
+                   const struct Message& msg, SimTime send_time);
   void on_deliver(RecordId id, SimTime deliver_time);
 
   const std::vector<MessageRecord>& records() const { return records_; }

@@ -1,10 +1,13 @@
 // Reactor unit tests: frames round-trip coalesced, and the syscall-edge
 // hardening holds — a peer vanishing mid-frame (orderly FIN or abortive
 // RST) is a clean close callback, never a crash or a torn frame
-// delivery.
+// delivery. And a signal storm cannot stretch a timed wait.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -127,6 +130,50 @@ TEST(EventLoop, PeerResetMidFrameIsCleanClose) {
   EXPECT_EQ(closes, 1);
   EXPECT_EQ(frames, 0);
   EXPECT_EQ(loop.open_connections(), 0u);
+}
+
+std::atomic<int> g_signals_seen{0};
+
+void count_signal(int) { g_signals_seen.fetch_add(1); }
+
+TEST(EventLoop, RunOnceTimesOutWhileSignalsArrive) {
+  // A periodic signal (a profiler's SIGPROF, any handler a user
+  // installs) interrupts epoll_wait with EINTR. Restarting the wait
+  // with the full timeout each time would keep an idle run_once(20)
+  // waiting for as long as the signals keep coming, here 2 s; it must
+  // time out after about 20 ms of wall time instead.
+  struct sigaction quiet {};
+  quiet.sa_handler = count_signal;
+  sigemptyset(&quiet.sa_mask);
+  struct sigaction saved {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &quiet, &saved), 0);
+  g_signals_seen.store(0);
+
+  EventLoop loop;
+  const pthread_t reactor = ::pthread_self();
+  std::atomic<bool> done{false};
+  std::thread storm([&] {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!done.load() && std::chrono::steady_clock::now() < until) {
+      ::pthread_kill(reactor, SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  // Let the storm start before the wait begins.
+  while (g_signals_seen.load() == 0) std::this_thread::yield();
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::size_t delivered = loop.run_once(20);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  const int seen_during = g_signals_seen.load();
+  done.store(true);
+  storm.join();
+  ASSERT_EQ(::sigaction(SIGUSR1, &saved, nullptr), 0);
+
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_LT(waited, std::chrono::milliseconds(500));
+  EXPECT_GE(waited, std::chrono::milliseconds(19));
+  EXPECT_GT(seen_during, 1);  // the wait really was interrupted
 }
 
 }  // namespace

@@ -293,7 +293,7 @@ TEST(SelfHealingDeath, ConcurrentOpsPerOriginAbort) {
 /// sees acks).
 class RecordingCtx final : public Context {
  public:
-  void send(Message msg) override {
+  void send(Message&& msg) override {
     if (!blackhole) sent.push_back(std::move(msg));
   }
   void send_local(ProcessorId p, std::int32_t tag,

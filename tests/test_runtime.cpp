@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <set>
@@ -390,6 +391,104 @@ TEST(ThreadedRuntime, HostedDriveRunsDeferredMessagesBeforeReturningDry) {
   expect_deferred_at_dry_point(rt);
 }
 
+/// Logs every event it handles: a start logs its op and sends one hop,
+/// and the hop logs 100 + op and completes the op.
+struct InjectLog final : CounterProtocol {
+  std::vector<std::int64_t> log;
+
+  std::size_t num_processors() const override { return 4; }
+  void start_inc(Context& ctx, ProcessorId origin, OpId op) override {
+    log.push_back(op);
+    Message m;
+    m.src = origin;
+    m.dst = (origin + 1) % 4;
+    m.tag = 1;
+    ctx.send(std::move(m));
+  }
+  void on_message(Context& ctx, const Message& msg) override {
+    log.push_back(100 + msg.op);
+    ctx.complete(msg.op, msg.op);
+  }
+  std::unique_ptr<CounterProtocol> clone_counter() const override {
+    return std::make_unique<InjectLog>(*this);
+  }
+  std::string name() const override { return "inject-log"; }
+};
+
+/// A hosted one-node runtime over InjectLog, as a cluster node builds it.
+std::unique_ptr<ThreadedRuntime> hosted_inject_log() {
+  RuntimeConfig config;
+  config.workers = 1;
+  config.max_ops = 8;
+  config.hosting = NodeHosting{1, 0, 200};
+  return std::make_unique<ThreadedRuntime>(std::make_unique<InjectLog>(),
+                                           config);
+}
+
+/// Controller-assigned starts, as a node stages them for inject().
+std::vector<RuntimeEvent> starts(std::initializer_list<OpId> ops) {
+  std::vector<RuntimeEvent> evs;
+  for (const OpId op : ops) {
+    RuntimeEvent& ev = evs.emplace_back();
+    ev.kind = RuntimeEvent::Kind::kStart;
+    ev.msg.src = static_cast<ProcessorId>(op % 4);
+    ev.msg.dst = ev.msg.src;
+    ev.msg.op = op;
+  }
+  return evs;
+}
+
+const std::vector<std::int64_t>& inject_log(const ThreadedRuntime& rt) {
+  return dynamic_cast<const InjectLog&>(rt.protocol()).log;
+}
+
+TEST(ThreadedRuntime, HostedInjectCountsInFlightBeforeDrive) {
+  auto rt = hosted_inject_log();
+  auto evs = starts({0, 1, 2});
+  rt->register_external_op(2);
+  rt->inject(evs);
+  EXPECT_TRUE(evs.empty());
+  // Counted at once, before any event runs: a quiescence check between
+  // inject() and drive() cannot read the node idle.
+  EXPECT_EQ(rt->in_flight(), 3);
+  EXPECT_EQ(rt->events_processed(), 0);
+  while (rt->in_flight() > 0) rt->drive();
+  EXPECT_EQ(rt->ops_completed(), 3u);
+  EXPECT_EQ(rt->events_processed(), 6);
+}
+
+TEST(ThreadedRuntime, HostedInjectRunsInOrderAheadOfItsOwnOutput) {
+  auto rt = hosted_inject_log();
+  auto evs = starts({2, 0, 1});
+  rt->register_external_op(2);
+  rt->inject(evs);
+  while (rt->in_flight() > 0) rt->drive();
+  // The batch runs in injection order; the hops its starts send form
+  // the next generation.
+  EXPECT_EQ(inject_log(*rt),
+            (std::vector<std::int64_t>{2, 0, 1, 102, 100, 101}));
+}
+
+TEST(ThreadedRuntime, HostedSecondInjectQueuesBehindWhatIsStillReady) {
+  auto rt = hosted_inject_log();
+  auto first = starts({0, 1});
+  auto second = starts({3, 2});
+  rt->register_external_op(4);
+  rt->inject(first);
+  rt->inject(second);  // no drive() in between: the first is still ready
+  EXPECT_EQ(rt->in_flight(), 4);
+  while (rt->in_flight() > 0) rt->drive();
+  EXPECT_EQ(inject_log(*rt),
+            (std::vector<std::int64_t>{0, 1, 3, 2, 100, 101, 103, 102}));
+  // A batch injected after the shard ran dry starts a fresh queue.
+  auto third = starts({4});
+  rt->inject(third);
+  while (rt->in_flight() > 0) rt->drive();
+  EXPECT_EQ(inject_log(*rt).back(), 104);
+  EXPECT_EQ(rt->ops_completed(), 5u);
+  EXPECT_EQ(rt->merged_metrics().total_messages(), 5);
+}
+
 // A busy shard postpones a deferred message until its busy period ends,
 // never longer: processor 0 defers D and then keeps its one-worker shard
 // busy with a chain of self-sends, one generation per link. D runs
@@ -737,6 +836,23 @@ TEST(ThreadedRuntimeDeathTest, DeferAtAnotherShardsProcessorAborts) {
         rt.wait_quiescent();
       },
       "another shard owns");
+}
+
+TEST(ThreadedRuntimeDeathTest, InjectOnANonHostedRuntimeAborts) {
+  // Injection appends to the shard's ready queue without a lock, which
+  // only a hosted runtime's owner thread may do; an in-process runtime's
+  // workers own their queues.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        RuntimeConfig config;
+        config.workers = 1;
+        config.max_ops = 8;
+        ThreadedRuntime rt(std::make_unique<InjectLog>(), config);
+        auto evs = starts({0});
+        rt.inject(evs);
+      },
+      "only for hosted runtimes");
 }
 
 TEST(ThreadedRuntimeDeathTest, HostingRequiresOneWorkerAndAValidNodeId) {

@@ -263,7 +263,7 @@ TEST(TreeCounter, MultipleIncsPerProcessorAlsoWork) {
 
 class CombineCtx final : public Context {
  public:
-  void send(Message msg) override { sent.push_back(std::move(msg)); }
+  void send(Message&& msg) override { sent.push_back(std::move(msg)); }
   void send_local(ProcessorId p, std::int32_t tag, MessageArgs args,
                   SimTime delay) override {
     if (delay != 0) {
